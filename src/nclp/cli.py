@@ -108,7 +108,8 @@ def cmd_sweep(args) -> int:
     for k in range(args.kmin, args.kmax + 1):
         formula = cx.lower_bound_formula(k, args.p)
         if k <= args.numeric_cap:
-            rep = cx.verify_pipeline(k, args.p, opts, seed=args.seed)
+            rep = cx.verify_pipeline(k, args.p, opts, seed=args.seed,
+                                     k_cap=args.numeric_cap)
             numeric = _fmt(rep.numeric_lb)
             upper_w = _fmt(rep.upper_w)
             passed = str(rep.threshold_pass).lower()

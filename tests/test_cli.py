@@ -45,6 +45,16 @@ class TestSweep:
         rows = out.read_text().strip().splitlines()[1:]
         assert all(row.split(",")[3] == "" for row in rows)
 
+    def test_numeric_cap_above_default(self, tmp_path):
+        out = tmp_path / "sweep.csv"
+        assert run_cli("sweep", "--p", "3", "--kmin", "9", "--kmax", "9",
+                       "--numeric-cap", "9", "--max-iters", "200",
+                       "--out", str(out)) == 0
+        (row,) = out.read_text().strip().splitlines()[1:]
+        numeric = row.split(",")[3]
+        assert numeric != ""
+        assert float(numeric) >= float(row.split(",")[2]) - 1e-12
+
     def test_json_format(self, tmp_path):
         out = tmp_path / "sweep.json"
         assert run_cli("sweep", "--p", "3", "--kmin", "2", "--kmax", "3",

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from nclp.counterexample import closed_form_images, witness_w
 from nclp.cpmaps import (KrausMap, adjoint_map, amplify_apply, apply,
                          build_counterexample_maps, choi, choi_min_eigenvalue,
                          compose, is_completely_positive,
@@ -57,6 +58,74 @@ class TestApply:
         a, b = 1.3 - 0.2j, -0.7j
         assert np.allclose(apply(m, a * x + b * y),
                            a * apply(m, x) + b * apply(m, y), atol=1e-12)
+
+
+def random_map(rng, terms, k):
+    """A map with independent coefficient stacks, so in general not CP."""
+    return KrausMap.from_terms([(random_complex(rng, k, k), random_complex(rng, k, k))
+                                for _ in range(terms)])
+
+
+def term_sum(m, x):
+    """sum_t a_t^* x b_t entry by entry in plain Python, the kernel's reference."""
+    k = m.k
+    out = np.zeros((k, k), dtype=np.complex128)
+    for a, b in m.terms():
+        for i in range(k):
+            for c in range(k):
+                out[i, c] += sum(a[j, i].conjugate() * x[j, l] * b[l, c]
+                                 for j in range(k) for l in range(k))
+    return out
+
+
+def einsum_amplify(m, coords):
+    """The three-operand contraction the matmul kernel replaced."""
+    return np.einsum("tji,njl,tlk->nik", m.a.conj(), coords, m.b)
+
+
+class TestKernel:
+    @pytest.mark.parametrize("terms", [1, 3, 7])
+    @pytest.mark.parametrize("k", [1, 2, 5])
+    def test_apply_matches_term_sum(self, rng, terms, k):
+        m = random_map(rng, terms, k)
+        x = random_complex(rng, k, k)
+        got, want = apply(m, x), term_sum(m, x)
+        scale = sum(np.abs(a).T @ np.abs(x) @ np.abs(b) for a, b in m.terms()).max()
+        assert np.abs(got - want).max() <= 1e-13 * scale
+
+    @pytest.mark.parametrize("terms", [1, 3, 7])
+    def test_amplify_is_coordinatewise_apply(self, rng, terms):
+        k, n = 3, 5
+        m = random_map(rng, terms, k)
+        y = VecElem(random_complex(rng, n, k, k))
+        img = amplify_apply(m, y)
+        assert img.coords.shape == (n, k, k)
+        for i in range(n):
+            assert np.array_equal(img.coords[i], apply(m, y.coords[i]))
+
+    @pytest.mark.parametrize("terms", [1, 3, 7])
+    def test_choi_matches_outer_sum(self, rng, terms):
+        k = 3
+        m = random_map(rng, terms, k)
+        want = sum(np.outer(a.reshape(-1).conj(), b.reshape(-1)) for a, b in m.terms())
+        assert np.abs(choi(m) - want).max() <= 1e-13 * np.abs(want).max()
+
+    @pytest.mark.parametrize("p", [2.5, 3.0, 4.0])
+    def test_witness_images_at_k18(self, p):
+        k = 18
+        maps = build_counterexample_maps(k, p)
+        w = witness_w(k)
+        images = [c.coords for c in closed_form_images(k, p)]
+        images.append(sum(images) / 4.0)
+        for i, (m, want) in enumerate(zip(maps, images)):
+            got = amplify_apply(m, w).coords
+            assert np.array_equal(got, einsum_amplify(m, w.coords))
+            if i < 3:
+                assert np.array_equal(got, want)
+            else:
+                # u4 and u carry k^{-1/p} as (k^{-1/(2p)})^2, which may differ
+                # from the closed form's power in the last bit
+                assert np.abs(got - want).max() <= np.finfo(float).eps * np.abs(want).max()
 
 
 class TestChoi:
