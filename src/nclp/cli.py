@@ -22,7 +22,8 @@ import numpy as np
 
 from . import counterexample as cx
 from . import selfcheck, serialize
-from .errors import InvalidInputError
+from .errors import (FactorizationHypothesisError, InvalidInputError,
+                     NumericalDegeneracyError)
 from .schatten import check_exponent
 from .vecnorm import (CertifyOptions, Side, VecElem, alpha_certify,
                       diagonal_closed_form)
@@ -260,12 +261,12 @@ def main(argv=None) -> int:
         if p is not None:
             check_exponent(p)
         return args.func(args)
-    except InvalidInputError as exc:
+    except (InvalidInputError, FactorizationHypothesisError) as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    except KeyError as exc:
-        print(f"invalid input: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+    except NumericalDegeneracyError as exc:
+        print(f"verification failure: {exc}", file=sys.stderr)
+        return EXIT_VERIFICATION
 
 
 if __name__ == "__main__":

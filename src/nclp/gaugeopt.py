@@ -20,6 +20,15 @@ s^{-1} A_n^*``, which reduces the problem to a smooth convex objective in
 infinite, the optimal left factor is the support identity, and the problem
 collapses to the one-sided core exactly.
 
+Cost per iteration, for N coordinates of size k x r (r after the support
+restriction): M(s) is assembled as two GEMMs on a k-major copy of the
+coordinates made once per solve, O(N k r^2 + N k^2 r); the gradient Gram
+``sum_n A_n^* v v^* A_n`` is one more pair of GEMMs of the same order.  Each
+iteration takes one ``eigh`` of M at the current point, whose M(s) is the one
+kept from the accepted line-search trial rather than rebuilt; each trial
+costs one ``eigh`` of the r x r trial ``s`` (its projection) and one
+eigenvalue-only ``eigvalsh`` of M.
+
 ``evaluate_one_sided`` / ``evaluate_two_sided`` score an arbitrary witness:
 they reconstruct the coordinates from it and add the p-norm of the residual
 coordinates to the objective, which keeps the returned number a sound upper
@@ -64,13 +73,37 @@ def _project(s: np.ndarray, e: float):
     return vals, vecs
 
 
-def _m_spectrum(A: np.ndarray, svals: np.ndarray, svecs: np.ndarray):
-    """Spectrum of M(s) = sum_n A_n s^{-1} A_n^* assembled in PSD form."""
-    half = svecs * (svals ** -0.5)
-    b = A @ half
-    bmat = np.transpose(b, (1, 0, 2)).reshape(b.shape[1], -1)
-    m = bmat @ bmat.conj().T
-    lam, u = np.linalg.eigh(0.5 * (m + m.conj().T))
+def _k_major(A: np.ndarray) -> np.ndarray:
+    """Contiguous (k, N, r) copy of (N, k, r) coordinates for the GEMM kernels."""
+    return np.ascontiguousarray(np.transpose(A, (1, 0, 2)))
+
+
+def _m_matrix(ak: np.ndarray, svals: np.ndarray, svecs: np.ndarray) -> np.ndarray:
+    """M(s) = sum_n A_n s^{-1} A_n^* in PSD form, as two GEMMs.
+
+    ``ak`` is the k-major copy of the coordinates (see ``_k_major``): the rows
+    of ``ak @ s^{-1/2}`` regroup into ``B = [A_1 s^{-1/2}, ..., A_N s^{-1/2}]``
+    and ``M = B B^*``.
+    """
+    k, _, r = ak.shape
+    b = (ak.reshape(-1, r) @ (svecs * svals ** -0.5)).reshape(k, -1)
+    m = b @ b.conj().T
+    return 0.5 * (m + m.conj().T)
+
+
+def _grad_gram(ak: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """sum_n A_n^* v v^* A_n as X^* X with X the stacked rows of v^* A_n."""
+    k, _, r = ak.shape
+    x = (v.conj().T @ ak.reshape(k, -1)).reshape(-1, r)
+    return x.conj().T @ x
+
+
+def _eigvals(m: np.ndarray) -> np.ndarray:
+    return np.clip(np.linalg.eigvalsh(m), 0.0, None)
+
+
+def _eigh(m: np.ndarray):
+    lam, u = np.linalg.eigh(m)
     return np.clip(lam, 0.0, None), u
 
 
@@ -107,7 +140,8 @@ def minimize_gauge(A: np.ndarray, e: float, max_iters: int = 5000,
         return GaugeResult(0.0, np.eye(dim, dtype=np.complex128), 0, True)
 
     # restrict to the right support of the coordinates
-    gram = np.einsum("nki,nkj->ij", A.conj(), A)
+    a2 = A.reshape(-1, r)
+    gram = a2.conj().T @ a2
     gram = 0.5 * (gram + gram.conj().T)
     gvals, gvecs = _spectral(gram)
     gmax = float(gvals[-1])
@@ -117,11 +151,10 @@ def minimize_gauge(A: np.ndarray, e: float, max_iters: int = 5000,
     rb = ab.shape[2]
 
     scale = math.sqrt(float(np.einsum("nij,nij->", ab, ab.conj()).real))
-    ab = ab / scale
+    ak = _k_major(ab / scale)
 
-    def true_value(svals, svecs):
-        lam, _ = _m_spectrum(ab, svals, svecs)
-        return math.sqrt(float(lam[-1]))  # trace term is 1 on the manifold
+    def true_value(m):
+        return math.sqrt(float(_eigvals(m)[-1]))  # trace term is 1 on the manifold
 
     candidates = [np.eye(rb, dtype=np.complex128),
                   ub.conj().T @ gram @ ub / gmax]
@@ -131,12 +164,13 @@ def minimize_gauge(A: np.ndarray, e: float, max_iters: int = 5000,
             candidates.append(ub.conj().T @ s0 @ ub)
 
     best_val = math.inf
-    best_pair = None
+    best_pair = m_cur = None
     for cand in candidates:
         sv, sq = _project(cand, e)
-        val = true_value(sv, sq)
+        m = _m_matrix(ak, sv, sq)
+        val = true_value(m)
         if val < best_val:
-            best_val, best_pair = val, (sv, sq)
+            best_val, best_pair, m_cur = val, (sv, sq), m
     svals, svecs = best_pair
 
     iters = 0
@@ -149,21 +183,20 @@ def minimize_gauge(A: np.ndarray, e: float, max_iters: int = 5000,
             f_ref = math.inf
             while iters < max_iters and stall < stall_window:
                 iters += 1
-                lam, u = _m_spectrum(ab, svals, svecs)
+                lam, u = _eigh(m_cur)
                 tau = tau_rel * max(float(lam[-1]), 1e-300)
                 f_cur = _lse(lam, tau)
                 w = _soft_weights(lam, tau)
                 # surrogate gradient wrt s, projected onto the manifold tangent
-                t = np.transpose(ab, (0, 2, 1)).conj() @ (u * np.sqrt(w))
-                c = np.einsum("nij,nkj->ik", t, t.conj())
+                c = _grad_gram(ak, u * np.sqrt(w))
                 sinv = (svecs / svals) @ svecs.conj().T
                 grad = -(sinv @ c @ sinv)
                 grad = 0.5 * (grad + grad.conj().T)
                 s_mat = (svecs * svals) @ svecs.conj().T
                 normal = (svecs * (0.5 * e * svals ** (0.5 * e - 1.0))) @ svecs.conj().T
-                nn = float(np.einsum("ij,ji->", normal, normal).real)
+                nn = float(np.vdot(normal, normal).real)
                 if nn > 0.0:
-                    coef = float(np.einsum("ij,ji->", grad, normal).real) / nn
+                    coef = float(np.vdot(grad, normal).real) / nn
                     grad = grad - coef * normal
                 gnorm = float(np.linalg.norm(grad))
                 if gnorm <= 1e-15 * max(1.0, float(np.linalg.norm(s_mat))):
@@ -173,10 +206,11 @@ def minimize_gauge(A: np.ndarray, e: float, max_iters: int = 5000,
                 f_t = f_cur
                 for _ in range(40):
                     tv, tq = _project(s_mat - eta * grad, e)
-                    lam_t, _ = _m_spectrum(ab, tv, tq)
+                    m_t = _m_matrix(ak, tv, tq)
+                    lam_t = _eigvals(m_t)
                     f_t = _lse(lam_t, tau)
                     if f_t <= f_cur - 1e-4 * eta * gnorm * gnorm:
-                        svals, svecs = tv, tq
+                        svals, svecs, m_cur = tv, tq, m_t
                         accepted = True
                         break
                     eta *= 0.5
@@ -197,7 +231,7 @@ def minimize_gauge(A: np.ndarray, e: float, max_iters: int = 5000,
     converged = iters < max_iters
     sv, sq = best_pair
     sv = sv + 1e-12 * float(np.sum(sv)) / rb  # regularized inversion margin
-    final = true_value(sv, sq)
+    final = true_value(_m_matrix(ak, sv, sq))
     s_out = ub @ ((sq * sv) @ sq.conj().T) @ ub.conj().T
     return GaugeResult(value=final * scale, s=s_out, iterations=iters,
                        converged=converged)
@@ -287,7 +321,7 @@ class TwoSidedResult:
 
 def minimize_two_sided(coords: np.ndarray, p: float, max_iters: int = 5000,
                        decrease_tol: float = 1e-9, stall_window: int = 20,
-                       restarts: int = 5, outer_max: int = 25,
+                       restarts: int = 5,
                        rng: np.random.Generator | None = None,
                        init_pairs: tuple = ()) -> TwoSidedResult:
     """Minimize the two-sided gauge (p <= 2) after eliminating the left factor.
@@ -301,8 +335,9 @@ def minimize_two_sided(coords: np.ndarray, p: float, max_iters: int = 5000,
     a smooth convex objective.  A naive alternation between the two factors
     stalls: the scaling freedom between outer factors makes every point a
     fixed point, so the reduced form is both faster and correct.  ``rng`` and
-    ``restarts`` are kept for interface stability; extra starts only guard
-    against descent stalls since the reduced problem has no spurious minima.
+    ``restarts`` seed ``restarts - 1`` random starting candidates besides the
+    identity and the support Gram; extra starts only guard against descent
+    stalls since the reduced problem has no spurious minima.
     """
     y = np.asarray(coords, dtype=np.complex128)
     n_coords, k, kr = y.shape
@@ -322,27 +357,19 @@ def minimize_two_sided(coords: np.ndarray, p: float, max_iters: int = 5000,
         return TwoSidedResult(res.value, ident_r, res.s, res.iterations,
                               res.converged)
 
-    gram_r = np.einsum("nki,nkj->ij", y.conj(), y)
+    y2 = y.reshape(-1, kr)
+    gram_r = y2.conj().T @ y2
     gram_r = 0.5 * (gram_r + gram_r.conj().T)
     grv, grq = _spectral(gram_r)
     ur = grq[:, grv >= DEFAULT_RANK_TOL * float(grv[-1])]
     yb = y @ ur
     rb = yb.shape[2]
     scale = math.sqrt(float(np.einsum("nij,nij->", yb, yb.conj()).real))
-    yb = yb / scale
+    ak = _k_major(yb / scale)
 
-    def g_spectrum(svals, svecs):
-        half = svecs * (svals ** -0.5)
-        b = yb @ half
-        bmat = np.transpose(b, (1, 0, 2)).reshape(b.shape[1], -1)
-        g = bmat @ bmat.conj().T
-        lam, u = np.linalg.eigh(0.5 * (g + g.conj().T))
-        return np.clip(lam, 0.0, None), u
-
-    def reduced_value(svals, svecs):
+    def reduced_value(g):
         # tr(s) = 1 on the manifold, so the value is the G trace power alone
-        lam, _ = g_spectrum(svals, svecs)
-        return _tr_power_term(lam, q)
+        return _tr_power_term(_eigvals(g), q)
 
     candidates = [np.eye(rb, dtype=np.complex128),
                   ur.conj().T @ gram_r @ ur / float(grv[-1])]
@@ -355,12 +382,13 @@ def minimize_two_sided(coords: np.ndarray, p: float, max_iters: int = 5000,
             candidates.append(ur.conj().T @ s0 @ ur)
 
     best_val = math.inf
-    best_pair = None
+    best_pair = g_cur = None
     for cand in candidates:
         sv, sq = _project(cand, 2.0)
-        val = reduced_value(sv, sq)
+        g = _m_matrix(ak, sv, sq)
+        val = reduced_value(g)
         if val < best_val:
-            best_val, best_pair = val, (sv, sq)
+            best_val, best_pair, g_cur = val, (sv, sq), g
     svals, svecs = best_pair
 
     iters = 0
@@ -370,13 +398,12 @@ def minimize_two_sided(coords: np.ndarray, p: float, max_iters: int = 5000,
         f_ref = math.inf
         while iters < max_iters and stall < stall_window:
             iters += 1
-            lam, u = g_spectrum(svals, svecs)
+            lam, u = _eigh(g_cur)
             f_cur = _tr_power_term(lam, q)
             top = max(float(lam[-1]), 1e-300)
             # gradient of tr((G/top)^{q/2}) wrt s, positive rescale only
             wts = (lam / top) ** (0.5 * q - 1.0)
-            t = np.transpose(yb, (0, 2, 1)).conj() @ (u * np.sqrt(wts))
-            c = np.einsum("nij,nkj->ik", t, t.conj())
+            c = _grad_gram(ak, u * np.sqrt(wts))
             sinv = (svecs / svals) @ svecs.conj().T
             grad = -(sinv @ c @ sinv)
             grad = 0.5 * (grad + grad.conj().T)
@@ -390,9 +417,10 @@ def minimize_two_sided(coords: np.ndarray, p: float, max_iters: int = 5000,
             f_t = f_cur
             for _ in range(40):
                 tv, tq = _project(s_mat - eta * grad, 2.0)
-                f_t = reduced_value(tv, tq)
+                g_t = _m_matrix(ak, tv, tq)
+                f_t = reduced_value(g_t)
                 if f_t < f_cur * (1.0 - 1e-14) or f_t <= f_cur - 1e-12:
-                    svals, svecs = tv, tq
+                    svals, svecs, g_cur = tv, tq, g_t
                     accepted = True
                     break
                 eta *= 0.5
@@ -413,7 +441,9 @@ def minimize_two_sided(coords: np.ndarray, p: float, max_iters: int = 5000,
     sv, sq = best_pair
     sv = sv + 1e-12 * float(np.sum(sv)) / rb
     s_full = scale * (ur @ ((sq * sv) @ sq.conj().T) @ ur.conj().T)
-    g_full = np.einsum("nij,jl,nkl->ik", y, psd_power(s_full, -1.0), y.conj())
+    yk = _k_major(y)
+    b = (yk.reshape(-1, kr) @ psd_power(s_full, -1.0)).reshape(k, -1)
+    g_full = b @ yk.reshape(k, -1).conj().T
     r_full = 0.5 * (g_full + g_full.conj().T)
     return TwoSidedResult(value=evaluate_two_sided(y, r_full, s_full, p),
                           r=r_full, s=s_full, iterations=iters,

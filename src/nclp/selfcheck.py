@@ -17,6 +17,7 @@ import numpy as np
 from . import counterexample as cx
 from .cpmaps import (amplify_apply, build_counterexample_maps, choi_min_eigenvalue,
                      sampled_contraction_ratio)
+from .errors import InvalidInputError
 from .schatten import schatten_norm
 from .vecnorm import (FAST_OPTS, Side, VecElem, alpha_certify,
                       alpha_upper, beta_certify, combine_witnesses,
@@ -459,7 +460,7 @@ def run_checks(names=None, printer=print):
     if names is not None:
         unknown = set(names) - set(selected)
         if unknown:
-            raise KeyError(f"unknown criteria: {sorted(unknown)}")
+            raise InvalidInputError(f"unknown criteria: {sorted(unknown)}")
     for name in order:
         start = time.perf_counter()
         passed, detail = selected[name]()

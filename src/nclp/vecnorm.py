@@ -57,7 +57,8 @@ class VecElem:
             )
         if not np.all(np.isfinite(arr.real)) or not np.all(np.isfinite(arr.imag)):
             raise InvalidInputError("VecElem entries must be finite")
-        self.coords = arr
+        # one memory layout, so equal values take equal rounding paths
+        self.coords = np.ascontiguousarray(arr)
 
     @property
     def k(self) -> int:
@@ -229,7 +230,6 @@ class CertifyOptions:
     decrease_tol: float = 1e-9
     stall_window: int = 20
     restarts: int = 5
-    outer_max: int = 25
     beta_restarts: int = 3
     beta_effort: int = 1
     rank_tol: float = DEFAULT_RANK_TOL
@@ -245,7 +245,7 @@ DEFAULT_OPTS = CertifyOptions()
 
 #: cheap settings for fuzz suites; bounds stay valid, just less tight
 FAST_OPTS = CertifyOptions(max_iters=240, stall_window=8, restarts=2,
-                           outer_max=8, beta_effort=0)
+                           beta_effort=0)
 
 
 @dataclass
@@ -380,8 +380,7 @@ def alpha_upper(y: VecElem, p: float, side: Side = Side.ELL_ROW,
     rng = np.random.default_rng(opts.seed)
     res = gaugeopt.minimize_two_sided(
         coords, p, max_iters=opts.max_iters, decrease_tol=opts.decrease_tol,
-        stall_window=opts.stall_window, restarts=opts.restarts,
-        outer_max=opts.outer_max, rng=rng,
+        stall_window=opts.stall_window, restarts=opts.restarts, rng=rng,
         init_pairs=tuple((w.r, w.s) for w in extra if w.r is not None))
     best_val, best_r, best_s = res.value, res.r, res.s
     for w in extra:
@@ -410,6 +409,24 @@ def certified_dual_upper(yp: VecElem, p_dual: float,
     value, _ = alpha_upper(yp, p_dual, Side.ELL_ROW,
                            opts.replace(extra_witnesses=()))
     return value
+
+
+def _dual_upper_once(p_dual: float, opts: CertifyOptions):
+    """``certified_dual_upper`` for one certificate call, one solve per witness.
+
+    The returned function remembers its results by coordinate bytes, so a
+    candidate that recurs in the pool (or as the transpose of another) is
+    solved once; the memory lives only as long as the caller keeps it.
+    """
+    memo: dict = {}
+
+    def dual_upper(cand: VecElem) -> float:
+        key = (cand.coords.shape, cand.coords.tobytes())
+        if key not in memo:
+            memo[key] = certified_dual_upper(cand, p_dual, opts)
+        return memo[key]
+
+    return dual_upper
 
 
 def _auto_dual_pool(y: VecElem, p: float, upper_witness: FactorWitness | None,
@@ -483,6 +500,7 @@ def alpha_lower(y: VecElem, p: float, side: Side, dual_pool,
 
 
 def _alpha_lower_ell(y: VecElem, p_dual: float, pool, opts: CertifyOptions):
+    dual_upper = _dual_upper_once(p_dual, opts)
     best = 0.0
     best_wit = None
     best_den = 0.0
@@ -492,7 +510,7 @@ def _alpha_lower_ell(y: VecElem, p_dual: float, pool, opts: CertifyOptions):
         num = abs(pairing(y, cand))
         if num == 0.0:
             continue
-        den = certified_dual_upper(cand, p_dual, opts)
+        den = dual_upper(cand)
         if den <= 0.0 or not math.isfinite(den):
             continue
         val = num / den
@@ -562,6 +580,9 @@ def beta_certify(y: VecElem, p: float,
     line y0 = t y whose value follows from homogeneity, optionally the
     diagonal split and a block-coordinate refinement).  Lower bound: pairing
     ratios with the p'-sum of the two dual norm bounds in the denominator.
+    Each distinct dual witness (by coordinate bytes, in the ELL_ROW frame) is
+    solved once per call, however often the pool and its transposes repeat
+    it; ``alpha_certify`` does the same for its pool.
     """
     p = check_exponent(p)
     if y.is_zero():
@@ -634,6 +655,7 @@ def beta_certify(y: VecElem, p: float,
     pool.extend(opposite_transform(c) for c in
                 _auto_dual_pool(opposite_transform(y), p, None, opts.rank_tol))
     pool.extend(opts.dual_pool_extra)
+    dual_upper = _dual_upper_once(p_dual, opts)
     lower = 0.0
     dual_wit = None
     dual_den = 0.0
@@ -643,8 +665,8 @@ def beta_certify(y: VecElem, p: float,
         num = abs(pairing(y, cand))
         if num == 0.0:
             continue
-        den_ell = certified_dual_upper(cand, p_dual, opts)
-        den_col = certified_dual_upper(opposite_transform(cand), p_dual, opts)
+        den_ell = dual_upper(cand)
+        den_col = dual_upper(opposite_transform(cand))
         den = _p_sum(den_ell, den_col, p_dual)
         if den <= 0.0 or not math.isfinite(den):
             continue

@@ -2,8 +2,10 @@ import json
 
 import pytest
 
-from nclp import serialize
+from nclp import cli, selfcheck, serialize
 from nclp.cli import main
+from nclp.errors import (FactorizationHypothesisError, InvalidInputError,
+                         NumericalDegeneracyError)
 from nclp.vecnorm import VecElem
 from nclp.yeadon import YeadonSpec, random_valid_weights
 
@@ -151,5 +153,34 @@ class TestSelftest:
         assert run_cli("selftest", "--only", "schatten-exactness") == 0
         assert "[PASS] schatten-exactness" in capsys.readouterr().out
 
-    def test_unknown_criterion(self):
+    def test_unknown_criterion(self, capsys):
         assert run_cli("selftest", "--only", "bogus") == 2
+        assert "bogus" in capsys.readouterr().err
+
+    def test_unknown_criterion_is_invalid_input(self):
+        with pytest.raises(InvalidInputError):
+            selfcheck.run_checks(names=["bogus"], printer=None)
+
+
+class TestErrorExitCodes:
+    @pytest.mark.parametrize("exc, code", [
+        (NumericalDegeneracyError("residual check failed"), 1),
+        (FactorizationHypothesisError("outside the guaranteed regime"), 2),
+    ])
+    def test_mapped_without_traceback(self, monkeypatch, capsys, exc, code):
+        def failing(args):
+            raise exc
+
+        monkeypatch.setattr(cli, "cmd_diag", failing)
+        assert run_cli("diag", "--k", "2", "--p", "3") == code
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and str(exc) in err
+        assert "Traceback" not in err
+
+    def test_key_error_is_not_swallowed(self, monkeypatch):
+        def failing(args):
+            raise KeyError("a programming error")
+
+        monkeypatch.setattr(cli, "cmd_diag", failing)
+        with pytest.raises(KeyError):
+            run_cli("diag", "--k", "2", "--p", "3")
