@@ -16,6 +16,7 @@ configuration (reals are printed with 17 significant digits).
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 import numpy as np
@@ -49,8 +50,12 @@ def _emit(text: str, out_path: str | None) -> None:
 def _opts_from_args(args) -> CertifyOptions:
     opts = CertifyOptions(seed=args.seed)
     if getattr(args, "max_iters", None) is not None:
+        if args.max_iters < 0:
+            raise InvalidInputError(f"--max-iters must be >= 0, got {args.max_iters}")
         opts = opts.replace(max_iters=args.max_iters)
     if getattr(args, "tol", None) is not None:
+        if not (math.isfinite(args.tol) and args.tol > 0.0):
+            raise InvalidInputError(f"--tol must be finite and positive, got {args.tol}")
         opts = opts.replace(decrease_tol=args.tol)
     return opts
 

@@ -29,6 +29,25 @@ kept from the accepted line-search trial rather than rebuilt; each trial
 costs one ``eigh`` of the r x r trial ``s`` (its projection) and one
 eigenvalue-only ``eigvalsh`` of M.
 
+Diagonal coordinates (the commutative case, which covers the amplified images
+that ``verify_pipeline`` certifies) have a closed-form optimum, and neither
+solver descends on them.  Write ``c_i = sum_n |(A_n)_ii|^2``.  A diagonal
+unitary D commutes with every A_n, so ``M(D s D^*) = D M(s) D^*`` and both
+objectives are invariant under ``s -> D s D^*``.  Both reduce to a convex
+function of ``s`` (``lmax(M(s))``, and ``tr(G(s)^{q/2})^{2/q}`` for the
+two-sided form) on the convex set ``tr(s^{e/2}) <= 1`` (``e = 2`` for the
+two-sided form), so the torus average of ``D s D^*``, which is ``diag(s)``,
+is no worse; it stays in the set because ``tr(diag(s)^{e/2}) <=
+tr(s^{e/2})`` for ``e/2 >= 1`` (the diagonal is majorized by the spectrum,
+Schur-Horn).  Among diagonal ``s = diag(t)`` the one-sided objective is
+``max_i c_i / t_i`` on ``sum_i t_i^{e/2} = 1``, minimized by ``t ~ c``, where
+every eigenvalue of M(s) is equal: the value is ``|c^{1/2}|_e``.  The reduced
+two-sided objective is ``|(c_i / t_i)_i|_{q/2}`` on ``sum_i t_i = 1``,
+minimized by ``t ~ c^{p/2}``; then ``r = G(s) = diag(c^{1 - p/2})`` and the
+value is ``|c^{1/2}|_p`` (Hoelder's equality case).  Results on this path
+report ``iterations = 0``; the support restriction, the regularization
+margin and the final evaluation are the same as after a descent.
+
 ``evaluate_one_sided`` / ``evaluate_two_sided`` score an arbitrary witness:
 they reconstruct the coordinates from it and add the p-norm of the residual
 coordinates to the objective, which keeps the returned number a sound upper
@@ -107,6 +126,12 @@ def _eigh(m: np.ndarray):
     return np.clip(lam, 0.0, None), u
 
 
+def _diagonal_coordinates(A: np.ndarray) -> bool:
+    """Every (square) coordinate is zero off its diagonal, tested exactly."""
+    _, k, r = A.shape
+    return k == r and not np.any(A[:, ~np.eye(k, dtype=bool)])
+
+
 def _lse(lam: np.ndarray, tau: float) -> float:
     top = float(lam[-1])
     if tau <= 0.0:
@@ -131,7 +156,10 @@ def minimize_gauge(A: np.ndarray, e: float, max_iters: int = 5000,
     ``A`` has shape (N, k, r).  The returned witness lives on the r-space,
     is zero off the right support of the coordinates and full-rank
     (regularized) on it.  ``converged`` is False only when the iteration
-    budget ran out before the stall criterion fired.
+    budget stopped a descent that would have continued.  ``iterations`` is 0
+    when no descent runs: for diagonal coordinates with ``e >= 2``, whose
+    optimum is the support Gram (module docstring), and for a support of
+    rank at most one.
     """
     A = np.asarray(A, dtype=np.complex128)
     n_coords, _, r = A.shape
@@ -156,12 +184,16 @@ def minimize_gauge(A: np.ndarray, e: float, max_iters: int = 5000,
     def true_value(m):
         return math.sqrt(float(_eigvals(m)[-1]))  # trace term is 1 on the manifold
 
-    candidates = [np.eye(rb, dtype=np.complex128),
-                  ub.conj().T @ gram @ ub / gmax]
-    for s0 in inits:
-        s0 = np.asarray(s0, dtype=np.complex128)
-        if s0.shape == (r, r):
-            candidates.append(ub.conj().T @ s0 @ ub)
+    support_gram = ub.conj().T @ gram @ ub / gmax
+    closed_form = e >= 2.0 and _diagonal_coordinates(A)
+    if closed_form:
+        candidates = [support_gram]
+    else:
+        candidates = [np.eye(rb, dtype=np.complex128), support_gram]
+        for s0 in inits:
+            s0 = np.asarray(s0, dtype=np.complex128)
+            if s0.shape == (r, r):
+                candidates.append(ub.conj().T @ s0 @ ub)
 
     best_val = math.inf
     best_pair = m_cur = None
@@ -174,14 +206,16 @@ def minimize_gauge(A: np.ndarray, e: float, max_iters: int = 5000,
     svals, svecs = best_pair
 
     iters = 0
-    if rb > 1:
+    converged = True
+    if rb > 1 and not closed_form:
         eta = 1.0
         for tau_rel in _TEMPS:
-            if iters >= max_iters:
-                break
             stall = 0
             f_ref = math.inf
-            while iters < max_iters and stall < stall_window:
+            while stall < stall_window:
+                if iters >= max_iters:
+                    converged = False
+                    break
                 iters += 1
                 lam, u = _eigh(m_cur)
                 tau = tau_rel * max(float(lam[-1]), 1e-300)
@@ -227,8 +261,9 @@ def minimize_gauge(A: np.ndarray, e: float, max_iters: int = 5000,
                 else:
                     stall = 0
                     f_ref = f_t
+            if not converged:
+                break
 
-    converged = iters < max_iters
     sv, sq = best_pair
     sv = sv + 1e-12 * float(np.sum(sv)) / rb  # regularized inversion margin
     final = true_value(_m_matrix(ak, sv, sq))
@@ -338,6 +373,12 @@ def minimize_two_sided(coords: np.ndarray, p: float, max_iters: int = 5000,
     ``restarts`` seed ``restarts - 1`` random starting candidates besides the
     identity and the support Gram; extra starts only guard against descent
     stalls since the reduced problem has no spurious minima.
+
+    For diagonal coordinates the optimum ``s = diag(c)^{p/2}`` on the support
+    is the only candidate (module docstring): no random start is drawn, no
+    iteration runs and ``iterations`` is 0, as it is for a support of rank at
+    most one.  ``converged`` is False only when the iteration budget stopped
+    a descent that would have continued.
     """
     y = np.asarray(coords, dtype=np.complex128)
     n_coords, k, kr = y.shape
@@ -361,7 +402,8 @@ def minimize_two_sided(coords: np.ndarray, p: float, max_iters: int = 5000,
     gram_r = y2.conj().T @ y2
     gram_r = 0.5 * (gram_r + gram_r.conj().T)
     grv, grq = _spectral(gram_r)
-    ur = grq[:, grv >= DEFAULT_RANK_TOL * float(grv[-1])]
+    keep = grv >= DEFAULT_RANK_TOL * float(grv[-1])
+    ur = grq[:, keep]
     yb = y @ ur
     rb = yb.shape[2]
     scale = math.sqrt(float(np.einsum("nij,nij->", yb, yb.conj()).real))
@@ -371,15 +413,20 @@ def minimize_two_sided(coords: np.ndarray, p: float, max_iters: int = 5000,
         # tr(s) = 1 on the manifold, so the value is the G trace power alone
         return _tr_power_term(_eigvals(g), q)
 
-    candidates = [np.eye(rb, dtype=np.complex128),
-                  ur.conj().T @ gram_r @ ur / float(grv[-1])]
-    for _ in range(max(restarts - 1, 0)):
-        g = rng.standard_normal((rb, rb)) + 1j * rng.standard_normal((rb, rb))
-        candidates.append(g @ g.conj().T / rb + 1e-3 * np.eye(rb))
-    for _, s0 in init_pairs:
-        s0 = np.asarray(s0, dtype=np.complex128)
-        if s0.shape == (kr, kr):
-            candidates.append(ur.conj().T @ s0 @ ur)
+    closed_form = _diagonal_coordinates(y)
+    if closed_form:
+        # in its own eigenbasis ur the (diagonal) Gram is diag(c) on the support
+        candidates = [np.diag(grv[keep] ** (0.5 * p)).astype(np.complex128)]
+    else:
+        candidates = [np.eye(rb, dtype=np.complex128),
+                      ur.conj().T @ gram_r @ ur / float(grv[-1])]
+        for _ in range(max(restarts - 1, 0)):
+            g = rng.standard_normal((rb, rb)) + 1j * rng.standard_normal((rb, rb))
+            candidates.append(g @ g.conj().T / rb + 1e-3 * np.eye(rb))
+        for _, s0 in init_pairs:
+            s0 = np.asarray(s0, dtype=np.complex128)
+            if s0.shape == (kr, kr):
+                candidates.append(ur.conj().T @ s0 @ ur)
 
     best_val = math.inf
     best_pair = g_cur = None
@@ -392,11 +439,15 @@ def minimize_two_sided(coords: np.ndarray, p: float, max_iters: int = 5000,
     svals, svecs = best_pair
 
     iters = 0
-    if rb > 1:
+    converged = True
+    if rb > 1 and not closed_form:
         eta = 1.0
         stall = 0
         f_ref = math.inf
-        while iters < max_iters and stall < stall_window:
+        while stall < stall_window:
+            if iters >= max_iters:
+                converged = False
+                break
             iters += 1
             lam, u = _eigh(g_cur)
             f_cur = _tr_power_term(lam, q)
@@ -436,7 +487,6 @@ def minimize_two_sided(coords: np.ndarray, p: float, max_iters: int = 5000,
             else:
                 stall = 0
                 f_ref = f_t
-    converged = iters < max_iters
 
     sv, sq = best_pair
     sv = sv + 1e-12 * float(np.sum(sv)) / rb

@@ -150,16 +150,6 @@ def support_projection(b, rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
     return v @ v.conj().T
 
 
-def support_basis(b, rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
-    """Orthonormal basis (k x r) of the range of a PSD matrix."""
-    vals, vecs = eigh_psd(b, "support_basis input")
-    lam_max = float(vals[-1]) if vals.size else 0.0
-    if lam_max <= 0.0:
-        return np.zeros((vecs.shape[0], 0), dtype=np.complex128)
-    keep = vals >= rank_tol * lam_max
-    return np.ascontiguousarray(vecs[:, keep])
-
-
 def psd_power(b, power: float, rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
     """Spectral power of a PSD matrix, restricted to its support.
 

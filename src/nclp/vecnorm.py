@@ -230,7 +230,6 @@ class CertifyOptions:
     decrease_tol: float = 1e-9
     stall_window: int = 20
     restarts: int = 5
-    beta_restarts: int = 3
     beta_effort: int = 1
     rank_tol: float = DEFAULT_RANK_TOL
     extra_witnesses: tuple = ()
@@ -577,9 +576,9 @@ def beta_certify(y: VecElem, p: float,
     """Certificate for the p-sum norm inf over y = y0 + y1 of the pair.
 
     Upper bound: best feasible splitting found (trivial splits, the scalar
-    line y0 = t y whose value follows from homogeneity, optionally the
-    diagonal split and a block-coordinate refinement).  Lower bound: pairing
-    ratios with the p'-sum of the two dual norm bounds in the denominator.
+    line y0 = t y whose value follows from homogeneity, and the diagonal
+    split).  Lower bound: pairing ratios with the p'-sum of the two dual norm
+    bounds in the denominator.
     Each distinct dual witness (by coordinate bytes, in the ELL_ROW frame) is
     solved once per call, however often the pool and its transposes repeat
     it; ``alpha_certify`` does the same for its pool.
@@ -615,37 +614,6 @@ def beta_certify(y: VecElem, p: float,
                 iters += wd.iterations + wo.iterations
                 candidates.append((_p_sum(ud, uo, p),
                                    BetaWitness(y_diag, ud, uo, wd, wo)))
-
-    if opts.beta_effort >= 2:
-        rng = np.random.default_rng(opts.seed)
-        base_t = np.full(y.n, 0.5)
-        starts = [base_t] + [rng.uniform(0.0, 1.0, size=y.n)
-                             for _ in range(max(opts.beta_restarts - 1, 0))]
-        sub_opts = opts.replace(beta_effort=0, extra_witnesses=())
-        for tvec in starts:
-            tvec = tvec.copy()
-
-            def split_value(tv):
-                y0 = VecElem(y.coords * tv[:, None, None])
-                y1 = y - y0
-                v0, wit0 = alpha_upper(y0, p, Side.ELL_ROW, sub_opts)
-                v1, wit1 = alpha_upper(y1, p, Side.R_COL, sub_opts)
-                return _p_sum(v0, v1, p), BetaWitness(y0, v0, v1, wit0, wit1)
-
-            cur_val, cur_wit = split_value(tvec)
-            for _ in range(2):  # sweeps
-                for idx in range(y.n):
-                    best_local = (cur_val, cur_wit, tvec[idx])
-                    for trial in (0.0, 0.25, 0.5, 0.75, 1.0):
-                        if trial == tvec[idx]:
-                            continue
-                        tvec[idx] = trial
-                        v, wsp = split_value(tvec)
-                        if v < best_local[0]:
-                            best_local = (v, wsp, trial)
-                    tvec[idx] = best_local[2]
-                    cur_val, cur_wit = best_local[0], best_local[1]
-            candidates.append((cur_val, cur_wit))
 
     upper, beta_wit = min(candidates, key=lambda c: c[0])
 

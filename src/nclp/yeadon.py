@@ -160,14 +160,6 @@ class BlockIsometry:
     def amplify(self, y: VecElem) -> VecElem:
         return VecElem(np.stack([self(coord) for coord in y.coords]))
 
-    def block_mask_matrix(self, which: str) -> np.ndarray:
-        n, m = self.spec.n, self.target_size
-        mask = np.zeros((m, m), dtype=np.complex128)
-        for idx, btype in enumerate(self.spec.block_types()):
-            if btype == which:
-                mask[idx * n:(idx + 1) * n, idx * n:(idx + 1) * n] = np.eye(n)
-        return mask
-
     def weight_matrix(self) -> np.ndarray:
         """B = blockdiag(w_b I_n): the positive part of T(a) = W B J(a)."""
         n = self.spec.n

@@ -86,6 +86,23 @@ class TestDiag:
         assert doc["closed_form"] != pytest.approx(4.0 ** (1.0 / 3.0))
 
 
+class TestOptimizerFlags:
+    @pytest.mark.parametrize("flag, value", [
+        ("--max-iters", "-5"), ("--tol", "nan"), ("--tol", "-1"),
+        ("--tol", "0"), ("--tol", "inf"),
+    ])
+    def test_invalid_value_is_invalid_input(self, capsys, flag, value):
+        assert run_cli("diag", "--k", "3", "--p", "3", flag, value) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("invalid input: " + flag)
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("flag, value", [("--max-iters", "0"), ("--tol", "1e-6")])
+    def test_valid_value_runs(self, capsys, flag, value):
+        assert run_cli("diag", "--k", "3", "--p", "3", flag, value) == 0
+        assert json.loads(capsys.readouterr().out)["match"] is True
+
+
 class TestCounterexample:
     def test_report_flags(self, tmp_path):
         out = tmp_path / "r.json"

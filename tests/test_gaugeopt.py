@@ -3,12 +3,12 @@ import pytest
 
 import nclp.vecnorm as vn
 from nclp import gaugeopt
-from nclp.counterexample import witness_w
+from nclp.counterexample import verify_pipeline, witness_w
 from nclp.cpmaps import amplify_apply, build_counterexample_maps
 from nclp.schatten import psd_power
 from nclp.vecnorm import (DEFAULT_OPTS, FAST_OPTS, Side, VecElem,
-                          alpha_certify, beta_certify, certified_dual_upper,
-                          random_element)
+                          alpha_certify, alpha_upper, beta_certify,
+                          certified_dual_upper, random_element)
 
 from conftest import random_complex
 
@@ -147,3 +147,121 @@ def test_golden_brackets(p, side):
     if (p, side) in STALL_ENDED:
         assert cert.upper == pytest.approx(upper, rel=1e-9)
         assert cert.lower == pytest.approx(lower, rel=1e-9)
+
+
+def diagonal_coordinates_elem(seed, n, k, zero_column=None):
+    """Random complex element whose N coordinates are diagonal k x k matrices."""
+    rng = np.random.default_rng(seed)
+    diag = random_complex(rng, n, k)
+    if zero_column is not None:
+        diag[:, zero_column] = 0.0
+    coords = np.zeros((n, k, k), dtype=np.complex128)
+    coords[:, np.arange(k), np.arange(k)] = diag
+    return VecElem(coords)
+
+
+def closed_form(y, p):
+    """|c^{1/2}|_p with c_i = sum_n |(y_n)_ii|^2."""
+    c = np.sum(np.abs(np.diagonal(y.coords, axis1=1, axis2=2)) ** 2, axis=0)
+    return float(np.sum(c ** (0.5 * p))) ** (1.0 / p)
+
+
+def random_unitary(seed, k):
+    q, r = np.linalg.qr(random_complex(np.random.default_rng(seed), k, k))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+DIAGONAL_ELEMS = {
+    "n5-k3": diagonal_coordinates_elem(1, 5, 3),
+    "n2-k4-zero-column": diagonal_coordinates_elem(2, 2, 4, zero_column=1),
+}
+ONE_SIDED_PS = (2.0, 2.5, 3.0, 4.0)
+TWO_SIDED_PS = (1.2, 1.5, 1.8)
+
+#: verify_pipeline(18, p, k_cap=18).numeric_lb as computed by the descent
+PIPELINE_NUMERIC_LB = {
+    2.5: 0.4860701536200573,
+    3.0: 0.456976623010891,
+    4.0: 0.4411222071028318,
+}
+
+
+class TestDiagonalCoordinates:
+    """Diagonal coordinates take the closed-form optimum without descent."""
+
+    @pytest.mark.parametrize("name", sorted(DIAGONAL_ELEMS))
+    @pytest.mark.parametrize("p", ONE_SIDED_PS + TWO_SIDED_PS)
+    @pytest.mark.parametrize("side", list(Side), ids=lambda s: s.name)
+    def test_closed_form_value(self, name, p, side):
+        y = DIAGONAL_ELEMS[name]
+        value, wit = alpha_upper(y, p, side, DEFAULT_OPTS)
+        assert value == pytest.approx(closed_form(y, p), rel=1e-12)
+        assert wit.branch == ("one_sided" if p >= 2.0 else "two_sided")
+        assert wit.iterations == 0
+        assert wit.converged
+
+    @pytest.mark.parametrize("name", sorted(DIAGONAL_ELEMS))
+    @pytest.mark.parametrize("p", ONE_SIDED_PS + TWO_SIDED_PS)
+    @pytest.mark.parametrize("side", list(Side), ids=lambda s: s.name)
+    def test_conjugated_element_descends_to_closed_form(self, name, p, side):
+        y = DIAGONAL_ELEMS[name]
+        u, v = random_unitary(10, y.k), random_unitary(11, y.k)
+        rotated = VecElem(u @ y.coords @ v.conj().T)  # same norm, not diagonal
+        value, wit = alpha_upper(rotated, p, side, DEFAULT_OPTS)
+        cf = closed_form(y, p)
+        assert wit.iterations > 0
+        assert cf * (1 - 1e-9) <= value <= cf * (1 + 1e-3)
+
+    @pytest.mark.parametrize("p", [1.5, 3.0])
+    def test_tiny_off_diagonal_entry_descends(self, p):
+        coords = DIAGONAL_ELEMS["n5-k3"].coords.copy()
+        coords[2, 0, 1] = 1e-300
+        y = VecElem(coords)
+        assert not gaugeopt._diagonal_coordinates(y.coords)
+        _, wit = alpha_upper(y, p, Side.ELL_ROW, DEFAULT_OPTS)
+        assert wit.iterations > 0
+
+    def test_detection(self):
+        y = DIAGONAL_ELEMS["n5-k3"].coords
+        assert gaugeopt._diagonal_coordinates(y)
+        assert not gaugeopt._diagonal_coordinates(y[:, :, :2])
+        assert not gaugeopt._diagonal_coordinates(witness_w(3).coords)
+
+    @pytest.mark.parametrize("p", sorted(PIPELINE_NUMERIC_LB))
+    def test_pipeline_reports(self, p):
+        rep = verify_pipeline(18, p, k_cap=18)
+        assert rep.all_checks_ok, rep.diagnostics
+        assert rep.numeric_lb == pytest.approx(PIPELINE_NUMERIC_LB[p], rel=1e-10)
+
+
+class TestConvergedFlag:
+    """``converged`` is False only when the budget stopped a live descent."""
+
+    def test_zero_budget_without_descent(self):
+        y = random_element(1, 3, np.random.default_rng(0))
+        cert = alpha_certify(y, 3.0, Side.ELL_ROW, DEFAULT_OPTS.replace(max_iters=0))
+        assert cert.upper == cert.lower
+        assert cert.iterations == 0
+        assert cert.converged
+
+    @pytest.mark.parametrize("p", [1.5, 3.0])
+    def test_zero_budget_with_descent(self, p):
+        y = random_element(3, 3, np.random.default_rng(0))
+        cert = alpha_certify(y, p, Side.ELL_ROW, DEFAULT_OPTS.replace(max_iters=0))
+        assert cert.iterations == 0
+        assert not cert.converged
+
+    @pytest.mark.parametrize("solve", [
+        lambda y, n: gaugeopt.minimize_gauge(y, 3.0, max_iters=n),
+        lambda y, n: gaugeopt.minimize_two_sided(y, 1.5, max_iters=n),
+    ], ids=["one_sided", "two_sided"])
+    def test_budget_equal_to_the_descent(self, solve):
+        y = random_element(3, 3, np.random.default_rng(1)).coords
+        free = solve(y, 5000)
+        assert free.converged and 0 < free.iterations < 5000
+        exact = solve(y, free.iterations)
+        assert exact.converged
+        assert (exact.iterations, exact.value) == (free.iterations, free.value)
+        short = solve(y, free.iterations - 1)
+        assert not short.converged
+        assert short.iterations == free.iterations - 1
