@@ -29,7 +29,7 @@ from .schatten import check_exponent
 from .vecnorm import (CertifyOptions, Side, VecElem, alpha_certify,
                       diagonal_closed_form)
 from .yeadon import (build_isometry, jordan_split, rigid_bound_report,
-                     rigid_compose, tensor_contraction_report)
+                     rigid_compose, tensor_contraction_report, unit_weights)
 
 EXIT_OK = 0
 EXIT_VERIFICATION = 1
@@ -48,6 +48,8 @@ def _emit(text: str, out_path: str | None) -> None:
 
 
 def _opts_from_args(args) -> CertifyOptions:
+    if args.seed < 0:
+        raise InvalidInputError(f"--seed must be >= 0, got {args.seed}")
     opts = CertifyOptions(seed=args.seed)
     if getattr(args, "max_iters", None) is not None:
         if args.max_iters < 0:
@@ -71,13 +73,15 @@ def cmd_norm(args) -> int:
 
 
 def cmd_diag(args) -> int:
+    opts = _opts_from_args(args)
+    if args.k < 1:
+        raise InvalidInputError(f"--k must be >= 1, got {args.k}")
     if args.random:
         rng = np.random.default_rng(args.seed)
         lams = rng.standard_normal(args.k) + 1j * rng.standard_normal(args.k)
     else:
         lams = np.ones(args.k)  # closed form k^{1/p}
-    cert = alpha_certify(VecElem.diagonal(lams), args.p, Side.ELL_ROW,
-                         _opts_from_args(args))
+    cert = alpha_certify(VecElem.diagonal(lams), args.p, Side.ELL_ROW, opts)
     closed = diagonal_closed_form(lams, args.p)
     ok = (cert.upper <= closed * (1.0 + 1e-3) + 1e-12
           and abs(cert.lower - closed) <= 1e-9 * max(closed, 1.0))
@@ -162,10 +166,7 @@ def cmd_yeadon(args) -> int:
            "rep_part_violations": rep1.violations,
            "antirep_part_violations": rep2.violations}
     # adjoint partner: same block shape with weights renormalized at p'
-    pd = p / (p - 1.0)
-    ws = np.asarray(spec.weights(), dtype=float)
-    ws = ws / float(np.sum(ws ** pd)) ** (1.0 / pd)
-    ws = ws * float(np.sum(ws ** pd)) ** (-1.0 / pd)
+    ws = unit_weights(spec.weights(), p / (p - 1.0))
     n_rep = len(spec.rep_weights)
     partner = type(spec)(n=spec.n, rep_weights=tuple(ws[:n_rep]),
                          antirep_weights=tuple(ws[n_rep:]))

@@ -167,12 +167,16 @@ def amplify_apply(m: KrausMap, y: VecElem) -> VecElem:
 
 def sampled_contraction_ratio(m: KrausMap, p: float, trials: int,
                               seed: int = 0, probes=()) -> float:
-    """Lower bound on the p -> p operator norm by random (plus given) probes."""
+    """Lower bound on the p -> p operator norm by given (plus random) probes.
+
+    ``trials`` may be 0 when ``probes`` is nonempty; with neither there is
+    nothing to sample.
+    """
     check_exponent(p, allow_inf=True)
-    if trials < 1:
-        raise InvalidInputError("trials must be >= 1")
-    rng = np.random.default_rng(seed)
     mats = [as_matrix(x) for x in probes]
+    if trials < 0 or not (trials or mats):
+        raise InvalidInputError("need trials >= 1, or trials == 0 with probes")
+    rng = np.random.default_rng(seed)
     for _ in range(trials):
         mats.append(rng.standard_normal((m.k, m.k))
                     + 1j * rng.standard_normal((m.k, m.k)))

@@ -169,6 +169,7 @@ def report_to_json(rep: CounterexampleReport) -> dict:
             "cp_ok": bool(rep.cp_ok),
             "choi_min_eig": float(rep.choi_min_eig),
             "contraction_ratio": float(rep.contraction_ratio),
+            "contraction_upper": float(rep.contraction_upper),
             "contraction_ok": bool(rep.contraction_ok),
             "threshold_pass": bool(rep.threshold_pass),
             "diagnostics": list(rep.diagnostics)}

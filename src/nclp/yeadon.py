@@ -83,15 +83,21 @@ def validate_spec(spec: YeadonSpec, p: float) -> None:
             raise InvalidSpecError("W^*W must equal the support of B (identity here)")
 
 
+def unit_weights(raw, p: float) -> np.ndarray:
+    """Positive weights scaled to sum of p-th powers 1.
+
+    The first scaling divides by the l^p norm; the second repairs its
+    residual rounding so that validation at ``WEIGHT_SUM_TOL`` passes.
+    """
+    w = np.asarray(raw, dtype=float)
+    w = w / float(np.sum(w ** p)) ** (1.0 / p)
+    return w * float(np.sum(w ** p)) ** (-1.0 / p)
+
+
 def random_valid_weights(n_rep: int, n_anti: int, p: float,
                          rng: np.random.Generator):
     """Strictly positive weights with sum of p-th powers exactly 1."""
-    raw = rng.uniform(0.2, 1.0, size=n_rep + n_anti)
-    norm = float(np.sum(raw ** p)) ** (1.0 / p)
-    w = raw / norm
-    # repair the residual rounding so validation at 1e-12 passes
-    total = float(np.sum(w ** p))
-    w = w * total ** (-1.0 / p)
+    w = unit_weights(rng.uniform(0.2, 1.0, size=n_rep + n_anti), p)
     return tuple(w[:n_rep]), tuple(w[n_rep:])
 
 

@@ -103,7 +103,59 @@ class TestOptimizerFlags:
         assert json.loads(capsys.readouterr().out)["match"] is True
 
 
+class TestSeedAndSizeChecks:
+    @pytest.fixture
+    def spec_file(self, tmp_path, rng):
+        rw, aw = random_valid_weights(1, 1, 3.0, rng)
+        path = tmp_path / "spec.json"
+        serialize.write_text(str(path), serialize.dumps_canonical(
+            serialize.yeadon_to_json(YeadonSpec(n=2, rep_weights=rw,
+                                                antirep_weights=aw), 3.0)))
+        return str(path)
+
+    def _assert_invalid(self, capsys, argv, flag):
+        assert run_cli(*argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("invalid input: " + flag)
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [
+        ("diag", "--k", "2", "--p", "3"),
+        ("diag", "--k", "2", "--p", "3", "--random"),
+        ("counterexample", "--k", "2", "--p", "3"),
+        ("sweep", "--p", "3", "--kmin", "2", "--kmax", "3"),
+    ])
+    def test_negative_seed(self, capsys, argv):
+        self._assert_invalid(capsys, argv + ("--seed", "-1"), "--seed")
+
+    def test_negative_seed_norm(self, capsys, elem_file):
+        self._assert_invalid(capsys, ("norm", "--in", elem_file, "--p", "3",
+                                      "--seed", "-1"), "--seed")
+
+    def test_negative_seed_yeadon(self, capsys, spec_file):
+        self._assert_invalid(capsys, ("yeadon", "--in", spec_file,
+                                      "--seed", "-1"), "--seed")
+
+    @pytest.mark.parametrize("k", ["0", "-2"])
+    def test_diag_size(self, capsys, k):
+        self._assert_invalid(capsys, ("diag", "--k", k, "--p", "3"), "--k")
+
+    def test_seed_zero_runs(self, capsys):
+        assert run_cli("diag", "--k", "1", "--p", "3", "--random",
+                       "--seed", "0") == 0
+        assert json.loads(capsys.readouterr().out)["match"] is True
+
+
 class TestCounterexample:
+    def test_seed_does_not_change_the_report(self, tmp_path):
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        for path, seed in ((a, "0"), (b, "5")):
+            assert run_cli("counterexample", "--k", "3", "--p", "3",
+                           "--seed", seed, "--out", str(path)) == 0
+        assert a.read_bytes() == b.read_bytes()
+        doc = json.loads(a.read_text())
+        assert doc["contraction_ratio"] <= doc["contraction_upper"] <= 1.0
+
     def test_report_flags(self, tmp_path):
         out = tmp_path / "r.json"
         assert run_cli("counterexample", "--k", "2", "--p", "3",

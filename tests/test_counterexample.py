@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
-from nclp.counterexample import (closed_form_images, diagonal_coefficients,
-                                 lower_bound_formula, threshold_k,
-                                 verify_pipeline, witness_w)
-from nclp.cpmaps import amplify_apply, build_counterexample_maps
+from nclp import counterexample, serialize
+from nclp.counterexample import (closed_form_images, contraction_upper_bound,
+                                 diagonal_coefficients, lower_bound_formula,
+                                 threshold_k, verify_pipeline, witness_w)
+from nclp.cpmaps import (KrausMap, amplify_apply, build_counterexample_maps,
+                         sampled_contraction_ratio)
 from nclp.errors import InvalidInputError
 from nclp.schatten import conjugate
 from nclp.vecnorm import FAST_OPTS, Side, alpha_certify, diagonal_closed_form
@@ -133,3 +135,130 @@ class TestVerifyPipeline:
             verify_pipeline(9, 3.0)
         rep = verify_pipeline(9, 3.0, FAST_OPTS, k_cap=9)
         assert rep.closed_form_match
+
+
+BOUND_PS = (1.2, 1.5, 2.0, 2.5, 3.0, 4.0, 8.0)
+
+
+def _e11(k):
+    x = np.zeros((k, k), dtype=np.complex128)
+    x[0, 0] = 1.0
+    return x
+
+
+class TestContractionUpperBound:
+    @pytest.mark.parametrize("k", range(1, 13))
+    @pytest.mark.parametrize("p", BOUND_PS)
+    def test_dominates_samples(self, k, p):
+        *_, u = build_counterexample_maps(k, p)
+        upper = contraction_upper_bound(k, p)
+        assert upper <= 1.0 + 1e-9
+        assert sampled_contraction_ratio(u, p, 500, seed=k) <= upper
+        assert sampled_contraction_ratio(u, p, 500, seed=k,
+                                         probes=[_e11(k), np.eye(k)]) <= upper
+
+    @pytest.mark.parametrize("k", [1, 2, 5, 12])
+    @pytest.mark.parametrize("p", BOUND_PS)
+    def test_corner_bounds_attained(self, k, p):
+        u1, u2, u3, u4, _ = build_counterexample_maps(k, p)
+        c = 2.0 * contraction_upper_bound(k, p) - 1.0
+        if p >= 2.0:
+            col = row = _e11(k)
+        else:
+            col = np.zeros((k, k))
+            col[:, 0] = 1.0
+            row = col.T
+        for umap, x in ((u1, col), (u2, row)):
+            ratio = sampled_contraction_ratio(umap, p, 0, probes=[x])
+            assert ratio == pytest.approx(c, rel=1e-13)
+        for umap in (u3, u4):
+            ratio = sampled_contraction_ratio(umap, p, 0, probes=[_e11(k)])
+            assert ratio == pytest.approx(1.0, rel=1e-13)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 18])
+    @pytest.mark.parametrize("p", [1.5, 3.0, 4.0])
+    def test_rounds_up_against_mpmath(self, k, p):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(50):
+            mp_p = mpmath.mpf(p)
+            g = max(mpmath.mpf(0), 1 / mp_p - mpmath.mpf(1) / 2) - 1 / (2 * mp_p)
+            exact = (1 + mpmath.mpf(k) ** g) / 2
+            upper = mpmath.mpf(contraction_upper_bound(k, p))
+            assert upper >= exact
+            assert (upper - exact) / exact <= mpmath.mpf("1e-14")
+
+    def test_rejects_bad_input(self):
+        with pytest.raises(InvalidInputError):
+            contraction_upper_bound(0, 3.0)
+        with pytest.raises(InvalidInputError):
+            contraction_upper_bound(2, 1.0)
+
+
+class TestContractionReport:
+    @pytest.mark.parametrize("p", [1.5, 2.5, 3.0, 4.0])
+    def test_k1_passes_every_check(self, p):
+        rep = verify_pipeline(1, p, FAST_OPTS)
+        assert rep.all_checks_ok and not rep.diagnostics
+        assert rep.contraction_ratio == pytest.approx(1.0, abs=1e-15)
+        assert 1.0 <= rep.contraction_upper <= 1.0 + 1e-9
+
+    # contraction_ratio as reported with 200 random trials besides the probes
+    RATIOS_WITH_TRIALS = {
+        (2, 1.5): "0x1.b3474171c9ec3p-1", (2, 2.5): "0x1.c3c0bc4ca6f28p-1",
+        (2, 3.0): "0x1.cb53903ea52fep-1", (2, 4.0): "0x1.d6b5b7c757638p-1",
+        (4, 1.5): "0x1.7a4705086e5a8p-1", (4, 2.5): "0x1.928154b4377ffp-1",
+        (4, 3.0): "0x1.9ee406b006409p-1", (4, 4.0): "0x1.b264fcf1afabcp-1",
+        (9, 1.5): "0x1.49ca08389fc50p-1", (9, 2.5): "0x1.642203d656426p-1",
+        (9, 3.0): "0x1.73979a800e4d9p-1", (9, 4.0): "0x1.8d5f74e034f74p-1",
+        (18, 1.5): "0x1.2ba19360029f9p-1", (18, 2.5): "0x1.443c58b4476cdp-1",
+        (18, 3.0): "0x1.54c26c588e575p-1", (18, 4.0): "0x1.71c6d2297ef12p-1",
+    }
+
+    @pytest.mark.parametrize("k, p", sorted(RATIOS_WITH_TRIALS))
+    def test_probes_give_the_sampled_maximum(self, k, p):
+        rep = verify_pipeline(k, p, FAST_OPTS, k_cap=k)
+        assert rep.contraction_ratio.hex() == self.RATIOS_WITH_TRIALS[(k, p)]
+        assert rep.contraction_ratio <= rep.contraction_upper
+        assert rep.contraction_ok
+
+    def test_bound_below_sample_fails(self, monkeypatch):
+        monkeypatch.setattr(counterexample, "contraction_upper_bound",
+                            lambda k, p: 0.5)
+        rep = verify_pipeline(2, 3.0, FAST_OPTS)
+        assert not rep.contraction_ok and not rep.all_checks_ok
+        assert rep.contraction_upper == 0.5
+        assert any("exceeds the certified bound" in d for d in rep.diagnostics)
+
+    def test_bound_above_one_fails(self, monkeypatch):
+        monkeypatch.setattr(counterexample, "contraction_upper_bound",
+                            lambda k, p: 1.0 + 1e-6)
+        rep = verify_pipeline(2, 3.0, FAST_OPTS)
+        assert not rep.contraction_ok
+        assert any("certified contraction bound" in d for d in rep.diagnostics)
+
+    def test_random_trials_still_run(self):
+        base = verify_pipeline(3, 3.0, FAST_OPTS)
+        rep = verify_pipeline(3, 3.0, FAST_OPTS, contraction_trials=50, seed=3)
+        assert base.contraction_ratio <= rep.contraction_ratio
+        assert rep.contraction_ratio <= rep.contraction_upper
+        assert rep.contraction_upper == base.contraction_upper
+        assert rep.all_checks_ok
+
+    def test_report_json_brackets_the_norm(self):
+        doc = serialize.report_to_json(verify_pipeline(2, 3.0, FAST_OPTS))
+        keys = list(doc)
+        assert keys[keys.index("contraction_ratio") + 1] == "contraction_upper"
+        assert doc["contraction_ratio"] <= doc["contraction_upper"] <= 1.0
+
+
+class TestProbeOnlySampling:
+    def test_zero_trials_with_probes(self):
+        m = KrausMap.identity(3)
+        assert sampled_contraction_ratio(m, 3.0, 0, probes=[np.eye(3)]) == 1.0
+
+    def test_nothing_to_sample_raises(self):
+        m = KrausMap.identity(3)
+        with pytest.raises(InvalidInputError):
+            sampled_contraction_ratio(m, 3.0, 0)
+        with pytest.raises(InvalidInputError):
+            sampled_contraction_ratio(m, 3.0, -1, probes=[np.eye(3)])

@@ -8,7 +8,7 @@ from nclp.vecnorm import FAST_OPTS
 from nclp.yeadon import (YeadonSpec, build_isometry, jordan_split,
                          random_valid_weights, rigid_bound_report,
                          rigid_compose, tensor_contraction_report,
-                         validate_spec)
+                         unit_weights, validate_spec)
 
 from conftest import random_complex
 
@@ -17,6 +17,24 @@ from conftest import random_complex
 def mixed_spec(rng):
     rw, aw = random_valid_weights(1, 1, 3.0, rng)
     return YeadonSpec(n=2, rep_weights=rw, antirep_weights=aw)
+
+
+class TestUnitWeights:
+    @pytest.mark.parametrize("p", [1.2, 1.5, 3.0, 4.0])
+    def test_scaled_raw_weights_validate(self, rng, p):
+        raw = rng.uniform(1e-3, 50.0, size=5)
+        w = unit_weights(raw, p)
+        assert np.allclose(w / raw, w[0] / raw[0], rtol=1e-14, atol=0.0)
+        validate_spec(YeadonSpec(n=2, rep_weights=tuple(w[:2]),
+                                 antirep_weights=tuple(w[2:])), p)
+
+    def test_renormalised_at_conjugate_exponent(self, rng):
+        p = 3.0
+        rw, aw = random_valid_weights(2, 1, p, rng)
+        pd = p / (p - 1.0)
+        w = unit_weights(rw + aw, pd)
+        validate_spec(YeadonSpec(n=2, rep_weights=tuple(w[:2]),
+                                 antirep_weights=tuple(w[2:])), pd)
 
 
 class TestSpecValidation:
