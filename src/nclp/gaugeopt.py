@@ -52,6 +52,74 @@ margin and the final evaluation are the same as after a descent.
 they reconstruct the coordinates from it and add the p-norm of the residual
 coordinates to the objective, which keeps the returned number a sound upper
 bound even when the witness only approximately reproduces the element.
+
+Lower bounds come from the minimax dual of the same problems
+(``minimax_lower``, ``minimax_certificate``).  Write ``a = e/2 >= 1`` and
+``C(rho) = sum_n A_n^* rho A_n`` with spectrum ``c``.  Two facts make every
+PSD ``rho`` give a sound bound; the minimax theorem is needed only to see
+that the best ``rho`` closes the gap.
+
+1. The factorization norm equals ``inf_s F(s)`` over positive definite
+   ``s``.  Every ``s`` is a feasible factorization (above).  Conversely,
+   given ``A_n = c z_n d``, take ``s = d^* d + eps``: since ``d s^{-1} d^* <=
+   1``, ``M(s) <= c (sum z_n z_n^*) c^*``, whose top eigenvalue is at most
+   ``|c|_inf^2 |sum z_n z_n^*|`` (``c`` is absorbed into ``z``), and
+   ``tr(s^a)^{1/e} -> |d|_e`` as ``eps -> 0``.  The two-sided form is the
+   same with ``|G(s)|_{q/2} <= |sum z_n z_n^*| |c|_q^2`` and ``tr s ->
+   |d|_2^2``.
+2. Weak duality (max-min <= min-max).  For a density ``rho`` and ``tr(s^a)
+   <= 1``: ``lmax(M(s)) >= tr(rho M(s)) = tr(s^{-1} C(rho))``.  In an
+   eigenbasis of ``C(rho)``, ``tr(s^{-1} C) = sum_i c_i (s^{-1})_ii >=
+   sum_i c_i / s_ii`` (Cauchy-Schwarz), ``sum_i s_ii^a <= tr(s^a) <= 1``
+   (Schur-Horn, ``a >= 1``), and Hoelder with exponents ``(a+1)/a`` and
+   ``a+1`` gives ``sum_i c_i / s_ii >= |c|_beta`` with ``beta = a/(a+1)``
+   and ``|c|_beta = (sum_i c_i^beta)^{1/beta}``.  So ``F(s)^2 >= |c|_beta``
+   for every ``s``.  Two-sided: ``|G(s)|_{q/2} >= tr(rho G(s))`` for ``rho
+   >= 0`` in the unit ball of ``S^{(q/2)'}`` (Hoelder), and the same chain
+   with ``a = 1`` gives ``|G(s)|_{q/2} tr s >= (tr C(rho)^{1/2})^2``.
+
+Hence the norm is at least ``(|c|_beta / |rho|_t)^{1/2}`` for every PSD
+``rho``, with ``(beta, t) = (p/(p+2), 1)`` for p >= 2 and ``(1/2, (q/2)')``
+for p < 2; both read ``tr C(rho)^{1/2} / (tr rho)^{1/2}`` at p = 2.  Both
+objectives are convex in ``s`` and linear in ``rho`` over a compact convex
+set, so by Sion's theorem the best ``rho`` attains the norm; the inner
+minimum is attained at ``s ~ C(rho)^{1/(a+1)}``, which commutes with
+``C(rho)``.
+
+How ``rho`` is built from the witness (this affects only tightness):
+
+* one-sided, diagonal coordinates: ``rho ~ diag(c^{p/2})`` with ``c`` as in
+  the closed form above, which attains ``|c^{1/2}|_p``;
+* one-sided otherwise: at a saddle point ``rho`` lives on the top eigenspace
+  of ``M(s)`` and ``C(rho) ~ s^{a+1}``.  On the support restriction of the
+  solver, for the top eigenspaces ``P`` of ``M(s)`` at the relative gaps
+  ``_TOP_SPANS``, solve ``C(P X P^*) = s^{a+1}`` for ``X`` by linear least
+  squares, clip ``X`` to PSD, normalize ``P X P^*`` to a density, and keep
+  the candidate with the best bound;
+* two-sided: ``rho ~ r^{q/2 - 1}`` for the witness's left factor ``r =
+  G(s)``, the matrix that attains ``|r|_{q/2} = max tr(rho r)``, then a few
+  averaged fixed-point steps of the dual's optimality condition
+  (``_two_sided_densities``), keeping the best candidate.
+
+Rounding allowance in ``minimax_lower``, so that the bound stays below the
+exact value for the stored ``rho``.  The coordinates are scaled by a power of
+two, which is exact.  A Hermitian eigensolver returns each eigenvalue within
+``p(n) eps |H|_2`` of an exact one (backward stability, LAPACK Users' Guide
+section 4.7); we charge ``4 n eps |H|_F``.  For ``rho`` this gives ``eps_rho``
+and the shift ``mu = max(0, eps_rho - min computed eigenvalue)``, so ``rho +
+mu I`` is PSD and ``|rho + mu I|_t <= |computed eigenvalues + eps_rho +
+mu|_t``.  ``C(rho)`` is formed as two GEMMs, ``Y^* (rho Y)``, whose entrywise
+error is at most ``gamma_m`` times the envelope ``sum_n |A_n|^T |rho| |A_n|``
+with ``m = (N+1) k + 4`` (both inner lengths and the symmetrization) and
+``gamma_m = m eps / (1 - m eps)``; by Weyl's inequality every eigenvalue
+moves by at most that matrix's Frobenius norm.  Every computed eigenvalue of
+``C(rho)`` is lowered by the sum of both terms and clipped at 0, which keeps
+it below the exact one, and below that of ``C(rho + mu I) >= C(rho)``; the
+bound is increasing in each ``c_i``.  The power sums, the quotient and the
+square root are charged a relative ``(2k + 16) eps``.  Without the
+allowance, exact zero eigenvalues of ``C(rho)`` come out as +-1e-16, and the
+square root at ``beta = 1/2`` lifts them to 1e-8: enough to put the lower
+bound above the upper one on rank-deficient elements.
 """
 
 from __future__ import annotations
@@ -95,6 +163,29 @@ def _project(s: np.ndarray, e: float):
 def _k_major(A: np.ndarray) -> np.ndarray:
     """Contiguous (k, N, r) copy of (N, k, r) coordinates for the GEMM kernels."""
     return np.ascontiguousarray(np.transpose(A, (1, 0, 2)))
+
+
+def _restrict(A: np.ndarray):
+    """The right support of (N, k, r) coordinates, shared by every solve.
+
+    Returns ``(ub, ak, scale, support_gram, kept)``: ``ub`` holds the
+    eigenvectors of the Gram ``sum_n A_n^* A_n`` above the rank cut, ``ak``
+    the k-major copy (``_k_major``) of ``A @ ub`` divided by its Frobenius
+    norm ``scale``, ``support_gram`` the Gram on the support divided by its
+    top eigenvalue, and ``kept`` the Gram eigenvalues on the support.
+    """
+    r = A.shape[2]
+    a2 = A.reshape(-1, r)
+    gram = a2.conj().T @ a2
+    gram = 0.5 * (gram + gram.conj().T)
+    gvals, gvecs = _spectral(gram)
+    gmax = float(gvals[-1])
+    keep = gvals >= DEFAULT_RANK_TOL * gmax
+    ub = gvecs[:, keep]
+    ab = A @ ub
+    scale = math.sqrt(float(np.einsum("nij,nij->", ab, ab.conj()).real))
+    support_gram = ub.conj().T @ gram @ ub / gmax
+    return ub, _k_major(ab / scale), scale, support_gram, gvals[keep]
 
 
 def _m_matrix(ak: np.ndarray, svals: np.ndarray, svecs: np.ndarray) -> np.ndarray:
@@ -167,24 +258,12 @@ def minimize_gauge(A: np.ndarray, e: float, max_iters: int = 5000,
     if r == 0 or n_coords == 0 or not np.any(A):
         return GaugeResult(0.0, np.eye(dim, dtype=np.complex128), 0, True)
 
-    # restrict to the right support of the coordinates
-    a2 = A.reshape(-1, r)
-    gram = a2.conj().T @ a2
-    gram = 0.5 * (gram + gram.conj().T)
-    gvals, gvecs = _spectral(gram)
-    gmax = float(gvals[-1])
-    keep = gvals >= DEFAULT_RANK_TOL * gmax
-    ub = gvecs[:, keep]
-    ab = A @ ub
-    rb = ab.shape[2]
-
-    scale = math.sqrt(float(np.einsum("nij,nij->", ab, ab.conj()).real))
-    ak = _k_major(ab / scale)
+    ub, ak, scale, support_gram, _ = _restrict(A)
+    rb = ub.shape[1]
 
     def true_value(m):
         return math.sqrt(float(_eigvals(m)[-1]))  # trace term is 1 on the manifold
 
-    support_gram = ub.conj().T @ gram @ ub / gmax
     closed_form = e >= 2.0 and _diagonal_coordinates(A)
     if closed_form:
         candidates = [support_gram]
@@ -398,16 +477,8 @@ def minimize_two_sided(coords: np.ndarray, p: float, max_iters: int = 5000,
         return TwoSidedResult(res.value, ident_r, res.s, res.iterations,
                               res.converged)
 
-    y2 = y.reshape(-1, kr)
-    gram_r = y2.conj().T @ y2
-    gram_r = 0.5 * (gram_r + gram_r.conj().T)
-    grv, grq = _spectral(gram_r)
-    keep = grv >= DEFAULT_RANK_TOL * float(grv[-1])
-    ur = grq[:, keep]
-    yb = y @ ur
-    rb = yb.shape[2]
-    scale = math.sqrt(float(np.einsum("nij,nij->", yb, yb.conj()).real))
-    ak = _k_major(yb / scale)
+    ur, ak, scale, support_gram, kept = _restrict(y)
+    rb = ur.shape[1]
 
     def reduced_value(g):
         # tr(s) = 1 on the manifold, so the value is the G trace power alone
@@ -416,10 +487,9 @@ def minimize_two_sided(coords: np.ndarray, p: float, max_iters: int = 5000,
     closed_form = _diagonal_coordinates(y)
     if closed_form:
         # in its own eigenbasis ur the (diagonal) Gram is diag(c) on the support
-        candidates = [np.diag(grv[keep] ** (0.5 * p)).astype(np.complex128)]
+        candidates = [np.diag(kept ** (0.5 * p)).astype(np.complex128)]
     else:
-        candidates = [np.eye(rb, dtype=np.complex128),
-                      ur.conj().T @ gram_r @ ur / float(grv[-1])]
+        candidates = [np.eye(rb, dtype=np.complex128), support_gram]
         for _ in range(max(restarts - 1, 0)):
             g = rng.standard_normal((rb, rb)) + 1j * rng.standard_normal((rb, rb))
             candidates.append(g @ g.conj().T / rb + 1e-3 * np.eye(rb))
@@ -498,3 +568,163 @@ def minimize_two_sided(coords: np.ndarray, p: float, max_iters: int = 5000,
     return TwoSidedResult(value=evaluate_two_sided(y, r_full, s_full, p),
                           r=r_full, s=s_full, iterations=iters,
                           converged=converged)
+
+
+# ---------------------------------------------------------------------------
+# the minimax dual: certified lower bounds
+# ---------------------------------------------------------------------------
+
+_EPS = float(np.finfo(np.float64).eps)
+
+#: relative eigenvalue gaps below the top of M(s) that the one-sided dual
+#: support may span; each distinct span gives one candidate density
+_TOP_SPANS = (1e-6, 1e-4, 1e-3, 1e-2, 1e-1)
+#: averaged fixed-point steps on the two-sided dual matrix (see
+#: ``_two_sided_densities``), each one more candidate
+_TWO_SIDED_STEPS = 3
+
+
+def _dual_exponents(p: float):
+    """(beta, t): the bound is ``(|c|_beta / |rho|_t)^{1/2}``.
+
+    ``beta = a/(a+1)`` with ``a = p/2`` and ``t = 1`` (density matrices) for
+    p >= 2; ``beta = 1/2`` and ``t = (q/2)' = p/(2p - 2)`` for p < 2.  Both
+    meet at p = 2.
+    """
+    if p >= 2.0:
+        return p / (p + 2.0), 1.0
+    return 0.5, p / (2.0 * p - 2.0)
+
+
+def minimax_lower(coords: np.ndarray, rho: np.ndarray, p: float) -> float:
+    """Certified lower bound on the factorization norm from a dual matrix.
+
+    ``coords`` is an (N, k, r) stack and ``rho`` a Hermitian k x k matrix;
+    the bound is ``(|c|_beta / |rho|_t)^{1/2}`` with ``c`` the spectrum of
+    ``C(rho) = sum_n y_n^* rho y_n`` (see ``_dual_exponents`` and the module
+    docstring), after the rounding allowance that keeps it below the exact
+    value for the stored ``rho``.  Any ``rho`` gives a valid bound; a
+    ``rho`` that is not PSD is shifted to ``rho + mu I`` first.
+    """
+    y = np.asarray(coords, dtype=np.complex128)
+    n_coords, k, r = y.shape
+    top = float(np.max(np.abs(y))) if y.size else 0.0
+    if top == 0.0:
+        return 0.0
+    scale = 2.0 ** math.frexp(top)[1]  # a power of two: the rescaling is exact
+    y = y / scale
+    rho = np.asarray(rho, dtype=np.complex128)
+    rho = 0.5 * (rho + rho.conj().T)
+    beta, t = _dual_exponents(p)
+
+    lam_rho = np.linalg.eigvalsh(rho)
+    eps_rho = 4.0 * k * _EPS * float(np.linalg.norm(rho))
+    mu = max(0.0, eps_rho - float(lam_rho[0]))  # rho + mu I is PSD
+
+    rows = y.reshape(-1, r)
+    c = rows.conj().T @ (rho @ y).reshape(-1, r)
+    c = 0.5 * (c + c.conj().T)
+    envelope = np.abs(rows).T @ (np.abs(rho) @ np.abs(y)).reshape(-1, r)
+    m = (n_coords + 1) * k + 4
+    delta = (m * _EPS / (1.0 - m * _EPS) * float(np.linalg.norm(envelope))
+             + 4.0 * r * _EPS * float(np.linalg.norm(c)))
+    cv = np.clip(np.linalg.eigvalsh(c) - delta, 0.0, None)
+
+    num = _tr_power_term(cv, 2.0 * beta)
+    den = _tr_power_term(lam_rho + eps_rho + mu, 2.0 * t)
+    if num == 0.0 or den == 0.0:
+        return 0.0
+    return num / den * (1.0 - (2 * k + 16) * _EPS) * scale
+
+
+def _one_sided_densities(A: np.ndarray, s: np.ndarray, e: float) -> list:
+    """Candidate densities for the one-sided dual at the witness ``s``."""
+    if _diagonal_coordinates(A):
+        c = np.sum(np.abs(np.diagonal(A, axis1=1, axis2=2)) ** 2, axis=0)
+        w = (c / float(c.max())) ** (0.5 * e)
+        return [np.diag(w / float(np.sum(w))).astype(np.complex128)]
+    ub, ak, _, _, _ = _restrict(A)
+    k, n_coords, rb = ak.shape
+    sv, sq = _project(ub.conj().T @ s @ ub, e)
+    lam, u = _eigh(_m_matrix(ak, sv, sq))
+    target = ((sq * sv ** (0.5 * e + 1.0)) @ sq.conj().T).ravel()
+    densities = []
+    sizes = set()
+    for span in _TOP_SPANS:
+        sel = lam >= (1.0 - span) * float(lam[-1])
+        m = int(np.sum(sel))
+        if m in sizes:
+            continue
+        sizes.add(m)
+        top = u[:, sel]
+        w = (top.conj().T @ ak.reshape(k, -1)).reshape(m, n_coords, rb)
+        # C(P X P^*) = sum_n W_n^* X W_n with W_n = P^* A_n, as a matrix on vec X
+        lin = np.einsum("ani,bnj->ijab", w.conj(), w).reshape(rb * rb, m * m)
+        x = np.linalg.lstsq(lin, target, rcond=None)[0].reshape(m, m)
+        xv, xq = _spectral(x)
+        if not np.any(xv):
+            continue
+        v = top @ xq
+        rho = (v * xv) @ v.conj().T
+        rho = rho / float(np.trace(rho).real)
+        densities.append(0.5 * (rho + rho.conj().T))
+    return densities or [np.eye(k, dtype=np.complex128) / k]
+
+
+def _two_sided_densities(A: np.ndarray, r: np.ndarray, p: float) -> list:
+    """Candidate dual matrices for the two-sided dual at the left factor ``r``.
+
+    The first is ``r^{q/2 - 1}``.  The optimal one is a fixed point of
+    ``rho -> G(s)^{q/2 - 1}`` at the ``s ~ C(rho)^{1/2}`` that minimizes
+    ``tr(s^{-1} C(rho))`` (the dual's KKT condition), but that map expands
+    for q > 4, so each of the ``_TWO_SIDED_STEPS`` further candidates
+    averages it with the previous one.  ``C`` and ``G`` are formed on the
+    support restriction of the solver.
+    """
+    _, ak, _, _, _ = _restrict(A)
+    k = ak.shape[0]
+    densities = [_two_sided_density(r, p)]
+    for _ in range(_TWO_SIDED_STEPS):
+        rho = densities[-1]
+        rho_ak = (rho @ ak.reshape(k, -1)).reshape(ak.shape)
+        cv, cq = _spectral(np.einsum("kni,knj->ij", ak.conj(), rho_ak))
+        if cv[-1] <= 0.0:
+            break
+        sv = np.sqrt(np.clip(cv, _EIG_FLOOR * float(cv[-1]), None))
+        densities.append(0.5 * (rho + _two_sided_density(_m_matrix(ak, sv, cq), p)))
+    return densities
+
+
+def _two_sided_density(r: np.ndarray, p: float) -> np.ndarray:
+    """The two-sided dual matrix ``r^{q/2 - 1}`` scaled into the unit ball."""
+    vals, vecs = _spectral(r)
+    top = float(vals[-1])
+    if top <= 0.0:
+        vals = np.ones_like(vals)
+        top = 1.0
+    w = (vals / top) ** (0.5 * q_from_p(p) - 1.0)
+    _, t = _dual_exponents(p)
+    w = w / float(np.sum(w ** t)) ** (1.0 / t)
+    rho = (vecs * w) @ vecs.conj().T
+    return 0.5 * (rho + rho.conj().T)
+
+
+def minimax_certificate(coords: np.ndarray, p: float, s: np.ndarray,
+                        r: np.ndarray | None = None):
+    """Certified lower bound from the dual of the gauge solved at a witness.
+
+    ``s`` (and, for p < 2, the left factor ``r``) is the witness of the
+    upper bound in the frame of ``coords``.  Returns ``(lower, rho)`` with
+    the best of the candidate dual matrices built from it (module
+    docstring); ``rho`` is what ``minimax_lower`` was evaluated on.
+    """
+    y = np.asarray(coords, dtype=np.complex128)
+    y = y / 2.0 ** math.frexp(float(np.max(np.abs(y))))[1]
+    if p < 2.0:
+        k = y.shape[1]
+        candidates = _two_sided_densities(y, np.eye(k) if r is None else r, p)
+    else:
+        candidates = _one_sided_densities(y, s, p)
+    lowers = [minimax_lower(coords, rho, p) for rho in candidates]
+    best = int(np.argmax(lowers))
+    return lowers[best], candidates[best]

@@ -427,12 +427,16 @@ def criterion_brute_force_oracle(seed: int = 9):
     ratios = []
     for i in range(5):
         y = random_element(2, 2, rng)
-        opt, _ = alpha_upper(y, p, Side.ELL_ROW)
+        cert = alpha_certify(y, p, Side.ELL_ROW)
+        opt = cert.upper
         brute = brute_force_upper(y, p, seed=seed + 10 + i)
         ratios.append(opt / brute)
         if opt > brute + 1e-9:
             _fail(msgs, f"optimizer above the searched factorization "
                         f"({opt!r} > {brute!r}, element {i})")
+        if cert.lower > brute:
+            _fail(msgs, f"certified lower bound above the searched "
+                        f"factorization ({cert.lower!r} > {brute!r}, element {i})")
         if opt < 0.98 * brute:
             _fail(msgs, f"optimizer more than 2% below the search "
                         f"({opt!r} vs {brute!r}, element {i})")

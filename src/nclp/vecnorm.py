@@ -12,10 +12,12 @@ two factorization norms, selected by :class:`Side`:
 
 ``alpha_certify`` returns rigorous two-sided bounds: the upper bound is the
 value of an explicit feasible factorization found by descent
-(:mod:`nclp.gaugeopt`), the lower bound pairs the element against dual
-witnesses whose own norm is certified at the conjugate exponent.
-``beta_certify`` treats the p-sum of the two norms (infimum over splittings
-``y = y0 + y1``).
+(:mod:`nclp.gaugeopt`), the lower bound is the minimax dual of that same
+gauge problem at a dual matrix built from the solved witness.
+``alpha_lower`` pairs the element against given dual witnesses whose own
+norm is certified at the conjugate exponent.  ``beta_certify`` treats the
+p-sum of the two norms (infimum over splittings ``y = y0 + y1``) and takes
+its lower bound by that pairing.
 """
 
 from __future__ import annotations
@@ -233,7 +235,6 @@ class CertifyOptions:
     beta_effort: int = 1
     rank_tol: float = DEFAULT_RANK_TOL
     extra_witnesses: tuple = ()
-    dual_pool_extra: tuple = ()
     force_branch: str | None = None  # "one_sided" | "two_sided" (testing hook)
 
     def replace(self, **kw) -> "CertifyOptions":
@@ -254,7 +255,9 @@ class FactorWitness:
     For the one-sided branch (p >= 2) only ``s`` is set: the factorization is
     ``y_n = (y_n s^{-1/2}) s^{1/2}``.  The two-sided branch carries the pair
     ``(r, s)``.  ``transposed`` records that the witness lives in the
-    transposed frame (R_COL input).
+    transposed frame (R_COL input).  ``rho`` is the dual matrix behind the
+    lower bound of ``alpha_certify``, in the same frame
+    (``gaugeopt.minimax_lower``); it is None elsewhere.
     """
 
     branch: str
@@ -263,6 +266,7 @@ class FactorWitness:
     transposed: bool = False
     iterations: int = 0
     converged: bool = True
+    rho: np.ndarray | None = None
 
 
 @dataclass
@@ -270,7 +274,11 @@ class NormCertificate:
     """Certified bracket [lower, upper] with the witnesses that produced it.
 
     ``factor_witness`` is a :class:`FactorWitness` for the alpha norms and a
-    :class:`BetaWitness` (a feasible splitting) for the p-sum norm.
+    :class:`BetaWitness` (a feasible splitting) for the p-sum norm.  The
+    alpha lower bound comes from the witness's own ``rho``, so there
+    ``dual_witness`` is None and ``dual_norm_bound`` is 0; the p-sum lower
+    bound pairs against ``dual_witness``, whose dual norm is at most
+    ``dual_norm_bound``.
     """
 
     upper: float
@@ -430,7 +438,7 @@ def _dual_upper_once(p_dual: float, opts: CertifyOptions):
 
 def _auto_dual_pool(y: VecElem, p: float, upper_witness: FactorWitness | None,
                     rank_tol: float) -> list:
-    """Dual witness candidates in the ELL_ROW frame."""
+    """Dual witness candidates in the ELL_ROW frame, for ``beta_certify``."""
     pool: list[VecElem] = []
     coords = y.coords
 
@@ -490,19 +498,17 @@ def alpha_lower(y: VecElem, p: float, side: Side, dual_pool,
     p_dual = conjugate(p)
     if side == Side.R_COL:
         yt = opposite_transform(y)
-        best, wit_t, _ = _alpha_lower_ell(yt, p_dual,
-                                          [opposite_transform(w) for w in dual_pool],
-                                          opts)
+        best, wit_t = _alpha_lower_ell(yt, p_dual,
+                                       [opposite_transform(w) for w in dual_pool],
+                                       opts)
         return best, (opposite_transform(wit_t) if wit_t is not None else None)
-    best, wit, _ = _alpha_lower_ell(y, p_dual, list(dual_pool), opts)
-    return best, wit
+    return _alpha_lower_ell(y, p_dual, list(dual_pool), opts)
 
 
 def _alpha_lower_ell(y: VecElem, p_dual: float, pool, opts: CertifyOptions):
     dual_upper = _dual_upper_once(p_dual, opts)
     best = 0.0
     best_wit = None
-    best_den = 0.0
     for cand in pool:
         if cand.coords.shape != y.coords.shape or cand.is_zero():
             continue
@@ -514,37 +520,36 @@ def _alpha_lower_ell(y: VecElem, p_dual: float, pool, opts: CertifyOptions):
             continue
         val = num / den
         if val > best:
-            best, best_wit, best_den = val, cand, den
-    return best, best_wit, best_den
+            best, best_wit = val, cand
+    return best, best_wit
 
 
 def alpha_certify(y: VecElem, p: float, side: Side = Side.ELL_ROW,
                   opts: CertifyOptions = DEFAULT_OPTS) -> NormCertificate:
-    """Two-sided certificate for the factorization norm on the chosen side."""
+    """Two-sided certificate for the factorization norm on the chosen side.
+
+    The upper bound is ``alpha_upper``'s; the lower bound is the minimax dual
+    of the gauge problem that solve just solved, evaluated at the dual
+    matrix ``rho`` built from its witness (``gaugeopt.minimax_certificate``),
+    which the returned witness records.
+    """
     p = check_exponent(p)
     if side == Side.R_COL:
         cert = alpha_certify(opposite_transform(y), p, Side.ELL_ROW,
-                             opts.replace(
-                                 extra_witnesses=tuple(
-                                     dataclasses.replace(w, transposed=not w.transposed)
-                                     for w in opts.extra_witnesses),
-                                 dual_pool_extra=tuple(
-                                     opposite_transform(w) for w in opts.dual_pool_extra)))
+                             opts.replace(extra_witnesses=tuple(
+                                 dataclasses.replace(w, transposed=not w.transposed)
+                                 for w in opts.extra_witnesses)))
         if cert.factor_witness is not None:
             cert.factor_witness.transposed = not cert.factor_witness.transposed
-        if cert.dual_witness is not None:
-            cert.dual_witness = opposite_transform(cert.dual_witness)
         return cert
 
     if y.is_zero():
         return NormCertificate(0.0, 0.0, _trivial_witness(y.k), None, 0, True)
     upper, wit = alpha_upper(y, p, Side.ELL_ROW, opts)
-    pool = _auto_dual_pool(y, p, wit, opts.rank_tol)
-    pool.extend(opts.dual_pool_extra)
-    lower, dual_wit, den = _alpha_lower_ell(y, conjugate(p), pool, opts)
+    lower, wit.rho = gaugeopt.minimax_certificate(y.coords, p, wit.s, wit.r)
     return NormCertificate(upper=upper, lower=lower, factor_witness=wit,
-                           dual_witness=dual_wit, iterations=wit.iterations,
-                           converged=wit.converged, dual_norm_bound=den)
+                           dual_witness=None, iterations=wit.iterations,
+                           converged=wit.converged)
 
 
 # ---------------------------------------------------------------------------
@@ -581,7 +586,7 @@ def beta_certify(y: VecElem, p: float,
     bounds in the denominator.
     Each distinct dual witness (by coordinate bytes, in the ELL_ROW frame) is
     solved once per call, however often the pool and its transposes repeat
-    it; ``alpha_certify`` does the same for its pool.
+    it; ``alpha_lower`` does the same for its pool.
     """
     p = check_exponent(p)
     if y.is_zero():
@@ -622,7 +627,6 @@ def beta_certify(y: VecElem, p: float,
     pool = _auto_dual_pool(y, p, w_ell, opts.rank_tol)
     pool.extend(opposite_transform(c) for c in
                 _auto_dual_pool(opposite_transform(y), p, None, opts.rank_tol))
-    pool.extend(opts.dual_pool_extra)
     dual_upper = _dual_upper_once(p_dual, opts)
     lower = 0.0
     dual_wit = None

@@ -1,10 +1,13 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
+from nclp import gaugeopt
 from nclp.schatten import conjugate, schatten_norm
-from nclp.vecnorm import (CertifyOptions, FAST_OPTS, Side, VecElem,
+from nclp.selfcheck import brute_force_upper
+from nclp.vecnorm import (CertifyOptions, DEFAULT_OPTS, FAST_OPTS, Side, VecElem,
                           alpha_certify, alpha_lower, alpha_upper,
                           beta_certify, combine_witnesses,
                           diagonal_closed_form, min_tensor_row_norm,
@@ -136,11 +139,16 @@ class TestAlphaCertify:
             cert = alpha_certify(y, p, side, FAST_OPTS)
             assert cert.lower <= cert.upper * (1 + 1e-9)
 
-    def test_r_side_witness_frames(self, rng):
+    @pytest.mark.parametrize("p", [1.5, 3.0])
+    def test_r_side_witness_frames(self, rng, p):
         y = VecElem(random_complex(rng, 2, 3, 3))
-        cert = alpha_certify(y, 3.0, Side.R_COL, FAST_OPTS)
-        assert cert.factor_witness.transposed
-        assert cert.dual_witness is None or cert.dual_witness.k == 3
+        cert = alpha_certify(y, p, Side.R_COL, FAST_OPTS)
+        wit = cert.factor_witness
+        assert wit.transposed
+        assert cert.dual_witness is None and cert.dual_norm_bound == 0.0
+        # rho lives in the transposed frame, like s and r
+        coords = opposite_transform(y).coords
+        assert gaugeopt.minimax_lower(coords, wit.rho, p) == cert.lower
 
     @pytest.mark.parametrize("p", [1.5, 3.0])
     def test_witness_reproduces_upper(self, rng, p):
@@ -253,3 +261,94 @@ class TestBetaCertify:
         cert0 = beta_certify(y, p, CertifyOptions(beta_effort=0))
         cert1 = beta_certify(y, p, CertifyOptions(beta_effort=1))
         assert cert1.upper <= cert0.upper + 1e-12
+
+
+def mp_minimax_value(coords, rho, p):
+    """(|c|_beta / |rho|_t)^{1/2} at 50 digits from the stored floats."""
+    beta, t = gaugeopt._dual_exponents(p)
+    with mpmath.workdps(50):
+        rm = mpmath.matrix(rho.tolist())
+        c = mpmath.zeros(coords.shape[2])
+        for yn in coords:
+            ym = mpmath.matrix(yn.tolist())
+            c += ym.H * rm * ym
+        cvals = mpmath.eighe(c, eigvals_only=True)
+        rvals = mpmath.eighe(rm, eigvals_only=True)
+        num = mpmath.fsum(max(mpmath.re(v), 0) ** beta for v in cvals) ** (1 / beta)
+        den = mpmath.fsum(abs(mpmath.re(v)) ** t for v in rvals) ** (1 / t)
+        return mpmath.sqrt(num / den)
+
+
+def certificate_frame(y, cert):
+    return opposite_transform(y).coords if cert.factor_witness.transposed else y.coords
+
+
+class TestMinimaxLower:
+    """The alpha lower bound is the minimax dual at the certificate's rho."""
+
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0, 4.0])
+    @pytest.mark.parametrize("side", list(Side), ids=lambda s: s.name)
+    def test_below_exact_value_of_own_rho(self, p, side):
+        rng = np.random.default_rng(int(10 * p) + (side == Side.R_COL))
+        for k in (1, 2, 3):
+            for degenerate in (False, True):
+                y = random_element(k, int(rng.integers(1, 4)), rng,
+                                   degenerate=degenerate)
+                cert = alpha_certify(y, p, side, FAST_OPTS)
+                exact = mp_minimax_value(certificate_frame(y, cert),
+                                         cert.factor_witness.rho, p)
+                assert mpmath.mpf(cert.lower) <= exact
+                assert cert.lower <= cert.upper
+
+    def test_below_searched_factorizations(self):
+        # the elements of the brute-force-oracle criterion; a shorter search
+        # still returns the value of an explicit factorization
+        rng = np.random.default_rng(9)
+        for i in range(5):
+            y = random_element(2, 2, rng)
+            cert = alpha_certify(y, 3.0, Side.ELL_ROW)
+            brute = brute_force_upper(y, 3.0, base_samples=4000,
+                                      polish_steps=400, seed=19 + i)
+            assert cert.lower <= brute
+
+    @pytest.mark.parametrize("p", [1.3, 1.5, 2.0, 3.0, 4.0])
+    @pytest.mark.parametrize("side", list(Side), ids=lambda s: s.name)
+    def test_diagonal_element_exact(self, p, side):
+        lams = random_complex(np.random.default_rng(4), 5)
+        cert = alpha_certify(VecElem.diagonal(lams), p, side, FAST_OPTS)
+        assert cert.lower == pytest.approx(diagonal_closed_form(lams, p), rel=1e-12)
+        assert cert.lower <= cert.upper
+
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0, 4.0])
+    @pytest.mark.parametrize("side", list(Side), ids=lambda s: s.name)
+    def test_single_coordinate_is_schatten_norm(self, p, side):
+        rng = np.random.default_rng(7)
+        for k in (2, 3, 4):
+            y = VecElem(random_complex(rng, 1, k, k))
+            cert = alpha_certify(y, p, side, DEFAULT_OPTS)
+            assert cert.lower == pytest.approx(schatten_norm(y.coords[0], p), rel=1e-9)
+
+    def test_rank_deficient_below_upper(self):
+        # exact zero eigenvalues of C(rho) come out of eigvalsh as +-1e-16
+        # and would pass through the concave power; the allowance removes them
+        rng = np.random.default_rng(11)
+        for i in range(60):
+            k = int(rng.integers(2, 5))
+            y = random_element(k, int(rng.integers(1, 4)), rng, degenerate=True)
+            p = float(rng.choice([1.3, 1.6, 2.0, 2.5, 3.0, 4.0]))
+            side = Side.ELL_ROW if i % 2 == 0 else Side.R_COL
+            cert = alpha_certify(y, p, side, FAST_OPTS)
+            assert cert.lower <= cert.upper, (i, k, p, side)
+
+    def test_any_rho_is_sound(self):
+        rng = np.random.default_rng(5)
+        y = random_element(3, 2, rng)
+        for p in (1.5, 2.0, 3.0):
+            upper, _ = alpha_upper(y, p, Side.ELL_ROW, DEFAULT_OPTS)
+            for _ in range(10):
+                g = random_complex(rng, 3, 3)
+                rho = g + g.conj().T  # indefinite on purpose
+                assert gaugeopt.minimax_lower(y.coords, rho, p) <= upper
+
+    def test_zero_element(self):
+        assert gaugeopt.minimax_lower(np.zeros((2, 3, 3)), np.eye(3), 3.0) == 0.0

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from nclp import serialize
-from nclp.cpmaps import KrausMap, apply, build_counterexample_maps
+from nclp.counterexample import verify_pipeline, witness_w
+from nclp.cpmaps import KrausMap, amplify_apply, apply, build_counterexample_maps
 from nclp.errors import InvalidInputError
 from nclp.vecnorm import Side, VecElem, alpha_certify, beta_certify
 from nclp.yeadon import YeadonSpec
@@ -100,6 +101,9 @@ class TestCertificatePayload:
         assert set(doc) >= {"upper", "lower", "converged", "iterations",
                             "factor_witness", "dual_witness"}
         assert doc["factor_witness"]["kind"] == "one_sided"
+        assert doc["dual_witness"] is None and doc["dual_norm_bound"] == 0.0
+        rho = serialize.matrix_from_json(doc["factor_witness"]["rho"])
+        assert np.array_equal(rho, cert.factor_witness.rho)
         text = serialize.dumps_canonical(doc)
         json.loads(text)  # stays valid JSON
 
@@ -108,6 +112,7 @@ class TestCertificatePayload:
         cert = beta_certify(y, 3.0)
         doc = serialize.certificate_to_json(cert)
         assert doc["factor_witness"]["kind"] == "split"
+        assert doc["dual_witness"] is not None
 
 
 class TestCanonicalDumps:
@@ -123,3 +128,68 @@ class TestCanonicalDumps:
     def test_nonfinite_rejected(self):
         with pytest.raises(InvalidInputError):
             serialize.dumps_canonical(float("nan"))
+
+
+def recursive_dumps(obj) -> str:
+    """The item-by-item formatter that ``dumps_canonical`` must match."""
+    if obj is None or isinstance(obj, bool):
+        return json.dumps(obj)
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, (float, np.floating)):
+        if not math.isfinite(obj):
+            raise InvalidInputError(f"cannot serialize non-finite value {obj!r}")
+        return format(float(obj), ".17g")
+    if isinstance(obj, str):
+        return json.dumps(obj)
+    if isinstance(obj, (list, tuple)):
+        return "[" + ",".join(recursive_dumps(v) for v in obj) + "]"
+    if isinstance(obj, dict):
+        return "{" + ",".join(json.dumps(k) + ":" + recursive_dumps(v)
+                              for k, v in obj.items()) + "}"
+    raise InvalidInputError(f"cannot serialize object of type {type(obj).__name__}")
+
+
+@pytest.fixture(scope="module")
+def documents():
+    rng = np.random.default_rng(3)
+    y = VecElem(random_complex(rng, 3, 2, 2))
+    kraus = KrausMap.from_terms([(random_complex(rng, 2, 2), random_complex(rng, 2, 2))])
+    q, _ = np.linalg.qr(random_complex(rng, 4, 4))
+    spec = YeadonSpec(n=2, rep_weights=(0.8,), antirep_weights=(0.3,), w=q)
+    scaled = random_complex(rng, 3, 3) * np.array([1e-300, 1.0, 1e300])
+    return {
+        "matrix": serialize.matrix_to_json(random_complex(rng, 2, 3)),
+        "extreme-matrix": serialize.matrix_to_json(scaled),
+        "element": serialize.vecelem_to_json(y),
+        "kraus": serialize.kraus_to_json(kraus),
+        "yeadon": serialize.yeadon_to_json(spec, 3.0),
+        "alpha": serialize.certificate_to_json(alpha_certify(y, 3.0, Side.ELL_ROW)),
+        "alpha-two-sided": serialize.certificate_to_json(
+            alpha_certify(y, 1.5, Side.R_COL)),
+        "beta": serialize.certificate_to_json(beta_certify(y, 3.0)),
+        "k18-certificate": serialize.certificate_to_json(
+            beta_certify(amplify_apply(build_counterexample_maps(18, 3.0)[-1],
+                                       witness_w(18)), 3.0)),
+        "report": serialize.report_to_json(verify_pipeline(3, 3.0)),
+        "mixed": {"a": [1.5, 2.25, -0.0, 5e-324], "b": {"c": 0.3333333333333333},
+                  "d": [1, 2.5, True, None, "x"], "e": [np.float64(0.1), 0.2],
+                  "f": [], "g": (0.5, 1e22)},
+    }
+
+
+DOCUMENTS = ("matrix", "extreme-matrix", "element", "kraus", "yeadon", "alpha",
+             "alpha-two-sided", "beta", "k18-certificate", "report", "mixed")
+
+
+@pytest.mark.parametrize("name", DOCUMENTS)
+def test_dumps_matches_recursive_formatter(documents, name):
+    assert sorted(documents) == sorted(DOCUMENTS)
+    doc = documents[name]
+    assert serialize.dumps_canonical(doc) == recursive_dumps(doc)
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_nonfinite_in_float_list_rejected(bad):
+    with pytest.raises(InvalidInputError, match="non-finite"):
+        serialize.dumps_canonical({"re": [1.0, bad, 2.0]})
