@@ -27,14 +27,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cpmaps import (amplify_apply, build_counterexample_maps,
-                     choi_min_eigenvalue, sampled_contraction_ratio)
+                     choi_min_eigenvalue, is_completely_positive,
+                     sampled_contraction_ratio)
 from .errors import InvalidInputError
 from .schatten import check_exponent
 from .vecnorm import (CertifyOptions, DEFAULT_OPTS, Side, VecElem,
                       alpha_certify, beta_certify)
 
 #: largest k for which the optimizer-backed checks run by default
-NUMERIC_K_CAP = 8
+NUMERIC_K_CAP = 32
 
 
 def witness_w(k: int) -> VecElem:
@@ -194,11 +195,13 @@ def verify_pipeline(k: int, p: float, opts: CertifyOptions = DEFAULT_OPTS,
     Checks: (i) the amplified images match the closed forms to 1e-14;
     (ii) the witness certificate brackets 1; (iii) the certified numeric
     lower bound dominates the closed formula; (iv) the map is completely
-    positive and a contraction: ``contraction_upper_bound`` is at most
-    1 + 1e-9, and no sampled ratio exceeds it.  The sampled ratio comes from
-    the probes E11 and I, plus ``contraction_trials`` random probes drawn
-    from ``seed``; it is a lower bound that reports how tight the certified
-    bound is, and can only catch a wrong bound, never prove one.
+    positive, certified by ``is_completely_positive`` (u has equal Kraus
+    stacks, so its Choi matrix is a Gram matrix), and a contraction:
+    ``contraction_upper_bound`` is at most 1 + 1e-9, and no sampled ratio
+    exceeds it.  The sampled ratio comes from the probes E11 and I, plus
+    ``contraction_trials`` random probes drawn from ``seed``; it is a lower
+    bound that reports how tight the certified bound is, and can only catch
+    a wrong bound, never prove one.
     """
     p = check_exponent(p)
     if k < 1:
@@ -221,7 +224,8 @@ def verify_pipeline(k: int, p: float, opts: CertifyOptions = DEFAULT_OPTS,
             diagnostics.append(f"closed form mismatch for {name}: {err:.3e}")
     total = VecElem((images[0].coords + images[1].coords
                      + images[2].coords + images[3].coords) / 4.0)
-    err = float(np.max(np.abs(amplify_apply(u, w).coords - total.coords)))
+    image = amplify_apply(u, w)
+    err = float(np.max(np.abs(image.coords - total.coords)))
     if err > 1e-14:
         closed_ok = False
         diagnostics.append(f"average image differs from closed forms: {err:.3e}")
@@ -235,7 +239,6 @@ def verify_pipeline(k: int, p: float, opts: CertifyOptions = DEFAULT_OPTS,
             f"witness certificate [{cert_w.lower!r}, {cert_w.upper!r}] is off 1")
 
     # (iii) certified numeric lower bound vs the closed formula
-    image = amplify_apply(u, w)
     cert_beta = beta_certify(image, p, opts)
     formula = lower_bound_formula(k, p)
     numeric_lb = cert_beta.lower
@@ -246,7 +249,7 @@ def verify_pipeline(k: int, p: float, opts: CertifyOptions = DEFAULT_OPTS,
 
     # (iv) complete positivity and contraction
     choi_min = choi_min_eigenvalue(u)
-    cp_ok = choi_min >= -1e-12
+    cp_ok = is_completely_positive(u)
     if not cp_ok:
         diagnostics.append(f"Choi matrix has eigenvalue {choi_min:.3e}")
     e11 = np.zeros((k, k), dtype=np.complex128)

@@ -1,19 +1,31 @@
 """Linear maps on the k x k Schatten class in two-sided coefficient form.
 
-A :class:`KrausMap` acts as ``x -> sum_i a_i^* x b_i``.  When ``b_i = a_i``
-for all i the map is completely positive; complete positivity in general is
-checked through the block matrix of the map's action on matrix units, whose
-positivity is equivalent to complete positivity in finite dimension.
+A :class:`KrausMap` acts as ``x -> sum_i a_i^* x b_i``.  Complete
+positivity is equivalent, in finite dimension, to positivity of the Choi
+matrix ``C = sum_t conj(vec a_t) vec(b_t)^T`` (row-major vectorization).
+When the two stacks are equal, ``C = V^H V`` for the (terms x k^2) matrix
+``V`` whose rows are ``vec(a_t)``: a Gram matrix, positive semidefinite by
+construction.  Such a map is certified completely positive with no
+eigensolve (an O(m k^2) equality test), and with m < k^2 terms ``C`` has
+rank below k^2, so its least eigenvalue is exactly 0.  Only unequal stacks,
+and the least eigenvalue of equal stacks with m >= k^2 terms, pay the
+O(k^6) ``eigvalsh`` of the k^2 x k^2 Choi matrix.
 
 The module also builds the concrete family of maps behind the dilation
 counterexample: the scaled shift ``u1``, its pairing adjoint ``u2``, the
 diagonal projection ``u3``, the corner-to-identity rank-one map ``u4``, and
 their completely positive average ``u``.
 
-Maps are applied term by term: each term ``a_t^* x b_t`` is two BLAS
-matrix products accumulated into one output, so applying an m-term map to
-N stacked k x k coordinates costs O(m N k^3) time and O(N k^2) memory; no
-intermediate holds all terms at once.
+Maps are applied term by term on the argument's column support: with
+``J`` the columns where some coordinate of ``x`` is nonzero, each term is
+``(a_t^* x[:, J]) b_t[J, :]``, two BLAS matrix products accumulated into
+one output.  Applying an m-term map to N stacked k x k coordinates costs
+O(m N k^2 |J|) time and O(N k^2) memory; no intermediate holds all terms
+at once.  The dropped columns of ``a_t^* x`` are exact zeros, so the
+result is the full product ``(a_t^* x) b_t`` up to rounding, and bit for bit
+when the products are exact, as on the counterexample's witness.  In
+general the narrower matrix products may round complex products
+differently (by about an ulp of the entrywise scale).
 """
 
 from __future__ import annotations
@@ -63,10 +75,16 @@ class KrausMap:
 
 
 def _sandwich(m: KrausMap, x: np.ndarray) -> np.ndarray:
-    """sum_t a_t^* @ x @ b_t for x of shape (..., k, k), one term at a time."""
+    """sum_t a_t^* @ x @ b_t for x of shape (..., k, k), one term at a time,
+    restricted to the columns where some coordinate of x is nonzero."""
     out = np.zeros(x.shape, dtype=np.complex128)
-    for a_t, b_t in zip(m.a, m.b):
-        out += a_t.conj().T @ x @ b_t
+    cols = np.flatnonzero(np.any(x, axis=tuple(range(x.ndim - 1))))
+    b = m.b
+    if cols.size < m.k:
+        x = x[..., cols]
+        b = b[:, cols, :]
+    for a_t, b_t in zip(m.a, b):
+        out += (a_t.conj().T @ x) @ b_t
     return out
 
 
@@ -91,9 +109,12 @@ def choi(m: KrausMap) -> np.ndarray:
 def is_completely_positive(m: KrausMap, tol: float | None = None) -> bool:
     """Choi-positivity test; tol defaults to 1e-10 times the Choi scale.
 
-    The scale is the spectral norm of the Hermitian part of the Choi matrix,
-    whose one ``eigvalsh`` also gives the sign test.
+    Equal stacks are completely positive by the Gram argument and need no
+    eigensolve.  Otherwise the scale is the spectral norm of the Hermitian
+    part of the Choi matrix, whose one ``eigvalsh`` also gives the sign test.
     """
+    if np.array_equal(m.a, m.b):
+        return True
     c = choi(m)
     lam = np.linalg.eigvalsh(0.5 * (c + c.conj().T))
     scale = float(np.abs(lam).max()) if lam.size else 0.0
@@ -105,6 +126,13 @@ def is_completely_positive(m: KrausMap, tol: float | None = None) -> bool:
 
 
 def choi_min_eigenvalue(m: KrausMap) -> float:
+    """Least eigenvalue of the (Hermitian part of the) Choi matrix.
+
+    For equal stacks with fewer than k^2 terms the Gram ``V^H V`` is rank
+    deficient, so the value is exactly 0.0 and no eigensolve runs.
+    """
+    if np.array_equal(m.a, m.b) and len(m) < m.k * m.k:
+        return 0.0
     c = choi(m)
     return float(np.linalg.eigvalsh(0.5 * (c + c.conj().T))[0])
 

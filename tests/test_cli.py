@@ -42,15 +42,15 @@ class TestSweep:
 
     def test_numeric_cap_blanks(self, tmp_path):
         out = tmp_path / "sweep.csv"
-        assert run_cli("sweep", "--p", "3", "--kmin", "9", "--kmax", "10",
+        assert run_cli("sweep", "--p", "3", "--kmin", "33", "--kmax", "34",
                        "--out", str(out)) == 0
         rows = out.read_text().strip().splitlines()[1:]
         assert all(row.split(",")[3] == "" for row in rows)
 
     def test_numeric_cap_above_default(self, tmp_path):
         out = tmp_path / "sweep.csv"
-        assert run_cli("sweep", "--p", "3", "--kmin", "9", "--kmax", "9",
-                       "--numeric-cap", "9", "--max-iters", "200",
+        assert run_cli("sweep", "--p", "3", "--kmin", "33", "--kmax", "33",
+                       "--numeric-cap", "33", "--max-iters", "200",
                        "--out", str(out)) == 0
         (row,) = out.read_text().strip().splitlines()[1:]
         numeric = row.split(",")[3]

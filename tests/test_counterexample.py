@@ -1,15 +1,17 @@
 import numpy as np
 import pytest
 
-from nclp import counterexample, serialize
+from nclp import counterexample, cpmaps, serialize
 from nclp.counterexample import (closed_form_images, contraction_upper_bound,
                                  diagonal_coefficients, lower_bound_formula,
                                  threshold_k, verify_pipeline, witness_w)
 from nclp.cpmaps import (KrausMap, amplify_apply, build_counterexample_maps,
-                         sampled_contraction_ratio)
+                         choi, sampled_contraction_ratio)
 from nclp.errors import InvalidInputError
 from nclp.schatten import conjugate
 from nclp.vecnorm import FAST_OPTS, Side, alpha_certify, diagonal_closed_form
+
+from conftest import full_sandwich
 
 
 class TestWitness:
@@ -132,9 +134,33 @@ class TestVerifyPipeline:
 
     def test_numeric_cap(self):
         with pytest.raises(InvalidInputError):
-            verify_pipeline(9, 3.0)
-        rep = verify_pipeline(9, 3.0, FAST_OPTS, k_cap=9)
+            verify_pipeline(33, 3.0)
+        rep = verify_pipeline(33, 3.0, FAST_OPTS, k_cap=33)
         assert rep.closed_form_match
+
+    def test_k48_passes_every_check(self):
+        assert verify_pipeline(48, 3.0, k_cap=48).all_checks_ok
+
+    @pytest.mark.parametrize("k", [2, 9, 18])
+    @pytest.mark.parametrize("p", [2.5, 3.0, 4.0])
+    def test_report_matches_dense_route(self, monkeypatch, k, p):
+        """Only choi_min_eig moves when the dense CP test and the full
+        per-term products are patched back in."""
+        fast = serialize.report_to_json(verify_pipeline(k, p, k_cap=k))
+
+        def dense_min_eig(m):
+            c = choi(m)
+            return float(np.linalg.eigvalsh(0.5 * (c + c.conj().T))[0])
+
+        monkeypatch.setattr(cpmaps, "_sandwich", full_sandwich)
+        monkeypatch.setattr(counterexample, "choi_min_eigenvalue", dense_min_eig)
+        monkeypatch.setattr(counterexample, "is_completely_positive",
+                            lambda m: dense_min_eig(m) >= -1e-12)
+        dense = serialize.report_to_json(verify_pipeline(k, p, k_cap=k))
+        assert fast["choi_min_eig"] == 0.0
+        assert abs(dense["choi_min_eig"]) <= 1e-14
+        del fast["choi_min_eig"], dense["choi_min_eig"]
+        assert serialize.dumps_canonical(fast) == serialize.dumps_canonical(dense)
 
 
 BOUND_PS = (1.2, 1.5, 2.0, 2.5, 3.0, 4.0, 8.0)

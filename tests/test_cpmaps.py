@@ -2,15 +2,15 @@ import numpy as np
 import pytest
 
 from nclp.counterexample import closed_form_images, witness_w
-from nclp.cpmaps import (KrausMap, adjoint_map, amplify_apply, apply,
-                         build_counterexample_maps, choi, choi_min_eigenvalue,
-                         compose, is_completely_positive,
+from nclp.cpmaps import (KrausMap, _sandwich, adjoint_map, amplify_apply,
+                         apply, build_counterexample_maps, choi,
+                         choi_min_eigenvalue, compose, is_completely_positive,
                          sampled_contraction_ratio)
 from nclp.errors import InvalidInputError
 from nclp.schatten import trace_pairing
 from nclp.vecnorm import VecElem
 
-from conftest import random_complex
+from conftest import full_sandwich, random_complex
 
 
 def unit(k, i, j):
@@ -103,6 +103,34 @@ class TestKernel:
         for i in range(n):
             assert np.array_equal(img.coords[i], apply(m, y.coords[i]))
 
+    @pytest.mark.parametrize("k", [1, 2, 5, 18])
+    def test_column_support_exact_cases(self, rng, k):
+        m = random_map(rng, 3, k)
+        for x in (np.zeros((4, k, k), dtype=np.complex128),
+                  random_complex(rng, 4, k, k), random_complex(rng, k, k)):
+            assert np.array_equal(_sandwich(m, x), full_sandwich(m, x))
+        w = witness_w(k).coords
+        for p in (2.5, 3.0, 4.0):
+            for umap in build_counterexample_maps(k, p):
+                assert np.array_equal(_sandwich(umap, w), full_sandwich(umap, w))
+
+    @pytest.mark.parametrize("k", [1, 2, 5, 18])
+    def test_column_support_masks(self, rng, k):
+        """Complex arguments with zero rows and columns: dropping the zero
+        columns changes only how the BLAS kernel rounds the products
+        (observed up to 1.5 eps of the entrywise scale); both results sit
+        within about k eps of the exact sums."""
+        eps = np.finfo(float).eps
+        for _ in range(20):
+            m = random_map(rng, 3, k)
+            for x in (random_complex(rng, 4, k, k), witness_w(k).coords.copy()):
+                x[..., rng.random(k) < 0.5] = 0.0
+                x[..., rng.random(k) < 0.5, :] = 0.0
+                got, want = _sandwich(m, x), full_sandwich(m, x)
+                scale = sum(np.abs(a).T @ np.abs(x) @ np.abs(b)
+                            for a, b in m.terms())
+                assert np.all(np.abs(got - want) <= 4 * k * eps * scale)
+
     @pytest.mark.parametrize("terms", [1, 3, 7])
     def test_choi_matches_outer_sum(self, rng, terms):
         k = 3
@@ -152,9 +180,35 @@ class TestChoi:
         m = KrausMap.from_terms([(a, a) for a in mats])
         assert is_completely_positive(m)
 
+    @pytest.mark.parametrize("k", [2, 5, 18])
+    def test_equal_stacks_need_no_eigensolve(self, rng, monkeypatch, k):
+        """Equal stacks (also held in separate arrays) are a Gram; with fewer
+        than k^2 terms its least eigenvalue is exactly 0."""
+        a = random_complex(rng, k, k, k)
+        m = KrausMap(k=k, a=a, b=a.copy())
+
+        def no_eigensolve(*args, **kwargs):
+            raise AssertionError("eigvalsh called")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", no_eigensolve)
+        assert is_completely_positive(m)
+        assert choi_min_eigenvalue(m) == 0.0
+        *_, u = build_counterexample_maps(k, 3.0)
+        assert is_completely_positive(u)
+        assert choi_min_eigenvalue(u) == 0.0
+
+    @pytest.mark.parametrize("k, terms", [(1, 1), (1, 3), (2, 4), (2, 7), (3, 12)])
+    def test_full_rank_gram_matches_dense(self, rng, k, terms):
+        mats = [random_complex(rng, k, k) for _ in range(terms)]
+        m = KrausMap.from_terms([(a, a) for a in mats])
+        lam = np.linalg.eigvalsh(choi(m))
+        assert abs(choi_min_eigenvalue(m) - lam[0]) <= 1e-12 * np.abs(lam).max()
+        assert is_completely_positive(m)
+
     def test_non_star_preserving_rejected(self, rng):
         m = KrausMap.from_terms([(np.eye(2), 1j * np.eye(2))])
         assert not is_completely_positive(m)
+        assert choi_min_eigenvalue(m) == pytest.approx(0.0, abs=1e-12)
 
 
 class TestAdjoint:
