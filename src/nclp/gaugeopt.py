@@ -1,4 +1,4 @@
-"""Descent solver for the factorization gauge behind the vector-valued norms.
+"""Descent solver for the factorization gauges behind the vector-valued norms.
 
 One-sided problem: given coordinates ``A_1..A_N`` stacked as an ``(N, k, r)``
 complex array and an exponent ``e``, minimize over positive definite ``s``
@@ -8,17 +8,32 @@ complex array and an exponent ``e``, minimize over positive definite ``s``
 Every ``s`` yields the feasible factorization ``A_n = (A_n s^{-1/2}) s^{1/2}``,
 so F(s) is a certified upper bound at any iterate; optimality only sharpens
 it.  ``s -> lmax(sum A_n s^{-1} A_n^*)`` is convex and F is degree-0
-homogeneous, so the scheme below is projected subgradient descent with
-backtracking on the manifold ``tr(s^{e/2}) = 1``.  The nonsmooth lmax is
-smoothed by log-sum-exp with annealed temperature; reported values always
-use the true lmax.
+homogeneous, so it is minimized on the manifold ``tr(s^{e/2}) = 1``.
 
 Two-sided problem (outer exponents ``(q, 2)`` with ``1/q = 1/p - 1/2``, used
-for p < 2): the left factor has the closed-form optimum ``r = sum_n A_n
-s^{-1} A_n^*``, which reduces the problem to a smooth convex objective in
-``s`` alone (see ``minimize_two_sided``).  At p = 2 the left exponent is
-infinite, the optimal left factor is the support identity, and the problem
-collapses to the one-sided core exactly.
+for p < 2): the left factor has the closed-form optimum ``r = G(s) = sum_n
+A_n s^{-1} A_n^*``, which reduces the problem to the smooth convex objective
+``tr(G(s)^{q/2})^{2/q}`` on the manifold ``tr s = 1`` (see
+``minimize_two_sided``).  At p = 2 the left exponent is infinite, the optimal
+left factor is the support identity, and the problem collapses to the
+one-sided core exactly.
+
+Both problems run one driver, ``_descend``: restrict to the right support of
+the coordinates, start from the best projected candidate, then descend along
+the projected gradient with backtracking (at most 40 halvings of the step),
+keep the best iterate, end a stage after ``stall_window`` iterations whose
+relative decrease stays below ``decrease_tol``, and stop at ``max_iters``
+(``converged = False``).  An objective (``_OneSided``, ``_TwoSided``)
+supplies the rest: the smoothed value and gradient weights (log-sum-exp of
+the spectrum of M at a temperature annealed over ``_TEMPS``, with soft-max
+weights; or the trace power itself, with weights ``(lam/top)^{q/2-1}``, in
+one stage), the certified value that picks the best iterate
+(``lmax(M)^{1/2}``, or the trace power), the tangent projection (off the
+normal ``(e/2) s^{e/2-1}``, or off the trace), the acceptance test
+(sufficient decrease, or any decrease beyond rounding) and the closed-form
+candidate (below).  Each solver builds its witness from the best point,
+``s`` or the pair ``(r, s)``, and returns it with its certified value
+(``evaluate_one_sided``, ``evaluate_two_sided``).
 
 Cost per iteration, for N coordinates of size k x r (r after the support
 restriction): M(s) is assembled as two GEMMs on a k-major copy of the
@@ -141,6 +156,7 @@ class GaugeResult:
     s: np.ndarray
     iterations: int
     converged: bool
+    r: np.ndarray | None = None  # the left factor, two-sided gauge only
 
 
 def _spectral(s: np.ndarray):
@@ -223,134 +239,6 @@ def _diagonal_coordinates(A: np.ndarray) -> bool:
     return k == r and not np.any(A[:, ~np.eye(k, dtype=bool)])
 
 
-def _lse(lam: np.ndarray, tau: float) -> float:
-    top = float(lam[-1])
-    if tau <= 0.0:
-        return top
-    return top + tau * math.log(float(np.sum(np.exp((lam - top) / tau))))
-
-
-def _soft_weights(lam: np.ndarray, tau: float) -> np.ndarray:
-    top = float(lam[-1])
-    if tau <= 0.0:
-        w = (lam >= top * (1.0 - 1e-12)).astype(float)
-    else:
-        w = np.exp((lam - top) / tau)
-    return w / float(np.sum(w))
-
-
-def minimize_gauge(A: np.ndarray, e: float, max_iters: int = 5000,
-                   decrease_tol: float = 1e-9, stall_window: int = 20,
-                   inits: tuple = ()) -> GaugeResult:
-    """Minimize the one-sided gauge over PSD ``s`` in the coordinates of A.
-
-    ``A`` has shape (N, k, r).  The returned witness lives on the r-space,
-    is zero off the right support of the coordinates and full-rank
-    (regularized) on it.  ``converged`` is False only when the iteration
-    budget stopped a descent that would have continued.  ``iterations`` is 0
-    when no descent runs: for diagonal coordinates with ``e >= 2``, whose
-    optimum is the support Gram (module docstring), and for a support of
-    rank at most one.
-    """
-    A = np.asarray(A, dtype=np.complex128)
-    n_coords, _, r = A.shape
-    dim = max(r, 1)
-    if r == 0 or n_coords == 0 or not np.any(A):
-        return GaugeResult(0.0, np.eye(dim, dtype=np.complex128), 0, True)
-
-    ub, ak, scale, support_gram, _ = _restrict(A)
-    rb = ub.shape[1]
-
-    def true_value(m):
-        return math.sqrt(float(_eigvals(m)[-1]))  # trace term is 1 on the manifold
-
-    closed_form = e >= 2.0 and _diagonal_coordinates(A)
-    if closed_form:
-        candidates = [support_gram]
-    else:
-        candidates = [np.eye(rb, dtype=np.complex128), support_gram]
-        for s0 in inits:
-            s0 = np.asarray(s0, dtype=np.complex128)
-            if s0.shape == (r, r):
-                candidates.append(ub.conj().T @ s0 @ ub)
-
-    best_val = math.inf
-    best_pair = m_cur = None
-    for cand in candidates:
-        sv, sq = _project(cand, e)
-        m = _m_matrix(ak, sv, sq)
-        val = true_value(m)
-        if val < best_val:
-            best_val, best_pair, m_cur = val, (sv, sq), m
-    svals, svecs = best_pair
-
-    iters = 0
-    converged = True
-    if rb > 1 and not closed_form:
-        eta = 1.0
-        for tau_rel in _TEMPS:
-            stall = 0
-            f_ref = math.inf
-            while stall < stall_window:
-                if iters >= max_iters:
-                    converged = False
-                    break
-                iters += 1
-                lam, u = _eigh(m_cur)
-                tau = tau_rel * max(float(lam[-1]), 1e-300)
-                f_cur = _lse(lam, tau)
-                w = _soft_weights(lam, tau)
-                # surrogate gradient wrt s, projected onto the manifold tangent
-                c = _grad_gram(ak, u * np.sqrt(w))
-                sinv = (svecs / svals) @ svecs.conj().T
-                grad = -(sinv @ c @ sinv)
-                grad = 0.5 * (grad + grad.conj().T)
-                s_mat = (svecs * svals) @ svecs.conj().T
-                normal = (svecs * (0.5 * e * svals ** (0.5 * e - 1.0))) @ svecs.conj().T
-                nn = float(np.vdot(normal, normal).real)
-                if nn > 0.0:
-                    coef = float(np.vdot(grad, normal).real) / nn
-                    grad = grad - coef * normal
-                gnorm = float(np.linalg.norm(grad))
-                if gnorm <= 1e-15 * max(1.0, float(np.linalg.norm(s_mat))):
-                    break
-                eta = min(eta * 4.0, 1e3 * float(np.linalg.norm(s_mat)) / gnorm)
-                accepted = False
-                f_t = f_cur
-                for _ in range(40):
-                    tv, tq = _project(s_mat - eta * grad, e)
-                    m_t = _m_matrix(ak, tv, tq)
-                    lam_t = _eigvals(m_t)
-                    f_t = _lse(lam_t, tau)
-                    if f_t <= f_cur - 1e-4 * eta * gnorm * gnorm:
-                        svals, svecs, m_cur = tv, tq, m_t
-                        accepted = True
-                        break
-                    eta *= 0.5
-                if not accepted:
-                    break
-                val = math.sqrt(float(lam_t[-1]))
-                if val < best_val:
-                    best_val = val
-                    best_pair = (svals, svecs)
-                if math.isinf(f_ref):
-                    f_ref = f_t
-                elif f_ref - f_t <= decrease_tol * max(abs(f_ref), 1e-300):
-                    stall += 1
-                else:
-                    stall = 0
-                    f_ref = f_t
-            if not converged:
-                break
-
-    sv, sq = best_pair
-    sv = sv + 1e-12 * float(np.sum(sv)) / rb  # regularized inversion margin
-    final = true_value(_m_matrix(ak, sv, sq))
-    s_out = ub @ ((sq * sv) @ sq.conj().T) @ ub.conj().T
-    return GaugeResult(value=final * scale, s=s_out, iterations=iters,
-                       converged=converged)
-
-
 def q_from_p(p: float) -> float:
     """Outer left exponent of the two-sided form: 1/q = 1/p - 1/2."""
     inv = 1.0 / p - 0.5
@@ -368,6 +256,188 @@ def _tr_power_term(vals: np.ndarray, e: float) -> float:
     if math.isinf(e):
         return math.sqrt(top)
     return math.sqrt(top) * float(np.sum((vals / top) ** (e / 2.0))) ** (1.0 / e)
+
+
+def _lse(lam: np.ndarray, tau: float) -> float:
+    top = float(lam[-1])
+    return top + tau * math.log(float(np.sum(np.exp((lam - top) / tau))))
+
+
+class _OneSided:
+    """What ``_descend`` needs of the one-sided gauge (module docstring)."""
+
+    stages = _TEMPS
+    smoothed_is_value = False
+
+    def __init__(self, e: float):
+        self.e = e
+
+    def closed_form(self, support_gram, kept):
+        return support_gram if self.e >= 2.0 else None
+
+    def value(self, lam):
+        return math.sqrt(float(lam[-1]))  # trace term is 1 on the manifold
+
+    def model(self, lam, tau_rel):
+        tau = tau_rel * max(float(lam[-1]), 1e-300)
+        w = np.exp((lam - float(lam[-1])) / tau)
+        return _lse(lam, tau), w / float(np.sum(w)), lambda lam_t: _lse(lam_t, tau)
+
+    def tangent(self, grad, svals, svecs):
+        normal = (svecs * (0.5 * self.e * svals ** (0.5 * self.e - 1.0))) @ svecs.conj().T
+        nn = float(np.vdot(normal, normal).real)
+        if nn > 0.0:
+            coef = float(np.vdot(grad, normal).real) / nn
+            grad = grad - coef * normal
+        return grad
+
+    def accept(self, f_t, f_cur, eta, gnorm):
+        return f_t <= f_cur - 1e-4 * eta * gnorm * gnorm
+
+
+class _TwoSided:
+    """What ``_descend`` needs of the reduced two-sided gauge (module docstring)."""
+
+    stages = (None,)
+    smoothed_is_value = True  # the objective is smooth and is its own model
+    e = 2.0
+
+    def __init__(self, p: float):
+        self.p = p
+        self.q = q_from_p(p)
+
+    def closed_form(self, support_gram, kept):
+        # in its own eigenbasis the (diagonal) Gram is diag(c) on the support
+        return np.diag(kept ** (0.5 * self.p)).astype(np.complex128)
+
+    def value(self, lam):
+        return _tr_power_term(lam, self.q)  # tr(s) = 1 on the manifold
+
+    def model(self, lam, _stage):
+        # gradient of tr((G/top)^{q/2}) wrt s, positive rescale only
+        top = max(float(lam[-1]), 1e-300)
+        return self.value(lam), (lam / top) ** (0.5 * self.q - 1.0), self.value
+
+    def tangent(self, grad, svals, svecs):
+        rb = grad.shape[0]
+        return grad - (float(np.trace(grad).real) / rb) * np.eye(rb)
+
+    def accept(self, f_t, f_cur, eta, gnorm):
+        return f_t < f_cur * (1.0 - 1e-14) or f_t <= f_cur - 1e-12
+
+
+def _descend(A: np.ndarray, obj, inits, max_iters: int, decrease_tol: float,
+             stall_window: int):
+    """Projected descent of either gauge on the right support of A.
+
+    ``obj`` is ``_OneSided`` or ``_TwoSided``; its ``model(lam, stage)``
+    returns the smoothed value at the spectrum ``lam`` of M, the gradient
+    weights on its eigenvectors, and the smoothed value of a trial spectrum
+    at the same smoothing.  Returns ``(ub, scale, svals, svecs, iterations,
+    converged)``: the support basis and coordinate scale of ``_restrict``,
+    and the spectrum of the best point found with the regularization margin
+    added.
+    """
+    ub, ak, scale, support_gram, kept = _restrict(A)
+    rb = ub.shape[1]
+    closed = obj.closed_form(support_gram, kept) if _diagonal_coordinates(A) else None
+    if closed is not None:
+        candidates = [closed]
+    else:
+        candidates = [np.eye(rb, dtype=np.complex128), support_gram]
+        for s0 in inits:
+            s0 = np.asarray(s0, dtype=np.complex128)
+            if s0.shape == (A.shape[2], A.shape[2]):
+                candidates.append(ub.conj().T @ s0 @ ub)
+
+    best_val = math.inf
+    best_pair = m_cur = None
+    for cand in candidates:
+        sv, sq = _project(cand, obj.e)
+        m = _m_matrix(ak, sv, sq)
+        val = obj.value(_eigvals(m))
+        if val < best_val:
+            best_val, best_pair, m_cur = val, (sv, sq), m
+    svals, svecs = best_pair
+
+    iters = 0
+    converged = True
+    if rb > 1 and closed is None:
+        eta = 1.0
+        for stage in obj.stages:
+            stall = 0
+            f_ref = math.inf
+            while stall < stall_window:
+                if iters >= max_iters:
+                    converged = False
+                    break
+                iters += 1
+                lam, u = _eigh(m_cur)
+                f_cur, weights, smoothed = obj.model(lam, stage)
+                # gradient of the smoothed value wrt s, projected onto the tangent
+                c = _grad_gram(ak, u * np.sqrt(weights))
+                sinv = (svecs / svals) @ svecs.conj().T
+                grad = -(sinv @ c @ sinv)
+                grad = obj.tangent(0.5 * (grad + grad.conj().T), svals, svecs)
+                s_mat = (svecs * svals) @ svecs.conj().T
+                gnorm = float(np.linalg.norm(grad))
+                if gnorm <= 1e-15 * max(1.0, float(np.linalg.norm(s_mat))):
+                    break
+                eta = min(eta * 4.0, 1e3 * float(np.linalg.norm(s_mat)) / gnorm)
+                for _ in range(40):
+                    tv, tq = _project(s_mat - eta * grad, obj.e)
+                    m_t = _m_matrix(ak, tv, tq)
+                    lam_t = _eigvals(m_t)
+                    f_t = smoothed(lam_t)
+                    if obj.accept(f_t, f_cur, eta, gnorm):
+                        svals, svecs, m_cur = tv, tq, m_t
+                        break
+                    eta *= 0.5
+                else:
+                    break  # the line search failed: end the stage
+                val = f_t if obj.smoothed_is_value else obj.value(lam_t)
+                if val < best_val:
+                    best_val = val
+                    best_pair = (svals, svecs)
+                if math.isinf(f_ref):
+                    f_ref = f_t
+                elif f_ref - f_t <= decrease_tol * max(abs(f_ref), 1e-300):
+                    stall += 1
+                else:
+                    stall = 0
+                    f_ref = f_t
+            if not converged:
+                break
+
+    sv, sq = best_pair
+    sv = sv + 1e-12 * float(np.sum(sv)) / rb  # regularized inversion margin
+    return ub, scale, sv, sq, iters, converged
+
+
+def minimize_gauge(A: np.ndarray, e: float, max_iters: int = 5000,
+                   decrease_tol: float = 1e-9, stall_window: int = 20,
+                   inits: tuple = ()) -> GaugeResult:
+    """Minimize the one-sided gauge over PSD ``s`` in the coordinates of A.
+
+    ``A`` has shape (N, k, r).  The returned witness lives on the r-space,
+    is zero off the right support of the coordinates and full-rank
+    (regularized) on it, and ``value`` is its certified value
+    (``evaluate_one_sided``).  ``inits`` are extra starting witnesses on the
+    r-space.  ``converged`` is False only when the iteration budget stopped
+    a descent that would have continued.  ``iterations`` is 0 when no
+    descent runs: for diagonal coordinates with ``e >= 2``, whose optimum is
+    the support Gram (module docstring), and for a support of rank at most
+    one.
+    """
+    A = np.asarray(A, dtype=np.complex128)
+    n_coords, _, r = A.shape
+    if r == 0 or n_coords == 0 or not np.any(A):
+        return GaugeResult(0.0, np.eye(max(r, 1), dtype=np.complex128), 0, True)
+    ub, _, sv, sq, iters, converged = _descend(
+        A, _OneSided(e), inits, max_iters, decrease_tol, stall_window)
+    s_out = ub @ ((sq * sv) @ sq.conj().T) @ ub.conj().T
+    return GaugeResult(value=evaluate_one_sided(A, s_out, e), s=s_out,
+                       iterations=iters, converged=converged)
 
 
 def _residual_correction(resid_coords: np.ndarray, p: float) -> float:
@@ -424,20 +494,9 @@ def evaluate_two_sided(coords: np.ndarray, r_full: np.ndarray,
     return base + _residual_correction(resid, p)
 
 
-@dataclass
-class TwoSidedResult:
-    value: float
-    r: np.ndarray
-    s: np.ndarray
-    iterations: int
-    converged: bool
-
-
 def minimize_two_sided(coords: np.ndarray, p: float, max_iters: int = 5000,
                        decrease_tol: float = 1e-9, stall_window: int = 20,
-                       restarts: int = 5,
-                       rng: np.random.Generator | None = None,
-                       init_pairs: tuple = ()) -> TwoSidedResult:
+                       inits: tuple = ()) -> GaugeResult:
     """Minimize the two-sided gauge (p <= 2) after eliminating the left factor.
 
     For fixed ``s`` the optimal left factor has the closed form
@@ -448,126 +507,38 @@ def minimize_two_sided(coords: np.ndarray, p: float, max_iters: int = 5000,
 
     a smooth convex objective.  A naive alternation between the two factors
     stalls: the scaling freedom between outer factors makes every point a
-    fixed point, so the reduced form is both faster and correct.  ``rng`` and
-    ``restarts`` seed ``restarts - 1`` random starting candidates besides the
-    identity and the support Gram; extra starts only guard against descent
-    stalls since the reduced problem has no spurious minima.
+    fixed point, so the reduced form is both faster and correct.  It has no
+    spurious minima, so the descent starts from the best of the identity, the
+    support Gram and the ``inits`` (extra witnesses ``s`` on the r-space).
 
     For diagonal coordinates the optimum ``s = diag(c)^{p/2}`` on the support
-    is the only candidate (module docstring): no random start is drawn, no
-    iteration runs and ``iterations`` is 0, as it is for a support of rank at
-    most one.  ``converged`` is False only when the iteration budget stopped
-    a descent that would have continued.
+    is the only candidate (module docstring): no iteration runs and
+    ``iterations`` is 0, as it is for a support of rank at most one.
+    ``converged`` is False only when the iteration budget stopped a descent
+    that would have continued.  ``value`` is the certified value of the
+    witness (``evaluate_two_sided``; ``evaluate_one_sided`` at p = 2).
     """
     y = np.asarray(coords, dtype=np.complex128)
     n_coords, k, kr = y.shape
     ident_r = np.eye(k, dtype=np.complex128)
     if not np.any(y):
-        return TwoSidedResult(0.0, ident_r, np.eye(kr, dtype=np.complex128), 0, True)
-    if rng is None:
-        rng = np.random.default_rng(0)
-    q = q_from_p(p)
-
-    if math.isinf(q):
+        return GaugeResult(0.0, np.eye(kr, dtype=np.complex128), 0, True, r=ident_r)
+    if math.isinf(q_from_p(p)):
         # p = 2: the left factor is absorbed, identical to the one-sided core
-        s_inits = tuple(s0 for _, s0 in init_pairs)
-        res = minimize_gauge(y, 2.0, max_iters=max_iters,
-                             decrease_tol=decrease_tol,
-                             stall_window=stall_window, inits=s_inits)
-        return TwoSidedResult(res.value, ident_r, res.s, res.iterations,
-                              res.converged)
+        res = minimize_gauge(y, 2.0, max_iters=max_iters, decrease_tol=decrease_tol,
+                             stall_window=stall_window, inits=inits)
+        res.r = ident_r
+        return res
 
-    ur, ak, scale, support_gram, kept = _restrict(y)
-    rb = ur.shape[1]
-
-    def reduced_value(g):
-        # tr(s) = 1 on the manifold, so the value is the G trace power alone
-        return _tr_power_term(_eigvals(g), q)
-
-    closed_form = _diagonal_coordinates(y)
-    if closed_form:
-        # in its own eigenbasis ur the (diagonal) Gram is diag(c) on the support
-        candidates = [np.diag(kept ** (0.5 * p)).astype(np.complex128)]
-    else:
-        candidates = [np.eye(rb, dtype=np.complex128), support_gram]
-        for _ in range(max(restarts - 1, 0)):
-            g = rng.standard_normal((rb, rb)) + 1j * rng.standard_normal((rb, rb))
-            candidates.append(g @ g.conj().T / rb + 1e-3 * np.eye(rb))
-        for _, s0 in init_pairs:
-            s0 = np.asarray(s0, dtype=np.complex128)
-            if s0.shape == (kr, kr):
-                candidates.append(ur.conj().T @ s0 @ ur)
-
-    best_val = math.inf
-    best_pair = g_cur = None
-    for cand in candidates:
-        sv, sq = _project(cand, 2.0)
-        g = _m_matrix(ak, sv, sq)
-        val = reduced_value(g)
-        if val < best_val:
-            best_val, best_pair, g_cur = val, (sv, sq), g
-    svals, svecs = best_pair
-
-    iters = 0
-    converged = True
-    if rb > 1 and not closed_form:
-        eta = 1.0
-        stall = 0
-        f_ref = math.inf
-        while stall < stall_window:
-            if iters >= max_iters:
-                converged = False
-                break
-            iters += 1
-            lam, u = _eigh(g_cur)
-            f_cur = _tr_power_term(lam, q)
-            top = max(float(lam[-1]), 1e-300)
-            # gradient of tr((G/top)^{q/2}) wrt s, positive rescale only
-            wts = (lam / top) ** (0.5 * q - 1.0)
-            c = _grad_gram(ak, u * np.sqrt(wts))
-            sinv = (svecs / svals) @ svecs.conj().T
-            grad = -(sinv @ c @ sinv)
-            grad = 0.5 * (grad + grad.conj().T)
-            grad = grad - (float(np.trace(grad).real) / rb) * np.eye(rb)
-            s_mat = (svecs * svals) @ svecs.conj().T
-            gnorm = float(np.linalg.norm(grad))
-            if gnorm <= 1e-15 * max(1.0, float(np.linalg.norm(s_mat))):
-                break
-            eta = min(eta * 4.0, 1e3 * float(np.linalg.norm(s_mat)) / gnorm)
-            accepted = False
-            f_t = f_cur
-            for _ in range(40):
-                tv, tq = _project(s_mat - eta * grad, 2.0)
-                g_t = _m_matrix(ak, tv, tq)
-                f_t = reduced_value(g_t)
-                if f_t < f_cur * (1.0 - 1e-14) or f_t <= f_cur - 1e-12:
-                    svals, svecs, g_cur = tv, tq, g_t
-                    accepted = True
-                    break
-                eta *= 0.5
-            if not accepted:
-                break
-            if f_t < best_val:
-                best_val = f_t
-                best_pair = (svals, svecs)
-            if math.isinf(f_ref):
-                f_ref = f_t
-            elif f_ref - f_t <= decrease_tol * max(abs(f_ref), 1e-300):
-                stall += 1
-            else:
-                stall = 0
-                f_ref = f_t
-
-    sv, sq = best_pair
-    sv = sv + 1e-12 * float(np.sum(sv)) / rb
+    ur, scale, sv, sq, iters, converged = _descend(
+        y, _TwoSided(p), inits, max_iters, decrease_tol, stall_window)
     s_full = scale * (ur @ ((sq * sv) @ sq.conj().T) @ ur.conj().T)
     yk = _k_major(y)
     b = (yk.reshape(-1, kr) @ psd_power(s_full, -1.0)).reshape(k, -1)
     g_full = b @ yk.reshape(k, -1).conj().T
     r_full = 0.5 * (g_full + g_full.conj().T)
-    return TwoSidedResult(value=evaluate_two_sided(y, r_full, s_full, p),
-                          r=r_full, s=s_full, iterations=iters,
-                          converged=converged)
+    return GaugeResult(value=evaluate_two_sided(y, r_full, s_full, p), s=s_full,
+                       iterations=iters, converged=converged, r=r_full)
 
 
 # ---------------------------------------------------------------------------

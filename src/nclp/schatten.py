@@ -84,15 +84,20 @@ def schatten_norm(a, p: float) -> float:
     if math.isnan(p) or p < 1.0:
         raise InvalidInputError(f"schatten_norm needs p >= 1, got {p}")
     sv = np.linalg.svd(m, compute_uv=False)
-    if sv.size == 0:
-        return 0.0
     if math.isinf(p):
-        return float(sv[0])
-    top = float(sv[0])
+        return float(sv[0]) if sv.size else 0.0
+    return lp_norm(sv, p)
+
+
+def lp_norm(a: np.ndarray, p: float) -> float:
+    """l^p norm of a nonnegative array, ``top * (sum (a/top)^p)^{1/p}``.
+
+    Scaling out the largest entry ``top`` keeps the powers well conditioned.
+    """
+    top = float(a.max()) if a.size else 0.0
     if top == 0.0:
         return 0.0
-    # scale out the largest singular value to keep powers well conditioned
-    return top * float(np.sum((sv / top) ** p)) ** (1.0 / p)
+    return top * float(np.sum((a / top) ** p)) ** (1.0 / p)
 
 
 def trace_pairing(a, c) -> complex:

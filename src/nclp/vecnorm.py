@@ -32,7 +32,7 @@ import numpy as np
 from . import gaugeopt
 from .errors import InvalidInputError, NumericalDegeneracyError
 from .schatten import (DEFAULT_RANK_TOL, as_matrix, check_exponent, conjugate,
-                       psd_power)
+                       lp_norm, psd_power)
 
 
 class Side(enum.Enum):
@@ -180,11 +180,7 @@ def diagonal_closed_form(lams, p: float) -> float:
     upper bound for diagonal dual witnesses.
     """
     check_exponent(p)
-    a = np.abs(np.asarray(lams, dtype=np.complex128).ravel())
-    top = float(a.max()) if a.size else 0.0
-    if top == 0.0:
-        return 0.0
-    return top * float(np.sum((a / top) ** p)) ** (1.0 / p)
+    return lp_norm(np.abs(np.asarray(lams, dtype=np.complex128).ravel()), p)
 
 
 def row_stack_factorize(d_list, p: float = 2.0, rtol: float = 1e-8,
@@ -225,15 +221,12 @@ def row_stack_factorize(d_list, p: float = 2.0, rtol: float = 1e-8,
 
 @dataclass
 class CertifyOptions:
-    """Tuning knobs for the certification routines (all deterministic given seed)."""
+    """Tuning knobs for the certification routines (all deterministic)."""
 
-    seed: int = 0
     max_iters: int = 5000
     decrease_tol: float = 1e-9
     stall_window: int = 20
-    restarts: int = 5
     beta_effort: int = 1
-    rank_tol: float = DEFAULT_RANK_TOL
     extra_witnesses: tuple = ()
     force_branch: str | None = None  # "one_sided" | "two_sided" (testing hook)
 
@@ -244,8 +237,7 @@ class CertifyOptions:
 DEFAULT_OPTS = CertifyOptions()
 
 #: cheap settings for fuzz suites; bounds stay valid, just less tight
-FAST_OPTS = CertifyOptions(max_iters=240, stall_window=8, restarts=2,
-                           beta_effort=0)
+FAST_OPTS = CertifyOptions(max_iters=240, stall_window=8, beta_effort=0)
 
 
 @dataclass
@@ -359,7 +351,7 @@ def alpha_upper(y: VecElem, p: float, side: Side = Side.ELL_ROW,
     if y.is_zero():
         return 0.0, _trivial_witness(y.k)
     scale = float(np.max(np.abs(y.coords)))
-    coords = y.coords / scale
+    ys = VecElem(y.coords / scale)
 
     branch = "one_sided" if p >= 2.0 else "two_sided"
     if opts.force_branch is not None:
@@ -367,37 +359,22 @@ def alpha_upper(y: VecElem, p: float, side: Side = Side.ELL_ROW,
 
     extra = [w for w in opts.extra_witnesses
              if w.branch == branch and not w.transposed
-             and w.s.shape == (y.k, y.k)]
-
-    if branch == "one_sided":
-        res = gaugeopt.minimize_gauge(coords, p, max_iters=opts.max_iters,
-                                      decrease_tol=opts.decrease_tol,
-                                      stall_window=opts.stall_window,
-                                      inits=tuple(w.s for w in extra))
-        best_val = gaugeopt.evaluate_one_sided(coords, res.s, p, opts.rank_tol)
-        best_s = res.s
-        for w in extra:
-            cand = gaugeopt.evaluate_one_sided(coords, w.s, p, opts.rank_tol)
-            if cand < best_val:
-                best_val, best_s = cand, w.s
-        wit = FactorWitness("one_sided", s=best_s, iterations=res.iterations,
-                            converged=res.converged)
-        return best_val * scale, wit
-
-    rng = np.random.default_rng(opts.seed)
-    res = gaugeopt.minimize_two_sided(
-        coords, p, max_iters=opts.max_iters, decrease_tol=opts.decrease_tol,
-        stall_window=opts.stall_window, restarts=opts.restarts, rng=rng,
-        init_pairs=tuple((w.r, w.s) for w in extra if w.r is not None))
-    best_val, best_r, best_s = res.value, res.r, res.s
-    for w in extra:
-        if w.r is None:
-            continue
-        cand = gaugeopt.evaluate_two_sided(coords, w.r, w.s, p, opts.rank_tol)
-        if cand < best_val:
-            best_val, best_r, best_s = cand, w.r, w.s
-    wit = FactorWitness("two_sided", s=best_s, r=best_r,
-                        iterations=res.iterations, converged=res.converged)
+             and w.s.shape == (y.k, y.k)
+             and (branch == "one_sided" or w.r is not None)]
+    solve = (gaugeopt.minimize_gauge if branch == "one_sided"
+             else gaugeopt.minimize_two_sided)
+    res = solve(ys.coords, p, max_iters=opts.max_iters,
+                decrease_tol=opts.decrease_tol, stall_window=opts.stall_window,
+                inits=tuple(w.s for w in extra))
+    # both solvers return the certified value of their witness; the extra
+    # witnesses are scored by the same evaluation
+    best_val = res.value
+    wit = FactorWitness(branch, s=res.s, r=res.r, iterations=res.iterations,
+                        converged=res.converged)
+    for cand in extra:
+        val = evaluate_upper_at(ys, cand, p)
+        if val < best_val:
+            best_val, wit.s, wit.r = val, cand.s, cand.r
     return best_val * scale, wit
 
 
@@ -436,10 +413,17 @@ def _dual_upper_once(p_dual: float, opts: CertifyOptions):
     return dual_upper
 
 
-def _auto_dual_pool(y: VecElem, p: float, upper_witness: FactorWitness | None,
-                    rank_tol: float) -> list:
-    """Dual witness candidates in the ELL_ROW frame, for ``beta_certify``."""
+def _auto_dual_pool(y: VecElem, p: float,
+                    upper_witness: FactorWitness | None) -> list:
+    """Dual witness candidates in the ELL_ROW frame, for ``beta_certify``.
+
+    Every candidate is a unit direction, so the patterns are built from ``y``
+    divided by a power of two (exactly) near its largest entry, and each
+    power is taken of magnitudes scaled to at most 1: no norm below
+    overflows or underflows, whatever the scale of ``y``.
+    """
     pool: list[VecElem] = []
+    y = VecElem(y.coords / 2.0 ** math.frexp(float(np.max(np.abs(y.coords))))[1])
     coords = y.coords
 
     # coordinatewise Schatten-duality pattern: y_n = U S V^* -> V S^{p-1} U^*
@@ -447,7 +431,7 @@ def _auto_dual_pool(y: VecElem, p: float, upper_witness: FactorWitness | None,
     for idx in range(y.n):
         u, sv, vh = np.linalg.svd(coords[idx])
         if sv.size and sv[0] > 0:
-            scaled = np.where(sv >= rank_tol * sv[0], (sv / sv[0]) ** (p - 1.0), 0.0)
+            scaled = np.where(sv >= DEFAULT_RANK_TOL * sv[0], (sv / sv[0]) ** (p - 1.0), 0.0)
             power[idx] = (vh.conj().T * scaled) @ u.conj().T
     if np.any(power):
         pool.append(VecElem(power / np.linalg.norm(power)))
@@ -462,7 +446,7 @@ def _auto_dual_pool(y: VecElem, p: float, upper_witness: FactorWitness | None,
         mags = np.abs(lams)
         if np.any(mags > 0):
             phases = np.where(mags > 0, np.conj(lams) / np.where(mags > 0, mags, 1.0), 0.0)
-            matched = phases * mags ** (p - 1.0)
+            matched = phases * (mags / float(mags.max())) ** (p - 1.0)
             pool.append(VecElem.diagonal(matched / np.linalg.norm(matched)))
             signs = phases  # unit-magnitude pattern, helps flat spectra
             pool.append(VecElem.diagonal(signs / np.linalg.norm(signs)))
@@ -472,14 +456,14 @@ def _auto_dual_pool(y: VecElem, p: float, upper_witness: FactorWitness | None,
     if upper_witness is not None and upper_witness.branch == "one_sided" \
             and not upper_witness.transposed and p >= 2.0:
         s = upper_witness.s
-        z = coords @ psd_power(s, -0.5, rank_tol)
+        z = coords @ psd_power(s, -0.5)
         m = np.einsum("nij,nkj->ik", z, z.conj())
         lam, u = np.linalg.eigh(0.5 * (m + m.conj().T))
         top = float(lam[-1])
         if top > 0.0:
             sel = lam >= (1.0 - 1e-6) * top
             v = u[:, sel] @ u[:, sel].conj().T / int(np.sum(sel))
-            sub = psd_power(s, 0.5 * (p - 2.0), rank_tol) @ \
+            sub = psd_power(s, 0.5 * (p - 2.0)) @ \
                 np.transpose(coords, (0, 2, 1)).conj() @ v
             if np.any(sub):
                 pool.append(VecElem(sub / np.linalg.norm(sub)))
@@ -534,19 +518,11 @@ def alpha_certify(y: VecElem, p: float, side: Side = Side.ELL_ROW,
     which the returned witness records.
     """
     p = check_exponent(p)
-    if side == Side.R_COL:
-        cert = alpha_certify(opposite_transform(y), p, Side.ELL_ROW,
-                             opts.replace(extra_witnesses=tuple(
-                                 dataclasses.replace(w, transposed=not w.transposed)
-                                 for w in opts.extra_witnesses)))
-        if cert.factor_witness is not None:
-            cert.factor_witness.transposed = not cert.factor_witness.transposed
-        return cert
-
+    upper, wit = alpha_upper(y, p, side, opts)
     if y.is_zero():
-        return NormCertificate(0.0, 0.0, _trivial_witness(y.k), None, 0, True)
-    upper, wit = alpha_upper(y, p, Side.ELL_ROW, opts)
-    lower, wit.rho = gaugeopt.minimax_certificate(y.coords, p, wit.s, wit.r)
+        return NormCertificate(0.0, 0.0, wit, None, 0, True)
+    coords = opposite_transform(y).coords if side == Side.R_COL else y.coords
+    lower, wit.rho = gaugeopt.minimax_certificate(coords, p, wit.s, wit.r)
     return NormCertificate(upper=upper, lower=lower, factor_witness=wit,
                            dual_witness=None, iterations=wit.iterations,
                            converged=wit.converged)
@@ -624,9 +600,9 @@ def beta_certify(y: VecElem, p: float,
 
     # dual route: split the pairing across the two sides and apply Hoelder
     p_dual = conjugate(p)
-    pool = _auto_dual_pool(y, p, w_ell, opts.rank_tol)
+    pool = _auto_dual_pool(y, p, w_ell)
     pool.extend(opposite_transform(c) for c in
-                _auto_dual_pool(opposite_transform(y), p, None, opts.rank_tol))
+                _auto_dual_pool(opposite_transform(y), p, None))
     dual_upper = _dual_upper_once(p_dual, opts)
     lower = 0.0
     dual_wit = None

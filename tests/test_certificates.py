@@ -55,7 +55,7 @@ class TestAlphaUpper:
 
     def test_budget_exhaustion_still_valid(self, rng):
         y = VecElem(random_complex(rng, 3, 3, 3))
-        starved = CertifyOptions(max_iters=3, stall_window=1, restarts=1)
+        starved = CertifyOptions(max_iters=3, stall_window=1)
         v_low, wit = alpha_upper(y, 3.0, Side.ELL_ROW, starved)
         v_ref, _ = alpha_upper(y, 3.0, Side.ELL_ROW)
         assert v_low >= v_ref - 1e-9  # still an upper bound, just looser
@@ -128,8 +128,10 @@ class TestAlphaCertify:
         assert cert.lower <= cert.upper * (1 + 1e-9)
 
     def test_zero(self):
-        cert = alpha_certify(VecElem.zeros(2, 2), 3.0, Side.ELL_ROW)
-        assert cert.upper == 0.0 and cert.lower == 0.0
+        for side in (Side.ELL_ROW, Side.R_COL):
+            cert = alpha_certify(VecElem.zeros(2, 2), 3.0, side)
+            assert cert.upper == 0.0 and cert.lower == 0.0
+            assert cert.factor_witness.transposed == (side == Side.R_COL)
 
     @pytest.mark.parametrize("side", [Side.ELL_ROW, Side.R_COL])
     def test_soundness_fuzz(self, rng, side):
@@ -261,6 +263,40 @@ class TestBetaCertify:
         cert0 = beta_certify(y, p, CertifyOptions(beta_effort=0))
         cert1 = beta_certify(y, p, CertifyOptions(beta_effort=1))
         assert cert1.upper <= cert0.upper + 1e-12
+
+
+#: every certificate of an element, by name
+CERTIFIERS = {
+    "alpha_ell": lambda y, p, opts: alpha_certify(y, p, Side.ELL_ROW, opts),
+    "alpha_col": lambda y, p, opts: alpha_certify(y, p, Side.R_COL, opts),
+    "beta": lambda y, p, opts: beta_certify(y, p, opts),
+}
+
+
+class TestExtremeScales:
+    """Brackets stay finite and sound far from unit scale; a power-of-two
+    scale is exact, so there the bracket is the unit-scale one times it."""
+
+    @pytest.mark.parametrize("p", [1.5, 3.0])
+    @pytest.mark.parametrize("scale", [2.0 ** 500, 2.0 ** -500, 1e160, 1e-160,
+                                       1e300, 1e-300])
+    def test_brackets(self, p, scale):
+        y = random_element(3, 3, np.random.default_rng(4))
+        dyadic = math.frexp(scale)[0] == 0.5
+        for name, certify in CERTIFIERS.items():
+            cert = certify(y.scaled(scale), p, FAST_OPTS)
+            assert math.isfinite(cert.upper) and math.isfinite(cert.lower), name
+            assert 0.0 < cert.lower <= cert.upper, name
+            if dyadic:
+                ref = certify(y, p, FAST_OPTS)
+                assert cert.upper == pytest.approx(ref.upper * scale, rel=1e-12), name
+                assert cert.lower == pytest.approx(ref.lower * scale, rel=1e-12), name
+
+    @pytest.mark.parametrize("scale", [1e160, 1e-160])
+    def test_beta_default_opts(self, scale):
+        y = random_element(3, 3, np.random.default_rng(4)).scaled(scale)
+        cert = beta_certify(y, 3.0, DEFAULT_OPTS)
+        assert 0.0 < cert.lower <= cert.upper < math.inf
 
 
 def mp_minimax_value(coords, rho, p):
