@@ -106,6 +106,9 @@ def cmd_counterexample(args) -> int:
     return EXIT_OK
 
 
+PIPELINE_P_HELP = ("exponent p >= 2; p < 2 is invalid input (exit 2): there "
+                   "the witness norm is k^(1/p - 1/2), not 1")
+
 SWEEP_COLUMNS = ("k", "p", "formula_lb", "numeric_lb", "upper_w",
                  "threshold_pass")
 
@@ -113,6 +116,7 @@ SWEEP_COLUMNS = ("k", "p", "formula_lb", "numeric_lb", "upper_w",
 def cmd_sweep(args) -> int:
     if args.kmin < 1 or args.kmax < args.kmin:
         raise InvalidInputError("need 1 <= kmin <= kmax")
+    cx.check_pipeline_exponent(args.p)
     opts = _opts_from_args(args)
     lines = [",".join(SWEEP_COLUMNS)]
     for k in range(args.kmin, args.kmax + 1):
@@ -229,12 +233,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("counterexample", help="full pipeline at one (k, p)")
     sp.add_argument("--k", type=int, required=True)
-    sp.add_argument("--p", type=float, required=True)
+    sp.add_argument("--p", type=float, required=True, help=PIPELINE_P_HELP)
     common(sp)
     sp.set_defaults(func=cmd_counterexample)
 
     sp = sub.add_parser("sweep", help="CSV over a k-grid")
-    sp.add_argument("--p", type=float, required=True)
+    sp.add_argument("--p", type=float, required=True, help=PIPELINE_P_HELP)
     sp.add_argument("--kmin", type=int, required=True)
     sp.add_argument("--kmax", type=int, required=True)
     sp.add_argument("--numeric-cap", dest="numeric_cap", type=int,

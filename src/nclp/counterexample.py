@@ -38,6 +38,20 @@ from .vecnorm import (CertifyOptions, DEFAULT_OPTS, Side, VecElem,
 NUMERIC_K_CAP = 32
 
 
+def check_pipeline_exponent(p: float) -> float:
+    """Validate ``p`` for the pipeline, which needs ``p >= 2``.
+
+    The witness ``w`` has norm 1 only there; for p < 2 its norm is
+    ``k^{1/p - 1/2}`` (the two-sided branch), so the chain does not apply.
+    """
+    p = check_exponent(p)
+    if p < 2.0:
+        raise InvalidInputError(
+            f"the counterexample pipeline needs p >= 2, got p = {p!r} "
+            f"(for p < 2 the witness norm is k^(1/p - 1/2), not 1)")
+    return p
+
+
 def witness_w(k: int) -> VecElem:
     """w = sum_i e_i (x) e_i (x) e_1: coordinate n is the matrix unit E_{n1}."""
     if k < 1:
@@ -201,9 +215,10 @@ def verify_pipeline(k: int, p: float, opts: CertifyOptions = DEFAULT_OPTS,
     exceeds it.  The sampled ratio comes from the probes E11 and I, plus
     ``contraction_trials`` random probes drawn from ``seed``; it is a lower
     bound that reports how tight the certified bound is, and can only catch
-    a wrong bound, never prove one.
+    a wrong bound, never prove one.  ``p < 2`` is invalid input
+    (``check_pipeline_exponent``).
     """
-    p = check_exponent(p)
+    p = check_pipeline_exponent(p)
     if k < 1:
         raise InvalidInputError("k must be >= 1")
     if k > k_cap:

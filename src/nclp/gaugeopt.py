@@ -118,12 +118,13 @@ How ``rho`` is built from the witness (this affects only tightness):
 
 Rounding allowance in ``minimax_lower``, so that the bound stays below the
 exact value for the stored ``rho``.  The coordinates are scaled by a power of
-two, which is exact.  A Hermitian eigensolver returns each eigenvalue within
-``p(n) eps |H|_2`` of an exact one (backward stability, LAPACK Users' Guide
-section 4.7); we charge ``4 n eps |H|_F``.  For ``rho`` this gives ``eps_rho``
-and the shift ``mu = max(0, eps_rho - min computed eigenvalue)``, so ``rho +
-mu I`` is PSD and ``|rho + mu I|_t <= |computed eigenvalues + eps_rho +
-mu|_t``.  ``C(rho)`` is formed as two GEMMs, ``Y^* (rho Y)``, whose entrywise
+two, which is exact (``schatten.pow2_normalize``, over the whole float64
+range); a bound beyond that range raises ``InvalidInputError``.  A Hermitian
+eigensolver returns each eigenvalue within ``p(n) eps |H|_2`` of an exact one
+(backward stability, LAPACK Users' Guide section 4.7); we charge ``4 n eps
+|H|_F``.  For ``rho`` this gives ``eps_rho`` and the shift ``mu = max(0,
+eps_rho - min computed eigenvalue)``, so ``rho + mu I`` is PSD and ``|rho +
+mu I|_t <= |computed eigenvalues + eps_rho + mu|_t``.  ``C(rho)`` is formed as two GEMMs, ``Y^* (rho Y)``, whose entrywise
 error is at most ``gamma_m`` times the envelope ``sum_n |A_n|^T |rho| |A_n|``
 with ``m = (N+1) k + 4`` (both inner lengths and the symmetrization) and
 ``gamma_m = m eps / (1 - m eps)``; by Weyl's inequality every eigenvalue
@@ -144,7 +145,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .schatten import DEFAULT_RANK_TOL, psd_power, schatten_norm
+from .schatten import (DEFAULT_RANK_TOL, pow2_normalize, pow2_restore,
+                       psd_power, schatten_norm)
 
 _TEMPS = (5e-2, 5e-3, 5e-4, 5e-5, 5e-6, 5e-7)
 _EIG_FLOOR = 1e-9  # relative floor on witness eigenvalues, kept above the rank cut
@@ -577,13 +579,10 @@ def minimax_lower(coords: np.ndarray, rho: np.ndarray, p: float) -> float:
     value for the stored ``rho``.  Any ``rho`` gives a valid bound; a
     ``rho`` that is not PSD is shifted to ``rho + mu I`` first.
     """
-    y = np.asarray(coords, dtype=np.complex128)
+    y, e = pow2_normalize(coords)  # a power of two: the rescaling is exact
     n_coords, k, r = y.shape
-    top = float(np.max(np.abs(y))) if y.size else 0.0
-    if top == 0.0:
+    if not np.any(y):
         return 0.0
-    scale = 2.0 ** math.frexp(top)[1]  # a power of two: the rescaling is exact
-    y = y / scale
     rho = np.asarray(rho, dtype=np.complex128)
     rho = 0.5 * (rho + rho.conj().T)
     beta, t = _dual_exponents(p)
@@ -605,7 +604,7 @@ def minimax_lower(coords: np.ndarray, rho: np.ndarray, p: float) -> float:
     den = _tr_power_term(lam_rho + eps_rho + mu, 2.0 * t)
     if num == 0.0 or den == 0.0:
         return 0.0
-    return num / den * (1.0 - (2 * k + 16) * _EPS) * scale
+    return pow2_restore(num / den * (1.0 - (2 * k + 16) * _EPS), e)
 
 
 def _one_sided_densities(A: np.ndarray, s: np.ndarray, e: float) -> list:
@@ -689,8 +688,7 @@ def minimax_certificate(coords: np.ndarray, p: float, s: np.ndarray,
     the best of the candidate dual matrices built from it (module
     docstring); ``rho`` is what ``minimax_lower`` was evaluated on.
     """
-    y = np.asarray(coords, dtype=np.complex128)
-    y = y / 2.0 ** math.frexp(float(np.max(np.abs(y))))[1]
+    y, _ = pow2_normalize(coords)
     if p < 2.0:
         k = y.shape[1]
         candidates = _two_sided_densities(y, np.eye(k) if r is None else r, p)

@@ -100,6 +100,54 @@ def lp_norm(a: np.ndarray, p: float) -> float:
     return top * float(np.sum((a / top) ** p)) ** (1.0 / p)
 
 
+#: largest binary exponent taken in one division; 2^±1000 and its
+#: reciprocal are normal floats, so each division is exact on normal entries
+_POW2_STEP = 1000
+
+
+def pow2_normalize(a):
+    """``(a / 2^e, e)`` with ``e`` the binary exponent of ``max |a|``.
+
+    The entries of the result have modulus below 1 with the largest at least
+    1/2.  Dividing by a power of two is exact, except for parts more than
+    2^1021 below the largest, which may round to subnormals.  Unlike
+    ``a / 2.0 ** e`` it works over the whole float64 range: ``2^e`` need not
+    be representable, subnormal entries are moved up without loss, and a
+    modulus that overflows although both parts are finite is handled.
+    Within ``|e| <= 1000`` it is that one division, bit for bit.  A zero
+    array gives ``e = 0``.
+    """
+    a = np.asarray(a, dtype=np.complex128)
+    e = 0
+    top = float(np.max(np.abs(a))) if a.size else 0.0
+    if math.isinf(top):  # finite parts whose modulus overflows
+        a, e = a / 4.0, 2
+        top = float(np.max(np.abs(a)))
+    if top == 0.0:
+        return a, e
+    shift = math.frexp(top)[1]
+    head = max(-_POW2_STEP, min(_POW2_STEP, shift))
+    a = a / 2.0 ** head  # also at head = 0, as the one division would be
+    if shift != head:
+        a = a / 2.0 ** (shift - head)
+    return a, e + shift
+
+
+def pow2_restore(value: float, e: int) -> float:
+    """``value * 2^e`` for a value computed from ``pow2_normalize`` output.
+
+    Raises ``InvalidInputError`` when the result is not a finite float64, so
+    a norm too large to represent never comes back as ``inf``.
+    """
+    try:
+        out = math.ldexp(value, e)
+    except OverflowError:
+        out = math.inf
+    if not math.isfinite(out):
+        raise InvalidInputError("the norm exceeds the float64 range")
+    return out
+
+
 def trace_pairing(a, c) -> complex:
     """Trace pairing tr(a c) for a (k x m) against c (m x k)."""
     a = as_matrix(a)

@@ -17,7 +17,29 @@ gauge problem at a dual matrix built from the solved witness.
 ``alpha_lower`` pairs the element against given dual witnesses whose own
 norm is certified at the conjugate exponent.  ``beta_certify`` treats the
 p-sum of the two norms (infimum over splittings ``y = y0 + y1``) and takes
-its lower bound by that pairing.
+its lower bound by that pairing: ``|<y, c>| / U(c)`` for a pool of dual
+candidates ``c``, where ``U(c)`` is the p'-sum of the certified upper bounds
+on the two dual norms of ``c``, each a descent.
+
+Pruning.  Each candidate also gets a floor ``L(c)``, the p'-sum of the
+minimax lower bounds of its two dual norms at the trivial witness (no
+descent).  Since ``L(c) <= true p'-sum <= U(c)``, the potential ``|<y, c>| /
+L(c)`` bounds the candidate's ratio from above.  The candidates are solved
+by decreasing potential, and a candidate whose potential is below the best
+ratio so far (less a relative ``1e-9`` for rounding) cannot win and is not
+solved.  The winner is then picked among the solved candidates in pool
+order, exactly as if all had been solved, so the lower bound, the dual
+witness and its bound are the same bits.  A floor that came out too high
+could only drop a candidate that would have won, giving a lower (still
+sound) bound; it can never make a bracket unsound.  Candidates with
+diagonal coordinates are always solved: their dual bounds take a closed
+form, cheaper than the floor.
+
+Scale.  The certificates divide the element by an exact power of two near
+its largest entry first (``schatten.pow2_normalize``) and scale back at the
+end, so entries anywhere in the float64 range work, subnormal ones
+included; a bound whose value exceeds that range raises
+``InvalidInputError`` instead of coming back as ``inf``.
 """
 
 from __future__ import annotations
@@ -32,7 +54,7 @@ import numpy as np
 from . import gaugeopt
 from .errors import InvalidInputError, NumericalDegeneracyError
 from .schatten import (DEFAULT_RANK_TOL, as_matrix, check_exponent, conjugate,
-                       lp_norm, psd_power)
+                       lp_norm, pow2_normalize, pow2_restore, psd_power)
 
 
 class Side(enum.Enum):
@@ -350,8 +372,10 @@ def alpha_upper(y: VecElem, p: float, side: Side = Side.ELL_ROW,
 
     if y.is_zero():
         return 0.0, _trivial_witness(y.k)
-    scale = float(np.max(np.abs(y.coords)))
-    ys = VecElem(y.coords / scale)
+    # y / max|y| in two exact-then-one-rounded steps, which cannot overflow
+    yn, e = pow2_normalize(y.coords)
+    scale = float(np.max(np.abs(yn)))
+    ys = VecElem(yn / scale)
 
     branch = "one_sided" if p >= 2.0 else "two_sided"
     if opts.force_branch is not None:
@@ -375,7 +399,7 @@ def alpha_upper(y: VecElem, p: float, side: Side = Side.ELL_ROW,
         val = evaluate_upper_at(ys, cand, p)
         if val < best_val:
             best_val, wit.s, wit.r = val, cand.s, cand.r
-    return best_val * scale, wit
+    return pow2_restore(best_val * scale, e), wit
 
 
 def certified_dual_upper(yp: VecElem, p_dual: float,
@@ -417,14 +441,22 @@ def _auto_dual_pool(y: VecElem, p: float,
                     upper_witness: FactorWitness | None) -> list:
     """Dual witness candidates in the ELL_ROW frame, for ``beta_certify``.
 
+    One frame serves both sides: ``beta_certify`` scores each candidate
+    against both dual norms, the R_COL one by transposing the candidate.
+    The pool of the transposed element, transposed back, would add nothing:
+    in exact arithmetic each of its candidates is one of these (the Schatten
+    pattern of ``y_n^T`` is the transpose of that of ``y_n``, the adjoint
+    pattern has the same entries, and the diagonal patterns are equal), and
+    re-solving the rounding-level copies only repeated descents.
+
     Every candidate is a unit direction, so the patterns are built from ``y``
     divided by a power of two (exactly) near its largest entry, and each
     power is taken of magnitudes scaled to at most 1: no norm below
     overflows or underflows, whatever the scale of ``y``.
     """
     pool: list[VecElem] = []
-    y = VecElem(y.coords / 2.0 ** math.frexp(float(np.max(np.abs(y.coords))))[1])
-    coords = y.coords
+    coords, _ = pow2_normalize(y.coords)
+    y = VecElem(coords)
 
     # coordinatewise Schatten-duality pattern: y_n = U S V^* -> V S^{p-1} U^*
     power = np.zeros_like(coords)
@@ -543,6 +575,36 @@ class BetaWitness:
     col_witness: FactorWitness | None
 
 
+#: relative slack on the pruning test of ``beta_certify``, above the rounding
+#: of a floor, a dual upper bound and their p'-sums
+_PRUNE_MARGIN = 1e-9
+
+
+def _dual_floor(cand: VecElem, p_dual: float) -> float:
+    """Certified lower bound on the ELL_ROW dual norm of a candidate, no descent.
+
+    The minimax dual of the candidate's own gauge at the trivial witness
+    (``gaugeopt.minimax_certificate`` with ``s = r = I``).
+    """
+    return gaugeopt.minimax_certificate(cand.coords, p_dual,
+                                        np.eye(cand.k, dtype=np.complex128))[0]
+
+
+def _pairing_potential(cand: VecElem, num: float, p_dual: float) -> float:
+    """Upper bound on the ratio ``num / den`` that ``beta_certify`` can get.
+
+    ``den`` is the p'-sum of the two certified dual upper bounds, which are
+    at least the two floors (``_dual_floor``).  Candidates with diagonal
+    coordinates have closed-form dual bounds and get ``inf``: they are
+    always solved, since a floor would cost more than the solve.
+    """
+    if gaugeopt._diagonal_coordinates(cand.coords):
+        return math.inf
+    floor = _p_sum(_dual_floor(cand, p_dual),
+                   _dual_floor(opposite_transform(cand), p_dual), p_dual)
+    return num / floor if floor > 0.0 else math.inf
+
+
 def _p_sum(a: float, b: float, p: float) -> float:
     if a == 0.0:
         return b
@@ -559,10 +621,13 @@ def beta_certify(y: VecElem, p: float,
     Upper bound: best feasible splitting found (trivial splits, the scalar
     line y0 = t y whose value follows from homogeneity, and the diagonal
     split).  Lower bound: pairing ratios with the p'-sum of the two dual norm
-    bounds in the denominator.
+    bounds in the denominator, over the pool of ``_auto_dual_pool``.
+    Candidates are solved by decreasing certified potential, and only while
+    the potential can still beat the best ratio (module docstring): a
+    skipped candidate's ratio is below the best, so the winner, picked in
+    pool order with a strict ``>``, is the one an unpruned pass would pick.
     Each distinct dual witness (by coordinate bytes, in the ELL_ROW frame) is
-    solved once per call, however often the pool and its transposes repeat
-    it; ``alpha_lower`` does the same for its pool.
+    solved once per call; ``alpha_lower`` does the same for its pool.
     """
     p = check_exponent(p)
     if y.is_zero():
@@ -598,32 +663,50 @@ def beta_certify(y: VecElem, p: float,
 
     upper, beta_wit = min(candidates, key=lambda c: c[0])
 
-    # dual route: split the pairing across the two sides and apply Hoelder
-    p_dual = conjugate(p)
-    pool = _auto_dual_pool(y, p, w_ell)
-    pool.extend(opposite_transform(c) for c in
-                _auto_dual_pool(opposite_transform(y), p, None))
-    dual_upper = _dual_upper_once(p_dual, opts)
-    lower = 0.0
-    dual_wit = None
-    dual_den = 0.0
-    for cand in pool:
-        if cand.coords.shape != y.coords.shape or cand.is_zero():
-            continue
-        num = abs(pairing(y, cand))
-        if num == 0.0:
-            continue
-        den_ell = dual_upper(cand)
-        den_col = dual_upper(opposite_transform(cand))
-        den = _p_sum(den_ell, den_col, p_dual)
-        if den <= 0.0 or not math.isfinite(den):
-            continue
-        val = num / den
-        if val > lower:
-            lower, dual_wit, dual_den = val, cand, den
+    lower, dual_wit, dual_den = _pairing_lower(y, p, w_ell, opts)
     return NormCertificate(upper=upper, lower=lower, factor_witness=beta_wit,
                            dual_witness=dual_wit, iterations=iters,
                            converged=conv, dual_norm_bound=dual_den)
+
+
+def _pairing_lower(y: VecElem, p: float, w_ell: FactorWitness,
+                   opts: CertifyOptions):
+    """The dual route of ``beta_certify``: split the pairing across the two
+    sides and apply Hoelder, over the pool of ``_auto_dual_pool``.
+
+    Returns ``(lower, dual_witness or None, dual_norm_bound)``.  Candidates
+    are solved by decreasing potential while one can still win (module
+    docstring), and the winner is picked in pool order.
+    """
+    p_dual = conjugate(p)
+    coords, e = pow2_normalize(y.coords)  # pair at unit scale: no under/overflow
+    y_unit = VecElem(coords)
+    scored = []
+    for cand in _auto_dual_pool(y, p, w_ell):
+        num = abs(pairing(y_unit, cand))
+        if num > 0.0:
+            scored.append((cand, num, _pairing_potential(cand, num, p_dual)))
+    dual_upper = _dual_upper_once(p_dual, opts)
+    solved = {}
+    best = 0.0
+    for idx in sorted(range(len(scored)), key=lambda i: -scored[i][2]):
+        cand, num, potential = scored[idx]
+        if potential < best * (1.0 - _PRUNE_MARGIN):
+            break
+        den = _p_sum(dual_upper(cand), dual_upper(opposite_transform(cand)), p_dual)
+        if den <= 0.0 or not math.isfinite(den):
+            continue
+        solved[idx] = (num / den, den)
+        best = max(best, num / den)
+    # the winner in pool order, as if every candidate had been solved
+    lower = 0.0
+    dual_wit = None
+    dual_den = 0.0
+    for idx in sorted(solved):
+        val, den = solved[idx]
+        if val > lower:
+            lower, dual_wit, dual_den = val, scored[idx][0], den
+    return pow2_restore(lower, e), dual_wit, dual_den
 
 
 def random_element(k: int, n: int, rng: np.random.Generator,

@@ -4,7 +4,10 @@ import mpmath
 import numpy as np
 import pytest
 
-from nclp import gaugeopt
+from nclp import gaugeopt, vecnorm
+from nclp.counterexample import witness_w
+from nclp.cpmaps import amplify_apply, build_counterexample_maps
+from nclp.errors import InvalidInputError
 from nclp.schatten import conjugate, schatten_norm
 from nclp.selfcheck import brute_force_upper
 from nclp.vecnorm import (CertifyOptions, DEFAULT_OPTS, FAST_OPTS, Side, VecElem,
@@ -265,6 +268,12 @@ class TestBetaCertify:
         assert cert1.upper <= cert0.upper + 1e-12
 
 
+def pow2_scaled(y, shift):
+    """``y * 2^shift`` with no overflow of ``2^shift`` itself."""
+    c = y.coords
+    return VecElem(np.ldexp(c.real, shift) + 1j * np.ldexp(c.imag, shift))
+
+
 #: every certificate of an element, by name
 CERTIFIERS = {
     "alpha_ell": lambda y, p, opts: alpha_certify(y, p, Side.ELL_ROW, opts),
@@ -297,6 +306,162 @@ class TestExtremeScales:
         y = random_element(3, 3, np.random.default_rng(4)).scaled(scale)
         cert = beta_certify(y, 3.0, DEFAULT_OPTS)
         assert 0.0 < cert.lower <= cert.upper < math.inf
+
+    @staticmethod
+    def _at_max(top):
+        """random_element(3, 3, rng(4)) rescaled so that max |y| = top."""
+        y = random_element(3, 3, np.random.default_rng(4))
+        return y.scaled(top / float(np.max(np.abs(y.coords))))
+
+    @pytest.mark.parametrize("p", [1.5, 3.0])
+    @pytest.mark.parametrize("top", [1e-310, 2.0 ** 1022])
+    def test_ends_of_the_range(self, p, top):
+        """Subnormal entries and a largest entry of 2^1022: the bracket is
+        that of the same stored element moved to unit scale by an exact
+        power of two, moved back."""
+        y = self._at_max(top)
+        shift = -math.frexp(top)[1]
+        ref_y = pow2_scaled(y, shift)  # exact, also for subnormal entries
+        assert np.array_equal(pow2_scaled(ref_y, -shift).coords, y.coords)
+        for name, certify in CERTIFIERS.items():
+            cert = certify(y, p, FAST_OPTS)
+            ref = certify(ref_y, p, FAST_OPTS)
+            assert math.isfinite(cert.upper) and math.isfinite(cert.lower), name
+            assert 0.0 < cert.lower <= cert.upper, name
+            assert cert.upper == pytest.approx(math.ldexp(ref.upper, -shift),
+                                               rel=1e-12), name
+            assert cert.lower == pytest.approx(math.ldexp(ref.lower, -shift),
+                                               rel=1e-12), name
+
+    @pytest.mark.parametrize("p", [1.5, 3.0])
+    def test_top_of_the_range(self, p):
+        """At max |y| = 2^1023 the norm may not be representable: a finite
+        sound bracket or InvalidInputError, never inf or OverflowError."""
+        y = self._at_max(2.0 ** 1023)
+        for name, certify in CERTIFIERS.items():
+            try:
+                cert = certify(y, p, FAST_OPTS)
+            except InvalidInputError:
+                continue
+            assert math.isfinite(cert.upper) and math.isfinite(cert.lower), name
+            assert 0.0 < cert.lower <= cert.upper, name
+
+    def test_largest_parts(self):
+        """Both parts near the float64 maximum: |y| itself overflows."""
+        y = VecElem(np.full((1, 1, 1), 1.5e308 + 1.5e308j))
+        with pytest.raises(InvalidInputError):
+            alpha_certify(y, 3.0, Side.ELL_ROW, FAST_OPTS)
+        small = y.scaled(2.0 ** -4)
+        cert = alpha_certify(small, 3.0, Side.ELL_ROW, FAST_OPTS)
+        assert 0.0 < cert.lower <= cert.upper < math.inf
+        assert cert.upper == pytest.approx(abs(small.coords[0, 0, 0]), rel=1e-12)
+
+
+def _pools(y, p):
+    """The dual pool of ``beta_certify`` and the transposed pool it dropped."""
+    _, w_ell = alpha_upper(y, p, Side.ELL_ROW, FAST_OPTS)
+    first = vecnorm._auto_dual_pool(y, p, w_ell)
+    dropped = [opposite_transform(c) for c in
+               vecnorm._auto_dual_pool(opposite_transform(y), p, None)]
+    return first, dropped
+
+
+PRUNE_PS = [1.3, 1.6, 2.0, 2.5, 3.0, 4.0]
+
+
+class TestBetaPruning:
+    """``beta_certify`` solves a dual candidate only while its certified
+    potential can still beat the best ratio; that changes no bit of its
+    dual route (``_pairing_lower``), compared here with an unpruned pass
+    (every floor 0, so every potential is infinite)."""
+
+    @staticmethod
+    def _assert_unpruned_bits(monkeypatch, y, p, opts):
+        _, w_ell = alpha_upper(y, p, Side.ELL_ROW, opts)
+        pruned = vecnorm._pairing_lower(y, p, w_ell, opts)
+        with monkeypatch.context() as m:
+            m.setattr(vecnorm, "_dual_floor", lambda cand, p_dual: 0.0)
+            full = vecnorm._pairing_lower(y, p, w_ell, opts)
+        (lower, wit, den), (lower_f, wit_f, den_f) = pruned, full
+        assert lower == lower_f and den == den_f
+        assert (wit is None) == (wit_f is None)
+        if wit is not None:
+            assert wit.coords.tobytes() == wit_f.coords.tobytes()
+
+    @pytest.mark.parametrize("k", [2, 3, 5])
+    @pytest.mark.parametrize("p", PRUNE_PS)
+    def test_bit_equal_to_unpruned_fast(self, monkeypatch, k, p):
+        rng = np.random.default_rng(100 * k + int(10 * p))
+        for degenerate in (False, True):
+            y = random_element(k, k, rng, degenerate=degenerate)
+            self._assert_unpruned_bits(monkeypatch, y, p, FAST_OPTS)
+
+    @pytest.mark.parametrize("k", [2, 3, 5])
+    @pytest.mark.parametrize("p", PRUNE_PS)
+    def test_bit_equal_to_unpruned_default(self, monkeypatch, k, p):
+        # one element per cell (long descents), rank-deficient at every
+        # other exponent
+        rng = np.random.default_rng(200 * k + int(10 * p))
+        y = random_element(k, k, rng, degenerate=PRUNE_PS.index(p) % 2 == 1)
+        self._assert_unpruned_bits(monkeypatch, y, p, DEFAULT_OPTS)
+
+    @pytest.mark.parametrize("p", [2.5, 3.0, 4.0])
+    def test_bit_equal_on_the_pipeline_image(self, monkeypatch, p):
+        k = 18
+        image = amplify_apply(build_counterexample_maps(k, p)[-1], witness_w(k))
+        self._assert_unpruned_bits(monkeypatch, image, p, DEFAULT_OPTS)
+
+    def test_beta_certify_takes_the_dual_route(self):
+        y = random_element(3, 3, np.random.default_rng(7))
+        cert = beta_certify(y, 1.3, FAST_OPTS)
+        _, w_ell = alpha_upper(y, 1.3, Side.ELL_ROW, FAST_OPTS)
+        lower, wit, den = vecnorm._pairing_lower(y, 1.3, w_ell, FAST_OPTS)
+        assert (cert.lower, cert.dual_norm_bound) == (lower, den)
+        assert cert.dual_witness.coords.tobytes() == wit.coords.tobytes()
+
+    @pytest.mark.parametrize("p", PRUNE_PS)
+    def test_floor_below_dual_upper(self, p):
+        p_dual = conjugate(p)
+        rng = np.random.default_rng(int(10 * p))
+        for k in (1, 2, 3):
+            for degenerate in (False, True):
+                y = random_element(k, k, rng, degenerate=degenerate)
+                for cand in _pools(y, p)[0]:
+                    for side in (cand, opposite_transform(cand)):
+                        floor = vecnorm._dual_floor(side, p_dual)
+                        upper = vecnorm.certified_dual_upper(side, p_dual, FAST_OPTS)
+                        assert 0.0 <= floor <= upper
+
+    def test_fewer_dual_descents(self, monkeypatch):
+        y = random_element(3, 3, np.random.default_rng(7))
+        calls = []
+        solve = vecnorm.certified_dual_upper
+
+        def counted(*args):
+            calls.append(args[0])
+            return solve(*args)
+
+        monkeypatch.setattr(vecnorm, "certified_dual_upper", counted)
+        _, w_ell = alpha_upper(y, 1.3, Side.ELL_ROW, FAST_OPTS)
+        vecnorm._pairing_lower(y, 1.3, w_ell, FAST_OPTS)
+        n_pruned, calls[:] = len(calls), []
+        monkeypatch.setattr(vecnorm, "_dual_floor", lambda cand, p_dual: 0.0)
+        vecnorm._pairing_lower(y, 1.3, w_ell, FAST_OPTS)
+        assert 0 < n_pruned < len(calls)
+
+    @pytest.mark.parametrize("p", PRUNE_PS)
+    def test_transposed_pool_was_redundant(self, p):
+        """Why the pool of the transposed element is not built: each of its
+        candidates, transposed back, is a candidate of the first pool."""
+        rng = np.random.default_rng(int(10 * p) + 1)
+        for k in (1, 2, 3):
+            for degenerate in (False, True):
+                first, dropped = _pools(random_element(k, k, rng,
+                                                       degenerate=degenerate), p)
+                for cand in dropped:
+                    dist = min(float(np.max(np.abs(cand.coords - c.coords)))
+                               for c in first)
+                    assert dist <= 1e-12
 
 
 def mp_minimax_value(coords, rho, p):

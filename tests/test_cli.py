@@ -176,6 +176,30 @@ class TestCounterexample:
         assert run_cli("counterexample", "--k", "50", "--p", "3") == 2
 
 
+class TestPipelineExponent:
+    """The pipeline needs p >= 2: below it the witness norm is not 1."""
+
+    @pytest.mark.parametrize("argv", [
+        ("counterexample", "--k", "2", "--p", "1.5"),
+        ("sweep", "--p", "1.5", "--kmin", "2", "--kmax", "3"),
+        ("sweep", "--p", "1.5", "--kmin", "40", "--kmax", "41"),
+    ])
+    def test_p_below_two_is_invalid_input(self, capsys, argv):
+        assert run_cli(*argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("invalid input: ")
+        assert "p >= 2" in captured.err
+        assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("p", ["2", "2.5"])
+    def test_p_from_two_runs(self, tmp_path, p):
+        assert run_cli("counterexample", "--k", "2", "--p", p,
+                       "--out", str(tmp_path / "r.json")) == 0
+        assert run_cli("sweep", "--p", p, "--kmin", "2", "--kmax", "3",
+                       "--out", str(tmp_path / "s.csv")) == 0
+
+
 class TestNorm:
     def test_writes_certificate(self, elem_file, tmp_path):
         out = tmp_path / "cert.json"

@@ -221,7 +221,7 @@ class TestContractionUpperBound:
 
 
 class TestContractionReport:
-    @pytest.mark.parametrize("p", [1.5, 2.5, 3.0, 4.0])
+    @pytest.mark.parametrize("p", [2.0, 2.5, 3.0, 4.0])
     def test_k1_passes_every_check(self, p):
         rep = verify_pipeline(1, p, FAST_OPTS)
         assert rep.all_checks_ok and not rep.diagnostics
@@ -242,10 +242,21 @@ class TestContractionReport:
 
     @pytest.mark.parametrize("k, p", sorted(RATIOS_WITH_TRIALS))
     def test_probes_give_the_sampled_maximum(self, k, p):
-        rep = verify_pipeline(k, p, FAST_OPTS, k_cap=k)
-        assert rep.contraction_ratio.hex() == self.RATIOS_WITH_TRIALS[(k, p)]
-        assert rep.contraction_ratio <= rep.contraction_upper
-        assert rep.contraction_ok
+        e11 = np.zeros((k, k), dtype=np.complex128)
+        e11[0, 0] = 1.0
+        u = build_counterexample_maps(k, p)[-1]
+        ratio = sampled_contraction_ratio(u, p, 0, probes=[e11, np.eye(k)])
+        assert ratio.hex() == self.RATIOS_WITH_TRIALS[(k, p)]
+        assert ratio <= contraction_upper_bound(k, p)
+        if p >= 2.0:  # the pipeline reports that ratio (it rejects p < 2)
+            rep = verify_pipeline(k, p, FAST_OPTS, k_cap=k)
+            assert rep.contraction_ratio == ratio
+            assert rep.contraction_ok
+
+    @pytest.mark.parametrize("k", [1, 2, 18])
+    def test_rejects_p_below_two(self, k):
+        with pytest.raises(InvalidInputError, match="p >= 2"):
+            verify_pipeline(k, 1.5, FAST_OPTS, k_cap=k)
 
     def test_bound_below_sample_fails(self, monkeypatch):
         monkeypatch.setattr(counterexample, "contraction_upper_bound",

@@ -5,8 +5,8 @@ import pytest
 
 from nclp.errors import FactorizationHypothesisError, InvalidInputError
 from nclp.schatten import (as_matrix, conjugate, dual_witness, factor_through,
-                           polar_decompose, schatten_norm, support_projection,
-                           trace_pairing)
+                           polar_decompose, pow2_normalize, pow2_restore,
+                           schatten_norm, support_projection, trace_pairing)
 
 from conftest import random_complex
 
@@ -201,3 +201,36 @@ class TestConjugate:
 def test_as_matrix_promotes_real():
     m = as_matrix(np.eye(2, dtype=float))
     assert m.dtype == np.complex128
+
+
+class TestPow2Normalize:
+    @pytest.mark.parametrize("top", [1e-320, 1e-310, 2.0 ** -1000, 0.75, 3.0,
+                                     1e300, 2.0 ** 1022, 2.0 ** 1023])
+    def test_exact_over_the_whole_range(self, rng, top):
+        a = random_complex(rng, 3, 3)
+        a = a / np.max(np.abs(a)) * top  # rounds at subnormal tops; that is the input
+        scaled, e = pow2_normalize(a)
+        assert 0.5 <= float(np.max(np.abs(scaled))) < 1.0
+        back = np.ldexp(scaled.real, e) + 1j * np.ldexp(scaled.imag, e)
+        assert np.array_equal(back, a)
+
+    def test_one_division_in_the_normal_range(self, rng):
+        a = random_complex(rng, 4, 4) * 1e5
+        e = math.frexp(float(np.max(np.abs(a))))[1]
+        scaled, shift = pow2_normalize(a)
+        assert shift == e
+        assert scaled.tobytes() == (a / 2.0 ** e).tobytes()
+
+    def test_modulus_overflow_and_zero(self):
+        a = np.array([1.5e308 + 1.5e308j, 0.0])
+        assert math.isinf(float(np.max(np.abs(a))))
+        scaled, e = pow2_normalize(a)
+        assert e == 1025 and np.all(np.isfinite(scaled))
+        zero, e0 = pow2_normalize(np.zeros(3))
+        assert e0 == 0 and not np.any(zero)
+
+    def test_restore(self):
+        assert pow2_restore(0.75, 3) == 6.0
+        assert pow2_restore(0.75, -1074) == 5e-324
+        with pytest.raises(InvalidInputError):
+            pow2_restore(1.5, 1024)
