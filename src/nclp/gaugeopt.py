@@ -40,9 +40,22 @@ restriction): M(s) is assembled as two GEMMs on a k-major copy of the
 coordinates made once per solve, O(N k r^2 + N k^2 r); the gradient Gram
 ``sum_n A_n^* v v^* A_n`` is one more pair of GEMMs of the same order.  Each
 iteration takes one ``eigh`` of M at the current point, whose M(s) is the one
-kept from the accepted line-search trial rather than rebuilt; each trial
-costs one ``eigh`` of the r x r trial ``s`` (its projection) and one
-eigenvalue-only ``eigvalsh`` of M.
+kept from the accepted line-search trial rather than rebuilt.  The line
+search (``_line_search``) tries the steps ``eta, eta/2, ..., eta/2^39`` in
+chunks of ``_TRIAL_CHUNK`` consecutive halvings: a chunk is one stacked call
+each of the symmetrization and ``eigh`` of the projection on the (B, r, r)
+trial points, the two M(s) GEMMs, and the eigenvalue-only ``eigvalsh`` of the
+(B, k, k) trial M's; its trials are then tested in halving order and the
+first that passes is taken.  Each matrix of a stack gets the float operations
+of a call on it alone (the trace powers are summed along the contiguous last
+axis and raised as Python floats), so the accepted point, and every
+certificate, is the one a search that tries one step at a time accepts.  On
+matrices of size 3 x 3 and below the cost is numpy's per-call overhead rather
+than arithmetic.  A search takes 3 to 4 trials on average and over 90 % of
+searches accept within the first chunk, so a search makes about one
+projection, one M(s) and one ``eigvalsh`` call instead of three or four of
+each; only the smoothed value is still evaluated trial by trial, up to the
+accepted one.
 
 Diagonal coordinates (the commutative case, which covers the amplified images
 that ``verify_pipeline`` certifies) have a closed-form optimum, and neither
@@ -161,21 +174,29 @@ class GaugeResult:
     r: np.ndarray | None = None  # the left factor, two-sided gauge only
 
 
+def _herm(x: np.ndarray) -> np.ndarray:
+    """The Hermitian part of a matrix or of each matrix of a stack."""
+    return 0.5 * (x + x.conj().swapaxes(-1, -2))
+
+
 def _spectral(s: np.ndarray):
-    vals, vecs = np.linalg.eigh(0.5 * (s + s.conj().T))
-    return np.clip(vals, 0.0, None), vecs
+    vals, vecs = np.linalg.eigh(_herm(s))
+    return np.maximum(vals, 0.0), vecs
 
 
 def _project(s: np.ndarray, e: float):
-    """Clip to the PD cone (relative floor) and normalize tr(s^{e/2}) = 1."""
+    """Clip to the PD cone (relative floor) and normalize tr(s^{e/2}) = 1.
+
+    ``s`` is one r x r matrix or a (B, r, r) stack, projected matrix by
+    matrix with the same float operations either way: each trace power is a
+    sum along the contiguous last axis, raised as a Python float.
+    """
     vals, vecs = _spectral(s)
-    vmax = float(vals[-1])
-    if vmax <= 0.0:
-        vals = np.ones_like(vals)
-    else:
-        vals = np.clip(vals, _EIG_FLOOR * vmax, None)
-    vals = vals / float(np.sum(vals ** (e / 2.0))) ** (2.0 / e)
-    return vals, vecs
+    vmax = vals[..., -1:]
+    vals = np.where(vmax <= 0.0, 1.0, np.maximum(vals, _EIG_FLOOR * vmax))
+    sums = (vals ** (e / 2.0)).sum(axis=-1, keepdims=True)
+    norms = np.array([float(t) ** (2.0 / e) for t in sums.flat]).reshape(sums.shape)
+    return vals / norms, vecs
 
 
 def _k_major(A: np.ndarray) -> np.ndarray:
@@ -194,8 +215,7 @@ def _restrict(A: np.ndarray):
     """
     r = A.shape[2]
     a2 = A.reshape(-1, r)
-    gram = a2.conj().T @ a2
-    gram = 0.5 * (gram + gram.conj().T)
+    gram = _herm(a2.conj().T @ a2)
     gvals, gvecs = _spectral(gram)
     gmax = float(gvals[-1])
     keep = gvals >= DEFAULT_RANK_TOL * gmax
@@ -211,12 +231,13 @@ def _m_matrix(ak: np.ndarray, svals: np.ndarray, svecs: np.ndarray) -> np.ndarra
 
     ``ak`` is the k-major copy of the coordinates (see ``_k_major``): the rows
     of ``ak @ s^{-1/2}`` regroup into ``B = [A_1 s^{-1/2}, ..., A_N s^{-1/2}]``
-    and ``M = B B^*``.
+    and ``M = B B^*``.  ``s`` is given by its spectrum, one or a (B, r) stack
+    with its (B, r, r) eigenvectors; a stack gives one M per ``s``.
     """
     k, _, r = ak.shape
-    b = (ak.reshape(-1, r) @ (svecs * svals ** -0.5)).reshape(k, -1)
-    m = b @ b.conj().T
-    return 0.5 * (m + m.conj().T)
+    b = ak.reshape(-1, r) @ (svecs * (svals ** -0.5)[..., None, :])
+    b = b.reshape(b.shape[:-2] + (k, -1))
+    return _herm(b @ b.conj().swapaxes(-1, -2))
 
 
 def _grad_gram(ak: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -227,12 +248,12 @@ def _grad_gram(ak: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def _eigvals(m: np.ndarray) -> np.ndarray:
-    return np.clip(np.linalg.eigvalsh(m), 0.0, None)
+    return np.maximum(np.linalg.eigvalsh(m), 0.0)
 
 
 def _eigh(m: np.ndarray):
     lam, u = np.linalg.eigh(m)
-    return np.clip(lam, 0.0, None), u
+    return np.maximum(lam, 0.0), u
 
 
 def _diagonal_coordinates(A: np.ndarray) -> bool:
@@ -249,7 +270,7 @@ def q_from_p(p: float) -> float:
 
 def _tr_power_term(vals: np.ndarray, e: float) -> float:
     """tr(s^{e/2})^{1/e} from the spectrum, scaled for large exponents."""
-    vals = np.clip(vals, 0.0, None)
+    vals = np.maximum(vals, 0.0)
     if vals.size == 0:
         return 0.0
     top = float(vals.max())
@@ -257,12 +278,12 @@ def _tr_power_term(vals: np.ndarray, e: float) -> float:
         return 0.0
     if math.isinf(e):
         return math.sqrt(top)
-    return math.sqrt(top) * float(np.sum((vals / top) ** (e / 2.0))) ** (1.0 / e)
+    return math.sqrt(top) * float(((vals / top) ** (e / 2.0)).sum()) ** (1.0 / e)
 
 
 def _lse(lam: np.ndarray, tau: float) -> float:
     top = float(lam[-1])
-    return top + tau * math.log(float(np.sum(np.exp((lam - top) / tau))))
+    return top + tau * math.log(float(np.exp((lam - top) / tau).sum()))
 
 
 class _OneSided:
@@ -281,9 +302,11 @@ class _OneSided:
         return math.sqrt(float(lam[-1]))  # trace term is 1 on the manifold
 
     def model(self, lam, tau_rel):
-        tau = tau_rel * max(float(lam[-1]), 1e-300)
-        w = np.exp((lam - float(lam[-1])) / tau)
-        return _lse(lam, tau), w / float(np.sum(w)), lambda lam_t: _lse(lam_t, tau)
+        top = float(lam[-1])
+        tau = tau_rel * max(top, 1e-300)
+        w = np.exp((lam - top) / tau)
+        total = float(w.sum())  # the sum that _lse(lam, tau) takes the log of
+        return top + tau * math.log(total), w / total, lambda lam_t: _lse(lam_t, tau)
 
     def tangent(self, grad, svals, svecs):
         normal = (svecs * (0.5 * self.e * svals ** (0.5 * self.e - 1.0))) @ svecs.conj().T
@@ -326,6 +349,38 @@ class _TwoSided:
 
     def accept(self, f_t, f_cur, eta, gnorm):
         return f_t < f_cur * (1.0 - 1e-14) or f_t <= f_cur - 1e-12
+
+
+_TRIALS = 40  # step halvings before a line search fails
+_TRIAL_CHUNK = 4  # consecutive halvings evaluated as one stacked trial
+
+
+def _line_search(ak, obj, smoothed, f_cur, s_mat, grad, gnorm, eta):
+    """Backtracking along ``-grad`` from ``s_mat``: steps eta, eta/2, ...
+
+    Returns ``(eta, trial)`` for the first of ``_TRIALS`` halvings whose
+    projected point passes ``obj.accept`` on its ``smoothed`` value (against
+    ``f_cur`` at the gradient norm ``gnorm``), with ``trial =
+    (svals, svecs, M, spectrum of M, smoothed value)``, or ``(eta / 2^40,
+    None)`` when none does.  The halvings are evaluated ``_TRIAL_CHUNK`` at a
+    time: one stacked projection, M(s) and ``eigvalsh``, each matrix getting
+    the float operations of a trial evaluated alone, and the first passing
+    one (in halving order) is taken, so the result is that of trying them
+    one by one.
+    """
+    for start in range(0, _TRIALS, _TRIAL_CHUNK):
+        etas = [eta]
+        for _ in range(1, min(_TRIAL_CHUNK, _TRIALS - start)):
+            etas.append(etas[-1] * 0.5)
+        tv, tq = _project(s_mat - np.array(etas)[:, None, None] * grad, obj.e)
+        m_t = _m_matrix(ak, tv, tq)
+        lam_t = _eigvals(m_t)
+        for j, eta in enumerate(etas):
+            f_t = smoothed(lam_t[j])
+            if obj.accept(f_t, f_cur, eta, gnorm):
+                return eta, (tv[j], tq[j], m_t[j], lam_t[j], f_t)
+        eta *= 0.5
+    return eta, None
 
 
 def _descend(A: np.ndarray, obj, inits, max_iters: int, decrease_tol: float,
@@ -379,24 +434,18 @@ def _descend(A: np.ndarray, obj, inits, max_iters: int, decrease_tol: float,
                 # gradient of the smoothed value wrt s, projected onto the tangent
                 c = _grad_gram(ak, u * np.sqrt(weights))
                 sinv = (svecs / svals) @ svecs.conj().T
-                grad = -(sinv @ c @ sinv)
-                grad = obj.tangent(0.5 * (grad + grad.conj().T), svals, svecs)
+                grad = obj.tangent(_herm(-(sinv @ c @ sinv)), svals, svecs)
                 s_mat = (svecs * svals) @ svecs.conj().T
                 gnorm = float(np.linalg.norm(grad))
-                if gnorm <= 1e-15 * max(1.0, float(np.linalg.norm(s_mat))):
+                snorm = float(np.linalg.norm(s_mat))
+                if gnorm <= 1e-15 * max(1.0, snorm):
                     break
-                eta = min(eta * 4.0, 1e3 * float(np.linalg.norm(s_mat)) / gnorm)
-                for _ in range(40):
-                    tv, tq = _project(s_mat - eta * grad, obj.e)
-                    m_t = _m_matrix(ak, tv, tq)
-                    lam_t = _eigvals(m_t)
-                    f_t = smoothed(lam_t)
-                    if obj.accept(f_t, f_cur, eta, gnorm):
-                        svals, svecs, m_cur = tv, tq, m_t
-                        break
-                    eta *= 0.5
-                else:
+                eta = min(eta * 4.0, 1e3 * snorm / gnorm)
+                eta, trial = _line_search(ak, obj, smoothed, f_cur, s_mat, grad,
+                                          gnorm, eta)
+                if trial is None:
                     break  # the line search failed: end the stage
+                svals, svecs, m_cur, lam_t, f_t = trial
                 val = f_t if obj.smoothed_is_value else obj.value(lam_t)
                 if val < best_val:
                     best_val = val
@@ -452,6 +501,29 @@ def _residual_correction(resid_coords: np.ndarray, p: float) -> float:
     return total
 
 
+def _witness_terms(y: np.ndarray, s_full: np.ndarray, p: float, rank_tol: float,
+                   r_full: np.ndarray | None = None):
+    """What both certified evaluations share, at the witness ``s`` (and ``r``).
+
+    Reconstructs ``z_n = r^{-1/2} y_n s^{-1/2}`` (no left factor when ``r``
+    is None) and returns ``(lmax(sum z_n z_n^*)^{1/2}, spectrum of s,
+    residual charge)``, the charge being the coordinate-wise p-norms of
+    ``r^{1/2} z_n s^{1/2} - y_n``, the part the witness does not reproduce.
+    """
+    s_ih = psd_power(s_full, -0.5, rank_tol)
+    s_h = psd_power(s_full, 0.5, rank_tol)
+    if r_full is None:
+        z = y @ s_ih
+        rebuilt = z @ s_h
+    else:
+        z = psd_power(r_full, -0.5, rank_tol) @ y @ s_ih
+        rebuilt = psd_power(r_full, 0.5, rank_tol) @ z @ s_h
+    m = np.einsum("nij,nkj->ik", z, z.conj())
+    top = math.sqrt(max(float(np.linalg.eigvalsh(_herm(m))[-1]), 0.0))
+    return (top, np.linalg.eigvalsh(_herm(s_full)),
+            _residual_correction(rebuilt - y, p))
+
+
 def evaluate_one_sided(coords: np.ndarray, s_full: np.ndarray, p: float,
                        rank_tol: float = DEFAULT_RANK_TOL) -> float:
     """Certified value of the one-sided gauge at a given witness ``s``.
@@ -462,15 +534,8 @@ def evaluate_one_sided(coords: np.ndarray, s_full: np.ndarray, p: float,
     y = np.asarray(coords, dtype=np.complex128)
     if not np.any(y):
         return 0.0
-    inv_half = psd_power(s_full, -0.5, rank_tol)
-    half = psd_power(s_full, 0.5, rank_tol)
-    z = y @ inv_half
-    resid = z @ half - y
-    m = np.einsum("nij,nkj->ik", z, z.conj())
-    lam = np.linalg.eigvalsh(0.5 * (m + m.conj().T))
-    svals = np.clip(np.linalg.eigvalsh(0.5 * (s_full + s_full.conj().T)), 0.0, None)
-    base = math.sqrt(max(float(lam[-1]), 0.0)) * _tr_power_term(svals, p)
-    return base + _residual_correction(resid, p)
+    top, svals, charge = _witness_terms(y, s_full, p, rank_tol)
+    return top * _tr_power_term(svals, p) + charge
 
 
 def evaluate_two_sided(coords: np.ndarray, r_full: np.ndarray,
@@ -480,20 +545,10 @@ def evaluate_two_sided(coords: np.ndarray, r_full: np.ndarray,
     y = np.asarray(coords, dtype=np.complex128)
     if not np.any(y):
         return 0.0
-    q = q_from_p(p)
-    r_ih = psd_power(r_full, -0.5, rank_tol)
-    r_h = psd_power(r_full, 0.5, rank_tol)
-    s_ih = psd_power(s_full, -0.5, rank_tol)
-    s_h = psd_power(s_full, 0.5, rank_tol)
-    z = r_ih @ y @ s_ih
-    resid = r_h @ z @ s_h - y
-    m = np.einsum("nij,nkj->ik", z, z.conj())
-    lam = np.linalg.eigvalsh(0.5 * (m + m.conj().T))
-    rvals = np.clip(np.linalg.eigvalsh(0.5 * (r_full + r_full.conj().T)), 0.0, None)
-    svals = np.clip(np.linalg.eigvalsh(0.5 * (s_full + s_full.conj().T)), 0.0, None)
-    base = (_tr_power_term(rvals, q) * math.sqrt(max(float(lam[-1]), 0.0))
-            * _tr_power_term(svals, 2.0))
-    return base + _residual_correction(resid, p)
+    top, svals, charge = _witness_terms(y, s_full, p, rank_tol, r_full)
+    rvals = np.linalg.eigvalsh(_herm(r_full))
+    return (_tr_power_term(rvals, q_from_p(p)) * top * _tr_power_term(svals, 2.0)
+            + charge)
 
 
 def minimize_two_sided(coords: np.ndarray, p: float, max_iters: int = 5000,
@@ -537,8 +592,7 @@ def minimize_two_sided(coords: np.ndarray, p: float, max_iters: int = 5000,
     s_full = scale * (ur @ ((sq * sv) @ sq.conj().T) @ ur.conj().T)
     yk = _k_major(y)
     b = (yk.reshape(-1, kr) @ psd_power(s_full, -1.0)).reshape(k, -1)
-    g_full = b @ yk.reshape(k, -1).conj().T
-    r_full = 0.5 * (g_full + g_full.conj().T)
+    r_full = _herm(b @ yk.reshape(k, -1).conj().T)
     return GaugeResult(value=evaluate_two_sided(y, r_full, s_full, p), s=s_full,
                        iterations=iters, converged=converged, r=r_full)
 
@@ -583,8 +637,7 @@ def minimax_lower(coords: np.ndarray, rho: np.ndarray, p: float) -> float:
     n_coords, k, r = y.shape
     if not np.any(y):
         return 0.0
-    rho = np.asarray(rho, dtype=np.complex128)
-    rho = 0.5 * (rho + rho.conj().T)
+    rho = _herm(np.asarray(rho, dtype=np.complex128))
     beta, t = _dual_exponents(p)
 
     lam_rho = np.linalg.eigvalsh(rho)
@@ -592,8 +645,7 @@ def minimax_lower(coords: np.ndarray, rho: np.ndarray, p: float) -> float:
     mu = max(0.0, eps_rho - float(lam_rho[0]))  # rho + mu I is PSD
 
     rows = y.reshape(-1, r)
-    c = rows.conj().T @ (rho @ y).reshape(-1, r)
-    c = 0.5 * (c + c.conj().T)
+    c = _herm(rows.conj().T @ (rho @ y).reshape(-1, r))
     envelope = np.abs(rows).T @ (np.abs(rho) @ np.abs(y)).reshape(-1, r)
     m = (n_coords + 1) * k + 4
     delta = (m * _EPS / (1.0 - m * _EPS) * float(np.linalg.norm(envelope))
@@ -637,7 +689,7 @@ def _one_sided_densities(A: np.ndarray, s: np.ndarray, e: float) -> list:
         v = top @ xq
         rho = (v * xv) @ v.conj().T
         rho = rho / float(np.trace(rho).real)
-        densities.append(0.5 * (rho + rho.conj().T))
+        densities.append(_herm(rho))
     return densities or [np.eye(k, dtype=np.complex128) / k]
 
 
@@ -675,8 +727,7 @@ def _two_sided_density(r: np.ndarray, p: float) -> np.ndarray:
     w = (vals / top) ** (0.5 * q_from_p(p) - 1.0)
     _, t = _dual_exponents(p)
     w = w / float(np.sum(w ** t)) ** (1.0 / t)
-    rho = (vecs * w) @ vecs.conj().T
-    return 0.5 * (rho + rho.conj().T)
+    return _herm((vecs * w) @ vecs.conj().T)
 
 
 def minimax_certificate(coords: np.ndarray, p: float, s: np.ndarray,

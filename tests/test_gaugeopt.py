@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -264,3 +266,180 @@ class TestConvergedFlag:
         short = solve(y, free.iterations - 1)
         assert not short.converged
         assert short.iterations == free.iterations - 1
+
+
+def stacked_inputs(rng, r):
+    """(5, r, r) Hermitian stack covering every branch of ``_project``."""
+    g = random_complex(rng, r, r)
+    h = random_complex(rng, r, r)
+    v = random_complex(rng, r, 1)
+    return np.stack([
+        g @ g.conj().T + 0.1 * np.eye(r),    # positive definite
+        h + h.conj().T,                      # indefinite: floor-clipped
+        v @ v.conj().T,                      # rank one: floor-clipped
+        np.zeros((r, r), dtype=complex),     # zero spectrum
+        -(g @ g.conj().T) - np.eye(r),       # negative: zero spectrum after clipping
+    ])
+
+
+class TestStackedKernels:
+    """A (B, r, r) stack gives, matrix by matrix, the bits of single calls.
+
+    At r >= 8 numpy's sums switch to pairwise summation, which the stacked
+    trace powers match only because they reduce along the contiguous last
+    axis.
+    """
+
+    @pytest.mark.parametrize("r", [1, 2, 3, 5, 8, 9])
+    @pytest.mark.parametrize("e", [1.5, 2.0, 3.0, 4.0])
+    def test_project_and_m_matrix(self, rng, r, e):
+        stack = stacked_inputs(rng, r)
+        ak = gaugeopt._k_major(random_complex(rng, 3, 4, r))
+        vals, vecs = gaugeopt._project(stack, e)
+        m = gaugeopt._m_matrix(ak, vals, vecs)
+        lam = gaugeopt._eigvals(m)
+        for j, s in enumerate(stack):
+            v1, q1 = gaugeopt._project(s, e)
+            m1 = gaugeopt._m_matrix(ak, v1, q1)
+            assert np.array_equal(vals[j], v1) and np.array_equal(vecs[j], q1)
+            assert np.array_equal(m[j], m1)
+            assert np.array_equal(lam[j], gaugeopt._eigvals(m1))
+        # the zero-spectrum branch takes the identity, normalized
+        assert np.all(vals[3] == vals[3][0]) and np.all(vals[4] == vals[4][0])
+        if r > 1:
+            # the indefinite and rank-one spectra sit on the relative floor
+            for j in (1, 2):
+                assert vals[j][0] == pytest.approx(gaugeopt._EIG_FLOOR * vals[j][-1],
+                                                   rel=1e-12)
+
+
+#: minimize_gauge ("gauge", exponent e) and minimize_two_sided ("two",
+#: exponent p) on random_element(k, k, default_rng(seed), degenerate) at the
+#: budget (max_iters, stall_window), as computed by the one-trial-at-a-time
+#: line search: (value, iterations, converged, SHA-256 of s, of r).  Recorded
+#: with numpy 2.4.6 and its bundled OpenBLAS (x86-64, AVX-512), with one and
+#: with two BLAS threads alike.
+DESCENT_PINS = {
+    ("gauge", 1, 0, False, 3.0, (240, 8)): (
+        0.1289569373888181, 0, True,
+        "c8db0ed7d3a4479694d1b8b750622cfb910763aee594a9e9fce2513dfb358e89",
+        None),
+    ("two", 1, 0, False, 1.5, (240, 8)): (
+        0.12895693738881814, 0, True,
+        "d3afcb2d6e97bf4727f55801b6acc10d1f088d3a505d3c3da04a3eddf1186376",
+        "23b484c6b69371c7ff82b214ed4ea2b8c08f218f9b2670629ff6e9354393c91d"),
+    ("gauge", 2, 0, False, 3.0, (240, 8)): (
+        2.7225689575184653, 38, True,
+        "52ea5b6d72746c6e77d263b0e8b41c445c32c9fd6145435d1cc7cfb5f2999371",
+        None),
+    ("gauge", 2, 0, True, 4.0, (5000, 20)): (
+        2.2824030535443076, 236, True,
+        "41e3987ab01c18f7253b9c5c9e4e734176ffa87bcdc02052446700ac5be8a34a",
+        None),
+    ("two", 2, 0, False, 1.5, (5000, 20)): (
+        2.96633212506076, 14, True,
+        "efa6602ac5e2c8a04e8634ff9034cea91dbb9e3508dc983b89ce0648e1ed30a8",
+        "e71096d464da3e495e05d76222c560ae4e078a599ced2c5b0a0b6ef9e15481fc"),
+    ("gauge", 3, 2, True, 4.0, (240, 8)): (
+        3.6398788896088403, 240, False,
+        "9cd08a4e5979858b3ba0dcd8f235b506605cad69e375e65d6127bcfe86eea810",
+        None),
+    ("gauge", 3, 3, False, 3.0, (5000, 20)): (
+        6.062536629769899, 134, True,
+        "3f6e7e1a9e6840b31aefbbc991ffe9c00a4497f85b41c51770c263ff61768191",
+        None),
+    ("gauge", 3, 0, False, 1.5, (5000, 20)): (
+        6.388162731970237, 100, True,
+        "6199f897f1c601f931d614b30d95959a8e41a0f9c2ab141d4604f3226b10cf41",
+        None),
+    ("two", 3, 1, True, 1.5, (5000, 20)): (
+        4.420039602190592, 42, True,
+        "6f73da46c4b135d42fcc16b31e6a5b9e8fb8e413039bc7b387ef99b008a6874f",
+        "171ca064fb4f74ed39ec918fc956e7b77522cd5864e6cc256de7f6f0a3371fc4"),
+    ("two", 3, 0, False, 1.2, (240, 8)): (
+        6.612066771063966, 16, True,
+        "a2bcf54d23d41507a26934981f480b74b5abb3efa1ce7286d88de2579ed5334b",
+        "b191b581b537e4ee2ff638a856922923495a4d4ebdf96fb3687b5184a5db336a"),
+    ("gauge", 5, 2, True, 4.0, (5000, 20)): (
+        8.526552093870889, 503, True,
+        "43b091b5e1e59b07bd057acdf032cfbda299db5f164c8457a2f7c3971974d3a0",
+        None),
+    ("gauge", 5, 0, False, 3.0, (240, 8)): (
+        10.335389102758453, 240, False,
+        "8dcbd0e89acd5bb9030c18f9f443e5a75dea3acbdcff694457ba8a1d561342b3",
+        None),
+    ("gauge", 5, 1, False, 2.5, (5000, 20)): (
+        9.796326943513241, 699, True,
+        "d6fec28442724c1d01932e9418928766292a6877d407f9b968b65626bee0f389",
+        None),
+    ("two", 5, 1, False, 1.5, (5000, 20)): (
+        13.56169847569391, 35, True,
+        "141e2b3ef3ff67b71e3db7f3ad69c2434d0e7ccb1e9f4a401dba4b8bfef5b6a9",
+        "7258ef6a1bb93b347ff79fc265c31b4db74052457341e0fae2d4f75435095653"),
+    ("gauge", 8, 2, False, 4.0, (5000, 20)): (
+        16.004956530365803, 1580, True,
+        "9d596458b258f0c0845e917bdb3d2bf6ddaa6d12c8bf418aaa6c63ec7af7e058",
+        None),
+    ("gauge", 8, 1, True, 3.0, (240, 8)): (
+        18.070048137099473, 240, False,
+        "eae6f2f83fa0e40d8ee9c80f4c06e8c8e95e2c8354c2b0199dd3de129dc19861",
+        None),
+    ("two", 8, 1, True, 1.5, (5000, 20)): (
+        29.419359853053844, 15, True,
+        "fc06195c65c2258d3b3abd429e197fbce2f80c259e26afb92cbb517b72e84ecd",
+        "25c5ec1a3fd50bea4cc59cd415c6d41faf95601a4c25db30556f478daedd6f09"),
+    ("two", 8, 0, False, 1.8, (240, 8)): (
+        26.67724981171704, 88, True,
+        "39868c82eebdb4b5897d66e018c52b3cb2263bfb56f3871ff9b8d3120367d11d",
+        "2d8b052ba04a13fab0c58abc3659d8d177fe729e157c0ea86e76a50718c10ba7"),
+}
+PINNED_NUMPY = "2.4.6"
+
+
+def pinned_descent(case):
+    solver, k, seed, degenerate, x, (max_iters, stall_window) = case
+    y = random_element(k, k, np.random.default_rng(seed), degenerate=degenerate).coords
+    solve = gaugeopt.minimize_gauge if solver == "gauge" else gaugeopt.minimize_two_sided
+    return solve(y, x, max_iters=max_iters, stall_window=stall_window)
+
+
+def pin_id(case):
+    solver, k, seed, degenerate, x, (max_iters, _) = case
+    return f"{solver}-k{k}-seed{seed}{'-deg' if degenerate else ''}-{x}-{max_iters}"
+
+
+def sha256(a):
+    return None if a is None else hashlib.sha256(a.tobytes()).hexdigest()
+
+
+@pytest.mark.skipif(np.__version__ != PINNED_NUMPY,
+                    reason="the pins are bits of one numpy/BLAS build")
+class TestDescentPins:
+    """The stacked line search takes the points of trying each halving alone."""
+
+    @pytest.mark.parametrize("case", list(DESCENT_PINS), ids=pin_id)
+    def test_bit_identical(self, case):
+        res = pinned_descent(case)
+        assert (res.value, res.iterations, res.converged, sha256(res.s),
+                sha256(res.r)) == DESCENT_PINS[case]
+
+    def test_cases_cover_failed_searches_and_budgets(self, monkeypatch):
+        failed = []
+        search = gaugeopt._line_search
+
+        def recording(*args):
+            eta, trial = search(*args)
+            failed.append(trial is None)
+            return eta, trial
+
+        monkeypatch.setattr(gaugeopt, "_line_search", recording)
+        # a failed search ends a stage early at iteration 27 of 503, so every
+        # later stage starts from a step 2^-40 times smaller
+        res = pinned_descent(("gauge", 5, 2, True, 4.0, (5000, 20)))
+        assert res.iterations == 503 and failed.index(True) == 26
+        # the last search of the two-sided descent (one stage) fails
+        failed.clear()
+        res = pinned_descent(("two", 8, 1, True, 1.5, (5000, 20)))
+        assert failed[-1] and res.iterations == len(failed) == 15
+        budget_ended = [c for c, pin in DESCENT_PINS.items() if not pin[2]]
+        assert len(budget_ended) >= 3
