@@ -1,16 +1,13 @@
 """Certified factorization norms, completely positive maps, and the
 dilation counterexample pipeline on finite-dimensional Schatten classes."""
 
-from .errors import (FactorizationHypothesisError, InvalidInputError,
-                     InvalidSpecError, NumericalDegeneracyError)
-from .schatten import (conjugate, factor_through, polar_decompose,
-                       schatten_norm, support_projection, trace_pairing)
+from .errors import InvalidInputError, InvalidSpecError
+from .schatten import conjugate, schatten_norm, trace_pairing
 from .vecnorm import (CertifyOptions, NormCertificate, Side, VecElem,
-                      alpha_certify, alpha_lower, alpha_upper, beta_certify,
+                      alpha_certify, alpha_upper, beta_certify,
                       diagonal_closed_form, min_tensor_row_norm,
-                      opposite_transform, pairing, project_diagonal,
-                      row_stack_factorize)
-from .cpmaps import (KrausMap, adjoint_map, amplify_apply, apply,
+                      opposite_transform, pairing, project_diagonal)
+from .cpmaps import (KrausMap, amplify_apply, apply,
                      build_counterexample_maps, choi, is_completely_positive,
                      sampled_contraction_ratio)
 from .yeadon import (YeadonSpec, build_isometry, jordan_split,

@@ -137,25 +137,6 @@ def choi_min_eigenvalue(m: KrausMap) -> float:
     return float(np.linalg.eigvalsh(0.5 * (c + c.conj().T))[0])
 
 
-def adjoint_map(m: KrausMap) -> KrausMap:
-    """Adjoint under the trace pairing: tr(m(x) y) = tr(x m'(y)).
-
-    Per term, x -> a^* x b pairs to y -> b y a^*, i.e. the term (a, b) maps
-    to (b^*, a^*).
-    """
-    return KrausMap(k=m.k, a=np.transpose(m.b, (0, 2, 1)).conj(),
-                    b=np.transpose(m.a, (0, 2, 1)).conj())
-
-
-def compose(outer: KrausMap, inner: KrausMap) -> KrausMap:
-    """(outer . inner)(x) with the term products expanded."""
-    if outer.k != inner.k:
-        raise InvalidInputError("composition needs equal sizes")
-    a = np.einsum("sij,tjk->stik", inner.a, outer.a).reshape(-1, outer.k, outer.k)
-    b = np.einsum("sij,tjk->stik", inner.b, outer.b).reshape(-1, outer.k, outer.k)
-    return KrausMap(k=outer.k, a=a, b=b)
-
-
 def build_counterexample_maps(k: int, p: float):
     """The four corner maps and their completely positive average.
 

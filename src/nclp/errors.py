@@ -8,14 +8,3 @@ class InvalidInputError(ValueError):
 class InvalidSpecError(InvalidInputError):
     """Raised when an isometry block specification fails validation."""
 
-
-class FactorizationHypothesisError(ArithmeticError):
-    """Raised when a factorization that should exist cannot be reconstructed.
-
-    Signals that the sesquilinear bound assumed by the caller fails for the
-    given triple, i.e. the input was outside the guaranteed regime.
-    """
-
-
-class NumericalDegeneracyError(ArithmeticError):
-    """Raised when a constructive decomposition fails its residual checks."""

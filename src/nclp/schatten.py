@@ -8,11 +8,10 @@ matrix trace, so ``schatten_norm(I_k, p) == k**(1/p)``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FactorizationHypothesisError, InvalidInputError
+from .errors import InvalidInputError
 
 #: Relative eigenvalue threshold below which directions count as kernel.
 DEFAULT_RANK_TOL = 1e-10
@@ -157,52 +156,6 @@ def trace_pairing(a, c) -> complex:
     return complex(np.einsum("ij,ji->", a, c))
 
 
-@dataclass
-class PolarParts:
-    """Polar factors ``a = W |a|`` with W a partial isometry, |a| PSD."""
-
-    partial_isometry: np.ndarray
-    modulus: np.ndarray
-
-
-def polar_decompose(a, rank_tol: float = DEFAULT_RANK_TOL) -> PolarParts:
-    """Polar decomposition via SVD.
-
-    ``W`` is supported exactly on the range of ``|a| = (a^* a)^{1/2}``:
-    singular directions below ``rank_tol`` times the largest singular value
-    are dropped from the isometric factor, so ``W^* W`` equals the support
-    projection of the modulus.
-    """
-    m = as_matrix(a)
-    u, sv, vh = np.linalg.svd(m)
-    modulus = (vh.conj().T * sv) @ vh
-    top = sv[0] if sv.size else 0.0
-    r = int(np.sum(sv >= rank_tol * top)) if top > 0 else 0
-    w = u[:, :r] @ vh[:r, :]
-    return PolarParts(partial_isometry=w, modulus=modulus)
-
-
-def support_projection(b, rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
-    """Orthogonal projection onto the range of a PSD matrix.
-
-    Eigenvalues ``>= rank_tol * lambda_max`` are kept (ties round toward the
-    larger projection).  A genuinely negative eigenvalue, beyond floating
-    noise at the matrix scale, raises ``InvalidInputError``.
-    """
-    vals, vecs = eigh_psd(b, "support_projection input")
-    lam_max = float(vals[-1]) if vals.size else 0.0
-    neg_tol = rank_tol * max(lam_max, 0.0) + 64 * np.finfo(float).eps * max(
-        1.0, float(np.abs(vals).max()) if vals.size else 0.0
-    )
-    if vals.size and float(vals[0]) < -neg_tol:
-        raise InvalidInputError(f"matrix is not PSD (min eigenvalue {vals[0]:.3e})")
-    if lam_max <= 0.0:
-        return np.zeros_like(as_matrix(b))
-    keep = vals >= rank_tol * lam_max
-    v = vecs[:, keep]
-    return v @ v.conj().T
-
-
 def psd_power(b, power: float, rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
     """Spectral power of a PSD matrix, restricted to its support.
 
@@ -216,44 +169,6 @@ def psd_power(b, power: float, rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray
         keep = vals >= rank_tol * lam_max
         out[keep] = np.clip(vals[keep], 0.0, None) ** power
     return (vecs * out) @ vecs.conj().T
-
-
-@dataclass
-class FactorThroughResult:
-    """Middle factor recovered from ``y = a w b`` with PSD outer factors."""
-
-    w: np.ndarray
-    is_contraction: bool
-    residual: float
-
-
-def factor_through(y, a, b, rtol: float = 1e-8,
-                   rank_tol: float = DEFAULT_RANK_TOL) -> FactorThroughResult:
-    """Recover the contraction ``w`` with ``y = a w b`` and ``w = Q_a w Q_b``.
-
-    ``a`` and ``b`` must be Hermitian PSD; the caller asserts that such a
-    factorization exists.  ``w = a^+ y b^+`` (pseudo-inverses are already
-    support-compressed).  If the reconstruction ``a w b`` misses ``y`` by more
-    than ``rtol`` relative, the assumed bound fails for this triple and a
-    ``FactorizationHypothesisError`` is raised.
-    """
-    y = as_matrix(y)
-    a_pinv = psd_power(a, -1.0, rank_tol)
-    b_pinv = psd_power(b, -1.0, rank_tol)
-    if a_pinv.shape[1] != y.shape[0] or y.shape[1] != b_pinv.shape[0]:
-        raise InvalidInputError("incompatible shapes in factor_through")
-    w = a_pinv @ y @ b_pinv
-    recon = as_matrix(a) @ w @ as_matrix(b)
-    ynorm = float(np.linalg.norm(y))
-    residual = float(np.linalg.norm(recon - y))
-    if residual > rtol * max(ynorm, 1e-300):
-        raise FactorizationHypothesisError(
-            f"reconstruction residual {residual:.3e} exceeds rtol*|y| "
-            f"({rtol:.1e} * {ynorm:.3e}); no factorization through these factors"
-        )
-    wnorm = schatten_norm(w, math.inf)
-    return FactorThroughResult(w=w, is_contraction=wnorm <= 1.0 + rtol,
-                               residual=residual)
 
 
 def dual_witness(a, p: float, rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:

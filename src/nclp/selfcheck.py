@@ -19,10 +19,11 @@ from .cpmaps import (amplify_apply, build_counterexample_maps,
                      is_completely_positive, sampled_contraction_ratio)
 from .errors import InvalidInputError
 from .schatten import schatten_norm
-from .vecnorm import (FAST_OPTS, Side, VecElem, alpha_certify,
+from .vecnorm import (FAST_OPTS, FactorWitness, Side, VecElem, alpha_certify,
                       alpha_upper, beta_certify, combine_witnesses,
-                      diagonal_closed_form, opposite_transform, pairing,
-                      project_diagonal, random_element)
+                      diagonal_closed_form, evaluate_upper_at,
+                      opposite_transform, pairing, project_diagonal,
+                      random_element)
 from .yeadon import (YeadonSpec, build_isometry, jordan_split,
                      random_valid_weights, rigid_bound_report, rigid_compose,
                      tensor_contraction_report)
@@ -288,13 +289,15 @@ def criterion_property_suites(seed: int = 5, cases: int = 500):
             _fail(msgs, f"homogeneity violated: {vt!r} vs {t * v1!r} (case {i})")
             break
 
-    # branch agreement at p = 2
+    # branch agreement at p = 2: the one-sided witness, scored by the
+    # two-sided evaluator at r = I, keeps its value
     rng = np.random.default_rng(seed + 3)
     for i in range(cases):
         y = _fuzz_element(rng)
-        v1, _ = alpha_upper(y, 2.0, Side.ELL_ROW, opts)
-        v2, _ = alpha_upper(y, 2.0, Side.ELL_ROW,
-                            opts.replace(force_branch="two_sided"))
+        v1, wit = alpha_upper(y, 2.0, Side.ELL_ROW, opts)
+        two = FactorWitness("two_sided", s=wit.s,
+                            r=np.eye(y.k, dtype=np.complex128))
+        v2 = evaluate_upper_at(y, two, 2.0)
         if abs(v1 - v2) > 1e-6 * max(v1, 1e-30):
             _fail(msgs, f"p=2 branches disagree: {v1!r} vs {v2!r} (case {i})")
             break

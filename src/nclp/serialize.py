@@ -16,7 +16,6 @@ import numpy as np
 from .counterexample import CounterexampleReport
 from .errors import InvalidInputError
 from .vecnorm import BetaWitness, FactorWitness, NormCertificate, VecElem
-from .cpmaps import KrausMap
 from .yeadon import YeadonSpec
 
 
@@ -107,24 +106,6 @@ def vecelem_from_json(obj) -> VecElem:
         if c.shape != (k, k):
             raise InvalidInputError(f"coordinate shape {c.shape} is not ({k}, {k})")
     return VecElem(np.stack(coords)) if coords else VecElem.zeros(k, 0)
-
-
-def kraus_to_json(m: KrausMap) -> dict:
-    return {"k": m.k, "terms": [{"a": matrix_to_json(a), "b": matrix_to_json(b)}
-                                for a, b in m.terms()]}
-
-
-def kraus_from_json(obj) -> KrausMap:
-    try:
-        terms = [(matrix_from_json(t["a"]), matrix_from_json(t["b"]))
-                 for t in obj["terms"]]
-        k = int(obj["k"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InvalidInputError(f"malformed map payload: {exc}") from exc
-    m = KrausMap.from_terms(terms)
-    if m.k != k:
-        raise InvalidInputError(f"declared size {k} differs from terms ({m.k})")
-    return m
 
 
 def yeadon_to_json(spec: YeadonSpec, p: float) -> dict:

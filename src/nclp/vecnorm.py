@@ -14,12 +14,10 @@ two factorization norms, selected by :class:`Side`:
 value of an explicit feasible factorization found by descent
 (:mod:`nclp.gaugeopt`), the lower bound is the minimax dual of that same
 gauge problem at a dual matrix built from the solved witness.
-``alpha_lower`` pairs the element against given dual witnesses whose own
-norm is certified at the conjugate exponent.  ``beta_certify`` treats the
-p-sum of the two norms (infimum over splittings ``y = y0 + y1``) and takes
-its lower bound by that pairing: ``|<y, c>| / U(c)`` for a pool of dual
-candidates ``c``, where ``U(c)`` is the p'-sum of the certified upper bounds
-on the two dual norms of ``c``, each a descent.
+``beta_certify`` treats the p-sum of the two norms (infimum over splittings
+``y = y0 + y1``) and takes its lower bound by pairing: ``|<y, c>| / U(c)``
+for a pool of dual candidates ``c``, where ``U(c)`` is the p'-sum of the
+certified upper bounds on the two dual norms of ``c``, each a descent.
 
 Pruning.  Each candidate also gets a floor ``L(c)``, the p'-sum of the
 minimax lower bounds of its two dual norms at the trivial witness (no
@@ -52,9 +50,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gaugeopt
-from .errors import InvalidInputError, NumericalDegeneracyError
-from .schatten import (DEFAULT_RANK_TOL, as_matrix, check_exponent, conjugate,
-                       lp_norm, pow2_normalize, pow2_restore, psd_power)
+from .errors import InvalidInputError
+from .schatten import (DEFAULT_RANK_TOL, check_exponent, conjugate,
+                       dual_witness, lp_norm, pow2_normalize, pow2_restore,
+                       psd_power)
 
 
 class Side(enum.Enum):
@@ -97,10 +96,6 @@ class VecElem:
         return cls(np.zeros((n, k, k), dtype=np.complex128))
 
     @classmethod
-    def from_matrices(cls, mats) -> "VecElem":
-        return cls(np.stack([as_matrix(m) for m in mats]))
-
-    @classmethod
     def diagonal(cls, lams) -> "VecElem":
         """The element sum_i lam_i e_i (x) e_i (x) e_i (coordinate i = lam_i E_ii)."""
         lams = np.asarray(lams, dtype=np.complex128).ravel()
@@ -108,13 +103,6 @@ class VecElem:
         coords = np.zeros((k, k, k), dtype=np.complex128)
         for i, lam in enumerate(lams):
             coords[i, i, i] = lam
-        return cls(coords)
-
-    @classmethod
-    def basis_triple(cls, k: int, i: int, j: int, m: int, coef=1.0) -> "VecElem":
-        """coef * e_i (x) e_j (x) e_m on a k-dimensional triple tensor."""
-        coords = np.zeros((k, k, k), dtype=np.complex128)
-        coords[j, i, m] = coef
         return cls(coords)
 
     def copy(self) -> "VecElem":
@@ -140,9 +128,6 @@ class VecElem:
     def is_zero(self) -> bool:
         return not np.any(self.coords)
 
-    def frobenius(self) -> float:
-        return float(np.linalg.norm(self.coords))
-
     def is_diagonal(self) -> bool:
         """Structurally diagonal: coordinate i carries only entry (i, i)."""
         if self.k != self.n:
@@ -165,13 +150,6 @@ class VecElem:
 def min_tensor_row_norm(z: VecElem) -> float:
     """Row norm of the Hilbert-valued middle factor: |sum z_n z_n^*|^{1/2}."""
     m = np.einsum("nij,nkj->ik", z.coords, z.coords.conj())
-    lam = np.linalg.eigvalsh(0.5 * (m + m.conj().T))
-    return math.sqrt(max(float(lam[-1]), 0.0))
-
-
-def min_tensor_col_norm(z: VecElem) -> float:
-    """Column variant: |sum z_n^* z_n|^{1/2}."""
-    m = np.einsum("nji,njk->ik", z.coords.conj(), z.coords)
     lam = np.linalg.eigvalsh(0.5 * (m + m.conj().T))
     return math.sqrt(max(float(lam[-1]), 0.0))
 
@@ -205,38 +183,6 @@ def diagonal_closed_form(lams, p: float) -> float:
     return lp_norm(np.abs(np.asarray(lams, dtype=np.complex128).ravel()), p)
 
 
-def row_stack_factorize(d_list, p: float = 2.0, rtol: float = 1e-8,
-                        rank_tol: float = DEFAULT_RANK_TOL):
-    """Merge factors: d = (sum_j d_j^* d_j)^{1/2} with d_j = w_j d.
-
-    Returns ``(d, [w_j])`` where each ``w_j`` is supported on the range of
-    ``d`` and ``sum_j w_j^* w_j`` equals the support projection of ``d``.
-    Raises ``NumericalDegeneracyError`` if the residual checks fail.
-    """
-    check_exponent(p, allow_inf=True)
-    mats = [as_matrix(d) for d in d_list]
-    if not mats:
-        raise InvalidInputError("row_stack_factorize needs at least one factor")
-    shape = mats[0].shape
-    if any(m.shape != shape for m in mats):
-        raise InvalidInputError("all factors must share one shape")
-    gram = sum(m.conj().T @ m for m in mats)
-    d = psd_power(gram, 0.5, rank_tol)
-    d_pinv = psd_power(gram, -0.5, rank_tol)
-    q = d @ d_pinv  # support projection of d
-    ws = [m @ d_pinv for m in mats]
-    scale = max(float(np.linalg.norm(d)), 1e-300)
-    for m, w in zip(mats, ws):
-        if float(np.linalg.norm(w @ d - m)) > rtol * scale:
-            raise NumericalDegeneracyError("w_j d does not reproduce d_j")
-        if float(np.linalg.norm(w @ q - w)) > rtol * max(float(np.linalg.norm(w)), 1e-300):
-            raise NumericalDegeneracyError("w_j is not supported on range(d)")
-    wsum = sum(w.conj().T @ w for w in ws)
-    if float(np.linalg.norm(wsum - q)) > rtol * max(float(np.linalg.norm(q)), 1.0):
-        raise NumericalDegeneracyError("sum w_j^* w_j differs from the support projection")
-    return d, ws
-
-
 # ---------------------------------------------------------------------------
 # certified bounds
 # ---------------------------------------------------------------------------
@@ -250,7 +196,6 @@ class CertifyOptions:
     stall_window: int = 20
     beta_effort: int = 1
     extra_witnesses: tuple = ()
-    force_branch: str | None = None  # "one_sided" | "two_sided" (testing hook)
 
     def replace(self, **kw) -> "CertifyOptions":
         return dataclasses.replace(self, **kw)
@@ -378,8 +323,6 @@ def alpha_upper(y: VecElem, p: float, side: Side = Side.ELL_ROW,
     ys = VecElem(yn / scale)
 
     branch = "one_sided" if p >= 2.0 else "two_sided"
-    if opts.force_branch is not None:
-        branch = opts.force_branch
 
     extra = [w for w in opts.extra_witnesses
              if w.branch == branch and not w.transposed
@@ -459,12 +402,7 @@ def _auto_dual_pool(y: VecElem, p: float,
     y = VecElem(coords)
 
     # coordinatewise Schatten-duality pattern: y_n = U S V^* -> V S^{p-1} U^*
-    power = np.zeros_like(coords)
-    for idx in range(y.n):
-        u, sv, vh = np.linalg.svd(coords[idx])
-        if sv.size and sv[0] > 0:
-            scaled = np.where(sv >= DEFAULT_RANK_TOL * sv[0], (sv / sv[0]) ** (p - 1.0), 0.0)
-            power[idx] = (vh.conj().T * scaled) @ u.conj().T
+    power = np.stack([dual_witness(c, p) for c in coords])
     if np.any(power):
         pool.append(VecElem(power / np.linalg.norm(power)))
 
@@ -500,44 +438,6 @@ def _auto_dual_pool(y: VecElem, p: float,
             if np.any(sub):
                 pool.append(VecElem(sub / np.linalg.norm(sub)))
     return pool
-
-
-def alpha_lower(y: VecElem, p: float, side: Side, dual_pool,
-                opts: CertifyOptions = DEFAULT_OPTS):
-    """Certified lower bound: best pairing ratio against the dual pool.
-
-    For each candidate y' the ratio |<y, y'>| / U(y', p') is a valid lower
-    bound because the duality pairing contracts against the product of the
-    two norms.  Returns ``(value, dual_witness or None)``.
-    """
-    p = check_exponent(p)
-    p_dual = conjugate(p)
-    if side == Side.R_COL:
-        yt = opposite_transform(y)
-        best, wit_t = _alpha_lower_ell(yt, p_dual,
-                                       [opposite_transform(w) for w in dual_pool],
-                                       opts)
-        return best, (opposite_transform(wit_t) if wit_t is not None else None)
-    return _alpha_lower_ell(y, p_dual, list(dual_pool), opts)
-
-
-def _alpha_lower_ell(y: VecElem, p_dual: float, pool, opts: CertifyOptions):
-    dual_upper = _dual_upper_once(p_dual, opts)
-    best = 0.0
-    best_wit = None
-    for cand in pool:
-        if cand.coords.shape != y.coords.shape or cand.is_zero():
-            continue
-        num = abs(pairing(y, cand))
-        if num == 0.0:
-            continue
-        den = dual_upper(cand)
-        if den <= 0.0 or not math.isfinite(den):
-            continue
-        val = num / den
-        if val > best:
-            best, best_wit = val, cand
-    return best, best_wit
 
 
 def alpha_certify(y: VecElem, p: float, side: Side = Side.ELL_ROW,
@@ -627,7 +527,7 @@ def beta_certify(y: VecElem, p: float,
     skipped candidate's ratio is below the best, so the winner, picked in
     pool order with a strict ``>``, is the one an unpruned pass would pick.
     Each distinct dual witness (by coordinate bytes, in the ELL_ROW frame) is
-    solved once per call; ``alpha_lower`` does the same for its pool.
+    solved once per call.
     """
     p = check_exponent(p)
     if y.is_zero():

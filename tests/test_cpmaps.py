@@ -2,12 +2,10 @@ import numpy as np
 import pytest
 
 from nclp.counterexample import closed_form_images, witness_w
-from nclp.cpmaps import (KrausMap, _sandwich, adjoint_map, amplify_apply,
-                         apply, build_counterexample_maps, choi,
-                         choi_min_eigenvalue, compose, is_completely_positive,
-                         sampled_contraction_ratio)
+from nclp.cpmaps import (KrausMap, _sandwich, amplify_apply, apply,
+                         build_counterexample_maps, choi, choi_min_eigenvalue,
+                         is_completely_positive, sampled_contraction_ratio)
 from nclp.errors import InvalidInputError
-from nclp.schatten import trace_pairing
 from nclp.vecnorm import VecElem
 
 from conftest import full_sandwich, random_complex
@@ -211,34 +209,6 @@ class TestChoi:
         assert choi_min_eigenvalue(m) == pytest.approx(0.0, abs=1e-12)
 
 
-class TestAdjoint:
-    def test_identity(self, rng):
-        x = random_complex(rng, 3, 3)
-        assert np.allclose(apply(adjoint_map(KrausMap.identity(3)), x), x)
-
-    def test_pairing_identity(self, rng):
-        m = KrausMap.from_terms([(random_complex(rng, 3, 3),
-                                  random_complex(rng, 3, 3))])
-        madj = adjoint_map(m)
-        for _ in range(5):
-            x, y = random_complex(rng, 3, 3), random_complex(rng, 3, 3)
-            assert trace_pairing(apply(m, x), y) == pytest.approx(
-                trace_pairing(x, apply(madj, y)), abs=1e-12)
-
-    def test_diagonal_projection_self_adjoint(self, rng):
-        _, _, u3, _, _ = build_counterexample_maps(3, 3.0)
-        x = random_complex(rng, 3, 3)
-        assert np.allclose(apply(adjoint_map(u3), x), apply(u3, x), atol=1e-14)
-
-    def test_involution(self, rng):
-        m = KrausMap.from_terms([(random_complex(rng, 3, 3),
-                                  random_complex(rng, 3, 3))
-                                 for _ in range(2)])
-        mm = adjoint_map(adjoint_map(m))
-        x = random_complex(rng, 3, 3)
-        assert np.allclose(apply(mm, x), apply(m, x), atol=1e-12)
-
-
 class TestSectionFiveMaps:
     @pytest.mark.parametrize("k", [1, 3, 5])
     @pytest.mark.parametrize("p", [2.5, 3.0])
@@ -323,13 +293,3 @@ class TestContractionRatio:
         with pytest.raises(InvalidInputError):
             sampled_contraction_ratio(KrausMap.identity(2), 3.0, 0)
 
-
-def test_compose_matches_sequential(rng):
-    m1 = KrausMap.from_terms([(random_complex(rng, 3, 3),
-                               random_complex(rng, 3, 3))])
-    m2 = KrausMap.from_terms([(random_complex(rng, 3, 3),
-                               random_complex(rng, 3, 3))
-                              for _ in range(2)])
-    x = random_complex(rng, 3, 3)
-    assert np.allclose(apply(compose(m2, m1), x), apply(m2, apply(m1, x)),
-                       atol=1e-12)

@@ -83,16 +83,6 @@ class TestDualMemo:
         assert dual_inputs
         assert len(dual_inputs) == len(set(dual_inputs))
 
-    def test_alpha_lower_solves_each_witness_once(self, dual_inputs):
-        y = witness_w(4)
-        pool = [vn.opposite_transform(y), random_element(4, 4, np.random.default_rng(2))]
-        pool += [c.copy() for c in pool]  # every candidate twice
-        val, dual = vn.alpha_lower(y, 3.0, Side.ELL_ROW, pool, DEFAULT_OPTS)
-        assert val > 0.0 and dual is not None
-        assert len(dual_inputs) == 2
-        assert len(set(dual_inputs)) == 2
-
-
 def transposed_strides(coords):
     """The same values as ``coords`` held with each coordinate's strides swapped."""
     return np.transpose(np.transpose(coords, (0, 2, 1)).copy(), (0, 2, 1))

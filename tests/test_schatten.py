@@ -3,10 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from nclp.errors import FactorizationHypothesisError, InvalidInputError
-from nclp.schatten import (as_matrix, conjugate, dual_witness, factor_through,
-                           polar_decompose, pow2_normalize, pow2_restore,
-                           schatten_norm, support_projection, trace_pairing)
+from nclp.errors import InvalidInputError
+from nclp.schatten import (as_matrix, conjugate, dual_witness, pow2_normalize,
+                           pow2_restore, psd_power, schatten_norm, trace_pairing)
 
 from conftest import random_complex
 
@@ -91,94 +90,79 @@ class TestTracePairing:
             assert ratio == pytest.approx(schatten_norm(a, p), rel=1e-10)
 
 
-class TestPolar:
-    def test_psd_input(self, rng):
-        g = random_complex(rng, 3, 3)
-        a = g @ g.conj().T
-        parts = polar_decompose(a)
-        assert np.allclose(parts.modulus, a, atol=1e-10)
-        assert np.allclose(parts.partial_isometry,
-                           support_projection(a), atol=1e-10)
-
-    def test_rank_one_rectangular(self):
-        a = 2.0 * unit(2, 0, 1)
-        parts = polar_decompose(a)
-        assert np.allclose(parts.partial_isometry, unit(2, 0, 1), atol=1e-12)
-        assert np.allclose(parts.modulus, 2.0 * unit(2, 1, 1), atol=1e-12)
-
-    def test_reconstruction_and_support(self, rng):
-        for _ in range(10):
-            a = random_complex(rng, 4, 3)
-            parts = polar_decompose(a)
-            assert np.linalg.norm(a - parts.partial_isometry @ parts.modulus) < 1e-12
-            wtw = parts.partial_isometry.conj().T @ parts.partial_isometry
-            assert np.allclose(wtw, support_projection(parts.modulus), atol=1e-10)
+def low_rank(rng, rows, cols, rank):
+    return random_complex(rng, rows, rank) @ random_complex(rng, rank, cols)
 
 
-class TestSupportProjection:
-    def test_diagonal(self):
-        q = support_projection(np.diag([1.0, 0.0]))
-        assert np.allclose(q, np.diag([1.0, 0.0]))
+DUAL_PS = [1.3, 1.5, 2.0, 3.0, 4.0, math.inf]
+DUAL_SIZES = [1, 2, 3, 5]
 
-    def test_zero(self):
-        assert np.allclose(support_projection(np.zeros((3, 3))), 0.0)
 
-    def test_constructed_rank(self, rng):
-        for r in (1, 2, 3):
-            g = random_complex(rng, 4, r)
-            q = support_projection(g @ g.conj().T)
-            assert np.trace(q).real == pytest.approx(r, abs=1e-9)
-            assert np.allclose(q @ q, q, atol=1e-10)
-            assert np.allclose(q, q.conj().T, atol=1e-12)
+class TestDualWitness:
+    """``vecnorm._auto_dual_pool`` builds its Schatten-duality candidate from
+    this function one (square) coordinate at a time, rank-deficient
+    coordinates included."""
 
-    def test_rejects_negative(self):
-        with pytest.raises(InvalidInputError):
-            support_projection(np.diag([1.0, -0.5]))
+    @pytest.mark.parametrize("k", DUAL_SIZES)
+    @pytest.mark.parametrize("p", DUAL_PS)
+    def test_attains_the_norm_on_the_support(self, rng, p, k):
+        rank = max(1, k - 2)
+        a = low_rank(rng, k, k, rank)
+        c = dual_witness(a, p)
+        assert c.shape == (k, k)
+        pd = 1.0 if math.isinf(p) else conjugate(p)
+        pair = trace_pairing(a, c)
+        assert abs(pair.imag) <= 1e-10 * abs(pair)
+        assert pair.real / schatten_norm(c, pd) == pytest.approx(
+            schatten_norm(a, p), rel=1e-10)
+        # c vanishes off the support of a, on both sides
+        u, _, vh = np.linalg.svd(a)
+        off_range = np.eye(k) - u[:, :rank] @ u[:, :rank].conj().T
+        off_corange = np.eye(k) - vh[:rank].conj().T @ vh[:rank]
+        top = float(np.max(np.abs(c)))
+        assert float(np.max(np.abs(c @ off_range))) <= 1e-10 * top
+        assert float(np.max(np.abs(off_corange @ c))) <= 1e-10 * top
 
-    def test_reproduces_input(self, rng):
+    @pytest.mark.parametrize("k", DUAL_SIZES)
+    def test_zero_matrix(self, k):
+        c = dual_witness(np.zeros((k, k)), 3.0)
+        assert c.shape == (k, k) and not np.any(c)
+
+    @pytest.mark.parametrize("k", DUAL_SIZES)
+    def test_p2_is_adjoint_over_operator_norm(self, rng, k):
+        a = random_complex(rng, k, k)
+        want = a.conj().T / schatten_norm(a, math.inf)
+        assert np.allclose(dual_witness(a, 2.0), want, rtol=0.0, atol=1e-13)
+
+    @pytest.mark.parametrize("p", [1.5, 3.0, math.inf])
+    def test_positive_scaling_invariant(self, rng, p):
+        a = random_complex(rng, 4, 4)
+        c = dual_witness(a, p)
+        for t in (2.0 ** -600, 1e-3, 7.5, 2.0 ** 600):
+            assert np.allclose(dual_witness(t * a, p), c, rtol=0.0, atol=1e-12)
+
+
+class TestPsdPower:
+    @pytest.mark.parametrize("rank", [1, 2, 4])
+    def test_negative_one_is_pseudo_inverse(self, rng, rank):
+        g = random_complex(rng, 4, rank)
+        b = g @ g.conj().T
+        binv = psd_power(b, -1.0)
+        scale = float(np.max(np.abs(b)))
+        assert np.allclose(b @ binv @ b, b, rtol=0.0, atol=1e-9 * scale)
+        assert np.allclose(binv @ b @ binv, binv, rtol=0.0,
+                           atol=1e-9 * float(np.max(np.abs(binv))))
+        assert np.allclose(binv, binv.conj().T, rtol=0.0, atol=1e-12 / scale)
+
+    @pytest.mark.parametrize("s, t", [(0.5, 0.5), (-0.5, 1.5), (0.25, 0.75),
+                                      (-1.0, 1.0)])
+    def test_powers_add_on_the_support(self, rng, s, t):
         g = random_complex(rng, 4, 2)
         b = g @ g.conj().T
-        q = support_projection(b)
-        assert np.allclose(q @ b, b, atol=1e-10)
-        assert np.allclose(b @ q, b, atol=1e-10)
-
-
-class TestFactorThrough:
-    def test_identity_factors(self, rng):
-        y = random_complex(rng, 3, 3)
-        y = y / schatten_norm(y, math.inf)
-        res = factor_through(y, np.eye(3), np.eye(3))
-        assert np.allclose(res.w, y, atol=1e-12)
-        assert res.is_contraction
-
-    def test_product_of_psd(self, rng):
-        ga, gb = random_complex(rng, 3, 2), random_complex(rng, 3, 2)
-        a, b = ga @ ga.conj().T, gb @ gb.conj().T
-        res = factor_through(a @ b, a, b)
-        qa, qb = support_projection(a), support_projection(b)
-        assert np.allclose(res.w, qa @ qb, atol=1e-8)
-        assert np.allclose(a @ res.w @ b, a @ b, atol=1e-8)
-        assert schatten_norm(res.w, math.inf) <= 1 + 1e-10
-
-    def test_construct_then_recover(self, rng):
-        for _ in range(10):
-            ga, gb = random_complex(rng, 3, 3), random_complex(rng, 3, 3)
-            a, b = ga @ ga.conj().T + 0.1 * np.eye(3), gb @ gb.conj().T + 0.1 * np.eye(3)
-            w0 = random_complex(rng, 3, 3)
-            w0 = w0 / schatten_norm(w0, math.inf)
-            y = a @ w0 @ b
-            res = factor_through(y, a, b)
-            assert np.linalg.norm(a @ res.w @ b - y) <= 1e-8 * np.linalg.norm(y)
-            assert schatten_norm(res.w, math.inf) <= 1 + 1e-10
-            qa, qb = support_projection(a), support_projection(b)
-            assert np.allclose(qa @ res.w @ qb, res.w, atol=1e-10)
-
-    def test_hypothesis_violation_raises(self):
-        # mass of y outside the supports cannot be reconstructed
-        a = np.diag([1.0, 0.0]).astype(complex)
-        y = unit(2, 1, 1)
-        with pytest.raises(FactorizationHypothesisError):
-            factor_through(y, a, a)
+        got = psd_power(b, s) @ psd_power(b, t)
+        want = psd_power(b, s + t)
+        assert np.allclose(got, want, rtol=0.0,
+                           atol=1e-9 * max(1.0, float(np.max(np.abs(want)))))
 
 
 class TestConjugate:

@@ -6,7 +6,7 @@ import pytest
 
 from nclp import serialize
 from nclp.counterexample import verify_pipeline, witness_w
-from nclp.cpmaps import KrausMap, amplify_apply, apply, build_counterexample_maps
+from nclp.cpmaps import amplify_apply, build_counterexample_maps
 from nclp.errors import InvalidInputError
 from nclp.vecnorm import Side, VecElem, alpha_certify, beta_certify
 from nclp.yeadon import YeadonSpec
@@ -58,23 +58,6 @@ class TestVecElemPayload:
         doc["k"] = 3
         with pytest.raises(InvalidInputError):
             serialize.vecelem_from_json(doc)
-
-
-class TestKrausPayload:
-    def test_round_trip(self, rng):
-        m = KrausMap.from_terms([(random_complex(rng, 2, 2),
-                                  random_complex(rng, 2, 2))
-                                 for _ in range(3)])
-        back = serialize.kraus_from_json(serialize.kraus_to_json(m))
-        x = random_complex(rng, 2, 2)
-        assert np.allclose(apply(back, x), apply(m, x))
-
-    def test_size_consistency(self):
-        *_, u = build_counterexample_maps(3, 3.0)
-        doc = serialize.kraus_to_json(u)
-        doc["k"] = 5
-        with pytest.raises(InvalidInputError):
-            serialize.kraus_from_json(doc)
 
 
 class TestYeadonPayload:
@@ -154,7 +137,6 @@ def recursive_dumps(obj) -> str:
 def documents():
     rng = np.random.default_rng(3)
     y = VecElem(random_complex(rng, 3, 2, 2))
-    kraus = KrausMap.from_terms([(random_complex(rng, 2, 2), random_complex(rng, 2, 2))])
     q, _ = np.linalg.qr(random_complex(rng, 4, 4))
     spec = YeadonSpec(n=2, rep_weights=(0.8,), antirep_weights=(0.3,), w=q)
     scaled = random_complex(rng, 3, 3) * np.array([1e-300, 1.0, 1e300])
@@ -162,7 +144,6 @@ def documents():
         "matrix": serialize.matrix_to_json(random_complex(rng, 2, 3)),
         "extreme-matrix": serialize.matrix_to_json(scaled),
         "element": serialize.vecelem_to_json(y),
-        "kraus": serialize.kraus_to_json(kraus),
         "yeadon": serialize.yeadon_to_json(spec, 3.0),
         "alpha": serialize.certificate_to_json(alpha_certify(y, 3.0, Side.ELL_ROW)),
         "alpha-two-sided": serialize.certificate_to_json(
@@ -178,7 +159,7 @@ def documents():
     }
 
 
-DOCUMENTS = ("matrix", "extreme-matrix", "element", "kraus", "yeadon", "alpha",
+DOCUMENTS = ("matrix", "extreme-matrix", "element", "yeadon", "alpha",
              "alpha-two-sided", "beta", "k18-certificate", "report", "mixed")
 
 

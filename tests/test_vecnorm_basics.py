@@ -3,11 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from nclp.errors import InvalidInputError, NumericalDegeneracyError
-from nclp.schatten import polar_decompose, support_projection, trace_pairing
-from nclp.vecnorm import (VecElem, diagonal_closed_form, min_tensor_col_norm,
-                          min_tensor_row_norm, opposite_transform, pairing,
-                          project_diagonal, row_stack_factorize)
+from nclp import vecnorm
+from nclp.errors import InvalidInputError
+from nclp.schatten import dual_witness, trace_pairing
+from nclp.vecnorm import (VecElem, diagonal_closed_form, min_tensor_row_norm,
+                          opposite_transform, pairing, project_diagonal,
+                          random_element)
 
 from conftest import random_complex
 
@@ -35,12 +36,6 @@ class TestVecElem:
         assert y.coords[1][1, 1] == 3.0
         assert y.is_diagonal()
 
-    def test_basis_triple_indexing(self):
-        # e_i (x) e_j (x) e_m lands in coordinate j at entry (i, m)
-        y = VecElem.basis_triple(3, 0, 1, 2)
-        assert y.coords[1][0, 2] == 1.0
-        assert np.count_nonzero(y.coords) == 1
-
     def test_arithmetic(self, rng):
         a = VecElem(random_complex(rng, 2, 3, 3))
         b = VecElem(random_complex(rng, 2, 3, 3))
@@ -62,7 +57,6 @@ class TestMinTensorNorms:
         for k in (2, 4):
             z = witness(k)
             assert min_tensor_row_norm(z) == pytest.approx(1.0, abs=1e-12)
-            assert min_tensor_col_norm(z) == pytest.approx(math.sqrt(k), abs=1e-12)
 
 
 class TestPairing:
@@ -92,7 +86,8 @@ class TestProjectDiagonal:
         assert np.allclose(project_diagonal(y).coords, y.coords)
 
     def test_kills_off_diagonal_basis(self):
-        y = VecElem.basis_triple(3, 0, 1, 0)  # e_1 (x) e_2 (x) e_1
+        y = VecElem.zeros(3, 3)  # e_1 (x) e_2 (x) e_1
+        y.coords[1, 0, 0] = 1.0
         assert not np.any(project_diagonal(y).coords)
 
     def test_witness_projects_to_first_diagonal(self):
@@ -129,44 +124,6 @@ class TestDiagonalClosedForm:
         assert diagonal_closed_form(lams, p) == pytest.approx(want, rel=1e-13)
 
 
-class TestRowStackFactorize:
-    def test_single_invertible(self, rng):
-        d1 = random_complex(rng, 3, 3) + 2 * np.eye(3)
-        d, ws = row_stack_factorize([d1], 2.0)
-        parts = polar_decompose(d1)
-        assert np.allclose(d, parts.modulus, atol=1e-10)
-        assert np.allclose(ws[0], parts.partial_isometry, atol=1e-8)
-
-    def test_scalar_line(self):
-        lams = [3.0, 4.0]
-        mats = [lam * unit(2, 0, 0) for lam in lams]
-        d, ws = row_stack_factorize(mats, 2.0)
-        assert np.allclose(d, 5.0 * unit(2, 0, 0), atol=1e-12)
-        for lam, w in zip(lams, ws):
-            assert np.allclose(w, (lam / 5.0) * unit(2, 0, 0), atol=1e-12)
-
-    def test_random_residuals(self, rng):
-        mats = [random_complex(rng, 3, 3) for _ in range(4)]
-        d, ws = row_stack_factorize(mats, 3.0)
-        gram = sum(m.conj().T @ m for m in mats)
-        assert np.allclose(d @ d, gram, atol=1e-10)
-        q = support_projection(gram)
-        for m, w in zip(mats, ws):
-            assert np.linalg.norm(w @ d - m) < 1e-10
-            assert np.linalg.norm(w @ q - w) < 1e-10
-        assert np.allclose(sum(w.conj().T @ w for w in ws), q, atol=1e-10)
-
-    def test_empty_rejected(self):
-        with pytest.raises(InvalidInputError):
-            row_stack_factorize([], 2.0)
-
-    def test_degenerate_reported(self, rng):
-        # rtol = 0 leaves no allowance for rounding, so the checks must trip
-        mats = [random_complex(rng, 3, 3) for _ in range(2)]
-        with pytest.raises(NumericalDegeneracyError):
-            row_stack_factorize(mats, 2.0, rtol=0.0)
-
-
 class TestOppositeTransform:
     def test_symmetric_fixed_point(self, rng):
         g = random_complex(rng, 2, 3, 3)
@@ -183,3 +140,41 @@ class TestOppositeTransform:
         y = VecElem(random_complex(rng, 2, 3, 3))
         assert np.allclose(opposite_transform(opposite_transform(y)).coords,
                            y.coords)
+
+
+class TestAutoDualPool:
+    """The dual candidates of ``beta_certify`` before any witness is solved:
+    the Schatten-duality and adjoint patterns, then the two diagonal ones."""
+
+    @staticmethod
+    def element(rng):
+        y = random_element(3, 3, rng)
+        y.coords[0] = np.outer(random_complex(rng, 3), random_complex(rng, 3))
+        return y
+
+    @pytest.mark.parametrize("p", [1.3, 2.0, 3.0])
+    def test_unit_candidates_led_by_the_schatten_pattern(self, rng, p):
+        y = self.element(rng)
+        pool = vecnorm._auto_dual_pool(y, p, None)
+        assert len(pool) == 4
+        for cand in pool:
+            assert np.linalg.norm(cand.coords) == pytest.approx(1.0, abs=1e-14)
+        power = np.stack([dual_witness(c, p) for c in y.coords])
+        assert np.allclose(pool[0].coords, power / np.linalg.norm(power),
+                           rtol=0.0, atol=1e-12)
+        adj = np.transpose(y.coords, (0, 2, 1)).conj()
+        assert np.allclose(pool[1].coords, adj / np.linalg.norm(adj),
+                           rtol=0.0, atol=1e-14)
+        for cand in pool[:2]:
+            z = pairing(y, cand)
+            assert z.real > 0.0 and abs(z.imag) <= 1e-12 * z.real
+        assert pool[2].is_diagonal() and pool[3].is_diagonal()
+
+    @pytest.mark.parametrize("p", [1.3, 2.0, 3.0])
+    def test_dyadic_scale_leaves_the_pool_unchanged(self, rng, p):
+        y = self.element(rng)
+        pool = vecnorm._auto_dual_pool(y, p, None)
+        for t in (2.0 ** -600, 2.0 ** 600):
+            scaled = vecnorm._auto_dual_pool(y.scaled(t), p, None)
+            assert [c.coords.tobytes() for c in scaled] == \
+                [c.coords.tobytes() for c in pool]
