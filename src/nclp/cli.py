@@ -211,7 +211,8 @@ def build_parser() -> argparse.ArgumentParser:
     def common(sp, p_required=True):
         sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--tol", type=float, default=None,
-                        help="optimizer stall tolerance override")
+                        help="stall tolerance of the p < 2 descent (the p >= 2 "
+                             "ascent stops on its gap)")
         sp.add_argument("--max-iters", dest="max_iters", type=int, default=None)
         sp.add_argument("--out", default=None, help="output file (default stdout)")
 

@@ -1,14 +1,14 @@
-"""Descent solver for the factorization gauges behind the vector-valued norms.
+"""Solvers for the factorization gauges behind the vector-valued norms.
 
 One-sided problem: given coordinates ``A_1..A_N`` stacked as an ``(N, k, r)``
-complex array and an exponent ``e``, minimize over positive definite ``s``
+complex array and an exponent ``e >= 2``, minimize over positive definite ``s``
 
-    F(s) = lmax(sum_n A_n s^{-1} A_n^*)^{1/2} * tr(s^{e/2})^{1/e}.
+    F(s) = lmax(M(s))^{1/2} * tr(s^{e/2})^{1/e},  M(s) = sum_n A_n s^{-1} A_n^*.
 
 Every ``s`` yields the feasible factorization ``A_n = (A_n s^{-1/2}) s^{1/2}``,
-so F(s) is a certified upper bound at any iterate; optimality only sharpens
-it.  ``s -> lmax(sum A_n s^{-1} A_n^*)`` is convex and F is degree-0
-homogeneous, so it is minimized on the manifold ``tr(s^{e/2}) = 1``.
+so F(s) is a certified upper bound at any point; optimality only sharpens
+it.  ``s -> lmax(M(s))`` is convex and F is degree-0 homogeneous, so it is
+minimized on the manifold ``tr(s^{e/2}) = 1``.
 
 Two-sided problem (outer exponents ``(q, 2)`` with ``1/q = 1/p - 1/2``, used
 for p < 2): the left factor has the closed-form optimum ``r = G(s) = sum_n
@@ -18,63 +18,80 @@ A_n s^{-1} A_n^*``, which reduces the problem to the smooth convex objective
 left factor is the support identity, and the problem collapses to the
 one-sided core exactly.
 
-Both problems run one driver, ``_descend``: restrict to the right support of
-the coordinates, start from the best projected candidate, then descend along
-the projected gradient with backtracking (at most 40 halvings of the step),
-keep the best iterate, end a stage after ``stall_window`` iterations whose
-relative decrease stays below ``decrease_tol``, and stop at ``max_iters``
-(``converged = False``).  An objective (``_OneSided``, ``_TwoSided``)
-supplies the rest: the smoothed value and gradient weights (log-sum-exp of
-the spectrum of M at a temperature annealed over ``_TEMPS``, with soft-max
-weights; or the trace power itself, with weights ``(lam/top)^{q/2-1}``, in
-one stage), the certified value that picks the best iterate
-(``lmax(M)^{1/2}``, or the trace power), the tangent projection (off the
-normal ``(e/2) s^{e/2-1}``, or off the trace), the acceptance test
-(sufficient decrease, or any decrease beyond rounding) and the closed-form
-candidate (below).  Each solver builds its witness from the best point,
-``s`` or the pair ``(r, s)``, and returns it with its certified value
+Both solves first restrict to the right support of the coordinates
+(``_restrict``) and end by building the witness from the best point found,
+``s`` or the pair ``(r, s)``, and returning it with its certified value
 (``evaluate_one_sided``, ``evaluate_two_sided``).
 
-Cost per iteration, for N coordinates of size k x r (r after the support
-restriction): M(s) is assembled as two GEMMs on a k-major copy of the
-coordinates made once per solve, O(N k r^2 + N k^2 r); the gradient Gram
-``sum_n A_n^* v v^* A_n`` is one more pair of GEMMs of the same order.  Each
-iteration takes one ``eigh`` of M at the current point, whose M(s) is the one
-kept from the accepted line-search trial rather than rebuilt.  The line
-search (``_line_search``) tries the steps ``eta, eta/2, ..., eta/2^39`` in
-chunks of ``_TRIAL_CHUNK`` consecutive halvings: a chunk is one stacked call
-each of the symmetrization and ``eigh`` of the projection on the (B, r, r)
-trial points, the two M(s) GEMMs, and the eigenvalue-only ``eigvalsh`` of the
-(B, k, k) trial M's; its trials are then tested in halving order and the
-first that passes is taken.  Each matrix of a stack gets the float operations
-of a call on it alone (the trace powers are summed along the contiguous last
-axis and raised as Python floats), so the accepted point, and every
-certificate, is the one a search that tries one step at a time accepts.  On
-matrices of size 3 x 3 and below the cost is numpy's per-call overhead rather
-than arithmetic.  A search takes 3 to 4 trials on average and over 90 % of
-searches accept within the first chunk, so a search makes about one
-projection, one M(s) and one ``eigvalsh`` call instead of three or four of
-each; only the smoothed value is still evaluated trial by trial, up to the
-accepted one.
+The one-sided solve (``minimize_gauge``) is a primal-dual ascent on the dual
+density ``rho`` (the lower bounds below).  Write ``a = e/2``, ``beta =
+a/(a+1)``, ``C(rho) = sum_n A_n^* rho A_n`` and ``g(rho) = |C(rho)|_beta``.
+``g`` is concave on densities, being a minimum of maps linear in ``rho``
+(``g(rho) = min tr(s^{-1} C(rho))`` over ``tr(s^a) <= 1``), and its gradient
+is ``M`` at the inner optimum: with ``T = tr C^beta``, so that ``g =
+T^{1/beta}``, and ``s = C^{1/(a+1)}`` (unnormalized), ``C^{beta - 1} =
+s^{-1}`` gives ``dT = beta tr(C^{beta-1} dC) = beta tr(drho M(s))``, and
+``T^{1/beta - 1} = T^{1/a} = g^{1-beta}``, so ``dg = g^{1-beta} tr(drho
+M(s))``; normalizing ``s`` to ``tr(s^a) = 1`` multiplies ``M(s)`` by exactly
+``g^{1-beta}``, so ``grad g = M(s)`` there, and ``tr(rho M(s)) = g``.  Each
+iterate thus gives both bounds: ``lmax(M(s))^{1/2}`` above and ``g^{1/2}``
+below.  Start from ``rho = I/k``; the upper point is the best of the
+identity, the support Gram and every iterate's ``s``.  Stop with ``converged
+= True`` as soon as the best upper value is within ``1 + GAP_TOL`` of the
+lower one, and with ``converged = False`` at ``max_iters`` or when a step
+search fails.  Otherwise take the entropic mirror step (Beck and Teboulle,
+2003) ``log rho += eta M / tr(rho M)``, renormalized to trace 1, with ``eta
+= min(2 / spread, 4 eta_prev)`` for the eigenvalue spread of ``M / tr(rho
+M)``, halved (at most 40 times) until ``g`` does not fall.  An iteration
+forms M(s) and takes its ``eigvalsh``; a trial step takes one ``eigh`` of
+``log rho``, forms ``C(rho)`` (``_grad_gram``) and takes its ``eigh``, whose
+eigenvectors are those of the next ``s``.  Nearly every first trial is
+accepted.  The matrices are k x k and r x r, so on small elements the cost is
+numpy's per-call overhead rather than arithmetic.
 
-Diagonal coordinates (the commutative case, which covers the amplified images
-that ``verify_pipeline`` certifies) have a closed-form optimum, and neither
-solver descends on them.  Write ``c_i = sum_n |(A_n)_ii|^2``.  A diagonal
-unitary D commutes with every A_n, so ``M(D s D^*) = D M(s) D^*`` and both
-objectives are invariant under ``s -> D s D^*``.  Both reduce to a convex
-function of ``s`` (``lmax(M(s))``, and ``tr(G(s)^{q/2})^{2/q}`` for the
-two-sided form) on the convex set ``tr(s^{e/2}) <= 1`` (``e = 2`` for the
-two-sided form), so the torus average of ``D s D^*``, which is ``diag(s)``,
-is no worse; it stays in the set because ``tr(diag(s)^{e/2}) <=
-tr(s^{e/2})`` for ``e/2 >= 1`` (the diagonal is majorized by the spectrum,
-Schur-Horn).  Among diagonal ``s = diag(t)`` the one-sided objective is
-``max_i c_i / t_i`` on ``sum_i t_i^{e/2} = 1``, minimized by ``t ~ c``, where
-every eigenvalue of M(s) is equal: the value is ``|c^{1/2}|_e``.  The reduced
-two-sided objective is ``|(c_i / t_i)_i|_{q/2}`` on ``sum_i t_i = 1``,
-minimized by ``t ~ c^{p/2}``; then ``r = G(s) = diag(c^{1 - p/2})`` and the
-value is ``|c^{1/2}|_p`` (Hoelder's equality case).  Results on this path
-report ``iterations = 0``; the support restriction, the regularization
-margin and the final evaluation are the same as after a descent.
+The two-sided solve (``minimize_two_sided``, ``_descend``) is a projected
+descent on ``s``: start from the better of the identity and the support Gram,
+step along the gradient projected off the trace with backtracking
+(``_line_search``, any decrease beyond rounding accepted, at most 40
+halvings), keep the best point, end after ``stall_window`` iterations whose
+relative decrease stays below ``decrease_tol``, or when a line search fails,
+and stop at ``max_iters`` (``converged = False``).  M(s) is assembled as two
+GEMMs on a k-major copy of the coordinates made once per solve, O(N k r^2 +
+N k^2 r), the gradient Gram ``sum_n A_n^* v v^* A_n`` as one more pair, and
+each iteration takes one ``eigh`` of the M kept from the accepted trial.  The
+line search tries the steps ``eta, eta/2, ..., eta/2^39`` in chunks of
+``_TRIAL_CHUNK`` consecutive halvings: a chunk is one stacked call each of the
+symmetrization and ``eigh`` of the projection on the (B, r, r) trial points,
+the two M(s) GEMMs and the ``eigvalsh`` of the (B, k, k) trial M's, and its
+trials are then tested in halving order.  Each matrix of a stack gets the
+float operations of a call on it alone (``_normalize`` sums the trace powers
+along the contiguous last axis and raises them as Python floats), so every
+certificate is the one a search that tries one step at a time gives.
+
+Closed forms (``iterations = 0``; the support restriction, the
+regularization margin and the final evaluation are the same as after a
+solve).  Diagonal coordinates, for both solvers (the commutative case, which covers
+the amplified images that ``verify_pipeline`` certifies): write ``c_i =
+sum_n |(A_n)_ii|^2``.  A diagonal unitary D commutes with every A_n, so
+``M(D s D^*) = D M(s) D^*`` and both objectives are invariant under ``s -> D
+s D^*``.  Both reduce to a convex function of ``s`` (``lmax(M(s))``, and
+``tr(G(s)^{q/2})^{2/q}`` for the two-sided form) on the convex set
+``tr(s^{e/2}) <= 1`` (``e = 2`` for the two-sided form), so the torus average
+of ``D s D^*``, which is ``diag(s)``, is no worse; it stays in the set
+because ``tr(diag(s)^{e/2}) <= tr(s^{e/2})`` for ``e/2 >= 1`` (the diagonal
+is majorized by the spectrum, Schur-Horn).  Among diagonal ``s = diag(t)``
+the one-sided objective is ``max_i c_i / t_i`` on ``sum_i t_i^{e/2} = 1``,
+minimized by ``t ~ c``, where every eigenvalue of M(s) is equal: the value
+is ``|c^{1/2}|_e``.  The reduced two-sided objective is ``|(c_i /
+t_i)_i|_{q/2}`` on ``sum_i t_i = 1``, minimized by ``t ~ c^{p/2}``; then ``r
+= G(s) = diag(c^{1 - p/2})`` and the value is ``|c^{1/2}|_p`` (Hoelder's
+equality case).  One coordinate ``A``, for the one-sided solver: ``s = A^*
+A`` makes M(s) the projection onto the range of A, so the value is
+``|A|_e``.
+In both one-sided cases the density ``rho ~ (sum_n A_n A_n^*)^a``
+(``gram_density``) attains the bound: it gives ``C(rho) ~ diag(c^{a+1})``,
+or ``(A^* A)^{a+1}``, and ``g = |c^{1/2}|_e^2``, or ``|A|_e^2``, since
+``(a+1) beta = a``.
 
 ``evaluate_one_sided`` / ``evaluate_two_sided`` score an arbitrary witness:
 they reconstruct the coordinates from it and add the p-norm of the residual
@@ -114,16 +131,10 @@ set, so by Sion's theorem the best ``rho`` attains the norm; the inner
 minimum is attained at ``s ~ C(rho)^{1/(a+1)}``, which commutes with
 ``C(rho)``.
 
-How ``rho`` is built from the witness (this affects only tightness):
+Where ``rho`` comes from (this affects only tightness):
 
-* one-sided, diagonal coordinates: ``rho ~ diag(c^{p/2})`` with ``c`` as in
-  the closed form above, which attains ``|c^{1/2}|_p``;
-* one-sided otherwise: at a saddle point ``rho`` lives on the top eigenspace
-  of ``M(s)`` and ``C(rho) ~ s^{a+1}``.  On the support restriction of the
-  solver, for the top eigenspaces ``P`` of ``M(s)`` at the relative gaps
-  ``_TOP_SPANS``, solve ``C(P X P^*) = s^{a+1}`` for ``X`` by linear least
-  squares, clip ``X`` to PSD, normalize ``P X P^*`` to a density, and keep
-  the candidate with the best bound;
+* one-sided: the ascent's last density, or ``gram_density`` in the closed
+  forms above;
 * two-sided: ``rho ~ r^{q/2 - 1}`` for the witness's left factor ``r =
   G(s)``, the matrix that attains ``|r|_{q/2} = max tr(rho r)``, then a few
   averaged fixed-point steps of the dual's optimality condition
@@ -137,7 +148,8 @@ eigensolver returns each eigenvalue within ``p(n) eps |H|_2`` of an exact one
 (backward stability, LAPACK Users' Guide section 4.7); we charge ``4 n eps
 |H|_F``.  For ``rho`` this gives ``eps_rho`` and the shift ``mu = max(0,
 eps_rho - min computed eigenvalue)``, so ``rho + mu I`` is PSD and ``|rho +
-mu I|_t <= |computed eigenvalues + eps_rho + mu|_t``.  ``C(rho)`` is formed as two GEMMs, ``Y^* (rho Y)``, whose entrywise
+mu I|_t <= |computed eigenvalues + eps_rho + mu|_t``.  ``C(rho)`` is formed
+as two GEMMs, ``Y^* (rho Y)``, whose entrywise
 error is at most ``gamma_m`` times the envelope ``sum_n |A_n|^T |rho| |A_n|``
 with ``m = (N+1) k + 4`` (both inner lengths and the symmetrization) and
 ``gamma_m = m eps / (1 - m eps)``; by Weyl's inequality every eigenvalue
@@ -161,8 +173,9 @@ import numpy as np
 from .schatten import (DEFAULT_RANK_TOL, pow2_normalize, pow2_restore,
                        psd_power, schatten_norm)
 
-_TEMPS = (5e-2, 5e-3, 5e-4, 5e-5, 5e-6, 5e-7)
 _EIG_FLOOR = 1e-9  # relative floor on witness eigenvalues, kept above the rank cut
+#: relative gap between the two bounds of the one-sided ascent that ends it
+GAP_TOL = 1e-8
 
 
 @dataclass
@@ -172,6 +185,7 @@ class GaugeResult:
     iterations: int
     converged: bool
     r: np.ndarray | None = None  # the left factor, two-sided gauge only
+    rho: np.ndarray | None = None  # the dual density, one-sided gauge only
 
 
 def _herm(x: np.ndarray) -> np.ndarray:
@@ -184,19 +198,27 @@ def _spectral(s: np.ndarray):
     return np.maximum(vals, 0.0), vecs
 
 
-def _project(s: np.ndarray, e: float):
-    """Clip to the PD cone (relative floor) and normalize tr(s^{e/2}) = 1.
+def _normalize(vals: np.ndarray, e: float) -> np.ndarray:
+    """Clip a spectrum to the relative floor and normalize sum(vals^{e/2}) = 1.
 
-    ``s`` is one r x r matrix or a (B, r, r) stack, projected matrix by
-    matrix with the same float operations either way: each trace power is a
-    sum along the contiguous last axis, raised as a Python float.
+    ``vals`` is one spectrum or a (B, r) stack, treated row by row with the
+    same float operations: each trace power is a sum along the contiguous
+    last axis, raised as a Python float.  A zero spectrum becomes flat.
     """
-    vals, vecs = _spectral(s)
     vmax = vals[..., -1:]
     vals = np.where(vmax <= 0.0, 1.0, np.maximum(vals, _EIG_FLOOR * vmax))
     sums = (vals ** (e / 2.0)).sum(axis=-1, keepdims=True)
     norms = np.array([float(t) ** (2.0 / e) for t in sums.flat]).reshape(sums.shape)
-    return vals / norms, vecs
+    return vals / norms
+
+
+def _project(s: np.ndarray, e: float):
+    """Clip to the PD cone (relative floor) and normalize tr(s^{e/2}) = 1.
+
+    ``s`` is one r x r matrix or a (B, r, r) stack (see ``_normalize``).
+    """
+    vals, vecs = _spectral(s)
+    return _normalize(vals, e), vecs
 
 
 def _k_major(A: np.ndarray) -> np.ndarray:
@@ -281,214 +303,117 @@ def _tr_power_term(vals: np.ndarray, e: float) -> float:
     return math.sqrt(top) * float(((vals / top) ** (e / 2.0)).sum()) ** (1.0 / e)
 
 
-def _lse(lam: np.ndarray, tau: float) -> float:
-    top = float(lam[-1])
-    return top + tau * math.log(float(np.exp((lam - top) / tau).sum()))
+_TRIALS = 40  # step halvings before a step search fails
 
 
-class _OneSided:
-    """What ``_descend`` needs of the one-sided gauge (module docstring)."""
+def _dual_point(ak: np.ndarray, h: np.ndarray, e: float):
+    """The one-sided dual at the density ``rho = exp(h) / tr exp(h)``.
 
-    stages = _TEMPS
-    smoothed_is_value = False
-
-    def __init__(self, e: float):
-        self.e = e
-
-    def closed_form(self, support_gram, kept):
-        return support_gram if self.e >= 2.0 else None
-
-    def value(self, lam):
-        return math.sqrt(float(lam[-1]))  # trace term is 1 on the manifold
-
-    def model(self, lam, tau_rel):
-        top = float(lam[-1])
-        tau = tau_rel * max(top, 1e-300)
-        w = np.exp((lam - top) / tau)
-        total = float(w.sum())  # the sum that _lse(lam, tau) takes the log of
-        return top + tau * math.log(total), w / total, lambda lam_t: _lse(lam_t, tau)
-
-    def tangent(self, grad, svals, svecs):
-        normal = (svecs * (0.5 * self.e * svals ** (0.5 * self.e - 1.0))) @ svecs.conj().T
-        nn = float(np.vdot(normal, normal).real)
-        if nn > 0.0:
-            coef = float(np.vdot(grad, normal).real) / nn
-            grad = grad - coef * normal
-        return grad
-
-    def accept(self, f_t, f_cur, eta, gnorm):
-        return f_t <= f_cur - 1e-4 * eta * gnorm * gnorm
-
-
-class _TwoSided:
-    """What ``_descend`` needs of the reduced two-sided gauge (module docstring)."""
-
-    stages = (None,)
-    smoothed_is_value = True  # the objective is smooth and is its own model
-    e = 2.0
-
-    def __init__(self, p: float):
-        self.p = p
-        self.q = q_from_p(p)
-
-    def closed_form(self, support_gram, kept):
-        # in its own eigenbasis the (diagonal) Gram is diag(c) on the support
-        return np.diag(kept ** (0.5 * self.p)).astype(np.complex128)
-
-    def value(self, lam):
-        return _tr_power_term(lam, self.q)  # tr(s) = 1 on the manifold
-
-    def model(self, lam, _stage):
-        # gradient of tr((G/top)^{q/2}) wrt s, positive rescale only
-        top = max(float(lam[-1]), 1e-300)
-        return self.value(lam), (lam / top) ** (0.5 * self.q - 1.0), self.value
-
-    def tangent(self, grad, svals, svecs):
-        rb = grad.shape[0]
-        return grad - (float(np.trace(grad).real) / rb) * np.eye(rb)
-
-    def accept(self, f_t, f_cur, eta, gnorm):
-        return f_t < f_cur * (1.0 - 1e-14) or f_t <= f_cur - 1e-12
-
-
-_TRIALS = 40  # step halvings before a line search fails
-_TRIAL_CHUNK = 4  # consecutive halvings evaluated as one stacked trial
-
-
-def _line_search(ak, obj, smoothed, f_cur, s_mat, grad, gnorm, eta):
-    """Backtracking along ``-grad`` from ``s_mat``: steps eta, eta/2, ...
-
-    Returns ``(eta, trial)`` for the first of ``_TRIALS`` halvings whose
-    projected point passes ``obj.accept`` on its ``smoothed`` value (against
-    ``f_cur`` at the gradient norm ``gnorm``), with ``trial =
-    (svals, svecs, M, spectrum of M, smoothed value)``, or ``(eta / 2^40,
-    None)`` when none does.  The halvings are evaluated ``_TRIAL_CHUNK`` at a
-    time: one stacked projection, M(s) and ``eigvalsh``, each matrix getting
-    the float operations of a trial evaluated alone, and the first passing
-    one (in halving order) is taken, so the result is that of trying them
-    one by one.
+    Returns ``(rho, lower, svals, svecs)``: ``lower = g(rho)^{1/2} =
+    |C(rho)|_beta^{1/2}`` and the spectrum and eigenvectors of the inner
+    optimum ``s ~ C(rho)^{1/(a+1)}`` with ``tr(s^a) = 1`` (floored like every
+    witness).
     """
-    for start in range(0, _TRIALS, _TRIAL_CHUNK):
-        etas = [eta]
-        for _ in range(1, min(_TRIAL_CHUNK, _TRIALS - start)):
-            etas.append(etas[-1] * 0.5)
-        tv, tq = _project(s_mat - np.array(etas)[:, None, None] * grad, obj.e)
-        m_t = _m_matrix(ak, tv, tq)
-        lam_t = _eigvals(m_t)
-        for j, eta in enumerate(etas):
-            f_t = smoothed(lam_t[j])
-            if obj.accept(f_t, f_cur, eta, gnorm):
-                return eta, (tv[j], tq[j], m_t[j], lam_t[j], f_t)
-        eta *= 0.5
-    return eta, None
+    a = 0.5 * e
+    hv, hq = np.linalg.eigh(h)
+    w = np.exp(hv - hv[-1])
+    v = hq * np.sqrt(w / float(w.sum()))
+    cv, cq = _spectral(_grad_gram(ak, v))
+    lower = _tr_power_term(cv, 2.0 * a / (a + 1.0))
+    return v @ v.conj().T, lower, _normalize(cv ** (1.0 / (a + 1.0)), e), cq
 
 
-def _descend(A: np.ndarray, obj, inits, max_iters: int, decrease_tol: float,
-             stall_window: int):
-    """Projected descent of either gauge on the right support of A.
+def _ascend(ak: np.ndarray, support_gram: np.ndarray, e: float, max_iters: int):
+    """Entropic mirror ascent of the one-sided dual (module docstring).
 
-    ``obj`` is ``_OneSided`` or ``_TwoSided``; its ``model(lam, stage)``
-    returns the smoothed value at the spectrum ``lam`` of M, the gradient
-    weights on its eigenvectors, and the smoothed value of a trial spectrum
-    at the same smoothing.  Returns ``(ub, scale, svals, svecs, iterations,
-    converged)``: the support basis and coordinate scale of ``_restrict``,
-    and the spectrum of the best point found with the regularization margin
-    added.
+    Returns ``(svals, svecs, rho, iterations, converged)``: the best upper
+    point seen, the last density, and whether the gap closed to ``GAP_TOL``.
     """
-    ub, ak, scale, support_gram, kept = _restrict(A)
-    rb = ub.shape[1]
-    closed = obj.closed_form(support_gram, kept) if _diagonal_coordinates(A) else None
-    if closed is not None:
-        candidates = [closed]
-    else:
-        candidates = [np.eye(rb, dtype=np.complex128), support_gram]
-        for s0 in inits:
-            s0 = np.asarray(s0, dtype=np.complex128)
-            if s0.shape == (A.shape[2], A.shape[2]):
-                candidates.append(ub.conj().T @ s0 @ ub)
-
-    best_val = math.inf
-    best_pair = m_cur = None
-    for cand in candidates:
-        sv, sq = _project(cand, obj.e)
-        m = _m_matrix(ak, sv, sq)
-        val = obj.value(_eigvals(m))
-        if val < best_val:
-            best_val, best_pair, m_cur = val, (sv, sq), m
-    svals, svecs = best_pair
-
+    k, _, rb = ak.shape
+    best = math.inf
+    for cand in (np.eye(rb, dtype=np.complex128), support_gram):
+        sv, sq = _project(cand, e)
+        top = float(_eigvals(_m_matrix(ak, sv, sq))[-1])
+        if top < best:
+            best, best_pair = top, (sv, sq)
+    h = np.zeros((k, k), dtype=np.complex128)
+    rho, lower, sv, sq = _dual_point(ak, h, e)
+    eta = math.inf
     iters = 0
-    converged = True
-    if rb > 1 and closed is None:
-        eta = 1.0
-        for stage in obj.stages:
-            stall = 0
-            f_ref = math.inf
-            while stall < stall_window:
-                if iters >= max_iters:
-                    converged = False
-                    break
-                iters += 1
-                lam, u = _eigh(m_cur)
-                f_cur, weights, smoothed = obj.model(lam, stage)
-                # gradient of the smoothed value wrt s, projected onto the tangent
-                c = _grad_gram(ak, u * np.sqrt(weights))
-                sinv = (svecs / svals) @ svecs.conj().T
-                grad = obj.tangent(_herm(-(sinv @ c @ sinv)), svals, svecs)
-                s_mat = (svecs * svals) @ svecs.conj().T
-                gnorm = float(np.linalg.norm(grad))
-                snorm = float(np.linalg.norm(s_mat))
-                if gnorm <= 1e-15 * max(1.0, snorm):
-                    break
-                eta = min(eta * 4.0, 1e3 * snorm / gnorm)
-                eta, trial = _line_search(ak, obj, smoothed, f_cur, s_mat, grad,
-                                          gnorm, eta)
-                if trial is None:
-                    break  # the line search failed: end the stage
-                svals, svecs, m_cur, lam_t, f_t = trial
-                val = f_t if obj.smoothed_is_value else obj.value(lam_t)
-                if val < best_val:
-                    best_val = val
-                    best_pair = (svals, svecs)
-                if math.isinf(f_ref):
-                    f_ref = f_t
-                elif f_ref - f_t <= decrease_tol * max(abs(f_ref), 1e-300):
-                    stall += 1
-                else:
-                    stall = 0
-                    f_ref = f_t
-            if not converged:
+    while True:
+        m = _m_matrix(ak, sv, sq)
+        lam = _eigvals(m)
+        if lam[-1] < best:
+            best, best_pair = float(lam[-1]), (sv, sq)
+        if math.sqrt(best) <= (1.0 + GAP_TOL) * lower:
+            return (*best_pair, rho, iters, True)
+        if iters >= max_iters:
+            break
+        iters += 1
+        # the gradient of g is M(s) up to a positive factor; tr(rho M) scales it
+        tr_rho_m = float(np.vdot(rho, m).real)
+        if not (tr_rho_m > 0.0 and lam[-1] > lam[0]):
+            break  # no ascent direction
+        spread = float(lam[-1] - lam[0]) / tr_rho_m
+        eta = min(2.0 / spread, 4.0 * eta)
+        for _ in range(_TRIALS):
+            h_t = h + (eta / tr_rho_m) * m
+            trial = _dual_point(ak, h_t, e)
+            if trial[1] >= lower:
                 break
+            eta *= 0.5
+        else:
+            break  # no step raises the dual
+        h = h_t
+        rho, lower, sv, sq = trial
+    return (*best_pair, rho, iters, False)
 
-    sv, sq = best_pair
-    sv = sv + 1e-12 * float(np.sum(sv)) / rb  # regularized inversion margin
-    return ub, scale, sv, sq, iters, converged
 
+def gram_density(A: np.ndarray, e: float) -> np.ndarray:
+    """The density ``(sum_n A_n A_n^*)^{e/2} / tr`` on the k-space of A.
 
-def minimize_gauge(A: np.ndarray, e: float, max_iters: int = 5000,
-                   decrease_tol: float = 1e-9, stall_window: int = 20,
-                   inits: tuple = ()) -> GaugeResult:
-    """Minimize the one-sided gauge over PSD ``s`` in the coordinates of A.
-
-    ``A`` has shape (N, k, r).  The returned witness lives on the r-space,
-    is zero off the right support of the coordinates and full-rank
-    (regularized) on it, and ``value`` is its certified value
-    (``evaluate_one_sided``).  ``inits`` are extra starting witnesses on the
-    r-space.  ``converged`` is False only when the iteration budget stopped
-    a descent that would have continued.  ``iterations`` is 0 when no
-    descent runs: for diagonal coordinates with ``e >= 2``, whose optimum is
-    the support Gram (module docstring), and for a support of rank at most
-    one.
+    It attains the one-sided dual for one coordinate and for diagonal ones
+    (module docstring), and is a cheap density for any other.  Diagonal
+    coordinates take it from ``c`` directly.
     """
+    if _diagonal_coordinates(A):
+        c = np.sum(np.abs(np.diagonal(A, axis1=1, axis2=2)) ** 2, axis=0)
+        w = (c / float(c.max())) ** (0.5 * e)
+        return np.diag(w / float(np.sum(w))).astype(np.complex128)
+    gram = np.einsum("nij,nkj->ik", A, A.conj())
+    rho = psd_power(gram / float(np.trace(gram).real), 0.5 * e)
+    return rho / float(np.trace(rho).real)
+
+
+def minimize_gauge(A: np.ndarray, e: float, max_iters: int = 5000) -> GaugeResult:
+    """Solve the one-sided gauge (``e >= 2``) in the coordinates of A.
+
+    ``A`` has shape (N, k, r).  The returned witness ``s`` lives on the
+    r-space, is zero off the right support of the coordinates and full-rank
+    (regularized) on it, and ``value`` is its certified value
+    (``evaluate_one_sided``).  ``rho`` is the dual density on the k-space
+    that ``minimax_lower`` turns into the matching lower bound.  For one
+    coordinate and for diagonal ones both take a closed form and
+    ``iterations`` is 0 (module docstring); otherwise the ascent runs.
+    ``converged`` is False only when the budget or a failed step search
+    ended the ascent before its gap closed to ``GAP_TOL``.
+    """
+    if e < 2.0:
+        raise ValueError(f"the one-sided gauge needs e >= 2, got {e}")
     A = np.asarray(A, dtype=np.complex128)
-    n_coords, _, r = A.shape
+    n_coords, k, r = A.shape
     if r == 0 or n_coords == 0 or not np.any(A):
         return GaugeResult(0.0, np.eye(max(r, 1), dtype=np.complex128), 0, True)
-    ub, _, sv, sq, iters, converged = _descend(
-        A, _OneSided(e), inits, max_iters, decrease_tol, stall_window)
+    ub, ak, _, support_gram, _ = _restrict(A)
+    if n_coords == 1 or _diagonal_coordinates(A):
+        sv, sq = _project(support_gram, e)
+        rho, iters, converged = gram_density(A, e), 0, True
+    else:
+        sv, sq, rho, iters, converged = _ascend(ak, support_gram, e, max_iters)
+    sv = sv + 1e-12 * float(np.sum(sv)) / ub.shape[1]  # regularized inversion margin
     s_out = ub @ ((sq * sv) @ sq.conj().T) @ ub.conj().T
     return GaugeResult(value=evaluate_one_sided(A, s_out, e), s=s_out,
-                       iterations=iters, converged=converged)
+                       iterations=iters, converged=converged, rho=rho)
 
 
 def _residual_correction(resid_coords: np.ndarray, p: float) -> float:
@@ -551,9 +476,113 @@ def evaluate_two_sided(coords: np.ndarray, r_full: np.ndarray,
             + charge)
 
 
+_TRIAL_CHUNK = 4  # consecutive halvings evaluated as one stacked trial
+
+
+def _line_search(ak, q, f_cur, s_mat, grad, eta):
+    """Backtracking along ``-grad`` from ``s_mat``: steps eta, eta/2, ...
+
+    Returns ``(eta, trial)`` for the first of ``_TRIALS`` halvings whose
+    projected point lowers the reduced two-sided value below ``f_cur``
+    beyond rounding, with ``trial = (svals, svecs, M, value)``, or ``(eta /
+    2^40, None)`` when none does.  The halvings are evaluated
+    ``_TRIAL_CHUNK`` at a time: one stacked projection, M(s) and
+    ``eigvalsh``, each matrix getting the float operations of a trial
+    evaluated alone, and the first passing one (in halving order) is taken,
+    so the result is that of trying them one by one.
+    """
+    for start in range(0, _TRIALS, _TRIAL_CHUNK):
+        etas = [eta]
+        for _ in range(1, min(_TRIAL_CHUNK, _TRIALS - start)):
+            etas.append(etas[-1] * 0.5)
+        tv, tq = _project(s_mat - np.array(etas)[:, None, None] * grad, 2.0)
+        m_t = _m_matrix(ak, tv, tq)
+        lam_t = _eigvals(m_t)
+        for j, eta in enumerate(etas):
+            f_t = _tr_power_term(lam_t[j], q)
+            if f_t < f_cur * (1.0 - 1e-14) or f_t <= f_cur - 1e-12:
+                return eta, (tv[j], tq[j], m_t[j], f_t)
+        eta *= 0.5
+    return eta, None
+
+
+def _descend(A: np.ndarray, p: float, max_iters: int, decrease_tol: float,
+             stall_window: int):
+    """Projected descent of the reduced two-sided gauge on the right support.
+
+    Returns ``(ub, scale, svals, svecs, iterations, converged)``: the support
+    basis and coordinate scale of ``_restrict``, and the spectrum of the
+    best point found with the regularization margin added.
+    """
+    q = q_from_p(p)
+    ub, ak, scale, support_gram, kept = _restrict(A)
+    rb = ub.shape[1]
+    diagonal = _diagonal_coordinates(A)
+    if diagonal:
+        # in its own eigenbasis the (diagonal) Gram is diag(c) on the support
+        candidates = [np.diag(kept ** (0.5 * p)).astype(np.complex128)]
+    else:
+        candidates = [np.eye(rb, dtype=np.complex128), support_gram]
+
+    best_val = math.inf
+    best_pair = m_cur = None
+    for cand in candidates:
+        sv, sq = _project(cand, 2.0)
+        m = _m_matrix(ak, sv, sq)
+        val = _tr_power_term(_eigvals(m), q)
+        if val < best_val:
+            best_val, best_pair, m_cur = val, (sv, sq), m
+    svals, svecs = best_pair
+
+    iters = 0
+    converged = True
+    if rb > 1 and not diagonal:
+        eta = 1.0
+        stall = 0
+        f_ref = math.inf
+        while stall < stall_window:
+            if iters >= max_iters:
+                converged = False
+                break
+            iters += 1
+            lam, u = _eigh(m_cur)
+            f_cur = _tr_power_term(lam, q)
+            # gradient of tr((G/top)^{q/2}) wrt s (a positive rescale), projected
+            # off the trace
+            top = max(float(lam[-1]), 1e-300)
+            c = _grad_gram(ak, u * np.sqrt((lam / top) ** (0.5 * q - 1.0)))
+            sinv = (svecs / svals) @ svecs.conj().T
+            grad = _herm(-(sinv @ c @ sinv))
+            grad = grad - (float(np.trace(grad).real) / rb) * np.eye(rb)
+            s_mat = (svecs * svals) @ svecs.conj().T
+            gnorm = float(np.linalg.norm(grad))
+            snorm = float(np.linalg.norm(s_mat))
+            if gnorm <= 1e-15 * max(1.0, snorm):
+                break
+            eta = min(eta * 4.0, 1e3 * snorm / gnorm)
+            eta, trial = _line_search(ak, q, f_cur, s_mat, grad, eta)
+            if trial is None:
+                break  # the line search failed
+            svals, svecs, m_cur, f_t = trial
+            if f_t < best_val:
+                best_val = f_t
+                best_pair = (svals, svecs)
+            if math.isinf(f_ref):
+                f_ref = f_t
+            elif f_ref - f_t <= decrease_tol * max(abs(f_ref), 1e-300):
+                stall += 1
+            else:
+                stall = 0
+                f_ref = f_t
+
+    sv, sq = best_pair
+    sv = sv + 1e-12 * float(np.sum(sv)) / rb  # regularized inversion margin
+    return ub, scale, sv, sq, iters, converged
+
+
 def minimize_two_sided(coords: np.ndarray, p: float, max_iters: int = 5000,
-                       decrease_tol: float = 1e-9, stall_window: int = 20,
-                       inits: tuple = ()) -> GaugeResult:
+                       decrease_tol: float = 1e-9,
+                       stall_window: int = 20) -> GaugeResult:
     """Minimize the two-sided gauge (p <= 2) after eliminating the left factor.
 
     For fixed ``s`` the optimal left factor has the closed form
@@ -565,15 +594,17 @@ def minimize_two_sided(coords: np.ndarray, p: float, max_iters: int = 5000,
     a smooth convex objective.  A naive alternation between the two factors
     stalls: the scaling freedom between outer factors makes every point a
     fixed point, so the reduced form is both faster and correct.  It has no
-    spurious minima, so the descent starts from the best of the identity, the
-    support Gram and the ``inits`` (extra witnesses ``s`` on the r-space).
+    spurious minima, so the descent starts from the better of the identity
+    and the support Gram.
 
     For diagonal coordinates the optimum ``s = diag(c)^{p/2}`` on the support
     is the only candidate (module docstring): no iteration runs and
     ``iterations`` is 0, as it is for a support of rank at most one.
     ``converged`` is False only when the iteration budget stopped a descent
     that would have continued.  ``value`` is the certified value of the
-    witness (``evaluate_two_sided``; ``evaluate_one_sided`` at p = 2).
+    witness (``evaluate_two_sided``).  At p = 2 the problem is the one-sided
+    gauge at ``e = 2`` (``minimize_gauge``, whose ascent ignores the stall
+    settings), with ``r`` the identity.
     """
     y = np.asarray(coords, dtype=np.complex128)
     n_coords, k, kr = y.shape
@@ -582,13 +613,12 @@ def minimize_two_sided(coords: np.ndarray, p: float, max_iters: int = 5000,
         return GaugeResult(0.0, np.eye(kr, dtype=np.complex128), 0, True, r=ident_r)
     if math.isinf(q_from_p(p)):
         # p = 2: the left factor is absorbed, identical to the one-sided core
-        res = minimize_gauge(y, 2.0, max_iters=max_iters, decrease_tol=decrease_tol,
-                             stall_window=stall_window, inits=inits)
+        res = minimize_gauge(y, 2.0, max_iters=max_iters)
         res.r = ident_r
         return res
 
     ur, scale, sv, sq, iters, converged = _descend(
-        y, _TwoSided(p), inits, max_iters, decrease_tol, stall_window)
+        y, p, max_iters, decrease_tol, stall_window)
     s_full = scale * (ur @ ((sq * sv) @ sq.conj().T) @ ur.conj().T)
     yk = _k_major(y)
     b = (yk.reshape(-1, kr) @ psd_power(s_full, -1.0)).reshape(k, -1)
@@ -603,9 +633,6 @@ def minimize_two_sided(coords: np.ndarray, p: float, max_iters: int = 5000,
 
 _EPS = float(np.finfo(np.float64).eps)
 
-#: relative eigenvalue gaps below the top of M(s) that the one-sided dual
-#: support may span; each distinct span gives one candidate density
-_TOP_SPANS = (1e-6, 1e-4, 1e-3, 1e-2, 1e-1)
 #: averaged fixed-point steps on the two-sided dual matrix (see
 #: ``_two_sided_densities``), each one more candidate
 _TWO_SIDED_STEPS = 3
@@ -659,40 +686,6 @@ def minimax_lower(coords: np.ndarray, rho: np.ndarray, p: float) -> float:
     return pow2_restore(num / den * (1.0 - (2 * k + 16) * _EPS), e)
 
 
-def _one_sided_densities(A: np.ndarray, s: np.ndarray, e: float) -> list:
-    """Candidate densities for the one-sided dual at the witness ``s``."""
-    if _diagonal_coordinates(A):
-        c = np.sum(np.abs(np.diagonal(A, axis1=1, axis2=2)) ** 2, axis=0)
-        w = (c / float(c.max())) ** (0.5 * e)
-        return [np.diag(w / float(np.sum(w))).astype(np.complex128)]
-    ub, ak, _, _, _ = _restrict(A)
-    k, n_coords, rb = ak.shape
-    sv, sq = _project(ub.conj().T @ s @ ub, e)
-    lam, u = _eigh(_m_matrix(ak, sv, sq))
-    target = ((sq * sv ** (0.5 * e + 1.0)) @ sq.conj().T).ravel()
-    densities = []
-    sizes = set()
-    for span in _TOP_SPANS:
-        sel = lam >= (1.0 - span) * float(lam[-1])
-        m = int(np.sum(sel))
-        if m in sizes:
-            continue
-        sizes.add(m)
-        top = u[:, sel]
-        w = (top.conj().T @ ak.reshape(k, -1)).reshape(m, n_coords, rb)
-        # C(P X P^*) = sum_n W_n^* X W_n with W_n = P^* A_n, as a matrix on vec X
-        lin = np.einsum("ani,bnj->ijab", w.conj(), w).reshape(rb * rb, m * m)
-        x = np.linalg.lstsq(lin, target, rcond=None)[0].reshape(m, m)
-        xv, xq = _spectral(x)
-        if not np.any(xv):
-            continue
-        v = top @ xq
-        rho = (v * xv) @ v.conj().T
-        rho = rho / float(np.trace(rho).real)
-        densities.append(_herm(rho))
-    return densities or [np.eye(k, dtype=np.complex128) / k]
-
-
 def _two_sided_densities(A: np.ndarray, r: np.ndarray, p: float) -> list:
     """Candidate dual matrices for the two-sided dual at the left factor ``r``.
 
@@ -730,21 +723,16 @@ def _two_sided_density(r: np.ndarray, p: float) -> np.ndarray:
     return _herm((vecs * w) @ vecs.conj().T)
 
 
-def minimax_certificate(coords: np.ndarray, p: float, s: np.ndarray,
-                        r: np.ndarray | None = None):
-    """Certified lower bound from the dual of the gauge solved at a witness.
+def minimax_certificate(coords: np.ndarray, p: float, r: np.ndarray | None = None):
+    """Certified lower bound from the two-sided dual (p < 2) at a left factor.
 
-    ``s`` (and, for p < 2, the left factor ``r``) is the witness of the
-    upper bound in the frame of ``coords``.  Returns ``(lower, rho)`` with
-    the best of the candidate dual matrices built from it (module
-    docstring); ``rho`` is what ``minimax_lower`` was evaluated on.
+    ``r`` is the left factor of the upper-bound witness in the frame of
+    ``coords`` (the identity when None).  Returns ``(lower, rho)`` with the
+    best of the candidate dual matrices built from it (module docstring);
+    ``rho`` is what ``minimax_lower`` was evaluated on.
     """
     y, _ = pow2_normalize(coords)
-    if p < 2.0:
-        k = y.shape[1]
-        candidates = _two_sided_densities(y, np.eye(k) if r is None else r, p)
-    else:
-        candidates = _one_sided_densities(y, s, p)
+    candidates = _two_sided_densities(y, np.eye(y.shape[1]) if r is None else r, p)
     lowers = [minimax_lower(coords, rho, p) for rho in candidates]
     best = int(np.argmax(lowers))
     return lowers[best], candidates[best]

@@ -179,7 +179,7 @@ def dual_witness(a, p: float, rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
     """
     m = as_matrix(a)
     p = float(p)
-    u, sv, vh = np.linalg.svd(m)
+    u, sv, vh = np.linalg.svd(m, full_matrices=False)
     if sv.size == 0 or sv[0] == 0.0:
         return np.zeros((m.shape[1], m.shape[0]), dtype=np.complex128)
     if math.isinf(p):

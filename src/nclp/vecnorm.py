@@ -11,18 +11,20 @@ two factorization norms, selected by :class:`Side`:
   exact identity for these norms.
 
 ``alpha_certify`` returns rigorous two-sided bounds: the upper bound is the
-value of an explicit feasible factorization found by descent
+value of an explicit feasible factorization found by the gauge solver
 (:mod:`nclp.gaugeopt`), the lower bound is the minimax dual of that same
-gauge problem at a dual matrix built from the solved witness.
+gauge problem at a dual matrix ``rho``: for p >= 2 the density of the solver's
+own ascent, which stops once the two bounds meet, and for p < 2 one built
+from the solved witness.
 ``beta_certify`` treats the p-sum of the two norms (infimum over splittings
 ``y = y0 + y1``) and takes its lower bound by pairing: ``|<y, c>| / U(c)``
 for a pool of dual candidates ``c``, where ``U(c)`` is the p'-sum of the
-certified upper bounds on the two dual norms of ``c``, each a descent.
+certified upper bounds on the two dual norms of ``c``, each a solve.
 
 Pruning.  Each candidate also gets a floor ``L(c)``, the p'-sum of the
-minimax lower bounds of its two dual norms at the trivial witness (no
-descent).  Since ``L(c) <= true p'-sum <= U(c)``, the potential ``|<y, c>| /
-L(c)`` bounds the candidate's ratio from above.  The candidates are solved
+minimax lower bounds of its two dual norms at a dual matrix in closed form
+(``_dual_floor``, no solve).  Since ``L(c) <= true p'-sum <= U(c)``, the
+potential ``|<y, c>| / L(c)`` bounds the candidate's ratio from above.  The candidates are solved
 by decreasing potential, and a candidate whose potential is below the best
 ratio so far (less a relative ``1e-9`` for rounding) cannot win and is not
 solved.  The winner is then picked among the solved candidates in pool
@@ -195,7 +197,6 @@ class CertifyOptions:
     decrease_tol: float = 1e-9
     stall_window: int = 20
     beta_effort: int = 1
-    extra_witnesses: tuple = ()
 
     def replace(self, **kw) -> "CertifyOptions":
         return dataclasses.replace(self, **kw)
@@ -211,12 +212,14 @@ FAST_OPTS = CertifyOptions(max_iters=240, stall_window=8, beta_effort=0)
 class FactorWitness:
     """Feasible factorization datum behind an upper bound.
 
-    For the one-sided branch (p >= 2) only ``s`` is set: the factorization is
-    ``y_n = (y_n s^{-1/2}) s^{1/2}``.  The two-sided branch carries the pair
-    ``(r, s)``.  ``transposed`` records that the witness lives in the
+    For the one-sided branch (p >= 2) ``s`` is the factor: the factorization
+    is ``y_n = (y_n s^{-1/2}) s^{1/2}``.  The two-sided branch carries the
+    pair ``(r, s)``.  ``transposed`` records that the witness lives in the
     transposed frame (R_COL input).  ``rho`` is the dual matrix behind the
     lower bound of ``alpha_certify``, in the same frame
-    (``gaugeopt.minimax_lower``); it is None elsewhere.
+    (``gaugeopt.minimax_lower``): the one-sided solve returns it with ``s``,
+    and ``alpha_certify`` builds it for the two-sided branch; it is None
+    elsewhere.
     """
 
     branch: str
@@ -308,10 +311,7 @@ def alpha_upper(y: VecElem, p: float, side: Side = Side.ELL_ROW,
     """
     p = check_exponent(p)
     if side == Side.R_COL:
-        flipped = [dataclasses.replace(w, transposed=not w.transposed)
-                   for w in opts.extra_witnesses]
-        value, wit = alpha_upper(opposite_transform(y), p, Side.ELL_ROW,
-                                 opts.replace(extra_witnesses=tuple(flipped)))
+        value, wit = alpha_upper(opposite_transform(y), p, Side.ELL_ROW, opts)
         wit.transposed = True
         return value, wit
 
@@ -322,27 +322,17 @@ def alpha_upper(y: VecElem, p: float, side: Side = Side.ELL_ROW,
     scale = float(np.max(np.abs(yn)))
     ys = VecElem(yn / scale)
 
-    branch = "one_sided" if p >= 2.0 else "two_sided"
-
-    extra = [w for w in opts.extra_witnesses
-             if w.branch == branch and not w.transposed
-             and w.s.shape == (y.k, y.k)
-             and (branch == "one_sided" or w.r is not None)]
-    solve = (gaugeopt.minimize_gauge if branch == "one_sided"
-             else gaugeopt.minimize_two_sided)
-    res = solve(ys.coords, p, max_iters=opts.max_iters,
-                decrease_tol=opts.decrease_tol, stall_window=opts.stall_window,
-                inits=tuple(w.s for w in extra))
-    # both solvers return the certified value of their witness; the extra
-    # witnesses are scored by the same evaluation
-    best_val = res.value
-    wit = FactorWitness(branch, s=res.s, r=res.r, iterations=res.iterations,
-                        converged=res.converged)
-    for cand in extra:
-        val = evaluate_upper_at(ys, cand, p)
-        if val < best_val:
-            best_val, wit.s, wit.r = val, cand.s, cand.r
-    return pow2_restore(best_val * scale, e), wit
+    if p >= 2.0:
+        res = gaugeopt.minimize_gauge(ys.coords, p, max_iters=opts.max_iters)
+    else:
+        res = gaugeopt.minimize_two_sided(ys.coords, p, max_iters=opts.max_iters,
+                                          decrease_tol=opts.decrease_tol,
+                                          stall_window=opts.stall_window)
+    # both solvers return the certified value of their witness
+    wit = FactorWitness("one_sided" if p >= 2.0 else "two_sided", s=res.s,
+                        r=res.r, iterations=res.iterations,
+                        converged=res.converged, rho=res.rho)
+    return pow2_restore(res.value * scale, e), wit
 
 
 def certified_dual_upper(yp: VecElem, p_dual: float,
@@ -357,9 +347,7 @@ def certified_dual_upper(yp: VecElem, p_dual: float,
         return 0.0
     if yp.is_diagonal():
         return diagonal_closed_form(yp.diagonal_coefficients(), p_dual)
-    value, _ = alpha_upper(yp, p_dual, Side.ELL_ROW,
-                           opts.replace(extra_witnesses=()))
-    return value
+    return alpha_upper(yp, p_dual, Side.ELL_ROW, opts)[0]
 
 
 def _dual_upper_once(p_dual: float, opts: CertifyOptions):
@@ -445,16 +433,22 @@ def alpha_certify(y: VecElem, p: float, side: Side = Side.ELL_ROW,
     """Two-sided certificate for the factorization norm on the chosen side.
 
     The upper bound is ``alpha_upper``'s; the lower bound is the minimax dual
-    of the gauge problem that solve just solved, evaluated at the dual
-    matrix ``rho`` built from its witness (``gaugeopt.minimax_certificate``),
-    which the returned witness records.
+    of the gauge problem that solve just solved (``gaugeopt.minimax_lower``),
+    evaluated at the dual matrix ``rho`` that the returned witness records.
+    For p >= 2 that is the density of the solve's own ascent, which ends
+    once the two bounds are within ``gaugeopt.GAP_TOL`` (or at the budget,
+    ``converged = False``); for p < 2 it is built from the witness's left
+    factor (``gaugeopt.minimax_certificate``).
     """
     p = check_exponent(p)
     upper, wit = alpha_upper(y, p, side, opts)
     if y.is_zero():
         return NormCertificate(0.0, 0.0, wit, None, 0, True)
     coords = opposite_transform(y).coords if side == Side.R_COL else y.coords
-    lower, wit.rho = gaugeopt.minimax_certificate(coords, p, wit.s, wit.r)
+    if wit.branch == "one_sided":
+        lower = gaugeopt.minimax_lower(coords, wit.rho, p)
+    else:
+        lower, wit.rho = gaugeopt.minimax_certificate(coords, p, wit.r)
     return NormCertificate(upper=upper, lower=lower, factor_witness=wit,
                            dual_witness=None, iterations=wit.iterations,
                            converged=wit.converged)
@@ -481,13 +475,16 @@ _PRUNE_MARGIN = 1e-9
 
 
 def _dual_floor(cand: VecElem, p_dual: float) -> float:
-    """Certified lower bound on the ELL_ROW dual norm of a candidate, no descent.
+    """Certified lower bound on the ELL_ROW dual norm of a candidate, no solve.
 
-    The minimax dual of the candidate's own gauge at the trivial witness
-    (``gaugeopt.minimax_certificate`` with ``s = r = I``).
+    The minimax dual of the candidate's own gauge at a density in closed
+    form: ``gaugeopt.gram_density`` for ``p' >= 2``, and the two-sided dual
+    at the left factor ``r = I`` below.
     """
-    return gaugeopt.minimax_certificate(cand.coords, p_dual,
-                                        np.eye(cand.k, dtype=np.complex128))[0]
+    if p_dual < 2.0:
+        return gaugeopt.minimax_certificate(cand.coords, p_dual)[0]
+    return gaugeopt.minimax_lower(cand.coords, gaugeopt.gram_density(cand.coords, p_dual),
+                                  p_dual)
 
 
 def _pairing_potential(cand: VecElem, num: float, p_dual: float) -> float:

@@ -7,7 +7,7 @@ import nclp.vecnorm as vn
 from nclp import gaugeopt
 from nclp.counterexample import verify_pipeline, witness_w
 from nclp.cpmaps import amplify_apply, build_counterexample_maps
-from nclp.schatten import psd_power
+from nclp.schatten import psd_power, schatten_norm
 from nclp.vecnorm import (DEFAULT_OPTS, FAST_OPTS, Side, VecElem,
                           alpha_certify, alpha_upper, beta_certify,
                           certified_dual_upper, random_element)
@@ -115,10 +115,12 @@ GOLDEN = {
     (4.0, Side.R_COL): (8.886949127506071, 7.608803898901602),
 }
 
-#: cases in which the upper-bound descent ends on its stall criterion; in the
-#: others it ends on a failed line search, which rounding decides and which
-#: can move a bracket by percents, so there only a sound bracket no looser
-#: than the recorded one is required.  Values: the minimax lower bound.
+#: cases in which the upper-bound descent ended on its stall criterion; in
+#: the others it ended on a failed line search, which rounding decides and
+#: which can move a bracket by percents, so there only a sound bracket no
+#: looser than the recorded one is required.  Values: the minimax lower
+#: bound.  The p >= 2 case is now solved by the ascent, which stops on its
+#: gap: its bracket must meet the recorded one and be closed to 2e-8.
 STALL_ENDED = {
     (1.5, Side.R_COL): 15.391100190831542,
     (3.0, Side.ELL_ROW): 10.334772219019275,
@@ -134,7 +136,10 @@ def test_golden_brackets(p, side):
     assert cert.lower <= cert.upper
     assert cert.upper <= upper * (1 + 1e-9)
     assert cert.lower >= lower * (1 - 1e-9)
-    if (p, side) in STALL_ENDED:
+    if (p, side) == (3.0, Side.ELL_ROW):
+        assert cert.lower <= upper and cert.upper >= STALL_ENDED[(p, side)]
+        assert cert.upper - cert.lower <= 2e-8 * cert.upper
+    elif (p, side) in STALL_ENDED:
         assert cert.upper == pytest.approx(upper, rel=1e-9)
         assert cert.lower == pytest.approx(STALL_ENDED[(p, side)], rel=1e-9)
 
@@ -225,7 +230,8 @@ class TestDiagonalCoordinates:
 
 
 class TestConvergedFlag:
-    """``converged`` is False only when the budget stopped a live descent."""
+    """``converged`` is False only when the budget (or, for the ascent, a
+    failed step search) stopped a live solve."""
 
     def test_zero_budget_without_descent(self):
         y = random_element(1, 3, np.random.default_rng(0))
@@ -256,6 +262,71 @@ class TestConvergedFlag:
         short = solve(y, free.iterations - 1)
         assert not short.converged
         assert short.iterations == free.iterations - 1
+
+
+class TestAscent:
+    """The one-sided solve: an ascent on the dual density (module docstring)."""
+
+    @pytest.mark.parametrize("p", [2.0, 3.0, 4.0])
+    def test_one_coordinate_is_schatten_norm(self, rng, p):
+        for k, rank in ((1, 1), (2, 2), (3, 1), (5, 5)):
+            a = (random_complex(rng, k, rank) @ random_complex(rng, rank, k))[None]
+            res = gaugeopt.minimize_gauge(a, p)
+            want = schatten_norm(a[0], p)
+            assert (res.iterations, res.converged) == (0, True)
+            assert res.value == pytest.approx(want, rel=1e-10)
+            lower = gaugeopt.minimax_lower(a, res.rho, p)
+            assert want * (1 - 1e-10) <= lower <= res.value
+
+    @pytest.mark.parametrize("k", [2, 3, 5])
+    @pytest.mark.parametrize("e", [2.0, 3.0, 4.0])
+    def test_gradient_is_m_at_the_inner_optimum(self, rng, k, e):
+        """grad g(rho) = g^{1 - beta} M(s) at s = C(rho)^{1/(a+1)}, unnormalized."""
+        a_exp = 0.5 * e
+        beta = a_exp / (a_exp + 1.0)
+        coords = random_complex(rng, 3, k, k)
+
+        def c_of(rho):
+            return np.einsum("nji,jl,nlk->ik", coords.conj(), rho, coords)
+
+        def g_of(rho):
+            c = np.linalg.eigvalsh(c_of(rho))
+            return float(np.sum(c ** beta)) ** (1.0 / beta)
+
+        x = random_complex(rng, k, k)
+        rho = x @ x.conj().T + 0.2 * np.eye(k)
+        rho /= np.trace(rho).real
+        s = psd_power(c_of(rho), 1.0 / (a_exp + 1.0))
+        m = np.einsum("nij,jl,nkl->ik", coords, np.linalg.inv(s), coords.conj())
+        grad = g_of(rho) ** (1.0 - beta) * m
+        for _ in range(3):
+            d = random_complex(rng, k, k)
+            d = d + d.conj().T
+            t = 1e-6
+            fd = (g_of(rho + t * d) - g_of(rho - t * d)) / (2 * t)
+            assert fd == pytest.approx(float(np.vdot(d, grad).real), rel=1e-6)
+        # the ascent's own point: its lower bound is g^{1/2} and its M(s), at
+        # s normalized to tr(s^a) = 1, is the gradient itself
+        ak = gaugeopt._k_major(coords)
+        vals, vecs = np.linalg.eigh(rho)
+        h = (vecs * np.log(vals)) @ vecs.conj().T  # rho = exp(h)
+        _, lower, sv, sq = gaugeopt._dual_point(ak, h, e)
+        assert lower ** 2 == pytest.approx(g_of(rho), rel=1e-10)
+        assert rel_err(gaugeopt._m_matrix(ak, sv, sq), grad) <= 1e-8
+
+    @pytest.mark.parametrize("k", [2, 3, 5, 8])
+    @pytest.mark.parametrize("p", [2.0, 2.5, 3.0, 4.0, 13 / 3])
+    def test_certified_gap_or_budget_stop(self, k, p):
+        y = random_element(k, k, np.random.default_rng(40 + k))
+        for side in Side:
+            cert = alpha_certify(y, p, side, DEFAULT_OPTS)
+            assert cert.lower <= cert.upper
+            assert (not cert.converged
+                    or cert.upper - cert.lower <= 2e-8 * cert.upper), (side, cert)
+
+    def test_rejects_exponents_below_two(self):
+        with pytest.raises(ValueError):
+            gaugeopt.minimize_gauge(random_complex(np.random.default_rng(0), 2, 2, 2), 1.5)
 
 
 def stacked_inputs(rng, r):
@@ -303,45 +374,22 @@ class TestStackedKernels:
                                                    rel=1e-12)
 
 
-#: minimize_gauge ("gauge", exponent e) and minimize_two_sided ("two",
-#: exponent p) on random_element(k, k, default_rng(seed), degenerate) at the
-#: budget (max_iters, stall_window), as computed by the one-trial-at-a-time
-#: line search: (value, iterations, converged, SHA-256 of s, of r).  Recorded
-#: with numpy 2.4.6 and its bundled OpenBLAS (x86-64, AVX-512), with one and
-#: with two BLAS threads alike.
+#: minimize_two_sided ("two", exponent p) and minimize_gauge ("gauge",
+#: exponent e) on random_element(k, k, default_rng(seed), degenerate): the
+#: two-sided descent at the budget (max_iters, stall_window), as computed by
+#: the one-trial-at-a-time line search, and the one-sided ascent at the budget
+#: max_iters: (value, iterations, converged, SHA-256 of s, of r or of rho).
+#: Recorded with numpy 2.4.6 and its bundled OpenBLAS (x86-64, AVX-512), with
+#: one and with two BLAS threads alike.
 DESCENT_PINS = {
-    ("gauge", 1, 0, False, 3.0, (240, 8)): (
-        0.1289569373888181, 0, True,
-        "c8db0ed7d3a4479694d1b8b750622cfb910763aee594a9e9fce2513dfb358e89",
-        None),
     ("two", 1, 0, False, 1.5, (240, 8)): (
         0.12895693738881814, 0, True,
         "d3afcb2d6e97bf4727f55801b6acc10d1f088d3a505d3c3da04a3eddf1186376",
         "23b484c6b69371c7ff82b214ed4ea2b8c08f218f9b2670629ff6e9354393c91d"),
-    ("gauge", 2, 0, False, 3.0, (240, 8)): (
-        2.7225689575184653, 38, True,
-        "52ea5b6d72746c6e77d263b0e8b41c445c32c9fd6145435d1cc7cfb5f2999371",
-        None),
-    ("gauge", 2, 0, True, 4.0, (5000, 20)): (
-        2.2824030535443076, 236, True,
-        "41e3987ab01c18f7253b9c5c9e4e734176ffa87bcdc02052446700ac5be8a34a",
-        None),
     ("two", 2, 0, False, 1.5, (5000, 20)): (
         2.96633212506076, 14, True,
         "efa6602ac5e2c8a04e8634ff9034cea91dbb9e3508dc983b89ce0648e1ed30a8",
         "e71096d464da3e495e05d76222c560ae4e078a599ced2c5b0a0b6ef9e15481fc"),
-    ("gauge", 3, 2, True, 4.0, (240, 8)): (
-        3.6398788896088403, 240, False,
-        "9cd08a4e5979858b3ba0dcd8f235b506605cad69e375e65d6127bcfe86eea810",
-        None),
-    ("gauge", 3, 3, False, 3.0, (5000, 20)): (
-        6.062536629769899, 134, True,
-        "3f6e7e1a9e6840b31aefbbc991ffe9c00a4497f85b41c51770c263ff61768191",
-        None),
-    ("gauge", 3, 0, False, 1.5, (5000, 20)): (
-        6.388162731970237, 100, True,
-        "6199f897f1c601f931d614b30d95959a8e41a0f9c2ab141d4604f3226b10cf41",
-        None),
     ("two", 3, 1, True, 1.5, (5000, 20)): (
         4.420039602190592, 42, True,
         "6f73da46c4b135d42fcc16b31e6a5b9e8fb8e413039bc7b387ef99b008a6874f",
@@ -350,30 +398,10 @@ DESCENT_PINS = {
         6.612066771063966, 16, True,
         "a2bcf54d23d41507a26934981f480b74b5abb3efa1ce7286d88de2579ed5334b",
         "b191b581b537e4ee2ff638a856922923495a4d4ebdf96fb3687b5184a5db336a"),
-    ("gauge", 5, 2, True, 4.0, (5000, 20)): (
-        8.526552093870889, 503, True,
-        "43b091b5e1e59b07bd057acdf032cfbda299db5f164c8457a2f7c3971974d3a0",
-        None),
-    ("gauge", 5, 0, False, 3.0, (240, 8)): (
-        10.335389102758453, 240, False,
-        "8dcbd0e89acd5bb9030c18f9f443e5a75dea3acbdcff694457ba8a1d561342b3",
-        None),
-    ("gauge", 5, 1, False, 2.5, (5000, 20)): (
-        9.796326943513241, 699, True,
-        "d6fec28442724c1d01932e9418928766292a6877d407f9b968b65626bee0f389",
-        None),
     ("two", 5, 1, False, 1.5, (5000, 20)): (
         13.56169847569391, 35, True,
         "141e2b3ef3ff67b71e3db7f3ad69c2434d0e7ccb1e9f4a401dba4b8bfef5b6a9",
         "7258ef6a1bb93b347ff79fc265c31b4db74052457341e0fae2d4f75435095653"),
-    ("gauge", 8, 2, False, 4.0, (5000, 20)): (
-        16.004956530365803, 1580, True,
-        "9d596458b258f0c0845e917bdb3d2bf6ddaa6d12c8bf418aaa6c63ec7af7e058",
-        None),
-    ("gauge", 8, 1, True, 3.0, (240, 8)): (
-        18.070048137099473, 240, False,
-        "eae6f2f83fa0e40d8ee9c80f4c06e8c8e95e2c8354c2b0199dd3de129dc19861",
-        None),
     ("two", 8, 1, True, 1.5, (5000, 20)): (
         29.419359853053844, 15, True,
         "fc06195c65c2258d3b3abd429e197fbce2f80c259e26afb92cbb517b72e84ecd",
@@ -382,20 +410,76 @@ DESCENT_PINS = {
         26.67724981171704, 88, True,
         "39868c82eebdb4b5897d66e018c52b3cb2263bfb56f3871ff9b8d3120367d11d",
         "2d8b052ba04a13fab0c58abc3659d8d177fe729e157c0ea86e76a50718c10ba7"),
+    ("gauge", 1, 0, False, 3.0, 240): (
+        0.1289569373888181, 0, True,
+        "c8db0ed7d3a4479694d1b8b750622cfb910763aee594a9e9fce2513dfb358e89",
+        "3239b05c38b825ebb79f103172438292a22a0951351a6b81be1df5d44776cc65"),
+    ("gauge", 2, 0, False, 3.0, 240): (
+        2.7225689642198825, 131, True,
+        "9db3d87eb38542e53c32a2a2416317ec375230903cd20f4fc7a4dfe67967c7a9",
+        "9c082124ea5ddbfd05f6543afbac12ee711af939755cbfc922ecb8840767767e"),
+    ("gauge", 2, 0, True, 4.0, 5000): (
+        2.2824030535443063, 9, True,
+        "78ba4f18a7004d7c70a5900cfc2e566c1d0aa5ac70160cbf6fa6c41eab1d5b6a",
+        "667d225e96ad7a2d74456fd9b731e40879a57f2a52b3eb654d2be48fde1eff29"),
+    ("gauge", 2, 19, False, 2.0, 5000): (
+        2.4762995468140825, 27, True,
+        "ab69231211395659057a1a79d78fc8516429ac47aab3baab9ae5136ce84908cc",
+        "2c87b3698f66a32cb59217d9534acd383f78c77503c4101068439c433855736a"),
+    ("gauge", 3, 2, True, 4.0, 240): (
+        3.6396946412387248, 140, True,
+        "1c35251606b776ffa45e5a522562cc16e8e7a113ecd0c77ad72da22409bfc601",
+        "24969f4be48f1c5f6e38e3b7ac66cde6777e905ede5305442b743dba4c41cf9a"),
+    ("gauge", 3, 3, False, 3.0, 5000): (
+        6.062536635989788, 159, True,
+        "c763c9a0b181517dbd253556925ce509c1535e31a8a66c531f53eefcbce333d4",
+        "39bb26564c57db744f8ac045acf6fd85e5aeb3165a90a7c7eb6463b687fa1f6f"),
+    ("gauge", 3, 1, False, 13 / 3, 5000): (
+        4.035599489629937, 462, True,
+        "24a01f8d3207744c243283b22aac380df0bcf441dc98e539897e6ddd510a3b14",
+        "55c1a0e261206045376a5f488f43dd441f70c19eb98b53b314011076f7772aa3"),
+    ("gauge", 4, 0, True, 2.5, 240): (
+        6.904378578927154, 240, False,
+        "93178fb672d07ac7f3214b486d86fd943a7a73834d66f2a86026ff8f4aaee93e",
+        "5fa84700a76946c3422ec41ef5eddbdf3a92bb8e2c1ead6652d98f73726225c9"),
+    ("gauge", 5, 2, True, 4.0, 5000): (
+        8.526551960843044, 997, True,
+        "0ceb462d6c4826365b86286e9a775464c7aec7fdc9486cb1e496a3c471c8809a",
+        "4d4d121360435ca8def2476c326abe07e5371ccc50fe04257465162e24210af8"),
+    ("gauge", 5, 0, False, 3.0, 240): (
+        10.334772843179952, 240, False,
+        "1d07f497679d93ffa53b1fb8a89d654a6e54fb08049af77915fff58076768a57",
+        "05ce1e5885011e67453b68be93b7e0bf2a4a70997c72ff2e643966941af4a098"),
+    ("gauge", 5, 1, False, 2.5, 5000): (
+        9.796326203440238, 557, True,
+        "8223e4ab8f1cde59dc439e12e36ffeca6f8a1842f147db4972026fb0db54c63d",
+        "ff6ee0c31eb76484ce77cddc818bec0e7cc1e4f9cde1cf7918d844bed95b95db"),
+    ("gauge", 8, 2, False, 4.0, 5000): (
+        16.004955797863065, 1393, True,
+        "d5a3c0c3bd9f19a2ca3402ad117d28eae862f98d66ab769c5f7602b304fd9e76",
+        "7f5dd11b835e6f0d1a11b4a274ac5d3e825d7b91e286050cc8c66be633cec4c1"),
+    ("gauge", 8, 1, True, 3.0, 240): (
+        18.068934116239962, 240, False,
+        "0366ac6b12809c02484beb2a7a9095f1b3ebaa78f94a3ff41201957b11c78c12",
+        "909018911c9de695b59075669dc44845ea12c808f2bcc06cb0454f51e3473892"),
 }
 PINNED_NUMPY = "2.4.6"
 
 
 def pinned_descent(case):
-    solver, k, seed, degenerate, x, (max_iters, stall_window) = case
+    solver, k, seed, degenerate, x, budget = case
     y = random_element(k, k, np.random.default_rng(seed), degenerate=degenerate).coords
-    solve = gaugeopt.minimize_gauge if solver == "gauge" else gaugeopt.minimize_two_sided
-    return solve(y, x, max_iters=max_iters, stall_window=stall_window)
+    if solver == "gauge":
+        return gaugeopt.minimize_gauge(y, x, max_iters=budget)
+    max_iters, stall_window = budget
+    return gaugeopt.minimize_two_sided(y, x, max_iters=max_iters,
+                                       stall_window=stall_window)
 
 
 def pin_id(case):
-    solver, k, seed, degenerate, x, (max_iters, _) = case
-    return f"{solver}-k{k}-seed{seed}{'-deg' if degenerate else ''}-{x}-{max_iters}"
+    solver, k, seed, degenerate, x, budget = case
+    max_iters = budget if solver == "gauge" else budget[0]
+    return f"{solver}-k{k}-seed{seed}{'-deg' if degenerate else ''}-{round(x, 4)}-{max_iters}"
 
 
 def sha256(a):
@@ -405,13 +489,15 @@ def sha256(a):
 @pytest.mark.skipif(np.__version__ != PINNED_NUMPY,
                     reason="the pins are bits of one numpy/BLAS build")
 class TestDescentPins:
-    """The stacked line search takes the points of trying each halving alone."""
+    """The stacked line search takes the points of trying each halving alone,
+    and the ascent's bits do not depend on the BLAS thread count."""
 
     @pytest.mark.parametrize("case", list(DESCENT_PINS), ids=pin_id)
     def test_bit_identical(self, case):
         res = pinned_descent(case)
+        dual = res.r if case[0] == "two" else res.rho
         assert (res.value, res.iterations, res.converged, sha256(res.s),
-                sha256(res.r)) == DESCENT_PINS[case]
+                sha256(dual)) == DESCENT_PINS[case]
 
     def test_cases_cover_failed_searches_and_budgets(self, monkeypatch):
         failed = []
@@ -423,13 +509,20 @@ class TestDescentPins:
             return eta, trial
 
         monkeypatch.setattr(gaugeopt, "_line_search", recording)
-        # a failed search ends a stage early at iteration 27 of 503, so every
-        # later stage starts from a step 2^-40 times smaller
-        res = pinned_descent(("gauge", 5, 2, True, 4.0, (5000, 20)))
-        assert res.iterations == 503 and failed.index(True) == 26
         # the last search of the two-sided descent (one stage) fails
-        failed.clear()
         res = pinned_descent(("two", 8, 1, True, 1.5, (5000, 20)))
         assert failed[-1] and res.iterations == len(failed) == 15
         budget_ended = [c for c, pin in DESCENT_PINS.items() if not pin[2]]
         assert len(budget_ended) >= 3
+        # one pinned ascent halves its step: it evaluates more duals than one
+        # per iteration and one at the start
+        points = []
+        dual_point = gaugeopt._dual_point
+
+        def counting(*args):
+            points.append(1)
+            return dual_point(*args)
+
+        monkeypatch.setattr(gaugeopt, "_dual_point", counting)
+        res = pinned_descent(("gauge", 2, 19, False, 2.0, 5000))
+        assert res.converged and len(points) > res.iterations + 1

@@ -101,15 +101,14 @@ DUAL_SIZES = [1, 2, 3, 5]
 class TestDualWitness:
     """``vecnorm._auto_dual_pool`` builds its Schatten-duality candidate from
     this function one (square) coordinate at a time, rank-deficient
-    coordinates included."""
+    coordinates included; rectangular input works the same way."""
 
-    @pytest.mark.parametrize("k", DUAL_SIZES)
-    @pytest.mark.parametrize("p", DUAL_PS)
-    def test_attains_the_norm_on_the_support(self, rng, p, k):
-        rank = max(1, k - 2)
-        a = low_rank(rng, k, k, rank)
+    @staticmethod
+    def _check_attains(rng, p, rows, cols):
+        rank = max(1, min(rows, cols) - 2)
+        a = low_rank(rng, rows, cols, rank)
         c = dual_witness(a, p)
-        assert c.shape == (k, k)
+        assert c.shape == (cols, rows)
         pd = 1.0 if math.isinf(p) else conjugate(p)
         pair = trace_pairing(a, c)
         assert abs(pair.imag) <= 1e-10 * abs(pair)
@@ -117,11 +116,22 @@ class TestDualWitness:
             schatten_norm(a, p), rel=1e-10)
         # c vanishes off the support of a, on both sides
         u, _, vh = np.linalg.svd(a)
-        off_range = np.eye(k) - u[:, :rank] @ u[:, :rank].conj().T
-        off_corange = np.eye(k) - vh[:rank].conj().T @ vh[:rank]
+        off_range = np.eye(rows) - u[:, :rank] @ u[:, :rank].conj().T
+        off_corange = np.eye(cols) - vh[:rank].conj().T @ vh[:rank]
         top = float(np.max(np.abs(c)))
         assert float(np.max(np.abs(c @ off_range))) <= 1e-10 * top
         assert float(np.max(np.abs(off_corange @ c))) <= 1e-10 * top
+
+    @pytest.mark.parametrize("k", DUAL_SIZES)
+    @pytest.mark.parametrize("p", DUAL_PS)
+    def test_attains_the_norm_on_the_support(self, rng, p, k):
+        self._check_attains(rng, p, k, k)
+
+    # p = inf takes only the top singular pair, which never depended on the shape
+    @pytest.mark.parametrize("rows, cols", [(1, 5), (3, 5), (5, 2)])
+    @pytest.mark.parametrize("p", DUAL_PS[:-1])
+    def test_rectangular_attains_the_norm(self, rng, p, rows, cols):
+        self._check_attains(rng, p, rows, cols)
 
     @pytest.mark.parametrize("k", DUAL_SIZES)
     def test_zero_matrix(self, k):
