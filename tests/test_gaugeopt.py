@@ -264,6 +264,23 @@ class TestConvergedFlag:
         assert short.iterations == free.iterations - 1
 
 
+#: the R_COL solve (coordinatewise transpose) of ``beta_certify`` on the
+#: ``beta k=2 n=2 p=2.5`` item of the benchmark's fuzz workload, seed 0, block 0
+CENTERED_R_COL = np.array([
+    [[0.3505055973299662 + 0.9365606367130554j, -0.14116497018657573 - 0.8329117096523169j],
+     [-0.3443885896224823 + 0.9135589526586486j, 0.06947105899352035 - 0.06855184169133163j]],
+    [[-0.264420641893675 + 0.16658413179524592j, 0.63090212794441 - 0.36024303843933375j],
+     [-0.06487148790568818 - 0.3698633428637106j, -0.4704622061774469 - 0.11540898936025647j]]])
+#: a dual-norm solve (e = 13/3) of ``beta_certify`` on the ``beta k=2 n=2
+#: p=1.3`` item of the same workload, seed 1, block 0: with momentum on the
+#: uncentered step ``h += eta M / tr(rho M)`` it ends at 240 iterations
+CENTERED_DUAL = np.array([
+    [[0.9715493825597489 + 0.23683706898999343j, -0.029620453141438526 - 0.2798989008540611j],
+     [-0.46736026102806355 - 0.23767640893027156j, 0.58305112072485 - 0.7741043804983416j]],
+    [[-0.7294095075273177 + 0.17402896375482382j, 0.15436048100436123 + 0.7235206047145534j],
+     [-0.5515011453128192 - 0.6509896637534149j, 0.6686038987572057 - 0.10909490486596833j]]])
+
+
 class TestAscent:
     """The one-sided solve: an ascent on the dual density (module docstring)."""
 
@@ -327,6 +344,55 @@ class TestAscent:
     def test_rejects_exponents_below_two(self):
         with pytest.raises(ValueError):
             gaugeopt.minimize_gauge(random_complex(np.random.default_rng(0), 2, 2, 2), 1.5)
+
+    @pytest.mark.parametrize("coords, e", [(CENTERED_R_COL, 2.5),
+                                           (CENTERED_DUAL, 13 / 3)],
+                             ids=["r_col-2.5", "dual-13/3"])
+    def test_centered_step_closes_the_gap(self, coords, e):
+        res = gaugeopt.minimize_gauge(coords, e, 240)
+        assert res.converged and res.iterations < 240
+        lower = gaugeopt.minimax_lower(coords, res.rho, e)
+        assert 0.0 <= res.value - lower <= gaugeopt.GAP_TOL * res.value
+
+    @pytest.mark.parametrize("e", [2.0, 2.5, 4.0])
+    def test_dual_point_ignores_shifts_of_h(self, rng, e):
+        """exp(h + cI) / tr is the density of h: the step may be centered."""
+        ak = gaugeopt._k_major(random_complex(rng, 3, 4, 3))
+        x = random_complex(rng, 4, 4)
+        h = x + x.conj().T
+        rho, lower, sv, sq = gaugeopt._dual_point(ak, h, e)
+        for c in (-240.0, -1.0, 1e-3, 3.0, 240.0):
+            rho_c, lower_c, sv_c, _ = gaugeopt._dual_point(ak, h + c * np.eye(4), e)
+            assert rel_err(rho_c, rho) <= 1e-12
+            assert lower_c == pytest.approx(lower, rel=1e-12)
+            assert np.allclose(sv_c, sv, rtol=1e-10, atol=0)
+
+    def test_momentum_cuts_iterations(self):
+        """The iterations of the ascent without momentum or centering were
+        7,911 on these 8 solves (all converged)."""
+        total = 0
+        for k in (5, 6, 7, 8):
+            y = random_element(k, k, np.random.default_rng(k)).coords
+            for p in (3.0, 4.0):
+                res = gaugeopt.minimize_gauge(y, p, DEFAULT_OPTS.max_iters)
+                assert res.converged, (k, p)
+                total += res.iterations
+        assert total <= 0.4 * 7911
+
+    @pytest.mark.parametrize("k", [3, 5, 8])
+    def test_reordered_sums(self, k):
+        """The norm does not see the order of the coordinates; the brackets
+        of two orders meet and agree far below the ascent's gap."""
+        y = random_element(k, k, np.random.default_rng(60 + k))
+        y_perm = VecElem(y.coords[np.random.default_rng(k).permutation(k)])
+        for p in (2.5, 3.0, 4.0):
+            for side in Side:
+                for opts in (DEFAULT_OPTS, FAST_OPTS):
+                    a = alpha_certify(y, p, side, opts)
+                    b = alpha_certify(y_perm, p, side, opts)
+                    assert max(a.lower, b.lower) <= min(a.upper, b.upper)
+                    assert b.upper == pytest.approx(a.upper, rel=1e-9)
+                    assert b.lower == pytest.approx(a.lower, rel=1e-9)
 
 
 def stacked_inputs(rng, r):
@@ -415,53 +481,65 @@ DESCENT_PINS = {
         "c8db0ed7d3a4479694d1b8b750622cfb910763aee594a9e9fce2513dfb358e89",
         "3239b05c38b825ebb79f103172438292a22a0951351a6b81be1df5d44776cc65"),
     ("gauge", 2, 0, False, 3.0, 240): (
-        2.7225689642198825, 131, True,
-        "9db3d87eb38542e53c32a2a2416317ec375230903cd20f4fc7a4dfe67967c7a9",
-        "9c082124ea5ddbfd05f6543afbac12ee711af939755cbfc922ecb8840767767e"),
+        2.7225689633633023, 18, True,
+        "51598a2ad328a8c2b22e3d7fd84477dc29acba0ada5ca13fba215d93d33c4e1e",
+        "0e0e7a9e3c8f8b1291424bdcbf9c414488b4084844947bccadd3a399fa2b666e"),
     ("gauge", 2, 0, True, 4.0, 5000): (
-        2.2824030535443063, 9, True,
-        "78ba4f18a7004d7c70a5900cfc2e566c1d0aa5ac70160cbf6fa6c41eab1d5b6a",
-        "667d225e96ad7a2d74456fd9b731e40879a57f2a52b3eb654d2be48fde1eff29"),
+        2.2824030535443067, 6, True,
+        "25d89f75eb405a222d75d53dfc8814c0809797ffa5a05d7af8dfee65e70b691a",
+        "7d59978b198a13fcb4827d6ddfd892bb6191b34c02d85f3c7235e82e636b140a"),
     ("gauge", 2, 19, False, 2.0, 5000): (
-        2.4762995468140825, 27, True,
-        "ab69231211395659057a1a79d78fc8516429ac47aab3baab9ae5136ce84908cc",
-        "2c87b3698f66a32cb59217d9534acd383f78c77503c4101068439c433855736a"),
+        2.4762995368811187, 27, True,
+        "b3713827b3152a6c653fb0c23ea4513b890e3bf74ba0f001bbd48139bad9165b",
+        "06860de367b6ea69ce7affbafc8d6ddb33b6a3f154d46217131690f7f5a1de20"),
     ("gauge", 3, 2, True, 4.0, 240): (
-        3.6396946412387248, 140, True,
-        "1c35251606b776ffa45e5a522562cc16e8e7a113ecd0c77ad72da22409bfc601",
-        "24969f4be48f1c5f6e38e3b7ac66cde6777e905ede5305442b743dba4c41cf9a"),
+        3.63969464127068, 46, True,
+        "ec9c79e18421469903d5d6edc847c7dd071c537f2bed7d046016b535309b844e",
+        "ff226a7ecebf1b42b746ab554611b4bd595b47be1c92d4e7404846b08dddb939"),
     ("gauge", 3, 3, False, 3.0, 5000): (
-        6.062536635989788, 159, True,
-        "c763c9a0b181517dbd253556925ce509c1535e31a8a66c531f53eefcbce333d4",
-        "39bb26564c57db744f8ac045acf6fd85e5aeb3165a90a7c7eb6463b687fa1f6f"),
+        6.062536634141337, 36, True,
+        "a5b1d1572a56d985610c6a166f000ac5627dc2e30e9c0d0908fdb621d7a0465b",
+        "d34f62c976da30d9b75cfc63d8c78345682808bad297332f29d537ca4e747810"),
     ("gauge", 3, 1, False, 13 / 3, 5000): (
-        4.035599489629937, 462, True,
-        "24a01f8d3207744c243283b22aac380df0bcf441dc98e539897e6ddd510a3b14",
-        "55c1a0e261206045376a5f488f43dd441f70c19eb98b53b314011076f7772aa3"),
+        4.035599489526254, 62, True,
+        "ed88f01c3b9d58d9c701c7b507d1fe21608a7770c694981d341a95c2b7376122",
+        "9d060290e24f86d8a209efe5057b22f2a73b6ead9ede1d0ae7cf3a0fd5cdca86"),
     ("gauge", 4, 0, True, 2.5, 240): (
-        6.904378578927154, 240, False,
-        "93178fb672d07ac7f3214b486d86fd943a7a73834d66f2a86026ff8f4aaee93e",
-        "5fa84700a76946c3422ec41ef5eddbdf3a92bb8e2c1ead6652d98f73726225c9"),
+        6.90437857225412, 56, True,
+        "f00243f86f1a2399945b6b76226edd86d76b2189d0619c29d6920eaa7b062401",
+        "d0931490b81726ef5cce4e34d7f99ebcb0e1b0144403b95216ac1ec0bd770a31"),
     ("gauge", 5, 2, True, 4.0, 5000): (
-        8.526551960843044, 997, True,
-        "0ceb462d6c4826365b86286e9a775464c7aec7fdc9486cb1e496a3c471c8809a",
-        "4d4d121360435ca8def2476c326abe07e5371ccc50fe04257465162e24210af8"),
+        8.526551940683044, 173, True,
+        "780cd2cbc77a232d34bfd54b7de7f3a0edda9639873a9044ce762d051cc248d2",
+        "df1db86b4097bb3bd04e65a9fafd8e07b8a087144c1c75801fb6f9d6c182b131"),
     ("gauge", 5, 0, False, 3.0, 240): (
-        10.334772843179952, 240, False,
-        "1d07f497679d93ffa53b1fb8a89d654a6e54fb08049af77915fff58076768a57",
-        "05ce1e5885011e67453b68be93b7e0bf2a4a70997c72ff2e643966941af4a098"),
+        10.334772570421062, 128, True,
+        "bb1c1a736a9663ae52d8dc1cb8aaa2c7c69d4a62b17e07efa46239a412ee78f6",
+        "66b5ce9c7a8af60c466e7ca3dd02af13a3a0f95f5c5ae2e1f7a6cc69758b52d3"),
     ("gauge", 5, 1, False, 2.5, 5000): (
-        9.796326203440238, 557, True,
-        "8223e4ab8f1cde59dc439e12e36ffeca6f8a1842f147db4972026fb0db54c63d",
-        "ff6ee0c31eb76484ce77cddc818bec0e7cc1e4f9cde1cf7918d844bed95b95db"),
+        9.79632620426575, 122, True,
+        "e2e4aaeea4bcd96b903383ff6b0d1cf7e4d6bf91a1a1cfac8eb24a18de8051ed",
+        "eb8f731fe00c76531347229c1f06cec1ae9ec885f231dc450b5b93018fe38f9a"),
     ("gauge", 8, 2, False, 4.0, 5000): (
-        16.004955797863065, 1393, True,
-        "d5a3c0c3bd9f19a2ca3402ad117d28eae862f98d66ab769c5f7602b304fd9e76",
-        "7f5dd11b835e6f0d1a11b4a274ac5d3e825d7b91e286050cc8c66be633cec4c1"),
+        16.00495581351225, 177, True,
+        "f4c52838ccd1e09ebc9bf8dba336c5cfe5db73416d5fa563eaa9d287947e5a6f",
+        "2daffb454d218ace6fe6e8be0d625b35ada47c7b049649e175d1c921feda70eb"),
     ("gauge", 8, 1, True, 3.0, 240): (
-        18.068934116239962, 240, False,
-        "0366ac6b12809c02484beb2a7a9095f1b3ebaa78f94a3ff41201957b11c78c12",
-        "909018911c9de695b59075669dc44845ea12c808f2bcc06cb0454f51e3473892"),
+        18.06893309278876, 137, True,
+        "a010eb4ed8c5be0719e0f0f4654876cccf4dde5b1f289d330b9cb3cd95a16017",
+        "4f79308376a0f764fae5d948685b6be6b0a0369e156131979728b79719c05daf"),
+    ("gauge", 3, 4, True, 2.5, 240): (
+        4.141780401588399, 240, False,
+        "aa5080660a1e0701127ce573781590a8067f64bf3723d860feb9976bac8f4ab2",
+        "07f104e344345788599f5439d12f1baabbbc209fed3e1b64c77f232bf42ee997"),
+    ("gauge", 4, 3, False, 3.0, 240): (
+        7.32923846534125, 240, False,
+        "6151f1c33b3c4baef5d1366321bf22db07304ae9d4e05c0a10a2778e906d62e4",
+        "99a8a5ad347544ebb71b53039f7f06b9ff9db42f065cc39915714d3a2dea53af"),
+    ("gauge", 6, 3, True, 4.0, 240): (
+        10.852568370977597, 240, False,
+        "dd5bc724cdde1f11417e22d3aae225034e66aaf6a024ec06a6b66c75cfa7e002",
+        "074c8d4b5290a2d39c0df6a7031ed7f583d85ee251bc6eb1712b773b09098abd"),
 }
 PINNED_NUMPY = "2.4.6"
 
@@ -514,15 +592,34 @@ class TestDescentPins:
         assert failed[-1] and res.iterations == len(failed) == 15
         budget_ended = [c for c, pin in DESCENT_PINS.items() if not pin[2]]
         assert len(budget_ended) >= 3
-        # one pinned ascent halves its step: it evaluates more duals than one
-        # per iteration and one at the start
-        points = []
-        dual_point = gaugeopt._dual_point
+        # a pinned ascent halves its step, and one restarts its momentum (a
+        # failed trial with momentum is retried at the same step without it)
+        res, pairs = retried_steps(monkeypatch, ("gauge", 2, 19, False, 2.0, 5000))
+        assert res.converged and any(halved for halved in pairs)
+        res, pairs = retried_steps(monkeypatch, ("gauge", 3, 2, True, 4.0, 240))
+        assert res.converged and pairs and not any(pairs)
 
-        def counting(*args):
-            points.append(1)
-            return dual_point(*args)
 
-        monkeypatch.setattr(gaugeopt, "_dual_point", counting)
-        res = pinned_descent(("gauge", 2, 19, False, 2.0, 5000))
-        assert res.converged and len(points) > res.iterations + 1
+def retried_steps(monkeypatch, case):
+    """The pinned ascent, and for each failed trial whose step is well above
+    the rounding of ``h``: whether the next trial took half of that step."""
+    trials = []
+    dual_point = gaugeopt._dual_point
+
+    def recording(ak, h, e):
+        point = dual_point(ak, h, e)
+        trials.append((h, point[1]))
+        return point
+
+    monkeypatch.setattr(gaugeopt, "_dual_point", recording)
+    res = pinned_descent(case)
+    (h_cur, lower), pairs = trials[0], []
+    for (h, low), (h_next, _) in zip(trials[1:], trials[2:]):
+        if low >= lower:
+            h_cur, lower = h, low
+            continue
+        step = h - h_cur
+        size = float(np.linalg.norm(step))
+        if size > 1e-6 * (1.0 + float(np.linalg.norm(h_cur))):
+            pairs.append(float(np.linalg.norm(h_next - h_cur - 0.5 * step)) <= 1e-9 * size)
+    return res, pairs
