@@ -16,7 +16,6 @@ configuration (reals are printed with 17 significant digits).
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 
 import numpy as np
@@ -54,10 +53,6 @@ def _opts_from_args(args) -> CertifyOptions:
         if args.max_iters < 0:
             raise InvalidInputError(f"--max-iters must be >= 0, got {args.max_iters}")
         opts = opts.replace(max_iters=args.max_iters)
-    if getattr(args, "tol", None) is not None:
-        if not (math.isfinite(args.tol) and args.tol > 0.0):
-            raise InvalidInputError(f"--tol must be finite and positive, got {args.tol}")
-        opts = opts.replace(decrease_tol=args.tol)
     return opts
 
 
@@ -149,6 +144,10 @@ def cmd_yeadon(args) -> int:
     payload = serialize.load_json_file(args.infile)
     spec, p = serialize.yeadon_from_json(payload)
     opts = _opts_from_args(args)
+    if args.n < 1:
+        raise InvalidInputError(f"--n must be >= 1, got {args.n}")
+    if args.samples < 1:
+        raise InvalidInputError(f"--samples must be >= 1, got {args.samples}")
     iso = build_isometry(spec, p)
     rng = np.random.default_rng(args.seed)
     worst = 0.0
@@ -210,9 +209,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(sp, p_required=True):
         sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--tol", type=float, default=None,
-                        help="stall tolerance of the p < 2 descent (the p >= 2 "
-                             "ascent stops on its gap)")
         sp.add_argument("--max-iters", dest="max_iters", type=int, default=None)
         sp.add_argument("--out", default=None, help="output file (default stdout)")
 

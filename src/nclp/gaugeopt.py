@@ -70,21 +70,24 @@ next ``s``.  Nearly every first trial is accepted.  The matrices are k x k
 and r x r, so on small elements the cost is numpy's per-call overhead rather
 than arithmetic.
 
-The two-sided solve (``minimize_two_sided``, ``_descend``) is a projected
-descent on ``s``: start from the better of the identity and the support Gram,
-step along the gradient projected off the trace with backtracking
-(``_line_search``, any decrease beyond rounding accepted, at most 40
-halvings), keep the best point, end after ``stall_window`` iterations whose
-relative decrease stays below ``decrease_tol``, or when a line search fails,
-and stop at ``max_iters`` (``converged = False``).  M(s) is assembled as two
-GEMMs on a k-major copy of the coordinates made once per solve, O(N k r^2 +
-N k^2 r), the gradient Gram ``sum_n A_n^* v v^* A_n`` as one more pair, and
-each iteration takes one ``eigh`` of the M kept from the accepted trial.  The
-line search tries the steps ``eta, eta/2, ..., eta/2^39`` in chunks of
-``_TRIAL_CHUNK`` consecutive halvings: a chunk is one stacked call each of the
-symmetrization and ``eigh`` of the projection on the (B, r, r) trial points,
-the two M(s) GEMMs and the ``eigvalsh`` of the (B, k, k) trial M's, and its
-trials are then tested in halving order.  Each matrix of a stack gets the
+The two-sided solve (``minimize_two_sided``) is a projected descent on ``s``
+that carries its dual: the ``eigh`` of ``G = M(s)`` that each step takes
+gives the density ``rho ~ G^{q/2 - 1}``, which attains ``|G|_{q/2} = max
+tr(rho G)`` on the unit ball of ``S^{(q/2)'}``, and the gradient Gram ``sum_n
+A_n^* rho A_n`` is ``C(rho)``, so the lower bound (below) costs one r x r
+``eigvalsh``.  Start from the better of the identity and the support Gram,
+stop as the ascent does but at ``DESCENT_GAP_TOL`` (or on a failed line
+search or a vanishing gradient), and otherwise step along the gradient
+projected off the trace with backtracking (``_line_search``, any decrease
+beyond rounding accepted, at most 40 halvings), keeping the best point.
+M(s) is assembled as two GEMMs on a k-major copy of the coordinates made
+once per solve, O(N k r^2 + N k^2 r), the gradient Gram as one more pair,
+and each iteration takes one ``eigh`` of the M kept from the accepted
+trial.  The line search tries the steps ``eta, eta/2, ..., eta/2^39`` in
+chunks of ``_TRIAL_CHUNK`` consecutive halvings: a chunk is one stacked call
+each of the symmetrization and ``eigh`` of the projection on the (B, r, r)
+trial points, the two M(s) GEMMs and the ``eigvalsh`` of the (B, k, k) trial
+M's, and its trials are then tested in halving order.  Each matrix of a stack gets the
 float operations of a call on it alone (``_normalize`` sums the trace powers
 along the contiguous last axis and raises them as Python floats), so every
 certificate is the one a search that tries one step at a time gives.
@@ -106,9 +109,11 @@ minimized by ``t ~ c``, where every eigenvalue of M(s) is equal: the value
 is ``|c^{1/2}|_e``.  The reduced two-sided objective is ``|(c_i /
 t_i)_i|_{q/2}`` on ``sum_i t_i = 1``, minimized by ``t ~ c^{p/2}``; then ``r
 = G(s) = diag(c^{1 - p/2})`` and the value is ``|c^{1/2}|_p`` (Hoelder's
-equality case).  One coordinate ``A``, for the one-sided solver: ``s = A^*
-A`` makes M(s) the projection onto the range of A, so the value is
-``|A|_e``.
+equality case).  One coordinate ``A`` is the diagonal case after the
+unitaries of its singular value decomposition (``A -> U A V^*``, ``s -> V^*
+s V``), with ``c`` the eigenvalues of ``A^* A``: the value is ``|A|_e``
+(``s = A^* A``), or ``|A|_p`` at ``s = (A^* A)^{p/2}`` for the two-sided
+form.  A right support of rank one leaves nothing to descend.
 In both one-sided cases the density ``rho ~ (sum_n A_n A_n^*)^a``
 (``gram_density``) attains the bound: it gives ``C(rho) ~ diag(c^{a+1})``,
 or ``(A^* A)^{a+1}``, and ``g = |c^{1/2}|_e^2``, or ``|A|_e^2``, since
@@ -120,7 +125,7 @@ coordinates to the objective, which keeps the returned number a sound upper
 bound even when the witness only approximately reproduces the element.
 
 Lower bounds come from the minimax dual of the same problems
-(``minimax_lower``, ``minimax_certificate``).  Write ``a = e/2 >= 1`` and
+(``minimax_lower``).  Write ``a = e/2 >= 1`` and
 ``C(rho) = sum_n A_n^* rho A_n`` with spectrum ``c``.  Two facts make every
 PSD ``rho`` give a sound bound; the minimax theorem is needed only to see
 that the best ``rho`` closes the gap.
@@ -150,16 +155,8 @@ for p < 2; both read ``tr C(rho)^{1/2} / (tr rho)^{1/2}`` at p = 2.  Both
 objectives are convex in ``s`` and linear in ``rho`` over a compact convex
 set, so by Sion's theorem the best ``rho`` attains the norm; the inner
 minimum is attained at ``s ~ C(rho)^{1/(a+1)}``, which commutes with
-``C(rho)``.
-
-Where ``rho`` comes from (this affects only tightness):
-
-* one-sided: the ascent's last density, or ``gram_density`` in the closed
-  forms above;
-* two-sided: ``rho ~ r^{q/2 - 1}`` for the witness's left factor ``r =
-  G(s)``, the matrix that attains ``|r|_{q/2} = max tr(rho r)``, then a few
-  averaged fixed-point steps of the dual's optimality condition
-  (``_two_sided_densities``), keeping the best candidate.
+``C(rho)``.  Each solver returns its own ``rho``: the ascent's last density,
+the descent's density at its best lower bound, or the closed forms' density.
 
 Rounding allowance in ``minimax_lower``, so that the bound stays below the
 exact value for the stored ``rho``.  The coordinates are scaled by a power of
@@ -197,6 +194,10 @@ from .schatten import (DEFAULT_RANK_TOL, pow2_normalize, pow2_restore,
 _EIG_FLOOR = 1e-9  # relative floor on witness eigenvalues, kept above the rank cut
 #: relative gap between the two bounds of the one-sided ascent that ends it
 GAP_TOL = 1e-8
+#: the same for the two-sided descent; not ``GAP_TOL``, which stops it early
+#: enough to raise the p = 1.5 uppers of ``test_golden_brackets`` by 6e-9,
+#: past the 1e-9 that test allows
+DESCENT_GAP_TOL = 1e-10
 
 
 @dataclass
@@ -206,7 +207,7 @@ class GaugeResult:
     iterations: int
     converged: bool
     r: np.ndarray | None = None  # the left factor, two-sided gauge only
-    rho: np.ndarray | None = None  # the dual density, one-sided gauge only
+    rho: np.ndarray | None = None  # the dual density behind the lower bound
 
 
 def _herm(x: np.ndarray) -> np.ndarray:
@@ -418,6 +419,8 @@ def gram_density(A: np.ndarray, e: float) -> np.ndarray:
         return np.diag(w / float(np.sum(w))).astype(np.complex128)
     gram = np.einsum("nij,nkj->ik", A, A.conj())
     rho = psd_power(gram / float(np.trace(gram).real), 0.5 * e)
+    if not np.any(rho):  # every power underflowed: large e, flat spectrum
+        rho = psd_power(gram / float(np.linalg.eigvalsh(gram)[-1]), 0.5 * e)
     return rho / float(np.trace(rho).real)
 
 
@@ -542,83 +545,8 @@ def _line_search(ak, q, f_cur, s_mat, grad, eta):
     return eta, None
 
 
-def _descend(A: np.ndarray, p: float, max_iters: int, decrease_tol: float,
-             stall_window: int):
-    """Projected descent of the reduced two-sided gauge on the right support.
-
-    Returns ``(ub, scale, svals, svecs, iterations, converged)``: the support
-    basis and coordinate scale of ``_restrict``, and the spectrum of the
-    best point found with the regularization margin added.
-    """
-    q = q_from_p(p)
-    ub, ak, scale, support_gram, kept = _restrict(A)
-    rb = ub.shape[1]
-    diagonal = _diagonal_coordinates(A)
-    if diagonal:
-        # in its own eigenbasis the (diagonal) Gram is diag(c) on the support
-        candidates = [np.diag(kept ** (0.5 * p)).astype(np.complex128)]
-    else:
-        candidates = [np.eye(rb, dtype=np.complex128), support_gram]
-
-    best_val = math.inf
-    best_pair = m_cur = None
-    for cand in candidates:
-        sv, sq = _project(cand, 2.0)
-        m = _m_matrix(ak, sv, sq)
-        val = _tr_power_term(_eigvals(m), q)
-        if val < best_val:
-            best_val, best_pair, m_cur = val, (sv, sq), m
-    svals, svecs = best_pair
-
-    iters = 0
-    converged = True
-    if rb > 1 and not diagonal:
-        eta = 1.0
-        stall = 0
-        f_ref = math.inf
-        while stall < stall_window:
-            if iters >= max_iters:
-                converged = False
-                break
-            iters += 1
-            lam, u = _eigh(m_cur)
-            f_cur = _tr_power_term(lam, q)
-            # gradient of tr((G/top)^{q/2}) wrt s (a positive rescale), projected
-            # off the trace
-            top = max(float(lam[-1]), 1e-300)
-            c = _grad_gram(ak, u * np.sqrt((lam / top) ** (0.5 * q - 1.0)))
-            sinv = (svecs / svals) @ svecs.conj().T
-            grad = _herm(-(sinv @ c @ sinv))
-            grad = grad - (float(np.trace(grad).real) / rb) * np.eye(rb)
-            s_mat = (svecs * svals) @ svecs.conj().T
-            gnorm = float(np.linalg.norm(grad))
-            snorm = float(np.linalg.norm(s_mat))
-            if gnorm <= 1e-15 * max(1.0, snorm):
-                break
-            eta = min(eta * 4.0, 1e3 * snorm / gnorm)
-            eta, trial = _line_search(ak, q, f_cur, s_mat, grad, eta)
-            if trial is None:
-                break  # the line search failed
-            svals, svecs, m_cur, f_t = trial
-            if f_t < best_val:
-                best_val = f_t
-                best_pair = (svals, svecs)
-            if math.isinf(f_ref):
-                f_ref = f_t
-            elif f_ref - f_t <= decrease_tol * max(abs(f_ref), 1e-300):
-                stall += 1
-            else:
-                stall = 0
-                f_ref = f_t
-
-    sv, sq = best_pair
-    sv = sv + 1e-12 * float(np.sum(sv)) / rb  # regularized inversion margin
-    return ub, scale, sv, sq, iters, converged
-
-
-def minimize_two_sided(coords: np.ndarray, p: float, max_iters: int = 5000,
-                       decrease_tol: float = 1e-9,
-                       stall_window: int = 20) -> GaugeResult:
+def minimize_two_sided(coords: np.ndarray, p: float,
+                       max_iters: int = 5000) -> GaugeResult:
     """Minimize the two-sided gauge (p <= 2) after eliminating the left factor.
 
     For fixed ``s`` the optimal left factor has the closed form
@@ -630,37 +558,98 @@ def minimize_two_sided(coords: np.ndarray, p: float, max_iters: int = 5000,
     a smooth convex objective.  A naive alternation between the two factors
     stalls: the scaling freedom between outer factors makes every point a
     fixed point, so the reduced form is both faster and correct.  It has no
-    spurious minima, so the descent starts from the better of the identity
-    and the support Gram.
+    spurious minima, so the descent (module docstring) starts from the
+    better of the identity and the support Gram, on the right support.
 
-    For diagonal coordinates the optimum ``s = diag(c)^{p/2}`` on the support
-    is the only candidate (module docstring): no iteration runs and
-    ``iterations`` is 0, as it is for a support of rank at most one.
-    ``converged`` is False only when the iteration budget stopped a descent
-    that would have continued.  ``value`` is the certified value of the
-    witness (``evaluate_two_sided``).  At p = 2 the problem is the one-sided
-    gauge at ``e = 2`` (``minimize_gauge``, whose ascent ignores the stall
-    settings), with ``r`` the identity.
+    One coordinate, diagonal ones and a support of rank one take the closed
+    form ``s = diag(c)^{p/2}`` and ``iterations`` is 0 (module docstring).
+    ``value`` is the certified value of the witness (``evaluate_two_sided``)
+    and ``rho`` the density of the best lower bound seen (``minimax_lower``).
+    ``converged`` is False only when the descent ended before its gap closed
+    to ``DESCENT_GAP_TOL``.  At p = 2 the problem is the one-sided gauge at
+    ``e = 2`` (``minimize_gauge``), with ``r`` the identity.
     """
     y = np.asarray(coords, dtype=np.complex128)
     n_coords, k, kr = y.shape
     ident_r = np.eye(k, dtype=np.complex128)
     if not np.any(y):
         return GaugeResult(0.0, np.eye(kr, dtype=np.complex128), 0, True, r=ident_r)
-    if math.isinf(q_from_p(p)):
+    q = q_from_p(p)
+    if math.isinf(q):
         # p = 2: the left factor is absorbed, identical to the one-sided core
         res = minimize_gauge(y, 2.0, max_iters=max_iters)
         res.r = ident_r
         return res
 
-    ur, scale, sv, sq, iters, converged = _descend(
-        y, p, max_iters, decrease_tol, stall_window)
-    s_full = scale * (ur @ ((sq * sv) @ sq.conj().T) @ ur.conj().T)
+    _, t = _dual_exponents(p)
+    ub, ak, scale, support_gram, kept = _restrict(y)
+    rb = ub.shape[1]
+    closed = rb == 1 or n_coords == 1 or _diagonal_coordinates(y)
+    if closed:
+        # in its own eigenbasis the Gram is diag(kept) on the support
+        candidates = [np.diag(kept ** (0.5 * p)).astype(np.complex128)]
+    else:
+        candidates = [np.eye(rb, dtype=np.complex128), support_gram]
+    best_val = math.inf
+    for cand in candidates:
+        sv, sq = _project(cand, 2.0)
+        m = _m_matrix(ak, sv, sq)
+        val = _tr_power_term(_eigvals(m), q)
+        if val < best_val:
+            best_val, best_pair, m_cur = val, (sv, sq), m
+    svals, svecs = best_pair
+
+    iters = 0
+    eta = 1.0
+    best_low = -1.0
+    # about the rounding allowance of ``minimax_lower`` on C(rho): noise near
+    # zero would lift square roots by up to 1e-8, closing a gap it cannot show
+    slack = ((n_coords + 1) * k + 4 * rb + 4) * _EPS
+    while True:
+        lam, u = _eigh(m_cur)
+        top = max(float(lam[-1]), 1e-300)
+        w = (lam / top) ** (0.5 * q - 1.0)  # the density rho ~ G(s)^{q/2 - 1}
+        # C(rho), which is also the gradient's Gram
+        c = _grad_gram(ak, u * np.sqrt(w))
+        cv = np.linalg.eigvalsh(c)
+        low = (_tr_power_term(cv - slack * float(cv.sum()), 1.0)
+               / _tr_power_term(w, 2.0 * t))
+        if low > best_low:
+            best_low, best_rho = low, (u, w)
+        converged = closed or best_val <= (1.0 + DESCENT_GAP_TOL) * best_low
+        if converged or iters >= max_iters:
+            break
+        iters += 1
+        f_cur = _tr_power_term(lam, q)
+        # gradient of tr((G/top)^{q/2}) wrt s (a positive rescale), projected
+        # off the trace
+        sinv = (svecs / svals) @ svecs.conj().T
+        grad = _herm(-(sinv @ c @ sinv))
+        grad = grad - (float(np.trace(grad).real) / rb) * np.eye(rb)
+        s_mat = (svecs * svals) @ svecs.conj().T
+        gnorm = float(np.linalg.norm(grad))
+        snorm = float(np.linalg.norm(s_mat))
+        if gnorm <= 1e-15 * max(1.0, snorm):
+            break
+        eta = min(eta * 4.0, 1e3 * snorm / gnorm)
+        eta, trial = _line_search(ak, q, f_cur, s_mat, grad, eta)
+        if trial is None:
+            break  # the line search failed
+        svals, svecs, m_cur, f_t = trial
+        if f_t < best_val:
+            best_val = f_t
+            best_pair = (svals, svecs)
+
+    sv, sq = best_pair
+    sv = sv + 1e-12 * float(np.sum(sv)) / rb  # regularized inversion margin
+    s_full = scale * (ub @ ((sq * sv) @ sq.conj().T) @ ub.conj().T)
     yk = _k_major(y)
     b = (yk.reshape(-1, kr) @ psd_power(s_full, -1.0)).reshape(k, -1)
     r_full = _herm(b @ yk.reshape(k, -1).conj().T)
+    u, w = best_rho
     return GaugeResult(value=evaluate_two_sided(y, r_full, s_full, p), s=s_full,
-                       iterations=iters, converged=converged, r=r_full)
+                       iterations=iters, converged=converged, r=r_full,
+                       rho=(u * w) @ u.conj().T)
 
 
 # ---------------------------------------------------------------------------
@@ -668,10 +657,6 @@ def minimize_two_sided(coords: np.ndarray, p: float, max_iters: int = 5000,
 # ---------------------------------------------------------------------------
 
 _EPS = float(np.finfo(np.float64).eps)
-
-#: averaged fixed-point steps on the two-sided dual matrix (see
-#: ``_two_sided_densities``), each one more candidate
-_TWO_SIDED_STEPS = 3
 
 
 def _dual_exponents(p: float):
@@ -720,55 +705,3 @@ def minimax_lower(coords: np.ndarray, rho: np.ndarray, p: float) -> float:
     if num == 0.0 or den == 0.0:
         return 0.0
     return pow2_restore(num / den * (1.0 - (2 * k + 16) * _EPS), e)
-
-
-def _two_sided_densities(A: np.ndarray, r: np.ndarray, p: float) -> list:
-    """Candidate dual matrices for the two-sided dual at the left factor ``r``.
-
-    The first is ``r^{q/2 - 1}``.  The optimal one is a fixed point of
-    ``rho -> G(s)^{q/2 - 1}`` at the ``s ~ C(rho)^{1/2}`` that minimizes
-    ``tr(s^{-1} C(rho))`` (the dual's KKT condition), but that map expands
-    for q > 4, so each of the ``_TWO_SIDED_STEPS`` further candidates
-    averages it with the previous one.  ``C`` and ``G`` are formed on the
-    support restriction of the solver.
-    """
-    _, ak, _, _, _ = _restrict(A)
-    k = ak.shape[0]
-    densities = [_two_sided_density(r, p)]
-    for _ in range(_TWO_SIDED_STEPS):
-        rho = densities[-1]
-        rho_ak = (rho @ ak.reshape(k, -1)).reshape(ak.shape)
-        cv, cq = _spectral(np.einsum("kni,knj->ij", ak.conj(), rho_ak))
-        if cv[-1] <= 0.0:
-            break
-        sv = np.sqrt(np.clip(cv, _EIG_FLOOR * float(cv[-1]), None))
-        densities.append(0.5 * (rho + _two_sided_density(_m_matrix(ak, sv, cq), p)))
-    return densities
-
-
-def _two_sided_density(r: np.ndarray, p: float) -> np.ndarray:
-    """The two-sided dual matrix ``r^{q/2 - 1}`` scaled into the unit ball."""
-    vals, vecs = _spectral(r)
-    top = float(vals[-1])
-    if top <= 0.0:
-        vals = np.ones_like(vals)
-        top = 1.0
-    w = (vals / top) ** (0.5 * q_from_p(p) - 1.0)
-    _, t = _dual_exponents(p)
-    w = w / float(np.sum(w ** t)) ** (1.0 / t)
-    return _herm((vecs * w) @ vecs.conj().T)
-
-
-def minimax_certificate(coords: np.ndarray, p: float, r: np.ndarray | None = None):
-    """Certified lower bound from the two-sided dual (p < 2) at a left factor.
-
-    ``r`` is the left factor of the upper-bound witness in the frame of
-    ``coords`` (the identity when None).  Returns ``(lower, rho)`` with the
-    best of the candidate dual matrices built from it (module docstring);
-    ``rho`` is what ``minimax_lower`` was evaluated on.
-    """
-    y, _ = pow2_normalize(coords)
-    candidates = _two_sided_densities(y, np.eye(y.shape[1]) if r is None else r, p)
-    lowers = [minimax_lower(coords, rho, p) for rho in candidates]
-    best = int(np.argmax(lowers))
-    return lowers[best], candidates[best]

@@ -13,16 +13,16 @@ two factorization norms, selected by :class:`Side`:
 ``alpha_certify`` returns rigorous two-sided bounds: the upper bound is the
 value of an explicit feasible factorization found by the gauge solver
 (:mod:`nclp.gaugeopt`), the lower bound is the minimax dual of that same
-gauge problem at a dual matrix ``rho``: for p >= 2 the density of the solver's
-own ascent, which stops once the two bounds meet, and for p < 2 one built
-from the solved witness.
+gauge problem at the solver's own dual density ``rho``: the one-sided ascent
+(p >= 2) and the two-sided descent (p < 2) both stop once the two bounds
+meet.
 ``beta_certify`` treats the p-sum of the two norms (infimum over splittings
 ``y = y0 + y1``) and takes its lower bound by pairing: ``|<y, c>| / U(c)``
 for a pool of dual candidates ``c``, where ``U(c)`` is the p'-sum of the
 certified upper bounds on the two dual norms of ``c``, each a solve.
 
 Pruning.  Each candidate also gets a floor ``L(c)``, the p'-sum of the
-minimax lower bounds of its two dual norms at a dual matrix in closed form
+minimax lower bounds of its two dual norms at a density in closed form
 (``_dual_floor``, no solve).  Since ``L(c) <= true p'-sum <= U(c)``, the
 potential ``|<y, c>| / L(c)`` bounds the candidate's ratio from above.  The candidates are solved
 by decreasing potential, and a candidate whose potential is below the best
@@ -194,8 +194,6 @@ class CertifyOptions:
     """Tuning knobs for the certification routines (all deterministic)."""
 
     max_iters: int = 5000
-    decrease_tol: float = 1e-9
-    stall_window: int = 20
     beta_effort: int = 1
 
     def replace(self, **kw) -> "CertifyOptions":
@@ -205,7 +203,7 @@ class CertifyOptions:
 DEFAULT_OPTS = CertifyOptions()
 
 #: cheap settings for fuzz suites; bounds stay valid, just less tight
-FAST_OPTS = CertifyOptions(max_iters=240, stall_window=8, beta_effort=0)
+FAST_OPTS = CertifyOptions(max_iters=240, beta_effort=0)
 
 
 @dataclass
@@ -215,11 +213,10 @@ class FactorWitness:
     For the one-sided branch (p >= 2) ``s`` is the factor: the factorization
     is ``y_n = (y_n s^{-1/2}) s^{1/2}``.  The two-sided branch carries the
     pair ``(r, s)``.  ``transposed`` records that the witness lives in the
-    transposed frame (R_COL input).  ``rho`` is the dual matrix behind the
+    transposed frame (R_COL input).  ``rho`` is the dual density behind the
     lower bound of ``alpha_certify``, in the same frame
-    (``gaugeopt.minimax_lower``): the one-sided solve returns it with ``s``,
-    and ``alpha_certify`` builds it for the two-sided branch; it is None
-    elsewhere.
+    (``gaugeopt.minimax_lower``): both solvers return it with ``s``; it is
+    None elsewhere.
     """
 
     branch: str
@@ -322,13 +319,9 @@ def alpha_upper(y: VecElem, p: float, side: Side = Side.ELL_ROW,
     scale = float(np.max(np.abs(yn)))
     ys = VecElem(yn / scale)
 
-    if p >= 2.0:
-        res = gaugeopt.minimize_gauge(ys.coords, p, max_iters=opts.max_iters)
-    else:
-        res = gaugeopt.minimize_two_sided(ys.coords, p, max_iters=opts.max_iters,
-                                          decrease_tol=opts.decrease_tol,
-                                          stall_window=opts.stall_window)
-    # both solvers return the certified value of their witness
+    solve = gaugeopt.minimize_gauge if p >= 2.0 else gaugeopt.minimize_two_sided
+    res = solve(ys.coords, p, max_iters=opts.max_iters)
+    # both solvers return the certified value of their witness and its density
     wit = FactorWitness("one_sided" if p >= 2.0 else "two_sided", s=res.s,
                         r=res.r, iterations=res.iterations,
                         converged=res.converged, rho=res.rho)
@@ -434,21 +427,17 @@ def alpha_certify(y: VecElem, p: float, side: Side = Side.ELL_ROW,
 
     The upper bound is ``alpha_upper``'s; the lower bound is the minimax dual
     of the gauge problem that solve just solved (``gaugeopt.minimax_lower``),
-    evaluated at the dual matrix ``rho`` that the returned witness records.
-    For p >= 2 that is the density of the solve's own ascent, which ends
-    once the two bounds are within ``gaugeopt.GAP_TOL`` (or at the budget,
-    ``converged = False``); for p < 2 it is built from the witness's left
-    factor (``gaugeopt.minimax_certificate``).
+    evaluated at the density ``rho`` that the returned witness records: the
+    solve's own, which ends once the two bounds are within
+    ``gaugeopt.GAP_TOL`` (p >= 2) or ``gaugeopt.DESCENT_GAP_TOL`` (p < 2),
+    or with ``converged = False`` at the budget or a failed step search.
     """
     p = check_exponent(p)
     upper, wit = alpha_upper(y, p, side, opts)
     if y.is_zero():
         return NormCertificate(0.0, 0.0, wit, None, 0, True)
     coords = opposite_transform(y).coords if side == Side.R_COL else y.coords
-    if wit.branch == "one_sided":
-        lower = gaugeopt.minimax_lower(coords, wit.rho, p)
-    else:
-        lower, wit.rho = gaugeopt.minimax_certificate(coords, p, wit.r)
+    lower = gaugeopt.minimax_lower(coords, wit.rho, p)
     return NormCertificate(upper=upper, lower=lower, factor_witness=wit,
                            dual_witness=None, iterations=wit.iterations,
                            converged=wit.converged)
@@ -477,13 +466,12 @@ _PRUNE_MARGIN = 1e-9
 def _dual_floor(cand: VecElem, p_dual: float) -> float:
     """Certified lower bound on the ELL_ROW dual norm of a candidate, no solve.
 
-    The minimax dual of the candidate's own gauge at a density in closed
-    form: ``gaugeopt.gram_density`` for ``p' >= 2``, and the two-sided dual
-    at the left factor ``r = I`` below.
+    The minimax dual of the candidate's own gauge at the density
+    ``gaugeopt.gram_density`` with ``e = p'`` for ``p' >= 2``, and with ``e =
+    q - 2`` below, the two-sided descent's density at ``s = I``.
     """
-    if p_dual < 2.0:
-        return gaugeopt.minimax_certificate(cand.coords, p_dual)[0]
-    return gaugeopt.minimax_lower(cand.coords, gaugeopt.gram_density(cand.coords, p_dual),
+    e = p_dual if p_dual >= 2.0 else gaugeopt.q_from_p(p_dual) - 2.0
+    return gaugeopt.minimax_lower(cand.coords, gaugeopt.gram_density(cand.coords, e),
                                   p_dual)
 
 

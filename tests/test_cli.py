@@ -86,20 +86,24 @@ class TestDiag:
 
 
 class TestOptimizerFlags:
-    @pytest.mark.parametrize("flag, value", [
-        ("--max-iters", "-5"), ("--tol", "nan"), ("--tol", "-1"),
-        ("--tol", "0"), ("--tol", "inf"),
-    ])
+    @pytest.mark.parametrize("flag, value", [("--max-iters", "-5")])
     def test_invalid_value_is_invalid_input(self, capsys, flag, value):
         assert run_cli("diag", "--k", "3", "--p", "3", flag, value) == 2
         err = capsys.readouterr().err
         assert err.startswith("invalid input: " + flag)
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("flag, value", [("--max-iters", "0"), ("--tol", "1e-6")])
+    @pytest.mark.parametrize("flag, value", [("--max-iters", "0")])
     def test_valid_value_runs(self, capsys, flag, value):
         assert run_cli("diag", "--k", "3", "--p", "3", flag, value) == 0
         assert json.loads(capsys.readouterr().out)["match"] is True
+
+    def test_tol_is_rejected(self, capsys):
+        """Both solvers stop on their certified gap: there is no --tol."""
+        with pytest.raises(SystemExit) as exc:
+            run_cli("diag", "--k", "3", "--p", "3", "--tol", "1e-6")
+        assert exc.value.code == 2
+        assert "--tol" in capsys.readouterr().err
 
 
 class TestSeedAndSizeChecks:
@@ -138,6 +142,11 @@ class TestSeedAndSizeChecks:
     @pytest.mark.parametrize("k", ["0", "-2"])
     def test_diag_size(self, capsys, k):
         self._assert_invalid(capsys, ("diag", "--k", k, "--p", "3"), "--k")
+
+    @pytest.mark.parametrize("flag, value", [("--n", "0"), ("--n", "-2"),
+                                             ("--samples", "0"), ("--samples", "-3")])
+    def test_yeadon_sizes(self, capsys, spec_file, flag, value):
+        self._assert_invalid(capsys, ("yeadon", "--in", spec_file, flag, value), flag)
 
     def test_seed_zero_runs(self, capsys):
         assert run_cli("diag", "--k", "1", "--p", "3", "--random",
