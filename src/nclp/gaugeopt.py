@@ -45,10 +45,10 @@ momentum and adaptive restart (Beck and Teboulle, FISTA, 2009; O'Donoghue
 and Candes, 2015):
 
     h_t = h + eta D + theta (h - h_prev),  D = M / tr(rho M) - I,
-    theta = (t - 1) / (t + 2),
+    theta = (j - 1) / (j + 2),
 
-with ``eta = min(2 / spread, 4 eta_prev)`` for the eigenvalue spread of ``M
-/ tr(rho M)``.  The step is centered: ``exp(h + cI)`` normalizes to the
+with ``eta = min(2 / spread, 1.5 eta_prev)`` for the eigenvalue spread of
+``M / tr(rho M)``.  The step is centered: ``exp(h + cI)`` normalizes to the
 density of ``h``, so ``D`` gives the iterates of the plain step ``M / tr(rho
 M)`` in exact arithmetic, but ``tr(rho D) = 0`` keeps ``h`` from drifting
 by about ``eta I`` per step.  Uncentered, momentum compounds that drift: on
@@ -59,38 +59,47 @@ matters because the optimal density has low rank and ``M``'s spread stays
 set by directions ``rho`` has already left: ``eta`` is capped by them, and
 without momentum the error inside the active subspace decays slowly.  A
 trial is accepted when ``g`` does not fall.  A failing trial with momentum
-is retried at the same ``eta`` without it (``theta = 0`` and ``t = 1``, the
+is retried at the same ``eta`` without it (``theta = 0`` and ``j = 1``, the
 restart); a failing trial without momentum halves ``eta``.  At most
 ``_TRIALS`` = 40 trials are made per iteration.  Any ``rho`` gives a sound
 lower bound and any ``s`` a sound upper one, so momentum changes only the
-path, never soundness.  An iteration forms M(s) and takes its
-``eigvalsh``; a trial step takes one ``eigh`` of ``h_t``, forms ``C(rho)``
-(``_grad_gram``) and takes its ``eigh``, whose eigenvectors are those of the
-next ``s``.  Nearly every first trial is accepted.  The matrices are k x k
-and r x r, so on small elements the cost is numpy's per-call overhead rather
-than arithmetic.
+path, never soundness.  The lower value that steers the ascent lowers each
+eigenvalue of ``C(rho)`` first by about the rounding allowance of
+``minimax_lower`` (``((N + 1) k + 4 r + 4) eps tr C``): rounding noise on
+eigenvalues near zero would otherwise lift their roots, by up to 1e-8 at
+``beta = 1/2``, and close a gap that the certificate cannot show.  An
+iteration forms M(s) and takes its ``eigvalsh``; a trial step takes one
+``eigh`` of ``h_t``, forms ``C(rho)`` (``_grad_gram``) and takes its
+``eigh``, whose eigenvectors are those of the next ``s``.  Nearly every
+first trial is accepted.  The matrices are k x k and r x r, so on small
+elements the cost is numpy's per-call overhead rather than arithmetic.
 
-The two-sided solve (``minimize_two_sided``) is a projected descent on ``s``
-that carries its dual: the ``eigh`` of ``G = M(s)`` that each step takes
-gives the density ``rho ~ G^{q/2 - 1}``, which attains ``|G|_{q/2} = max
-tr(rho G)`` on the unit ball of ``S^{(q/2)'}``, and the gradient Gram ``sum_n
-A_n^* rho A_n`` is ``C(rho)``, so the lower bound (below) costs one r x r
-``eigvalsh``.  Start from the better of the identity and the support Gram,
-stop as the ascent does but at ``DESCENT_GAP_TOL`` (or on a failed line
-search or a vanishing gradient), and otherwise step along the gradient
-projected off the trace with backtracking (``_line_search``, any decrease
-beyond rounding accepted, at most 40 halvings), keeping the best point.
-M(s) is assembled as two GEMMs on a k-major copy of the coordinates made
-once per solve, O(N k r^2 + N k^2 r), the gradient Gram as one more pair,
-and each iteration takes one ``eigh`` of the M kept from the accepted
-trial.  The line search tries the steps ``eta, eta/2, ..., eta/2^39`` in
-chunks of ``_TRIAL_CHUNK`` consecutive halvings: a chunk is one stacked call
-each of the symmetrization and ``eigh`` of the projection on the (B, r, r)
-trial points, the two M(s) GEMMs and the ``eigvalsh`` of the (B, k, k) trial
-M's, and its trials are then tested in halving order.  Each matrix of a stack gets the
-float operations of a call on it alone (``_normalize`` sums the trace powers
-along the contiguous last axis and raises them as Python floats), so every
-certificate is the one a search that tries one step at a time gives.
+The two-sided solve (``minimize_two_sided``) is the same ascent on its own
+dual (the lower bounds below): maximize ``f(rho) = (tr C(rho)^{1/2})^2``
+over PSD ``rho`` with ``|rho|_t <= 1``, ``t = (q/2)' = p/(2p - 2) >= 1``.
+This is ``g`` at ``e = 2`` on another ball, so write ``rho = u^{1/t}`` with
+``u`` a density, which puts ``rho`` on the sphere ``|rho|_t = 1``.  ``f`` is
+concave (as ``g`` is) and nondecreasing in the Loewner order (``C`` is a
+positive map), and ``x -> x^{1/t}`` is operator concave for ``t >= 1``
+(Loewner-Heinz; Bhatia, Matrix Analysis, 1997, ch. V), so ``u ->
+f(u^{1/t})`` is concave on densities.  At ``rho = u^{1/t}`` the inner
+optimum is the one-sided one at ``e = 2``: ``s ~ C(rho)^{1/2}``, ``tr s =
+1``, with the lower value ``tr C(rho)^{1/2}`` and the upper value
+``|M(s)|_{q/2}^{1/2}`` (``_tr_power_term(eig M(s), q)``, which reads
+``lmax^{1/2}`` at ``q = inf``).  The gradient in ``u`` is that in ``rho``,
+``M(s)``, pulled back through the derivative of ``x^{1/t}`` (the
+Daleckii-Krein formula, ibid.): ``Q (L o Q^* M Q) Q^*`` with ``Q`` an
+eigenbasis of ``u`` and the divided differences ``L_ij = (u_i^{1/t} -
+u_j^{1/t}) / (u_i - u_j)``, the derivative ``u_i^{1/t - 1} / t`` where two
+eigenvalues coincide (``_pullback``, which forms them from the
+log-spectrum that ``h`` gives).  ``x^{1/t}`` is homogeneous of degree
+``1/t``, so ``tr(u grad) = tr(rho M) / t``, and the centered step divides
+by that.  At ``t = 1`` ``L`` is all ones and the step is the one-sided one,
+so one driver, ``_ascend(ak, support_gram, e, q, t, tol, max_iters)``,
+serves both: ``minimize_gauge`` at ``(e, inf, 1, GAP_TOL)`` and
+``minimize_two_sided`` at ``(2, q, t, DESCENT_GAP_TOL)``.  For ``t > 1`` an
+iteration also forms the pulled-back gradient and takes its ``eigvalsh``,
+whose spread sets ``eta``.
 
 Closed forms (``iterations = 0``; the support restriction, the
 regularization margin and the final evaluation are the same as after a
@@ -155,8 +164,8 @@ for p < 2; both read ``tr C(rho)^{1/2} / (tr rho)^{1/2}`` at p = 2.  Both
 objectives are convex in ``s`` and linear in ``rho`` over a compact convex
 set, so by Sion's theorem the best ``rho`` attains the norm; the inner
 minimum is attained at ``s ~ C(rho)^{1/(a+1)}``, which commutes with
-``C(rho)``.  Each solver returns its own ``rho``: the ascent's last density,
-the descent's density at its best lower bound, or the closed forms' density.
+``C(rho)``.  Each solve returns its own ``rho``: the ascent's last one
+(``u^{1/t}`` for p < 2), or the closed forms' density.
 
 Rounding allowance in ``minimax_lower``, so that the bound stays below the
 exact value for the stored ``rho``.  The coordinates are scaled by a power of
@@ -194,10 +203,11 @@ from .schatten import (DEFAULT_RANK_TOL, pow2_normalize, pow2_restore,
 _EIG_FLOOR = 1e-9  # relative floor on witness eigenvalues, kept above the rank cut
 #: relative gap between the two bounds of the one-sided ascent that ends it
 GAP_TOL = 1e-8
-#: the same for the two-sided descent; not ``GAP_TOL``, which stops it early
+#: the same for the two-sided gauge; not ``GAP_TOL``, which stops it early
 #: enough to raise the p = 1.5 uppers of ``test_golden_brackets`` by 6e-9,
 #: past the 1e-9 that test allows
 DESCENT_GAP_TOL = 1e-10
+_EPS = float(np.finfo(np.float64).eps)
 
 
 @dataclass
@@ -211,8 +221,8 @@ class GaugeResult:
 
 
 def _herm(x: np.ndarray) -> np.ndarray:
-    """The Hermitian part of a matrix or of each matrix of a stack."""
-    return 0.5 * (x + x.conj().swapaxes(-1, -2))
+    """The Hermitian part of a matrix."""
+    return 0.5 * (x + x.conj().T)
 
 
 def _spectral(s: np.ndarray):
@@ -223,22 +233,15 @@ def _spectral(s: np.ndarray):
 def _normalize(vals: np.ndarray, e: float) -> np.ndarray:
     """Clip a spectrum to the relative floor and normalize sum(vals^{e/2}) = 1.
 
-    ``vals`` is one spectrum or a (B, r) stack, treated row by row with the
-    same float operations: each trace power is a sum along the contiguous
-    last axis, raised as a Python float.  A zero spectrum becomes flat.
+    A zero spectrum becomes flat.
     """
-    vmax = vals[..., -1:]
-    vals = np.where(vmax <= 0.0, 1.0, np.maximum(vals, _EIG_FLOOR * vmax))
-    sums = (vals ** (e / 2.0)).sum(axis=-1, keepdims=True)
-    norms = np.array([float(t) ** (2.0 / e) for t in sums.flat]).reshape(sums.shape)
-    return vals / norms
+    vmax = vals[-1]
+    vals = np.ones_like(vals) if vmax <= 0.0 else np.maximum(vals, _EIG_FLOOR * vmax)
+    return vals / float((vals ** (e / 2.0)).sum()) ** (2.0 / e)
 
 
 def _project(s: np.ndarray, e: float):
-    """Clip to the PD cone (relative floor) and normalize tr(s^{e/2}) = 1.
-
-    ``s`` is one r x r matrix or a (B, r, r) stack (see ``_normalize``).
-    """
+    """Clip to the PD cone (relative floor) and normalize tr(s^{e/2}) = 1."""
     vals, vecs = _spectral(s)
     return _normalize(vals, e), vecs
 
@@ -275,13 +278,11 @@ def _m_matrix(ak: np.ndarray, svals: np.ndarray, svecs: np.ndarray) -> np.ndarra
 
     ``ak`` is the k-major copy of the coordinates (see ``_k_major``): the rows
     of ``ak @ s^{-1/2}`` regroup into ``B = [A_1 s^{-1/2}, ..., A_N s^{-1/2}]``
-    and ``M = B B^*``.  ``s`` is given by its spectrum, one or a (B, r) stack
-    with its (B, r, r) eigenvectors; a stack gives one M per ``s``.
+    and ``M = B B^*``.  ``s`` is given by its spectrum and eigenvectors.
     """
     k, _, r = ak.shape
-    b = ak.reshape(-1, r) @ (svecs * (svals ** -0.5)[..., None, :])
-    b = b.reshape(b.shape[:-2] + (k, -1))
-    return _herm(b @ b.conj().swapaxes(-1, -2))
+    b = (ak.reshape(-1, r) @ (svecs * svals ** -0.5)).reshape(k, -1)
+    return _herm(b @ b.conj().T)
 
 
 def _grad_gram(ak: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -293,11 +294,6 @@ def _grad_gram(ak: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 def _eigvals(m: np.ndarray) -> np.ndarray:
     return np.maximum(np.linalg.eigvalsh(m), 0.0)
-
-
-def _eigh(m: np.ndarray):
-    lam, u = np.linalg.eigh(m)
-    return np.maximum(lam, 0.0), u
 
 
 def _diagonal_coordinates(A: np.ndarray) -> bool:
@@ -328,81 +324,108 @@ def _tr_power_term(vals: np.ndarray, e: float) -> float:
 _TRIALS = 40  # step halvings before a step search fails
 
 
-def _dual_point(ak: np.ndarray, h: np.ndarray, e: float):
-    """The one-sided dual at the density ``rho = exp(h) / tr exp(h)``.
+def _dual_point(ak: np.ndarray, h: np.ndarray, e: float, t: float):
+    """The one-sided dual at ``rho = u^{1/t}``, ``u = exp(h) / tr exp(h)``.
 
-    Returns ``(rho, lower, svals, svecs)``: ``lower = g(rho)^{1/2} =
-    |C(rho)|_beta^{1/2}`` and the spectrum and eigenvectors of the inner
-    optimum ``s ~ C(rho)^{1/(a+1)}`` with ``tr(s^a) = 1`` (floored like every
-    witness).
+    Returns ``(rho, lower, svals, svecs, log_u, uvecs)``: ``lower =
+    |C(rho)|_beta^{1/2}`` less the rounding allowance (module docstring), the
+    spectrum and eigenvectors of the inner optimum ``s ~ C(rho)^{1/(a+1)}``
+    with ``tr(s^a) = 1`` (floored like every witness), and the log-spectrum
+    and eigenvectors of ``u``.
     """
     a = 0.5 * e
+    k, n_coords, r = ak.shape
     hv, hq = np.linalg.eigh(h)
     w = np.exp(hv - hv[-1])
-    v = hq * np.sqrt(w / float(w.sum()))
+    total = float(w.sum())
+    v = hq * np.sqrt((w / total) ** (1.0 / t))
     cv, cq = _spectral(_grad_gram(ak, v))
-    lower = _tr_power_term(cv, 2.0 * a / (a + 1.0))
-    return v @ v.conj().T, lower, _normalize(cv ** (1.0 / (a + 1.0)), e), cq
+    slack = ((n_coords + 1) * k + 4 * r + 4) * _EPS
+    lower = _tr_power_term(cv - slack * float(cv.sum()), 2.0 * a / (a + 1.0))
+    return (v @ v.conj().T, lower, _normalize(cv ** (1.0 / (a + 1.0)), e), cq,
+            hv - hv[-1] - math.log(total), hq)
 
 
-def _ascend(ak: np.ndarray, support_gram: np.ndarray, e: float, max_iters: int):
-    """Entropic mirror ascent of the one-sided dual (module docstring).
+def _pullback(m: np.ndarray, log_u: np.ndarray, uvecs: np.ndarray, t: float):
+    """The gradient in ``u`` of ``f(u^{1/t})`` from ``m``, the one in ``rho``.
 
-    Each iteration steps ``h = log rho`` along the centered gradient ``D =
-    M / tr(rho M) - I`` (``tr(rho D) = 0``: the density is that of the plain
-    step, but ``h`` does not drift along ``I``) plus the momentum ``theta (h
-    - h_prev)``, ``theta = (t - 1) / (t + 2)``.  A trial that lowers ``g``
-    first drops the momentum (restart to ``t = 1``), then halves ``eta``; at
-    most ``_TRIALS`` trials per iteration.
+    ``Q (L o Q^* m Q) Q^*`` (Daleckii-Krein) with the divided differences of
+    ``x^{1/t}`` formed from the log-spectrum: for ``u_i >= u_j``, ``L_ij =
+    u_i^{1/t - 1} expm1(d / t) / expm1(d)`` with ``d = log(u_j / u_i)``, and
+    ``u_i^{1/t - 1} / t`` at ``d = 0``.
+    """
+    d = -np.abs(log_u[:, None] - log_u[None, :])
+    ratio = np.divide(np.expm1(d / t), np.expm1(d), out=np.full_like(d, 1.0 / t),
+                      where=d < 0.0)
+    div = np.exp((1.0 / t - 1.0) * np.maximum.outer(log_u, log_u)) * ratio
+    return uvecs @ (div * (uvecs.conj().T @ m @ uvecs)) @ uvecs.conj().T
+
+
+def _ascend(ak: np.ndarray, support_gram: np.ndarray, e: float, q: float,
+            t: float, tol: float, max_iters: int):
+    """Entropic mirror ascent of the dual at ``rho = u^{1/t}`` (module docstring).
+
+    Each iteration steps ``h = log u`` along the centered gradient ``D =
+    grad / tr(u grad) - I``, ``grad`` being ``M`` pulled back to ``u``
+    (``M`` itself at ``t = 1``), plus the momentum ``theta (h - h_prev)``,
+    ``theta = (j - 1) / (j + 2)``.  A trial that lowers the dual first drops
+    the momentum (restart to ``j = 1``), then halves ``eta``; at most
+    ``_TRIALS`` trials per iteration.  The upper value of ``s`` is
+    ``_tr_power_term(eig M(s), q)``.
 
     Returns ``(svals, svecs, rho, iterations, converged)``: the best upper
-    point seen, the last density, and whether the gap closed to ``GAP_TOL``.
+    point seen, the last ``rho``, and whether the gap closed to ``tol``.
     """
     k, _, rb = ak.shape
     best = math.inf
     for cand in (np.eye(rb, dtype=np.complex128), support_gram):
         sv, sq = _project(cand, e)
-        top = float(_eigvals(_m_matrix(ak, sv, sq))[-1])
-        if top < best:
-            best, best_pair = top, (sv, sq)
+        val = _tr_power_term(_eigvals(_m_matrix(ak, sv, sq)), q)
+        if val < best:
+            best, best_pair = val, (sv, sq)
     h = h_prev = np.zeros((k, k), dtype=np.complex128)
     eye = np.eye(k)
-    rho, lower, sv, sq = _dual_point(ak, h, e)
+    rho, lower, sv, sq, log_u, uq = _dual_point(ak, h, e, t)
     eta = math.inf
     iters = 0
-    t = 1  # momentum counter, reset to 1 by a restart
+    j = 1  # momentum counter, reset to 1 by a restart
     while True:
         m = _m_matrix(ak, sv, sq)
         lam = _eigvals(m)
-        if lam[-1] < best:
-            best, best_pair = float(lam[-1]), (sv, sq)
-        if math.sqrt(best) <= (1.0 + GAP_TOL) * lower:
+        val = _tr_power_term(lam, q)
+        if val < best:
+            best, best_pair = val, (sv, sq)
+        if best <= (1.0 + tol) * lower:
             return (*best_pair, rho, iters, True)
         if iters >= max_iters:
             break
         iters += 1
-        # the gradient of g is M(s) up to a positive factor; tr(rho M) scales it
-        tr_rho_m = float(np.vdot(rho, m).real)
-        if not (tr_rho_m > 0.0 and lam[-1] > lam[0]):
+        grad, spec = m, lam
+        if t > 1.0:
+            grad = _pullback(m, log_u, uq, t)
+            spec = np.linalg.eigvalsh(grad)
+        # x^{1/t} is homogeneous of degree 1/t: tr(u grad) = tr(rho M) / t
+        tr_u_grad = float(np.vdot(rho, m).real) / t
+        if not (tr_u_grad > 0.0 and spec[-1] > spec[0]):
             break  # no ascent direction
-        spread = float(lam[-1] - lam[0]) / tr_rho_m
-        eta = min(2.0 / spread, 4.0 * eta)
-        d = m / tr_rho_m - eye  # centered: tr(rho d) = 0
-        momentum = (t - 1) / (t + 2) * (h - h_prev)
+        spread = float(spec[-1] - spec[0]) / tr_u_grad
+        eta = min(2.0 / spread, 1.5 * eta)
+        d = grad / tr_u_grad - eye  # centered: tr(u d) = 0
+        momentum = (j - 1) / (j + 2) * (h - h_prev)
         for _ in range(_TRIALS):
             h_t = h + eta * d + momentum
-            trial = _dual_point(ak, h_t, e)
+            trial = _dual_point(ak, h_t, e, t)
             if trial[1] >= lower:
                 break
-            if t > 1:
-                momentum, t = 0.0, 1  # adaptive restart: drop the momentum first
+            if j > 1:
+                momentum, j = 0.0, 1  # adaptive restart: drop the momentum first
             else:
                 eta *= 0.5
         else:
             break  # no step raises the dual
         h_prev, h = h, h_t
-        t += 1
-        rho, lower, sv, sq = trial
+        j += 1
+        rho, lower, sv, sq, log_u, uq = trial
     return (*best_pair, rho, iters, False)
 
 
@@ -448,7 +471,8 @@ def minimize_gauge(A: np.ndarray, e: float, max_iters: int = 5000) -> GaugeResul
         sv, sq = _project(support_gram, e)
         rho, iters, converged = gram_density(A, e), 0, True
     else:
-        sv, sq, rho, iters, converged = _ascend(ak, support_gram, e, max_iters)
+        sv, sq, rho, iters, converged = _ascend(ak, support_gram, e, math.inf, 1.0,
+                                                GAP_TOL, max_iters)
     sv = sv + 1e-12 * float(np.sum(sv)) / ub.shape[1]  # regularized inversion margin
     s_out = ub @ ((sq * sv) @ sq.conj().T) @ ub.conj().T
     return GaugeResult(value=evaluate_one_sided(A, s_out, e), s=s_out,
@@ -515,36 +539,6 @@ def evaluate_two_sided(coords: np.ndarray, r_full: np.ndarray,
             + charge)
 
 
-_TRIAL_CHUNK = 4  # consecutive halvings evaluated as one stacked trial
-
-
-def _line_search(ak, q, f_cur, s_mat, grad, eta):
-    """Backtracking along ``-grad`` from ``s_mat``: steps eta, eta/2, ...
-
-    Returns ``(eta, trial)`` for the first of ``_TRIALS`` halvings whose
-    projected point lowers the reduced two-sided value below ``f_cur``
-    beyond rounding, with ``trial = (svals, svecs, M, value)``, or ``(eta /
-    2^40, None)`` when none does.  The halvings are evaluated
-    ``_TRIAL_CHUNK`` at a time: one stacked projection, M(s) and
-    ``eigvalsh``, each matrix getting the float operations of a trial
-    evaluated alone, and the first passing one (in halving order) is taken,
-    so the result is that of trying them one by one.
-    """
-    for start in range(0, _TRIALS, _TRIAL_CHUNK):
-        etas = [eta]
-        for _ in range(1, min(_TRIAL_CHUNK, _TRIALS - start)):
-            etas.append(etas[-1] * 0.5)
-        tv, tq = _project(s_mat - np.array(etas)[:, None, None] * grad, 2.0)
-        m_t = _m_matrix(ak, tv, tq)
-        lam_t = _eigvals(m_t)
-        for j, eta in enumerate(etas):
-            f_t = _tr_power_term(lam_t[j], q)
-            if f_t < f_cur * (1.0 - 1e-14) or f_t <= f_cur - 1e-12:
-                return eta, (tv[j], tq[j], m_t[j], f_t)
-        eta *= 0.5
-    return eta, None
-
-
 def minimize_two_sided(coords: np.ndarray, p: float,
                        max_iters: int = 5000) -> GaugeResult:
     """Minimize the two-sided gauge (p <= 2) after eliminating the left factor.
@@ -557,17 +551,17 @@ def minimize_two_sided(coords: np.ndarray, p: float,
 
     a smooth convex objective.  A naive alternation between the two factors
     stalls: the scaling freedom between outer factors makes every point a
-    fixed point, so the reduced form is both faster and correct.  It has no
-    spurious minima, so the descent (module docstring) starts from the
-    better of the identity and the support Gram, on the right support.
+    fixed point, so the reduced form is both faster and correct.  The ascent
+    (module docstring) solves it through its dual at ``rho = u^{1/t}``.
 
     One coordinate, diagonal ones and a support of rank one take the closed
-    form ``s = diag(c)^{p/2}`` and ``iterations`` is 0 (module docstring).
-    ``value`` is the certified value of the witness (``evaluate_two_sided``)
-    and ``rho`` the density of the best lower bound seen (``minimax_lower``).
-    ``converged`` is False only when the descent ended before its gap closed
-    to ``DESCENT_GAP_TOL``.  At p = 2 the problem is the one-sided gauge at
-    ``e = 2`` (``minimize_gauge``), with ``r`` the identity.
+    form ``s = diag(c)^{p/2}`` and ``iterations`` is 0 (module docstring),
+    with ``rho ~ G(s)^{q/2 - 1}``.  ``value`` is the certified value of the
+    witness (``evaluate_two_sided``) and ``rho`` the density behind the lower
+    bound (``minimax_lower``).  ``converged`` is False only when the budget
+    or a failed step search ended the ascent before its gap closed to
+    ``DESCENT_GAP_TOL``.  At p = 2 the problem is the one-sided gauge at ``e
+    = 2`` (``minimize_gauge``), with ``r`` the identity.
     """
     y = np.asarray(coords, dtype=np.complex128)
     n_coords, k, kr = y.shape
@@ -584,79 +578,27 @@ def minimize_two_sided(coords: np.ndarray, p: float,
     _, t = _dual_exponents(p)
     ub, ak, scale, support_gram, kept = _restrict(y)
     rb = ub.shape[1]
-    closed = rb == 1 or n_coords == 1 or _diagonal_coordinates(y)
-    if closed:
+    if rb == 1 or n_coords == 1 or _diagonal_coordinates(y):
         # in its own eigenbasis the Gram is diag(kept) on the support
-        candidates = [np.diag(kept ** (0.5 * p)).astype(np.complex128)]
+        sv, sq = _project(np.diag(kept ** (0.5 * p)).astype(np.complex128), 2.0)
+        lam, u = _spectral(_m_matrix(ak, sv, sq))
+        w = (lam / max(float(lam[-1]), 1e-300)) ** (0.5 * q - 1.0)
+        rho, iters, converged = (u * w) @ u.conj().T, 0, True
     else:
-        candidates = [np.eye(rb, dtype=np.complex128), support_gram]
-    best_val = math.inf
-    for cand in candidates:
-        sv, sq = _project(cand, 2.0)
-        m = _m_matrix(ak, sv, sq)
-        val = _tr_power_term(_eigvals(m), q)
-        if val < best_val:
-            best_val, best_pair, m_cur = val, (sv, sq), m
-    svals, svecs = best_pair
-
-    iters = 0
-    eta = 1.0
-    best_low = -1.0
-    # about the rounding allowance of ``minimax_lower`` on C(rho): noise near
-    # zero would lift square roots by up to 1e-8, closing a gap it cannot show
-    slack = ((n_coords + 1) * k + 4 * rb + 4) * _EPS
-    while True:
-        lam, u = _eigh(m_cur)
-        top = max(float(lam[-1]), 1e-300)
-        w = (lam / top) ** (0.5 * q - 1.0)  # the density rho ~ G(s)^{q/2 - 1}
-        # C(rho), which is also the gradient's Gram
-        c = _grad_gram(ak, u * np.sqrt(w))
-        cv = np.linalg.eigvalsh(c)
-        low = (_tr_power_term(cv - slack * float(cv.sum()), 1.0)
-               / _tr_power_term(w, 2.0 * t))
-        if low > best_low:
-            best_low, best_rho = low, (u, w)
-        converged = closed or best_val <= (1.0 + DESCENT_GAP_TOL) * best_low
-        if converged or iters >= max_iters:
-            break
-        iters += 1
-        f_cur = _tr_power_term(lam, q)
-        # gradient of tr((G/top)^{q/2}) wrt s (a positive rescale), projected
-        # off the trace
-        sinv = (svecs / svals) @ svecs.conj().T
-        grad = _herm(-(sinv @ c @ sinv))
-        grad = grad - (float(np.trace(grad).real) / rb) * np.eye(rb)
-        s_mat = (svecs * svals) @ svecs.conj().T
-        gnorm = float(np.linalg.norm(grad))
-        snorm = float(np.linalg.norm(s_mat))
-        if gnorm <= 1e-15 * max(1.0, snorm):
-            break
-        eta = min(eta * 4.0, 1e3 * snorm / gnorm)
-        eta, trial = _line_search(ak, q, f_cur, s_mat, grad, eta)
-        if trial is None:
-            break  # the line search failed
-        svals, svecs, m_cur, f_t = trial
-        if f_t < best_val:
-            best_val = f_t
-            best_pair = (svals, svecs)
-
-    sv, sq = best_pair
+        sv, sq, rho, iters, converged = _ascend(ak, support_gram, 2.0, q, t,
+                                                DESCENT_GAP_TOL, max_iters)
     sv = sv + 1e-12 * float(np.sum(sv)) / rb  # regularized inversion margin
     s_full = scale * (ub @ ((sq * sv) @ sq.conj().T) @ ub.conj().T)
     yk = _k_major(y)
     b = (yk.reshape(-1, kr) @ psd_power(s_full, -1.0)).reshape(k, -1)
     r_full = _herm(b @ yk.reshape(k, -1).conj().T)
-    u, w = best_rho
     return GaugeResult(value=evaluate_two_sided(y, r_full, s_full, p), s=s_full,
-                       iterations=iters, converged=converged, r=r_full,
-                       rho=(u * w) @ u.conj().T)
+                       iterations=iters, converged=converged, r=r_full, rho=rho)
 
 
 # ---------------------------------------------------------------------------
 # the minimax dual: certified lower bounds
 # ---------------------------------------------------------------------------
-
-_EPS = float(np.finfo(np.float64).eps)
 
 
 def _dual_exponents(p: float):

@@ -13,9 +13,8 @@ two factorization norms, selected by :class:`Side`:
 ``alpha_certify`` returns rigorous two-sided bounds: the upper bound is the
 value of an explicit feasible factorization found by the gauge solver
 (:mod:`nclp.gaugeopt`), the lower bound is the minimax dual of that same
-gauge problem at the solver's own dual density ``rho``: the one-sided ascent
-(p >= 2) and the two-sided descent (p < 2) both stop once the two bounds
-meet.
+gauge problem at the solver's own dual density ``rho``: one ascent serves
+both gauges (p >= 2 and p < 2) and stops once the two bounds meet.
 ``beta_certify`` treats the p-sum of the two norms (infimum over splittings
 ``y = y0 + y1``) and takes its lower bound by pairing: ``|<y, c>| / U(c)``
 for a pool of dual candidates ``c``, where ``U(c)`` is the p'-sum of the
@@ -431,6 +430,9 @@ def alpha_certify(y: VecElem, p: float, side: Side = Side.ELL_ROW,
     solve's own, which ends once the two bounds are within
     ``gaugeopt.GAP_TOL`` (p >= 2) or ``gaugeopt.DESCENT_GAP_TOL`` (p < 2),
     or with ``converged = False`` at the budget or a failed step search.
+    ``converged`` also needs the certified bracket closed to twice that
+    tolerance: the solve tests its gap on the right support only, and the
+    certificate charges what the support drops at its coordinate-wise p-norm.
     """
     p = check_exponent(p)
     upper, wit = alpha_upper(y, p, side, opts)
@@ -438,9 +440,10 @@ def alpha_certify(y: VecElem, p: float, side: Side = Side.ELL_ROW,
         return NormCertificate(0.0, 0.0, wit, None, 0, True)
     coords = opposite_transform(y).coords if side == Side.R_COL else y.coords
     lower = gaugeopt.minimax_lower(coords, wit.rho, p)
+    tol = gaugeopt.GAP_TOL if p >= 2.0 else gaugeopt.DESCENT_GAP_TOL
     return NormCertificate(upper=upper, lower=lower, factor_witness=wit,
                            dual_witness=None, iterations=wit.iterations,
-                           converged=wit.converged)
+                           converged=wit.converged and upper - lower <= 2 * tol * upper)
 
 
 # ---------------------------------------------------------------------------
@@ -468,7 +471,8 @@ def _dual_floor(cand: VecElem, p_dual: float) -> float:
 
     The minimax dual of the candidate's own gauge at the density
     ``gaugeopt.gram_density`` with ``e = p'`` for ``p' >= 2``, and with ``e =
-    q - 2`` below, the two-sided descent's density at ``s = I``.
+    q - 2`` below, the density ``G(I)^{q/2 - 1}`` that attains ``|G(I)|_{q/2}``
+    (module docstring of ``gaugeopt``).
     """
     e = p_dual if p_dual >= 2.0 else gaugeopt.q_from_p(p_dual) - 2.0
     return gaugeopt.minimax_lower(cand.coords, gaugeopt.gram_density(cand.coords, e),

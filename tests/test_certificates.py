@@ -54,7 +54,7 @@ class TestAlphaUpper:
     def test_budget_exhaustion_still_valid(self, rng):
         y = VecElem(random_complex(rng, 3, 3, 3))
         starved = CertifyOptions(max_iters=3)
-        for p in (3.0, 1.5):  # the one-sided ascent and the two-sided descent
+        for p in (3.0, 1.5):  # the one-sided and the two-sided gauge
             v_low, wit = alpha_upper(y, p, Side.ELL_ROW, starved)
             v_ref, _ = alpha_upper(y, p, Side.ELL_ROW)
             assert v_low >= v_ref - 1e-9  # still an upper bound, just looser
