@@ -24,6 +24,20 @@ def random_pd(rng, r):
     return g @ g.conj().T + 0.1 * np.eye(r)
 
 
+def project_inputs(rng, r):
+    """Five r x r Hermitian matrices covering every branch of ``_project``."""
+    g = random_complex(rng, r, r)
+    h = random_complex(rng, r, r)
+    v = random_complex(rng, r, 1)
+    return [
+        g @ g.conj().T + 0.1 * np.eye(r),    # positive definite
+        h + h.conj().T,                      # indefinite: floor-clipped
+        v @ v.conj().T,                      # rank one: floor-clipped
+        np.zeros((r, r), dtype=complex),     # zero spectrum
+        -(g @ g.conj().T) - np.eye(r),       # negative: zero spectrum after clipping
+    ]
+
+
 class TestKernels:
     """The GEMM kernels against plain per-coordinate sums (N, k, r all differ)."""
 
@@ -45,6 +59,38 @@ class TestKernels:
         explicit = sum(t @ t.conj().T for t in ts)
         c = gaugeopt._grad_gram(gaugeopt._k_major(a), v)
         assert rel_err(c, explicit) <= 1e-13
+
+    @pytest.mark.parametrize("r", [1, 2, 3, 5, 8, 9])
+    @pytest.mark.parametrize("e", [1.5, 2.0, 3.0, 4.0])
+    def test_project_and_m_matrix(self, rng, r, e):
+        """Every branch of ``_project`` lands on the normalized PD cone, and
+        ``M(s)`` of its output is the plain sum over the coordinates."""
+        inputs = project_inputs(rng, r)
+        a = random_complex(rng, 3, 4, r)
+        ak = gaugeopt._k_major(a)
+        for j, s in enumerate(inputs):
+            vals, vecs = gaugeopt._project(s, e)
+            assert np.all(vals > 0.0) and np.all(np.diff(vals) >= 0.0)
+            assert float((vals ** (e / 2.0)).sum()) == pytest.approx(1.0, rel=1e-12)
+            assert np.allclose(vecs.conj().T @ vecs, np.eye(r), rtol=0, atol=1e-13)
+            if j == 0:
+                # positive definite: only the scale changes
+                want = np.linalg.eigvalsh(s)
+                assert np.allclose(vals / vals[-1], want / want[-1], rtol=1e-12, atol=0)
+            elif j in (3, 4):
+                # the zero-spectrum branch takes the identity, normalized
+                assert np.all(vals == vals[0])
+            elif r > 1:
+                # the indefinite and rank-one spectra sit on the relative floor
+                assert vals[0] == pytest.approx(gaugeopt._EIG_FLOOR * vals[-1], rel=1e-12)
+            s_inv = (vecs / vals) @ vecs.conj().T
+            explicit = sum(a[n] @ s_inv @ a[n].conj().T for n in range(3))
+            m = gaugeopt._m_matrix(ak, vals, vecs)
+            assert np.array_equal(m, m.conj().T)
+            assert rel_err(m, explicit) <= 1e-10
+            lam = gaugeopt._eigvals(m)
+            assert np.all(lam >= 0.0)
+            assert lam[-1] == pytest.approx(np.linalg.eigvalsh(explicit)[-1], rel=1e-10)
 
     @pytest.mark.parametrize("p", [1.2, 1.5])
     def test_left_factor(self, rng, p):
