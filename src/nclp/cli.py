@@ -16,6 +16,7 @@ configuration (reals are printed with 17 significant digits).
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 import numpy as np
@@ -39,10 +40,22 @@ def _fmt(x: float) -> str:
 
 
 def _emit(text: str, out_path: str | None) -> None:
+    """Write ``text`` to ``out_path``, or to stdout when there is none.
+
+    A reader that closed stdout early (``nclp ... | head``) loses the rest
+    of the output quietly: stdout is pointed at the null device, so the
+    interpreter's last flush does not fail again, and the command still
+    returns its own exit code.
+    """
     if out_path:
         serialize.write_text(out_path, text)
-    else:
-        print(text)
+        return
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 def _opts_from_args(args) -> CertifyOptions:
@@ -192,7 +205,8 @@ def cmd_yeadon(args) -> int:
 
 def cmd_selftest(args) -> int:
     names = args.only.split(",") if args.only else None
-    results = selfcheck.run_checks(names=names)
+    results = selfcheck.run_checks(
+        names=names, printer=lambda line: _emit(line, None))
     failed = [r.name for r in results if not r.passed]
     if failed:
         print(f"verification failure in: {', '.join(failed)}", file=sys.stderr)
@@ -207,7 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "counterexample pipeline on matrix p-classes")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp, p_required=True):
+    def common(sp):
         sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--max-iters", dest="max_iters", type=int, default=None)
         sp.add_argument("--out", default=None, help="output file (default stdout)")

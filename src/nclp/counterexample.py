@@ -202,21 +202,21 @@ class CounterexampleReport:
 
 def verify_pipeline(k: int, p: float, opts: CertifyOptions = DEFAULT_OPTS,
                     contraction_trials: int = 0, seed: int = 0,
-                    witness_tol: float = 1e-9,
                     k_cap: int = NUMERIC_K_CAP) -> CounterexampleReport:
     """Run every numeric check of the counterexample chain at one (k, p).
 
     Checks: (i) the amplified images match the closed forms to 1e-14;
-    (ii) the witness certificate brackets 1; (iii) the certified numeric
-    lower bound dominates the closed formula; (iv) the map is completely
-    positive, certified by ``is_completely_positive`` (u has equal Kraus
-    stacks, so its Choi matrix is a Gram matrix), and a contraction:
-    ``contraction_upper_bound`` is at most 1 + 1e-9, and no sampled ratio
-    exceeds it.  The sampled ratio comes from the probes E11 and I, plus
-    ``contraction_trials`` random probes drawn from ``seed``; it is a lower
-    bound that reports how tight the certified bound is, and can only catch
-    a wrong bound, never prove one.  ``p < 2`` is invalid input
-    (``check_pipeline_exponent``).
+    (ii) both bounds of the witness certificate lie within 1e-9 of 1;
+    (iii) the certified numeric lower bound dominates the closed formula,
+    less 1e-12; (iv) the map is completely positive, certified by
+    ``is_completely_positive`` (u has equal Kraus stacks, so its Choi matrix
+    is a Gram matrix), and a contraction: ``contraction_upper_bound`` is at
+    most 1 + 1e-9, and no sampled ratio exceeds it by more than a relative
+    1e-12.  The sampled ratio comes from the probes E11 and I, plus
+    ``contraction_trials`` random probes drawn from ``seed`` (none by
+    default, and none from the CLI); it is a lower bound that reports how
+    tight the certified bound is, and can only catch a wrong bound, never
+    prove one.  ``p < 2`` is invalid input (``check_pipeline_exponent``).
     """
     p = check_pipeline_exponent(p)
     if k < 1:
@@ -247,8 +247,8 @@ def verify_pipeline(k: int, p: float, opts: CertifyOptions = DEFAULT_OPTS,
 
     # (ii) witness norm certificate
     cert_w = alpha_certify(w, p, Side.ELL_ROW, opts)
-    witness_ok = (abs(cert_w.upper - 1.0) <= witness_tol
-                  and abs(cert_w.lower - 1.0) <= witness_tol)
+    witness_ok = (abs(cert_w.upper - 1.0) <= 1e-9
+                  and abs(cert_w.lower - 1.0) <= 1e-9)
     if not witness_ok:
         diagnostics.append(
             f"witness certificate [{cert_w.lower!r}, {cert_w.upper!r}] is off 1")

@@ -106,8 +106,8 @@ def choi(m: KrausMap) -> np.ndarray:
     return va.T @ vb
 
 
-def is_completely_positive(m: KrausMap, tol: float | None = None) -> bool:
-    """Choi-positivity test; tol defaults to 1e-10 times the Choi scale.
+def is_completely_positive(m: KrausMap) -> bool:
+    """Choi-positivity test at a tolerance of 1e-10 times the Choi scale.
 
     Equal stacks are completely positive by the Gram argument and need no
     eigensolve.  Otherwise the scale is the spectral norm of the Hermitian
@@ -118,8 +118,7 @@ def is_completely_positive(m: KrausMap, tol: float | None = None) -> bool:
     c = choi(m)
     lam = np.linalg.eigvalsh(0.5 * (c + c.conj().T))
     scale = float(np.abs(lam).max()) if lam.size else 0.0
-    if tol is None:
-        tol = 1e-10 * max(scale, 1.0)
+    tol = 1e-10 * max(scale, 1.0)
     if float(np.linalg.norm(c - c.conj().T)) > tol * max(scale, 1.0):
         return False  # not even *-preserving
     return bool(lam[0] >= -tol)

@@ -489,7 +489,7 @@ def _residual_correction(resid_coords: np.ndarray, p: float) -> float:
     return total
 
 
-def _witness_terms(y: np.ndarray, s_full: np.ndarray, p: float, rank_tol: float,
+def _witness_terms(y: np.ndarray, s_full: np.ndarray, p: float,
                    r_full: np.ndarray | None = None):
     """What both certified evaluations share, at the witness ``s`` (and ``r``).
 
@@ -498,22 +498,21 @@ def _witness_terms(y: np.ndarray, s_full: np.ndarray, p: float, rank_tol: float,
     residual charge)``, the charge being the coordinate-wise p-norms of
     ``r^{1/2} z_n s^{1/2} - y_n``, the part the witness does not reproduce.
     """
-    s_ih = psd_power(s_full, -0.5, rank_tol)
-    s_h = psd_power(s_full, 0.5, rank_tol)
+    s_ih = psd_power(s_full, -0.5)
+    s_h = psd_power(s_full, 0.5)
     if r_full is None:
         z = y @ s_ih
         rebuilt = z @ s_h
     else:
-        z = psd_power(r_full, -0.5, rank_tol) @ y @ s_ih
-        rebuilt = psd_power(r_full, 0.5, rank_tol) @ z @ s_h
+        z = psd_power(r_full, -0.5) @ y @ s_ih
+        rebuilt = psd_power(r_full, 0.5) @ z @ s_h
     m = np.einsum("nij,nkj->ik", z, z.conj())
     top = math.sqrt(max(float(np.linalg.eigvalsh(_herm(m))[-1]), 0.0))
     return (top, np.linalg.eigvalsh(_herm(s_full)),
             _residual_correction(rebuilt - y, p))
 
 
-def evaluate_one_sided(coords: np.ndarray, s_full: np.ndarray, p: float,
-                       rank_tol: float = DEFAULT_RANK_TOL) -> float:
+def evaluate_one_sided(coords: np.ndarray, s_full: np.ndarray, p: float) -> float:
     """Certified value of the one-sided gauge at a given witness ``s``.
 
     Always a valid upper bound: the part of the coordinates the witness does
@@ -522,18 +521,17 @@ def evaluate_one_sided(coords: np.ndarray, s_full: np.ndarray, p: float,
     y = np.asarray(coords, dtype=np.complex128)
     if not np.any(y):
         return 0.0
-    top, svals, charge = _witness_terms(y, s_full, p, rank_tol)
+    top, svals, charge = _witness_terms(y, s_full, p)
     return top * _tr_power_term(svals, p) + charge
 
 
 def evaluate_two_sided(coords: np.ndarray, r_full: np.ndarray,
-                       s_full: np.ndarray, p: float,
-                       rank_tol: float = DEFAULT_RANK_TOL) -> float:
+                       s_full: np.ndarray, p: float) -> float:
     """Certified value of the two-sided gauge at a witness pair (r, s)."""
     y = np.asarray(coords, dtype=np.complex128)
     if not np.any(y):
         return 0.0
-    top, svals, charge = _witness_terms(y, s_full, p, rank_tol, r_full)
+    top, svals, charge = _witness_terms(y, s_full, p, r_full)
     rvals = np.linalg.eigvalsh(_herm(r_full))
     return (_tr_power_term(rvals, q_from_p(p)) * top * _tr_power_term(svals, 2.0)
             + charge)

@@ -51,27 +51,6 @@ def conjugate(p: float) -> float:
     return p / (p - 1.0)
 
 
-def eigh_psd(a: np.ndarray, label: str = "matrix"):
-    """Eigendecomposition of a (nearly) Hermitian matrix.
-
-    Symmetrizes ``(a + a^*)/2`` first; asymmetry beyond ``HERMITIAN_ATOL``
-    relative to the matrix scale is an error.  Returns ``(eigvals, eigvecs)``
-    in ascending order.
-    """
-    a = as_matrix(a)
-    if a.shape[0] != a.shape[1]:
-        raise InvalidInputError(f"{label} must be square, got {a.shape}")
-    scale = max(1.0, float(np.linalg.norm(a)))
-    asym = float(np.linalg.norm(a - a.conj().T))
-    if asym > HERMITIAN_ATOL * scale:
-        raise InvalidInputError(
-            f"{label} is not Hermitian (asymmetry {asym:.3e} of scale {scale:.3e})"
-        )
-    h = 0.5 * (a + a.conj().T)
-    vals, vecs = np.linalg.eigh(h)
-    return vals, vecs
-
-
 def schatten_norm(a, p: float) -> float:
     """Schatten p-norm: the l^p norm of the singular values.
 
@@ -156,22 +135,32 @@ def trace_pairing(a, c) -> complex:
     return complex(np.einsum("ij,ji->", a, c))
 
 
-def psd_power(b, power: float, rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
+def psd_power(b, power: float) -> np.ndarray:
     """Spectral power of a PSD matrix, restricted to its support.
 
-    Negative powers invert only eigenvalues above the relative threshold,
-    which makes ``psd_power(b, -1.0)`` the pseudo-inverse.
+    Symmetrizes ``(b + b^*)/2`` first; asymmetry beyond ``HERMITIAN_ATOL``
+    relative to the matrix scale is an error.  Negative powers invert only
+    eigenvalues above the relative threshold, which makes
+    ``psd_power(b, -1.0)`` the pseudo-inverse.
     """
-    vals, vecs = eigh_psd(b, "psd_power input")
+    b = as_matrix(b)
+    if b.shape[0] != b.shape[1]:
+        raise InvalidInputError(f"psd_power input must be square, got {b.shape}")
+    scale = max(1.0, float(np.linalg.norm(b)))
+    asym = float(np.linalg.norm(b - b.conj().T))
+    if asym > HERMITIAN_ATOL * scale:
+        raise InvalidInputError(f"psd_power input is not Hermitian (asymmetry "
+                                f"{asym:.3e} of scale {scale:.3e})")
+    vals, vecs = np.linalg.eigh(0.5 * (b + b.conj().T))
     lam_max = float(vals[-1]) if vals.size else 0.0
     out = np.zeros(vals.shape)
     if lam_max > 0.0:
-        keep = vals >= rank_tol * lam_max
+        keep = vals >= DEFAULT_RANK_TOL * lam_max
         out[keep] = np.clip(vals[keep], 0.0, None) ** power
     return (vecs * out) @ vecs.conj().T
 
 
-def dual_witness(a, p: float, rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
+def dual_witness(a, p: float) -> np.ndarray:
     """Norm-attaining dual element: tr(a c) / ||c||_{p'} == ||a||_p.
 
     Built from the SVD ``a = U S V^*`` as ``c = V S^{p-1} U^*`` (top singular
@@ -184,5 +173,5 @@ def dual_witness(a, p: float, rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
         return np.zeros((m.shape[1], m.shape[0]), dtype=np.complex128)
     if math.isinf(p):
         return np.outer(vh[0].conj(), u[:, 0].conj())
-    scaled = np.where(sv >= rank_tol * sv[0], (sv / sv[0]) ** (p - 1.0), 0.0)
+    scaled = np.where(sv >= DEFAULT_RANK_TOL * sv[0], (sv / sv[0]) ** (p - 1.0), 0.0)
     return (vh.conj().T * scaled) @ u.conj().T

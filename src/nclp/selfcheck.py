@@ -37,17 +37,13 @@ class CheckResult:
     seconds: float
 
 
-def _fail(msgs, text):
-    msgs.append(text)
-
-
 def criterion_schatten_exactness(seed: int = 0):
     msgs = []
     for k in range(1, 9):
         for p in (1.5, 2.0, 3.0, 4.0):
             err = abs(schatten_norm(np.eye(k), p) - k ** (1.0 / p))
             if err > 1e-12:
-                _fail(msgs, f"identity norm off by {err:.2e} at k={k}, p={p}")
+                msgs.append(f"identity norm off by {err:.2e} at k={k}, p={p}")
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(1000):
@@ -60,7 +56,7 @@ def criterion_schatten_exactness(seed: int = 0):
         gap = schatten_norm(a @ c, s) - schatten_norm(a, p) * schatten_norm(c, q)
         worst = max(worst, gap)
         if gap > 1e-10:
-            _fail(msgs, f"Hoelder violated by {gap:.2e}")
+            msgs.append(f"Hoelder violated by {gap:.2e}")
             break
     detail = f"identity norms exact; worst Hoelder slack {worst:.2e}"
     return not msgs, detail if not msgs else "; ".join(msgs)
@@ -82,10 +78,10 @@ def criterion_diagonal_closed_form(seed: int = 1):
                 worst_u = max(worst_u, rel_u)
                 worst_l = max(worst_l, err_l)
                 if not (-1e-9 <= rel_u <= 1e-3):
-                    _fail(msgs, f"upper off closed form by {rel_u:.2e} "
+                    msgs.append(f"upper off closed form by {rel_u:.2e} "
                                 f"(k={k}, p={p})")
                 if err_l > 1e-9:
-                    _fail(msgs, f"lower off closed form by {err_l:.2e} "
+                    msgs.append(f"lower off closed form by {err_l:.2e} "
                                 f"(k={k}, p={p})")
     detail = f"worst upper excess {worst_u:.2e}, worst lower error {worst_l:.2e}"
     return not msgs, detail if not msgs else "; ".join(msgs)
@@ -100,7 +96,7 @@ def criterion_witness_norm():
             err = max(abs(cert.upper - 1.0), abs(cert.lower - 1.0))
             worst = max(worst, err)
             if err > 1e-9:
-                _fail(msgs, f"witness certificate off 1 by {err:.2e} (k={k}, p={p})")
+                msgs.append(f"witness certificate off 1 by {err:.2e} (k={k}, p={p})")
     return not msgs, (f"worst deviation from 1: {worst:.2e}"
                       if not msgs else "; ".join(msgs))
 
@@ -117,7 +113,7 @@ def criterion_closed_form_agreement():
             err = float(np.max(np.abs(amplify_apply(u, w).coords - total)))
             worst = max(worst, err)
             if err > 1e-14:
-                _fail(msgs, f"amplified image off closed forms by {err:.2e} "
+                msgs.append(f"amplified image off closed forms by {err:.2e} "
                             f"(k={k}, p={p})")
     return not msgs, (f"worst deviation {worst:.2e}" if not msgs
                       else "; ".join(msgs))
@@ -129,20 +125,20 @@ def criterion_counterexample_chain():
         for k in range(2, 7):
             rep = cx.verify_pipeline(k, p)
             if not rep.dominance_ok:
-                _fail(msgs, f"numeric_lb {rep.numeric_lb!r} < formula "
+                msgs.append(f"numeric_lb {rep.numeric_lb!r} < formula "
                             f"{rep.formula_lb!r} (k={k}, p={p})")
             kf = float(k)
             display = 0.125 * ((2.0 * kf ** (-1.0 / (2.0 * p)) + 1.0
                                 + kf ** (-1.0 / p)) ** p
                                + (kf - 1.0) * kf ** -0.5) ** (1.0 / p)
             if abs(rep.formula_lb - display) > 1e-14:
-                _fail(msgs, f"formula deviates from display value (k={k}, p={p})")
+                msgs.append(f"formula deviates from display value (k={k}, p={p})")
             lam_route = diagonal_closed_form(cx.diagonal_coefficients(k, p), p) / 2.0
             if abs(rep.formula_lb - lam_route) > 1e-13:
-                _fail(msgs, "formula differs from the coefficient-vector route")
+                msgs.append("formula differs from the coefficient-vector route")
         if not (cx.lower_bound_formula(10 ** 6, p)
                 > cx.lower_bound_formula(10 ** 3, p)):
-            _fail(msgs, f"no divergence between k=1e3 and k=1e6 at p={p}")
+            msgs.append(f"no divergence between k=1e3 and k=1e6 at p={p}")
     return not msgs, ("chain dominance, display identity, and divergence hold"
                       if not msgs else "; ".join(msgs))
 
@@ -155,11 +151,11 @@ def criterion_threshold():
         found.append(f"p={p}: K={kk}")
         if not (cx.lower_bound_formula(kk, p) > 4.0
                 >= cx.lower_bound_formula(kk - 1, p)):
-            _fail(msgs, f"crossing property fails at K={kk}, p={p}")
+            msgs.append(f"crossing property fails at K={kk}, p={p}")
         for j in range(max(kk - 5, 1), kk + 5):
             val = cx.lower_bound_formula(j, p)
             if (j < kk) != (val <= 4.0):
-                _fail(msgs, f"10-point cross-check fails at k={j}, p={p}")
+                msgs.append(f"10-point cross-check fails at k={j}, p={p}")
     return not msgs, ("; ".join(found) if not msgs else "; ".join(msgs))
 
 
@@ -169,14 +165,14 @@ def criterion_cp_and_contraction():
         for p in (2.5, 3.0, 4.0):
             _, _, _, _, u = build_counterexample_maps(k, p)
             if not is_completely_positive(u):
-                _fail(msgs, f"u is not completely positive (k={k}, p={p})")
+                msgs.append(f"u is not completely positive (k={k}, p={p})")
             e11 = np.zeros((k, k), dtype=np.complex128)
             e11[0, 0] = 1.0
             ratio = sampled_contraction_ratio(u, p, 500, seed=k,
                                               probes=[e11, np.eye(k)])
             upper = cx.contraction_upper_bound(k, p)
             if not ratio <= upper <= 1.0 + 1e-9:
-                _fail(msgs, f"contraction bracket [{ratio!r}, {upper!r}] "
+                msgs.append(f"contraction bracket [{ratio!r}, {upper!r}] "
                             f"(k={k}, p={p})")
     return not msgs, ("Choi PSD and sampled <= certified contraction bound "
                       "<= 1 hold on the grid" if not msgs else "; ".join(msgs))
@@ -194,7 +190,7 @@ def criterion_yeadon_suite(seed: int = 3):
             a = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
             err = abs(schatten_norm(iso(a), p) - schatten_norm(a, p))
             if err > 1e-10:
-                _fail(msgs, f"isometry off by {err:.2e} at shape "
+                msgs.append(f"isometry off by {err:.2e} at shape "
                             f"({n_rep},{n_anti})")
                 break
     rw, aw = random_valid_weights(1, 1, p, rng)
@@ -205,9 +201,9 @@ def criterion_yeadon_suite(seed: int = 3):
     rep2 = tensor_contraction_report(t2, "antirep", p, samples=20, seed=seed,
                                      n_hilbert=3, opts=FAST_OPTS)
     if not rep1.passed:
-        _fail(msgs, f"rep-part contraction violated at {rep1.violations}")
+        msgs.append(f"rep-part contraction violated at {rep1.violations}")
     if not rep2.passed:
-        _fail(msgs, f"antirep-part contraction violated at {rep2.violations}")
+        msgs.append(f"antirep-part contraction violated at {rep2.violations}")
     pd = p / (p - 1.0)
     rw2, aw2 = random_valid_weights(1, 1, pd, rng)
     u = rigid_compose(spec, YeadonSpec(n=2, rep_weights=rw2,
@@ -215,7 +211,7 @@ def criterion_yeadon_suite(seed: int = 3):
     rb = rigid_bound_report(u, p, samples=20, seed=seed + 1, n_hilbert=3,
                             opts=FAST_OPTS)
     if not rb.passed:
-        _fail(msgs, f"factor-4 bound violated at {rb.violations}")
+        msgs.append(f"factor-4 bound violated at {rb.violations}")
     return not msgs, ("isometry, split contraction, and factor-4 reports clean"
                       if not msgs else "; ".join(msgs))
 
@@ -246,7 +242,7 @@ def criterion_property_suites(seed: int = 5, cases: int = 500):
         lhs = abs(pairing(y, y2))
         rhs = alpha_upper(y, p, side, opts)[0] * alpha_upper(y2, pd, side, opts)[0]
         if lhs > rhs + 1e-9:
-            _fail(msgs, f"pairing contraction violated by {lhs - rhs:.2e} "
+            msgs.append(f"pairing contraction violated by {lhs - rhs:.2e} "
                         f"(case {i})")
             break
 
@@ -262,7 +258,7 @@ def criterion_property_suites(seed: int = 5, cases: int = 500):
             cert = alpha_certify(y, p, Side.ELL_ROW if mode == 0 else Side.R_COL,
                                  opts)
         if cert.lower > cert.upper * (1.0 + 1e-9):
-            _fail(msgs, f"certificate unsound: lower {cert.lower!r} > upper "
+            msgs.append(f"certificate unsound: lower {cert.lower!r} > upper "
                         f"{cert.upper!r} (case {i})")
             break
 
@@ -280,13 +276,13 @@ def criterion_property_suites(seed: int = 5, cases: int = 500):
         if comb is not None:
             v12 = min(v12, evaluate_upper_at(y1 + y2, comb, p))
         if v12 > v1 + v2 + 1e-9:
-            _fail(msgs, f"subadditivity violated by {v12 - v1 - v2:.2e} "
+            msgs.append(f"subadditivity violated by {v12 - v1 - v2:.2e} "
                         f"(case {i})")
             break
         t = 2.0 ** int(rng.integers(-6, 7))
         vt, _ = alpha_upper(y1.scaled(t), p, side, opts)
         if abs(vt - t * v1) > 1e-10 * max(t * v1, 1e-30):
-            _fail(msgs, f"homogeneity violated: {vt!r} vs {t * v1!r} (case {i})")
+            msgs.append(f"homogeneity violated: {vt!r} vs {t * v1!r} (case {i})")
             break
 
     # branch agreement at p = 2: the one-sided witness, scored by the
@@ -299,7 +295,7 @@ def criterion_property_suites(seed: int = 5, cases: int = 500):
                             r=np.eye(y.k, dtype=np.complex128))
         v2 = evaluate_upper_at(y, two, 2.0)
         if abs(v1 - v2) > 1e-6 * max(v1, 1e-30):
-            _fail(msgs, f"p=2 branches disagree: {v1!r} vs {v2!r} (case {i})")
+            msgs.append(f"p=2 branches disagree: {v1!r} vs {v2!r} (case {i})")
             break
 
     # opposite-transform interval overlap
@@ -311,7 +307,7 @@ def criterion_property_suites(seed: int = 5, cases: int = 500):
         cert_l = alpha_certify(opposite_transform(y), p, Side.ELL_ROW, opts)
         if max(cert_r.lower, cert_l.lower) > \
                 min(cert_r.upper, cert_l.upper) * (1.0 + 1e-9):
-            _fail(msgs, f"opposite-side intervals disjoint (case {i})")
+            msgs.append(f"opposite-side intervals disjoint (case {i})")
             break
 
     # diagonal-projection contraction at certificate level
@@ -330,7 +326,7 @@ def criterion_property_suites(seed: int = 5, cases: int = 500):
             low = alpha_certify(py, p, side, opts).lower
             up = alpha_upper(y, p, side, opts)[0]
         if low > up + 1e-9:
-            _fail(msgs, f"diagonal projection raised the certificate by "
+            msgs.append(f"diagonal projection raised the certificate by "
                         f"{low - up:.2e} (case {i})")
             break
 
@@ -346,7 +342,7 @@ def criterion_property_suites(seed: int = 5, cases: int = 500):
         v0 = min(alpha_upper(VecElem(cut), p, side, opts)[0],
                  evaluate_upper_at(VecElem(cut), wit, p))
         if v0 > v + 1e-9:
-            _fail(msgs, f"zeroing a coordinate raised the bound by "
+            msgs.append(f"zeroing a coordinate raised the bound by "
                         f"{v0 - v:.2e} (case {i})")
             break
 
@@ -434,13 +430,13 @@ def criterion_brute_force_oracle(seed: int = 9):
         brute = brute_force_upper(y, p, seed=seed + 10 + i)
         ratios.append(opt / brute)
         if opt > brute + 1e-9:
-            _fail(msgs, f"optimizer above the searched factorization "
+            msgs.append(f"optimizer above the searched factorization "
                         f"({opt!r} > {brute!r}, element {i})")
         if cert.lower > brute:
-            _fail(msgs, f"certified lower bound above the searched "
+            msgs.append(f"certified lower bound above the searched "
                         f"factorization ({cert.lower!r} > {brute!r}, element {i})")
         if opt < 0.98 * brute:
-            _fail(msgs, f"optimizer more than 2% below the search "
+            msgs.append(f"optimizer more than 2% below the search "
                         f"({opt!r} vs {brute!r}, element {i})")
     return not msgs, (f"optimizer/search ratios: "
                       + ", ".join(f"{r:.5f}" for r in ratios)

@@ -8,7 +8,9 @@ two factorization norms, selected by :class:`Side`:
   p >= 2 and ``(q, 2)`` with ``1/q = 1/p - 1/2`` for p < 2.
 * ``R_COL``: the mirrored variant with the column norm on the middle factor;
   computed here as ``ELL_ROW`` of the coordinatewise transpose, which is an
-  exact identity for these norms.
+  exact identity for these norms.  The transpose is taken once per
+  certificate (and once per dual candidate of ``beta_certify``), and the
+  witness records it in ``transposed``.
 
 ``alpha_certify`` returns rigorous two-sided bounds: the upper bound is the
 value of an explicit feasible factorization found by the gauge solver
@@ -23,16 +25,16 @@ certified upper bounds on the two dual norms of ``c``, each a solve.
 Pruning.  Each candidate also gets a floor ``L(c)``, the p'-sum of the
 minimax lower bounds of its two dual norms at a density in closed form
 (``_dual_floor``, no solve).  Since ``L(c) <= true p'-sum <= U(c)``, the
-potential ``|<y, c>| / L(c)`` bounds the candidate's ratio from above.  The candidates are solved
-by decreasing potential, and a candidate whose potential is below the best
-ratio so far (less a relative ``1e-9`` for rounding) cannot win and is not
-solved.  The winner is then picked among the solved candidates in pool
-order, exactly as if all had been solved, so the lower bound, the dual
-witness and its bound are the same bits.  A floor that came out too high
-could only drop a candidate that would have won, giving a lower (still
-sound) bound; it can never make a bracket unsound.  Candidates with
-diagonal coordinates are always solved: their dual bounds take a closed
-form, cheaper than the floor.
+potential ``|<y, c>| / L(c)`` bounds the candidate's ratio from above.  The
+candidates are solved by decreasing potential, and a candidate whose
+potential is below the best ratio so far (less a relative ``1e-9`` for
+rounding) cannot win and is not solved.  The winner is the largest ratio,
+and among equal ratios the candidate first in pool order, exactly as if all
+had been solved, so the lower bound, the dual witness and its bound are the
+same bits.  A floor that came out too high could only drop a candidate that
+would have won, giving a lower (still sound) bound; it can never make a
+bracket unsound.  Candidates with diagonal coordinates are always solved:
+their dual bounds take a closed form, cheaper than the floor.
 
 Scale.  The certificates divide the element by an exact power of two near
 its largest entry first (``schatten.pow2_normalize``) and scale back at the
@@ -52,9 +54,8 @@ import numpy as np
 
 from . import gaugeopt
 from .errors import InvalidInputError
-from .schatten import (DEFAULT_RANK_TOL, check_exponent, conjugate,
-                       dual_witness, lp_norm, pow2_normalize, pow2_restore,
-                       psd_power)
+from .schatten import (check_exponent, conjugate, dual_witness, lp_norm,
+                       pow2_normalize, pow2_restore, psd_power)
 
 
 class Side(enum.Enum):
@@ -248,19 +249,12 @@ class NormCertificate:
     dual_norm_bound: float = 0.0
 
 
-def _trivial_witness(k: int, branch: str = "one_sided") -> FactorWitness:
-    eye = np.eye(k, dtype=np.complex128)
-    return FactorWitness(branch=branch, s=eye,
-                         r=eye if branch == "two_sided" else None)
-
-
-def evaluate_upper_at(y: VecElem, witness: FactorWitness, p: float,
-                      rank_tol: float = DEFAULT_RANK_TOL) -> float:
+def evaluate_upper_at(y: VecElem, witness: FactorWitness, p: float) -> float:
     """Certified objective value of ``y`` at a given witness (sound always)."""
     coords = opposite_transform(y).coords if witness.transposed else y.coords
     if witness.branch == "one_sided":
-        return gaugeopt.evaluate_one_sided(coords, witness.s, p, rank_tol)
-    return gaugeopt.evaluate_two_sided(coords, witness.r, witness.s, p, rank_tol)
+        return gaugeopt.evaluate_one_sided(coords, witness.s, p)
+    return gaugeopt.evaluate_two_sided(coords, witness.r, witness.s, p)
 
 
 def combine_witnesses(w1: FactorWitness, v1: float, w2: FactorWitness,
@@ -304,15 +298,15 @@ def alpha_upper(y: VecElem, p: float, side: Side = Side.ELL_ROW,
 
     Returns ``(value, FactorWitness)``.  The value is always realized by the
     returned witness; non-convergence only means the bound may be loose.
+    ``R_COL`` is solved as ``ELL_ROW`` of the coordinatewise transpose, which
+    is taken once here; the witness records it in ``transposed``.
     """
     p = check_exponent(p)
-    if side == Side.R_COL:
-        value, wit = alpha_upper(opposite_transform(y), p, Side.ELL_ROW, opts)
-        wit.transposed = True
-        return value, wit
-
+    transposed = side == Side.R_COL
+    y = opposite_transform(y) if transposed else y
     if y.is_zero():
-        return 0.0, _trivial_witness(y.k)
+        return 0.0, FactorWitness("one_sided", s=np.eye(y.k, dtype=np.complex128),
+                                  transposed=transposed)
     # y / max|y| in two exact-then-one-rounded steps, which cannot overflow
     yn, e = pow2_normalize(y.coords)
     scale = float(np.max(np.abs(yn)))
@@ -322,7 +316,7 @@ def alpha_upper(y: VecElem, p: float, side: Side = Side.ELL_ROW,
     res = solve(ys.coords, p, max_iters=opts.max_iters)
     # both solvers return the certified value of their witness and its density
     wit = FactorWitness("one_sided" if p >= 2.0 else "two_sided", s=res.s,
-                        r=res.r, iterations=res.iterations,
+                        r=res.r, transposed=transposed, iterations=res.iterations,
                         converged=res.converged, rho=res.rho)
     return pow2_restore(res.value * scale, e), wit
 
@@ -433,13 +427,15 @@ def alpha_certify(y: VecElem, p: float, side: Side = Side.ELL_ROW,
     ``converged`` also needs the certified bracket closed to twice that
     tolerance: the solve tests its gap on the right support only, and the
     certificate charges what the support drops at its coordinate-wise p-norm.
+    ``R_COL`` transposes ``y`` once; both bounds come from that transpose.
     """
     p = check_exponent(p)
-    upper, wit = alpha_upper(y, p, side, opts)
+    y = opposite_transform(y) if side == Side.R_COL else y
+    upper, wit = alpha_upper(y, p, Side.ELL_ROW, opts)
+    wit.transposed = side == Side.R_COL
     if y.is_zero():
         return NormCertificate(0.0, 0.0, wit, None, 0, True)
-    coords = opposite_transform(y).coords if side == Side.R_COL else y.coords
-    lower = gaugeopt.minimax_lower(coords, wit.rho, p)
+    lower = gaugeopt.minimax_lower(y.coords, wit.rho, p)
     tol = gaugeopt.GAP_TOL if p >= 2.0 else gaugeopt.DESCENT_GAP_TOL
     return NormCertificate(upper=upper, lower=lower, factor_witness=wit,
                            dual_witness=None, iterations=wit.iterations,
@@ -452,13 +448,15 @@ def alpha_certify(y: VecElem, p: float, side: Side = Side.ELL_ROW,
 
 @dataclass
 class BetaWitness:
-    """Feasible splitting y = y0 + y1 with per-part factorization witnesses."""
+    """Feasible splitting y = y0 + y1 with certified upper bounds of its parts.
+
+    ``ell_value`` bounds the ELL_ROW norm of ``y0``, ``col_value`` the R_COL
+    norm of ``y1 = y - y0``.
+    """
 
     y0: VecElem
     ell_value: float
     col_value: float
-    ell_witness: FactorWitness | None
-    col_witness: FactorWitness | None
 
 
 #: relative slack on the pruning test of ``beta_certify``, above the rounding
@@ -479,18 +477,19 @@ def _dual_floor(cand: VecElem, p_dual: float) -> float:
                                   p_dual)
 
 
-def _pairing_potential(cand: VecElem, num: float, p_dual: float) -> float:
+def _pairing_potential(cand: VecElem, cand_t: VecElem, num: float,
+                       p_dual: float) -> float:
     """Upper bound on the ratio ``num / den`` that ``beta_certify`` can get.
 
-    ``den`` is the p'-sum of the two certified dual upper bounds, which are
-    at least the two floors (``_dual_floor``).  Candidates with diagonal
-    coordinates have closed-form dual bounds and get ``inf``: they are
-    always solved, since a floor would cost more than the solve.
+    ``den`` is the p'-sum of the two certified dual upper bounds, of the
+    candidate and of its transpose ``cand_t``, which are at least the two
+    floors (``_dual_floor``).  Candidates with diagonal coordinates have
+    closed-form dual bounds and get ``inf``: they are always solved, since a
+    floor would cost more than the solve.
     """
     if gaugeopt._diagonal_coordinates(cand.coords):
         return math.inf
-    floor = _p_sum(_dual_floor(cand, p_dual),
-                   _dual_floor(opposite_transform(cand), p_dual), p_dual)
+    floor = _p_sum(_dual_floor(cand, p_dual), _dual_floor(cand_t, p_dual), p_dual)
     return num / floor if floor > 0.0 else math.inf
 
 
@@ -513,8 +512,9 @@ def beta_certify(y: VecElem, p: float,
     bounds in the denominator, over the pool of ``_auto_dual_pool``.
     Candidates are solved by decreasing certified potential, and only while
     the potential can still beat the best ratio (module docstring): a
-    skipped candidate's ratio is below the best, so the winner, picked in
-    pool order with a strict ``>``, is the one an unpruned pass would pick.
+    skipped candidate's ratio is below the best, so the winner (the largest
+    ratio, the first in pool order among equal ones) is the one an unpruned
+    pass would pick.
     Each distinct dual witness (by coordinate bytes, in the ELL_ROW frame) is
     solved once per call.
     """
@@ -528,8 +528,8 @@ def beta_certify(y: VecElem, p: float,
 
     zero = VecElem.zeros(y.k, y.n)
     candidates = [
-        (u_ell, BetaWitness(y.copy(), u_ell, 0.0, w_ell, None)),
-        (u_col, BetaWitness(zero, 0.0, u_col, None, w_col)),
+        (u_ell, BetaWitness(y.copy(), u_ell, 0.0)),
+        (u_col, BetaWitness(zero, 0.0, u_col)),
     ]
 
     if opts.beta_effort >= 1:
@@ -539,7 +539,7 @@ def beta_certify(y: VecElem, p: float,
         t_best = float(ts[int(np.argmin(vals))])
         candidates.append((min(vals),
                            BetaWitness(y.scaled(t_best), t_best * u_ell,
-                                       (1.0 - t_best) * u_col, w_ell, w_col)))
+                                       (1.0 - t_best) * u_col)))
         if y.k == y.n:
             y_diag = project_diagonal(y)
             y_off = y - y_diag
@@ -548,7 +548,7 @@ def beta_certify(y: VecElem, p: float,
                 uo, wo = alpha_upper(y_off, p, Side.R_COL, opts)
                 iters += wd.iterations + wo.iterations
                 candidates.append((_p_sum(ud, uo, p),
-                                   BetaWitness(y_diag, ud, uo, wd, wo)))
+                                   BetaWitness(y_diag, ud, uo)))
 
     upper, beta_wit = min(candidates, key=lambda c: c[0])
 
@@ -565,7 +565,9 @@ def _pairing_lower(y: VecElem, p: float, w_ell: FactorWitness,
 
     Returns ``(lower, dual_witness or None, dual_norm_bound)``.  Candidates
     are solved by decreasing potential while one can still win (module
-    docstring), and the winner is picked in pool order.
+    docstring).  The winner has the largest ratio and, among equal ratios,
+    comes first in pool order, as if every candidate had been solved.  Each
+    candidate is transposed once, for its floor and its dual solve.
     """
     p_dual = conjugate(p)
     coords, e = pow2_normalize(y.coords)  # pair at unit scale: no under/overflow
@@ -574,35 +576,29 @@ def _pairing_lower(y: VecElem, p: float, w_ell: FactorWitness,
     for cand in _auto_dual_pool(y, p, w_ell):
         num = abs(pairing(y_unit, cand))
         if num > 0.0:
-            scored.append((cand, num, _pairing_potential(cand, num, p_dual)))
+            cand_t = opposite_transform(cand)
+            scored.append((cand, cand_t, num,
+                           _pairing_potential(cand, cand_t, num, p_dual)))
     dual_upper = _dual_upper_once(p_dual, opts)
-    solved = {}
-    best = 0.0
-    for idx in sorted(range(len(scored)), key=lambda i: -scored[i][2]):
-        cand, num, potential = scored[idx]
-        if potential < best * (1.0 - _PRUNE_MARGIN):
+    lower, dual_wit, dual_den, win = 0.0, None, 0.0, 0
+    for idx in sorted(range(len(scored)), key=lambda i: -scored[i][3]):
+        cand, cand_t, num, potential = scored[idx]
+        if potential < lower * (1.0 - _PRUNE_MARGIN):
             break
-        den = _p_sum(dual_upper(cand), dual_upper(opposite_transform(cand)), p_dual)
+        den = _p_sum(dual_upper(cand), dual_upper(cand_t), p_dual)
         if den <= 0.0 or not math.isfinite(den):
             continue
-        solved[idx] = (num / den, den)
-        best = max(best, num / den)
-    # the winner in pool order, as if every candidate had been solved
-    lower = 0.0
-    dual_wit = None
-    dual_den = 0.0
-    for idx in sorted(solved):
-        val, den = solved[idx]
-        if val > lower:
-            lower, dual_wit, dual_den = val, scored[idx][0], den
+        # the largest ratio; among equal ratios, the first in pool order
+        if (num / den, -idx) > (lower, -win):
+            lower, dual_wit, dual_den, win = num / den, cand, den, idx
     return pow2_restore(lower, e), dual_wit, dual_den
 
 
 def random_element(k: int, n: int, rng: np.random.Generator,
-                   scale: float = 1.0, degenerate: bool = False) -> VecElem:
+                   degenerate: bool = False) -> VecElem:
     """Seeded random element; optionally with a shared one-sided kernel."""
     coords = (rng.standard_normal((n, k, k))
-              + 1j * rng.standard_normal((n, k, k))) * (scale / math.sqrt(2.0))
+              + 1j * rng.standard_normal((n, k, k))) * (1.0 / math.sqrt(2.0))
     if degenerate and k > 1:
         cut = np.eye(k, dtype=np.complex128)
         drop = int(rng.integers(1, k))

@@ -219,14 +219,13 @@ class ContractionReport:
 
 def tensor_contraction_report(t_part: BlockIsometry, which: str, p: float,
                               samples: int, seed: int = 0, n_hilbert: int = 3,
-                              tol: float = 1e-9,
                               opts: CertifyOptions = DEFAULT_OPTS) -> ContractionReport:
     """Check image/input certificate ordering for one split part.
 
     The representation part is contractive from row-valued to row-valued
     elements, the anti-representation part lands in the column-valued norm;
     each sampled element must satisfy
-    ``lower(image, image_side) <= upper(input, ELL_ROW) + tol``.
+    ``lower(image, image_side) <= upper(input, ELL_ROW) + 1e-9``.
     """
     if which not in ("rep", "antirep"):
         raise InvalidInputError("which must be 'rep' or 'antirep'")
@@ -238,7 +237,7 @@ def tensor_contraction_report(t_part: BlockIsometry, which: str, p: float,
         y = random_element(t_part.source_size, n_hilbert, rng)
         upper_in, _ = alpha_upper(y, p, Side.ELL_ROW, opts)
         cert_img = alpha_certify(t_part.amplify(y), p, image_side, opts)
-        slack = upper_in + tol - cert_img.lower
+        slack = upper_in + 1e-9 - cert_img.lower
         ok = slack >= 0.0
         rows.append(ReportRow(idx, cert_img.lower, upper_in, slack, ok))
         if not ok:
@@ -265,13 +264,14 @@ def _superop_matrices(t_iso: BlockIsometry, s_iso: BlockIsometry):
     ws = s_iso._w if s_iso._w is not None else np.eye(m, dtype=np.complex128)
 
     terms = []
-    transpose_ops = []
+    tnorm = 0.0
     for i in range(len(types_t)):
         for j in range(len(types_s)):
             g = ws[i * n:(i + 1) * n, j * n:(j + 1) * n]
             h = wt[j * n:(j + 1) * n, i * n:(i + 1) * n]
             coef = weights_t[i] * weights_s[j]
-            if float(np.linalg.norm(g)) * float(np.linalg.norm(h)) == 0.0:
+            norm_g, norm_h = float(np.linalg.norm(g)), float(np.linalg.norm(h))
+            if norm_g * norm_h == 0.0:
                 continue
             ti, sj = types_t[i], types_s[j]
             if ti == "rep" and sj == "rep":
@@ -280,15 +280,9 @@ def _superop_matrices(t_iso: BlockIsometry, s_iso: BlockIsometry):
             elif ti == "antirep" and sj == "antirep":
                 # x -> coef * G^T x H^T
                 terms.append((coef * g.conj(), h.T))
-            elif ti == "antirep" and sj == "rep":
-                # x -> coef * H x^T G : transpose-type
-                transpose_ops.append((coef, h, g, False))
             else:
-                # x -> coef * G^T x^T H^T : transpose-type
-                transpose_ops.append((coef, g.T.copy(), h.T.copy(), True))
-    tnorm = 0.0
-    for coef, left, right, _ in transpose_ops:
-        tnorm += abs(coef) * float(np.linalg.norm(left)) * float(np.linalg.norm(right))
+                # x -> coef * H x^T G or coef * G^T x^T H^T: transpose-type
+                tnorm += abs(coef) * norm_h * norm_g
     return terms, tnorm
 
 
@@ -320,7 +314,6 @@ def rigid_compose(t_spec: YeadonSpec, s_spec: YeadonSpec, p: float) -> KrausMap:
 @dataclass
 class RigidBoundReport:
     p: float
-    bound: float
     n_hilbert: int
     rows: list
     violations: list
@@ -331,14 +324,13 @@ class RigidBoundReport:
 
 
 def rigid_bound_report(u: KrausMap, p: float, samples: int, seed: int = 0,
-                       n_hilbert: int = 3, bound: float = 4.0,
-                       tol: float = 1e-9, extra_elements=(),
+                       n_hilbert: int = 3, extra_elements=(),
                        opts: CertifyOptions = DEFAULT_OPTS) -> RigidBoundReport:
     """Necessary condition for a rigid factorization: the factor-4 bound.
 
     For each element (``extra_elements`` first, then ``samples`` random ones)
-    the certified p-sum lower bound of ``(u (x) I) y`` must stay below
-    ``bound`` times the certified row upper bound of y; a violation
+    the certified p-sum lower bound of ``(u (x) I) y`` must stay below 4
+    times the certified row upper bound of y, plus 1e-9; a violation
     certifies that no rigid factorization of u exists.
     """
     from .cpmaps import amplify_apply
@@ -352,10 +344,10 @@ def rigid_bound_report(u: KrausMap, p: float, samples: int, seed: int = 0,
     for idx, y in enumerate(elements):
         upper_in, _ = alpha_upper(y, p, Side.ELL_ROW, opts)
         cert_img = beta_certify(amplify_apply(u, y), p, opts)
-        slack = bound * upper_in + tol - cert_img.lower
+        slack = 4.0 * upper_in + 1e-9 - cert_img.lower
         ok = slack >= 0.0
         rows.append(ReportRow(idx, cert_img.lower, upper_in, slack, ok))
         if not ok:
             violations.append(idx)
-    return RigidBoundReport(p=p, bound=bound, n_hilbert=n_hilbert,
+    return RigidBoundReport(p=p, n_hilbert=n_hilbert,
                             rows=rows, violations=violations)

@@ -4,7 +4,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from nclp import gaugeopt, vecnorm
+from nclp import gaugeopt, serialize, vecnorm
 from nclp.counterexample import witness_w
 from nclp.cpmaps import amplify_apply, build_counterexample_maps
 from nclp.errors import InvalidInputError
@@ -130,6 +130,62 @@ class TestAlphaCertify:
         for side in (Side.ELL_ROW, Side.R_COL):
             val, wit = alpha_upper(y, p, side, FAST_OPTS)
             assert evaluate_upper_at(y, wit, p) == pytest.approx(val, rel=1e-12)
+
+
+class TestColumnFrame:
+    """``R_COL`` is ``ELL_ROW`` of the coordinatewise transpose, taken once."""
+
+    ELEMENTS = {
+        "zero": lambda: VecElem.zeros(2, 3),
+        "full": lambda: random_element(3, 2, np.random.default_rng(21)),
+        "rank-deficient": lambda: random_element(3, 3, np.random.default_rng(22),
+                                                 degenerate=True),
+    }
+
+    @pytest.mark.parametrize("kind", ELEMENTS)
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+    def test_column_certificate_is_the_row_one_of_the_transpose(self, kind, p):
+        y = self.ELEMENTS[kind]()
+        yt = opposite_transform(y)
+        col = serialize.certificate_to_json(alpha_certify(y, p, Side.R_COL, FAST_OPTS))
+        row = serialize.certificate_to_json(alpha_certify(yt, p, Side.ELL_ROW,
+                                                          FAST_OPTS))
+        assert col["factor_witness"]["transposed"] is True
+        assert row["factor_witness"]["transposed"] is False
+        col["factor_witness"]["transposed"] = False
+        assert serialize.dumps_canonical(col) == serialize.dumps_canonical(row)
+        # the same witness scores the same value in either frame
+        _, wit_col = alpha_upper(y, p, Side.R_COL, FAST_OPTS)
+        _, wit_row = alpha_upper(yt, p, Side.ELL_ROW, FAST_OPTS)
+        assert evaluate_upper_at(y, wit_col, p) == evaluate_upper_at(yt, wit_row, p)
+
+    @staticmethod
+    def _count_transposes(monkeypatch):
+        calls = []
+        flip = vecnorm.opposite_transform
+
+        def counted(z):
+            calls.append(z)
+            return flip(z)
+
+        monkeypatch.setattr(vecnorm, "opposite_transform", counted)
+        return calls
+
+    @pytest.mark.parametrize("p", [1.5, 3.0])
+    def test_one_transpose_per_column_certificate(self, monkeypatch, p):
+        y = self.ELEMENTS["full"]()
+        calls = self._count_transposes(monkeypatch)
+        alpha_certify(y, p, Side.R_COL, FAST_OPTS)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("p", [1.3, 3.0])
+    def test_one_transpose_per_dual_candidate(self, monkeypatch, p):
+        y = random_element(3, 3, np.random.default_rng(23))
+        _, w_ell = alpha_upper(y, p, Side.ELL_ROW, FAST_OPTS)
+        pool = vecnorm._auto_dual_pool(y, p, w_ell)
+        calls = self._count_transposes(monkeypatch)
+        vecnorm._pairing_lower(y, p, w_ell, FAST_OPTS)
+        assert 0 < len(calls) <= len(pool)
 
 
 class TestBetaCertify:

@@ -1,7 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+import nclp
 from nclp import cli, selfcheck, serialize
 from nclp.cli import main
 from nclp.errors import InvalidInputError
@@ -250,6 +256,28 @@ class TestNorm:
         assert doc["factor_witness"]["transposed"] is (side == "r")
         assert doc["factor_witness"]["kind"] == \
             ("two_sided" if p == "1.5" else "one_sided")
+
+
+class TestClosedPipe:
+    @pytest.mark.parametrize("command", ["norm", "selftest"])
+    def test_quiet_exit_when_the_reader_is_gone(self, tmp_path, command):
+        # `nclp ... | head -c 0`: the reader closes the pipe while the
+        # command is still starting up, before it writes a byte
+        path = tmp_path / "elem.json"
+        serialize.write_text(str(path), serialize.dumps_canonical(
+            serialize.vecelem_to_json(random_element(3, 2, np.random.default_rng(0)))))
+        argv = {"norm": ["norm", "--in", str(path), "--side", "ell", "--p", "3"],
+                "selftest": ["selftest", "--only", "threshold"]}[command]
+        src = str(Path(nclp.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        with subprocess.Popen([sys.executable, "-m", "nclp.cli", *argv],
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                              env=env) as proc:
+            proc.stdout.close()
+            _, err = proc.communicate(timeout=300)
+        assert proc.returncode == 0
+        assert b"Traceback" not in err and b"Exception ignored" not in err
 
 
 class TestYeadonCommand:
