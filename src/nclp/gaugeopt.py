@@ -197,8 +197,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .schatten import (DEFAULT_RANK_TOL, pow2_normalize, pow2_restore,
-                       psd_power, schatten_norm)
+from .errors import InvalidInputError
+from .schatten import (DEFAULT_RANK_TOL, lp_norm, pow2_normalize, pow2_restore,
+                       psd_power)
+# not called here since _residual_correction sums one stacked SVD, but the
+# tracer of perfbench/tracing.py patches this name on gaugeopt
+from .schatten import schatten_norm  # noqa: F401
 
 _EIG_FLOOR = 1e-9  # relative floor on witness eigenvalues, kept above the rank cut
 #: relative gap between the two bounds of the one-sided ascent that ends it
@@ -338,10 +342,19 @@ def _dual_point(ak: np.ndarray, h: np.ndarray, e: float, t: float):
     hv, hq = np.linalg.eigh(h)
     w = np.exp(hv - hv[-1])
     total = float(w.sum())
-    v = hq * np.sqrt((w / total) ** (1.0 / t))
+    u = w / total
+    v = hq * np.sqrt(u if t == 1.0 else u ** (1.0 / t))
     cv, cq = _spectral(_grad_gram(ak, v))
     slack = ((n_coords + 1) * k + 4 * r + 4) * _EPS
-    lower = _tr_power_term(cv - slack * float(cv.sum()), 2.0 * a / (a + 1.0))
+    # _tr_power_term at 2 beta, inlined: the lowered, clipped spectrum stays
+    # sorted, so its top is its last entry
+    low = np.maximum(cv - slack * float(cv.sum()), 0.0)
+    top = float(low[-1])
+    lower = 0.0
+    if top > 0.0:
+        two_beta = 2.0 * a / (a + 1.0)
+        lower = (math.sqrt(top)
+                 * float(((low / top) ** (two_beta / 2.0)).sum()) ** (1.0 / two_beta))
     return (v @ v.conj().T, lower, _normalize(cv ** (1.0 / (a + 1.0)), e), cq,
             hv - hv[-1] - math.log(total), hq)
 
@@ -358,7 +371,8 @@ def _pullback(m: np.ndarray, log_u: np.ndarray, uvecs: np.ndarray, t: float):
     ratio = np.divide(np.expm1(d / t), np.expm1(d), out=np.full_like(d, 1.0 / t),
                       where=d < 0.0)
     div = np.exp((1.0 / t - 1.0) * np.maximum.outer(log_u, log_u)) * ratio
-    return uvecs @ (div * (uvecs.conj().T @ m @ uvecs)) @ uvecs.conj().T
+    uvecs_h = uvecs.conj().T
+    return uvecs @ (div * (uvecs_h @ m @ uvecs)) @ uvecs_h
 
 
 def _ascend(ak: np.ndarray, support_gram: np.ndarray, e: float, q: float,
@@ -389,10 +403,12 @@ def _ascend(ak: np.ndarray, support_gram: np.ndarray, e: float, q: float,
     eta = math.inf
     iters = 0
     j = 1  # momentum counter, reset to 1 by a restart
+    one_sided = math.isinf(q)
     while True:
         m = _m_matrix(ak, sv, sq)
         lam = _eigvals(m)
-        val = _tr_power_term(lam, q)
+        # lam is sorted and clipped: at q = inf the upper value is lmax^{1/2}
+        val = math.sqrt(lam[-1]) if one_sided else _tr_power_term(lam, q)
         if val < best:
             best, best_pair = val, (sv, sq)
         if best <= (1.0 + tol) * lower:
@@ -411,14 +427,17 @@ def _ascend(ak: np.ndarray, support_gram: np.ndarray, e: float, q: float,
         spread = float(spec[-1] - spec[0]) / tr_u_grad
         eta = min(2.0 / spread, 1.5 * eta)
         d = grad / tr_u_grad - eye  # centered: tr(u d) = 0
-        momentum = (j - 1) / (j + 2) * (h - h_prev)
+        if j > 1:
+            momentum = (j - 1) / (j + 2) * (h - h_prev)
         for _ in range(_TRIALS):
-            h_t = h + eta * d + momentum
+            h_t = h + eta * d
+            if j > 1:
+                h_t += momentum
             trial = _dual_point(ak, h_t, e, t)
             if trial[1] >= lower:
                 break
             if j > 1:
-                momentum, j = 0.0, 1  # adaptive restart: drop the momentum first
+                j = 1  # adaptive restart: drop the momentum first
             else:
                 eta *= 0.5
         else:
@@ -480,12 +499,15 @@ def minimize_gauge(A: np.ndarray, e: float, max_iters: int = 5000) -> GaugeResul
 
 
 def _residual_correction(resid_coords: np.ndarray, p: float) -> float:
-    """Sound bound on the gauge of leftover coordinates: sum of p-norms."""
+    """Sound bound on the gauge of leftover coordinates: sum of p-norms.
+
+    One SVD of the whole stack; a zero coordinate adds 0.
+    """
+    if not np.all(np.isfinite(resid_coords)):
+        raise InvalidInputError("residual coordinates must be finite")
     total = 0.0
-    for rn in resid_coords:
-        nrm = float(np.linalg.norm(rn))
-        if nrm > 0.0:
-            total += schatten_norm(rn, p)
+    for sv in np.linalg.svd(resid_coords, compute_uv=False):
+        total += lp_norm(sv, p)
     return total
 
 

@@ -92,6 +92,23 @@ class TestKernels:
             assert np.all(lam >= 0.0)
             assert lam[-1] == pytest.approx(np.linalg.eigvalsh(explicit)[-1], rel=1e-10)
 
+    @pytest.mark.parametrize("k, n", [(2, 1), (3, 3), (5, 18), (18, 3)])
+    @pytest.mark.parametrize("p", [1.5, 2.5, 3.0])
+    def test_residual_correction(self, rng, k, n, p):
+        """The stacked SVD gives the bits of one ``schatten_norm`` per nonzero
+        coordinate, summed in order, also on rounding-level residuals."""
+        for scale in (1.0, 1e-16):
+            resid = scale * random_complex(rng, n, k, k)
+            resid[n // 2] = 0.0
+            want = 0.0
+            for rn in resid:
+                if np.any(rn):
+                    want += schatten_norm(rn, p)
+            assert gaugeopt._residual_correction(resid, p) == want
+        resid[0, 0, 0] = np.inf
+        with pytest.raises(ValueError):
+            gaugeopt._residual_correction(resid, p)
+
     @pytest.mark.parametrize("p", [1.2, 1.5])
     def test_left_factor(self, rng, p):
         y = random_complex(rng, self.N, self.K, self.R)
@@ -676,7 +693,15 @@ def sha256(a):
 @pytest.mark.skipif(np.__version__ != PINNED_NUMPY,
                     reason="the pins are bits of one numpy/BLAS build")
 class TestDescentPins:
-    """The ascent's bits do not depend on the BLAS thread count."""
+    """The ascent's bits do not depend on the BLAS thread count.
+
+    They do depend on numpy's SIMD loops: the pins hold only where numpy runs
+    its AVX-512 loops, whose array powers differ from the scalar ones in the
+    last bit.  They were recorded on an Intel Xeon (avx512f, avx512bw,
+    avx512dq, avx512vl, avx512_fp16) where ``numpy.show_runtime()`` lists the
+    SIMD extensions X86_V3, X86_V4, AVX512_ICL and AVX512_SPR; with
+    ``NPY_DISABLE_CPU_FEATURES="AVX512_SPR AVX512_ICL X86_V4"`` they fail.
+    """
 
     @pytest.mark.parametrize("case", list(DESCENT_PINS), ids=pin_id)
     def test_bit_identical(self, case):
