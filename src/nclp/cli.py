@@ -61,12 +61,11 @@ def _emit(text: str, out_path: str | None) -> None:
 def _opts_from_args(args) -> CertifyOptions:
     if args.seed < 0:
         raise InvalidInputError(f"--seed must be >= 0, got {args.seed}")
-    opts = CertifyOptions()
-    if getattr(args, "max_iters", None) is not None:
-        if args.max_iters < 0:
-            raise InvalidInputError(f"--max-iters must be >= 0, got {args.max_iters}")
-        opts = opts.replace(max_iters=args.max_iters)
-    return opts
+    if getattr(args, "max_iters", None) is None:
+        return CertifyOptions()
+    if args.max_iters < 0:
+        raise InvalidInputError(f"--max-iters must be >= 0, got {args.max_iters}")
+    return CertifyOptions(max_iters=args.max_iters)
 
 
 def cmd_norm(args) -> int:

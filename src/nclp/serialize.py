@@ -100,6 +100,8 @@ def vecelem_from_json(obj) -> VecElem:
         coords = [matrix_from_json(c) for c in obj["coords"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidInputError(f"malformed element payload: {exc}") from exc
+    if k < 0 or n < 0:
+        raise InvalidInputError(f"element sizes must be >= 0, got k={k}, n={n}")
     if len(coords) != n:
         raise InvalidInputError(f"expected {n} coordinates, got {len(coords)}")
     for c in coords:

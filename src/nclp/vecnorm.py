@@ -18,9 +18,14 @@ value of an explicit feasible factorization found by the gauge solver
 gauge problem at the solver's own dual density ``rho``: one ascent serves
 both gauges (p >= 2 and p < 2) and stops once the two bounds meet.
 ``beta_certify`` treats the p-sum of the two norms (infimum over splittings
-``y = y0 + y1``) and takes its lower bound by pairing: ``|<y, c>| / U(c)``
-for a pool of dual candidates ``c``, where ``U(c)`` is the p'-sum of the
-certified upper bounds on the two dual norms of ``c``, each a solve.
+``y = y0 + y1``).  Its upper bound searches the scalar line ``y0 = t y``
+only: with ``alpha_upper``'s two values ``u_ell`` and ``u_col``, homogeneity
+gives the split's value ``|(t u_ell, (1 - t) u_col)|_p`` at every t with no
+further solve.  The endpoints t = 1 and t = 0 are the two trivial splits, and
+on a diagonal element (both norms equal there) t = 1/2 attains the p-sum
+exactly.  Its lower bound is by pairing: ``|<y, c>| / U(c)`` for a pool of
+dual candidates ``c``, where ``U(c)`` is the p'-sum of the certified upper
+bounds on the two dual norms of ``c``, each a solve.
 
 Pruning.  Each candidate also gets a floor ``L(c)``, the p'-sum of the
 minimax lower bounds of its two dual norms at a density in closed form
@@ -45,7 +50,6 @@ included; a bound whose value exceeds that range raises
 
 from __future__ import annotations
 
-import dataclasses
 import enum
 import math
 from dataclasses import dataclass
@@ -191,19 +195,19 @@ def diagonal_closed_form(lams, p: float) -> float:
 
 @dataclass
 class CertifyOptions:
-    """Tuning knobs for the certification routines (all deterministic)."""
+    """The iteration budget of each gauge solve (all routines deterministic).
+
+    It is the only knob: ``beta_certify`` has one upper route, the scalar
+    line split, which costs its two ``alpha_upper`` solves and no more.
+    """
 
     max_iters: int = 5000
-    beta_effort: int = 1
-
-    def replace(self, **kw) -> "CertifyOptions":
-        return dataclasses.replace(self, **kw)
 
 
 DEFAULT_OPTS = CertifyOptions()
 
 #: cheap settings for fuzz suites; bounds stay valid, just less tight
-FAST_OPTS = CertifyOptions(max_iters=240, beta_effort=0)
+FAST_OPTS = CertifyOptions(max_iters=240)
 
 
 @dataclass
@@ -363,7 +367,7 @@ def _auto_dual_pool(y: VecElem, p: float,
     The pool of the transposed element, transposed back, would add nothing:
     in exact arithmetic each of its candidates is one of these (the Schatten
     pattern of ``y_n^T`` is the transpose of that of ``y_n``, the adjoint
-    pattern has the same entries, and the diagonal patterns are equal), and
+    pattern has the same entries, and the diagonal pattern is the same), and
     re-solving the rounding-level copies only repeated descents.
 
     Every candidate is a unit direction, so the patterns are built from ``y``
@@ -392,8 +396,6 @@ def _auto_dual_pool(y: VecElem, p: float,
             phases = np.where(mags > 0, np.conj(lams) / np.where(mags > 0, mags, 1.0), 0.0)
             matched = phases * (mags / float(mags.max())) ** (p - 1.0)
             pool.append(VecElem.diagonal(matched / np.linalg.norm(matched)))
-            signs = phases  # unit-magnitude pattern, helps flat spectra
-            pool.append(VecElem.diagonal(signs / np.linalg.norm(signs)))
 
     # subgradient pattern from the solved one-sided witness:
     # y'_n = s^{(p-2)/2} y_n^* V with V averaging the top eigenspace of M(s)
@@ -506,10 +508,13 @@ def beta_certify(y: VecElem, p: float,
                  opts: CertifyOptions = DEFAULT_OPTS) -> NormCertificate:
     """Certificate for the p-sum norm inf over y = y0 + y1 of the pair.
 
-    Upper bound: best feasible splitting found (trivial splits, the scalar
-    line y0 = t y whose value follows from homogeneity, and the diagonal
-    split).  Lower bound: pairing ratios with the p'-sum of the two dual norm
-    bounds in the denominator, over the pool of ``_auto_dual_pool``.
+    Upper bound: the best split on the scalar line y0 = t y, t in
+    ``linspace(0, 1, 33)``, whose values follow from the two ``alpha_upper``
+    solves by homogeneity (module docstring); ``iterations`` counts those
+    two solves.  The endpoints t = 1 and t = 0 are the trivial splits and
+    win ties; on a diagonal element t = 1/2 is exact.
+    Lower bound: pairing ratios with the p'-sum of the two dual norm bounds
+    in the denominator, over the pool of ``_auto_dual_pool``.
     Candidates are solved by decreasing certified potential, and only while
     the potential can still beat the best ratio (module docstring): a
     skipped candidate's ratio is below the best, so the winner (the largest
@@ -526,31 +531,20 @@ def beta_certify(y: VecElem, p: float,
     iters = w_ell.iterations + w_col.iterations
     conv = w_ell.converged and w_col.converged
 
-    zero = VecElem.zeros(y.k, y.n)
-    candidates = [
-        (u_ell, BetaWitness(y.copy(), u_ell, 0.0)),
-        (u_col, BetaWitness(zero, 0.0, u_col)),
-    ]
-
-    if opts.beta_effort >= 1:
-        # scalar line split: homogeneity gives the exact branch values
-        ts = np.linspace(0.0, 1.0, 33)
-        vals = [_p_sum(t * u_ell, (1.0 - t) * u_col, p) for t in ts]
-        t_best = float(ts[int(np.argmin(vals))])
-        candidates.append((min(vals),
-                           BetaWitness(y.scaled(t_best), t_best * u_ell,
-                                       (1.0 - t_best) * u_col)))
-        if y.k == y.n:
-            y_diag = project_diagonal(y)
-            y_off = y - y_diag
-            if not y_diag.is_zero() and not y_off.is_zero():
-                ud, wd = alpha_upper(y_diag, p, Side.ELL_ROW, opts)
-                uo, wo = alpha_upper(y_off, p, Side.R_COL, opts)
-                iters += wd.iterations + wo.iterations
-                candidates.append((_p_sum(ud, uo, p),
-                                   BetaWitness(y_diag, ud, uo)))
-
-    upper, beta_wit = min(candidates, key=lambda c: c[0])
+    # scalar line split y0 = t y: at t = 1 and t = 0 ``_p_sum`` returns its
+    # nonzero argument unchanged, so the endpoints are the trivial splits;
+    # they come first, and argmin keeps the first of equal values
+    ts = np.linspace(0.0, 1.0, 33)[np.r_[32, 0, 1:32]]
+    vals = [_p_sum(t * u_ell, (1.0 - t) * u_col, p) for t in ts]
+    best = int(np.argmin(vals))
+    t = float(ts[best])
+    if t == 1.0:
+        y0 = y.copy()
+    elif t == 0.0:
+        y0 = VecElem.zeros(y.k, y.n)  # y.scaled(0.0) would write -0.0
+    else:
+        y0 = y.scaled(t)
+    upper, beta_wit = vals[best], BetaWitness(y0, t * u_ell, (1.0 - t) * u_col)
 
     lower, dual_wit, dual_den = _pairing_lower(y, p, w_ell, opts)
     return NormCertificate(upper=upper, lower=lower, factor_witness=beta_wit,

@@ -217,13 +217,17 @@ class TestBetaCertify:
         cert = beta_certify(VecElem.zeros(2, 2), 3.0)
         assert cert.upper == 0.0 and cert.lower == 0.0
 
-    def test_split_search_improves(self, rng):
-        # a diagonal plus an off-diagonal piece benefits from splitting
-        y = VecElem.diagonal([1.0, 1.0, 1.0])
-        p = 3.0
-        cert0 = beta_certify(y, p, CertifyOptions(beta_effort=0))
-        cert1 = beta_certify(y, p, CertifyOptions(beta_effort=1))
-        assert cert1.upper <= cert0.upper + 1e-12
+    @pytest.mark.parametrize("opts", [FAST_OPTS, DEFAULT_OPTS], ids=["fast", "default"])
+    @pytest.mark.parametrize("k", [1, 2, 3, 5])
+    @pytest.mark.parametrize("p", [1.3, 1.6, 2.0, 2.5, 3.0, 4.0])
+    def test_diagonal_bracket_is_exact(self, rng, opts, k, p):
+        # both norms equal the l^p norm here, so the line split at t = 1/2
+        # attains the p-sum 2^{1/p - 1} |lam|_p at either preset
+        lams = random_complex(rng, k)
+        cert = beta_certify(VecElem.diagonal(lams), p, opts)
+        want = 2.0 ** (1.0 / p - 1.0) * diagonal_closed_form(lams, p)
+        assert cert.upper == pytest.approx(want, rel=1e-11, abs=0.0)
+        assert cert.lower == pytest.approx(want, rel=1e-11, abs=0.0)
 
 
 def pow2_scaled(y, shift):

@@ -236,6 +236,13 @@ class TestNorm:
         bad.write_text('{"k": 2}')
         assert run_cli("norm", "--in", str(bad), "--p", "3") == 2
 
+    @pytest.mark.parametrize("payload", ['{"k": -1, "n": 0, "coords": []}',
+                                         '{"k": 0, "n": -1, "coords": []}'])
+    def test_negative_size_is_invalid_input(self, tmp_path, payload):
+        bad = tmp_path / "bad.json"
+        bad.write_text(payload)
+        assert run_cli("norm", "--in", str(bad), "--p", "3") == 2
+
     def test_bad_exponent(self, elem_file):
         assert run_cli("norm", "--in", elem_file, "--p", "0.5") == 2
 

@@ -8,7 +8,7 @@ from nclp import gaugeopt
 from nclp.counterexample import verify_pipeline, witness_w
 from nclp.cpmaps import amplify_apply, build_counterexample_maps
 from nclp.schatten import psd_power, schatten_norm
-from nclp.vecnorm import (DEFAULT_OPTS, FAST_OPTS, Side, VecElem,
+from nclp.vecnorm import (DEFAULT_OPTS, FAST_OPTS, CertifyOptions, Side, VecElem,
                           alpha_certify, alpha_upper, beta_certify,
                           certified_dual_upper, random_element)
 
@@ -322,7 +322,7 @@ class TestConvergedFlag:
 
     def test_zero_budget_without_descent(self):
         y = random_element(1, 3, np.random.default_rng(0))
-        cert = alpha_certify(y, 3.0, Side.ELL_ROW, DEFAULT_OPTS.replace(max_iters=0))
+        cert = alpha_certify(y, 3.0, Side.ELL_ROW, CertifyOptions(max_iters=0))
         # the rounding allowance keeps the lower bound strictly below
         assert cert.lower <= cert.upper <= cert.lower * (1 + 1e-12)
         assert cert.iterations == 0
@@ -331,7 +331,7 @@ class TestConvergedFlag:
     @pytest.mark.parametrize("p", [1.5, 3.0])
     def test_zero_budget_with_descent(self, p):
         y = random_element(3, 3, np.random.default_rng(0))
-        cert = alpha_certify(y, p, Side.ELL_ROW, DEFAULT_OPTS.replace(max_iters=0))
+        cert = alpha_certify(y, p, Side.ELL_ROW, CertifyOptions(max_iters=0))
         assert cert.iterations == 0
         assert not cert.converged
 

@@ -144,7 +144,7 @@ class TestOppositeTransform:
 
 class TestAutoDualPool:
     """The dual candidates of ``beta_certify`` before any witness is solved:
-    the Schatten-duality and adjoint patterns, then the two diagonal ones."""
+    the Schatten-duality and adjoint patterns, then the matched diagonal one."""
 
     @staticmethod
     def element(rng):
@@ -156,7 +156,7 @@ class TestAutoDualPool:
     def test_unit_candidates_led_by_the_schatten_pattern(self, rng, p):
         y = self.element(rng)
         pool = vecnorm._auto_dual_pool(y, p, None)
-        assert len(pool) == 4
+        assert len(pool) == 3
         for cand in pool:
             assert np.linalg.norm(cand.coords) == pytest.approx(1.0, abs=1e-14)
         power = np.stack([dual_witness(c, p) for c in y.coords])
@@ -168,7 +168,7 @@ class TestAutoDualPool:
         for cand in pool[:2]:
             z = pairing(y, cand)
             assert z.real > 0.0 and abs(z.imag) <= 1e-12 * z.real
-        assert pool[2].is_diagonal() and pool[3].is_diagonal()
+        assert pool[2].is_diagonal()
 
     @pytest.mark.parametrize("p", [1.3, 2.0, 3.0])
     def test_dyadic_scale_leaves_the_pool_unchanged(self, rng, p):
