@@ -47,45 +47,64 @@ and Candes, 2015):
     h_t = h + eta D + theta (h - h_prev),  D = M / tr(rho M) - I,
     theta = (j - 1) / (j + 2),
 
-with ``eta = min(5 / spread, 1.03 eta_prev)`` for the eigenvalue spread of
-``M / tr(rho M)``.  The cap is longer than the ``2 / spread`` of a quadratic
-with that spread: once ``rho`` has found its low-rank support, the spread is
-set by eigenvalues of ``M`` in directions ``rho`` has left (0.35 to 0.8 of
-the top one), which do not limit a step on the support.  The slow growth
-keeps ``eta`` near the last length that raised ``g`` after a halving; faster
-growth (1.2, 1.5) with the same cap made more trials fail and more ``fuzz``
-ascents end on their budget.  Both constants were chosen on the
+with ``eta = min(4 / top, 1.03 eta_prev)``, ``top = lmax(M) / tr(rho M) -
+1`` the top eigenvalue of ``D``, and growth alone when ``top <= 0``.  The
+cap looks only at the top of ``D`` because ``tr(rho D) = 0``: directions
+``rho`` has emptied carry negative ``D`` (at the optimum ``M <= tr(rho M)``
+off the support of ``rho``), so a long step there only empties them
+faster, and what a step can overshoot is the growth of the directions at
+the top.  The spread of ``D``, which capped ``eta`` before (``min(5 /
+spread, 1.03 eta_prev)``), is set once ``rho`` has found its low-rank
+support by eigenvalues of ``M`` in directions ``rho`` has left; on
+``random_element(5, 5, default_rng(0))`` at p = 3, ``rho`` reaches rank 2
+within about 25 dual evaluations (its other eigenvalues below 1e-30), at a
+gap of 1e-5, and the spread cap then took about 80 more iterations to close
+it to 1e-8 (the top cap: 77 iterations in all, against 104).  The slow
+growth keeps ``eta`` near the last length that raised ``g`` after a
+halving; faster growth (1.2, 1.5) made more trials fail and more ``fuzz``
+ascents end on their budget.  The constant 4 was chosen from {3, 4, 5, 6, 8, 10} on the
 ``perfbench`` ``fuzz`` and ``certify`` workloads at seeds 3, 4 and 7 to 12,
-where they cut the dual evaluations by 24 % against ``min(2 / spread, 1.5
-eta_prev)``.  The step is centered: ``exp(h + cI)`` normalizes to the
-density of ``h``, so ``D`` gives the iterates of the plain step ``M / tr(rho
-M)`` in exact arithmetic, but ``tr(rho D) = 0`` keeps ``h`` from drifting
-by about ``eta I`` per step.  Uncentered, momentum compounds that drift: on
-a 2 x 2 element it lifts both eigenvalues of ``h`` to about 270 in 240
-steps, so their difference, which alone sets ``rho``, keeps about 8 bits
-fewer, and the gap stalls above ``GAP_TOL``.  Momentum
-matters because the optimal density has low rank and ``M``'s spread stays
-set by directions ``rho`` has already left: ``eta`` is capped by them, and
-without momentum the error inside the active subspace decays slowly.  A
-trial is accepted when ``g`` does not fall.  A failing trial with momentum
-is retried at the same ``eta`` without it (``theta = 0`` and ``j = 1``, the
+where it cuts the one-sided dual evaluations by 17 % against the spread
+cap, and confirmed at seeds 5 and 6 (-19 %) and on ``random_element(k,
+k)``, k = 2..8, seeds 20 to 29 (-25 %, and no ascent of 700 ends on a
+240-iteration budget, against 21).  The step is centered: ``exp(h + cI)``
+normalizes to the density of ``h``, so ``D`` gives the iterates of the
+plain step ``M / tr(rho M)`` in exact arithmetic, but ``tr(rho D) = 0``
+keeps ``h`` from drifting by about ``eta I`` per step.  Uncentered,
+momentum compounds that drift: on a 2 x 2 element it lifts both
+eigenvalues of ``h`` to about 270 in 240 steps, so their difference, which
+alone sets ``rho``, keeps about 8 bits fewer, and the gap stalls above
+``GAP_TOL``.  Momentum matters because the optimal density has low rank:
+without it the error inside the active subspace decays slowly.  A trial is
+accepted when ``g`` does not fall.  A failing trial with momentum is
+retried at the same ``eta`` without it (``theta = 0`` and ``j = 1``, the
 restart); a failing trial without momentum halves ``eta``.  At most
 ``_TRIALS`` = 40 trials are made per iteration.  Any ``rho`` gives a sound
 lower bound and any ``s`` a sound upper one, so momentum and the step
-length change only the path, never soundness.  The lower value that steers the ascent lowers each
-eigenvalue of ``C(rho)`` first by about the rounding allowance of
-``minimax_lower`` (``((N + 1) k + 4 r + 4) eps tr C``): rounding noise on
-eigenvalues near zero would otherwise lift their roots, by up to 1e-8 at
-``beta = 1/2``, and close a gap that the certificate cannot show.  An
-iteration forms M(s) and takes its ``eigvalsh``, whose top eigenvalue is
-the upper value; a trial step takes one ``eigh`` of ``h_t``, forms ``C(rho)``
-(``_grad_gram``) and takes its ``eigh``, whose eigenvectors are those of the
-next ``s`` and whose sorted spectrum gives the lower value directly.  On
-``random_element(k, k)`` at p in {2.5, 3, 4} an iteration makes 1.02 trials
-(1.01 before the step rule above).  The matrices are k x k and r x r, so on
-small elements the cost is numpy's per-call overhead rather than
-arithmetic, and each call the loop can skip counts: at ``t = 1`` there is
-no power ``1/t``, and the first iteration and a restart add no momentum.
+length change only the path, never soundness.  The lower value that steers
+the ascent lowers each eigenvalue of ``C(rho)`` first by about the rounding
+allowance of ``minimax_lower`` (``((N + 1) k + 4 r + 4) eps tr C``):
+rounding noise on eigenvalues near zero would otherwise lift their roots,
+by up to 1e-8 at ``beta = 1/2``, and close a gap that the certificate
+cannot show.
+
+A one-sided iteration makes three LAPACK calls and otherwise scalar work: it
+forms ``M(s)`` and takes its ``eigvalsh``, whose top eigenvalue is the upper
+value, and a trial step takes one ``eigh`` of ``h_t`` and one of ``C(rho)``
+(formed by ``_grad_gram``), whose eigenvectors are those of the next ``s``
+and whose sorted spectrum gives the lower value.  ``tr(rho M(s))``, which
+scales the step, is read off the two spectra as ``sum_i c_i / s_i`` (``s``
+shares the eigenvectors of ``C(rho)``, so this is ``tr(s^{-1} C(rho))``);
+the density ``rho = v v^*`` is formed only when the ascent returns.  Neither
+``M`` nor ``C`` is symmetrized, since ``eigh`` reads one triangle; the work
+on the spectra, of length r, is done on Python floats; and the centered step
+is built in place, ``h + (eta / tr(rho M)) M`` less ``eta`` on the diagonal.
+On ``random_element(k, k)`` at p in {2.5, 3, 4} an iteration makes 1.04
+trials at k = 3 and 1.08 at k = 5..8 (1.02 under the spread cap).  The
+matrices are k x k and r x r, so on small elements the cost is numpy's
+per-call overhead rather than arithmetic, and each call the loop can skip
+counts: at ``t = 1`` there is no power ``1/t``, and the first iteration and
+a restart add no momentum.
 
 The two-sided solve (``minimize_two_sided``) is the same ascent on its own
 dual (the lower bounds below): maximize ``f(rho) = (tr C(rho)^{1/2})^2``
@@ -112,9 +131,11 @@ so one driver, ``_ascend(ak, support_gram, e, q, t, tol, max_iters)``,
 serves both: ``minimize_gauge`` at ``(e, inf, 1, GAP_TOL)`` and
 ``minimize_two_sided`` at ``(2, q, t, DESCENT_GAP_TOL)``.  For ``t > 1`` an
 iteration also forms the pulled-back gradient and takes its ``eigvalsh``,
-whose spread sets ``eta``.  More of these trials fail: an iteration makes
-1.38 of them on ``random_element(k, k)`` at p in {1.2, 1.5, 1.8} (1.93
-before the step rule above).
+whose spread caps ``eta`` as ``min(5 / spread, 1.03 eta_prev)``: capping
+by its top instead raised the two-sided iterations on the tuning seeds
+above from 8,989 to 9,649 (constant 4) and 10,400 (constant 5).  More of
+these trials fail: an iteration makes 1.38 of them on ``random_element(k,
+k)`` at p in {1.2, 1.5, 1.8}.
 
 Closed forms (``iterations = 0``; the support restriction, the
 regularization margin and the final evaluation are the same as after a
@@ -298,10 +319,12 @@ def _m_matrix(ak: np.ndarray, svals: np.ndarray, svecs: np.ndarray) -> np.ndarra
     ``ak`` is the k-major copy of the coordinates (see ``_k_major``): the rows
     of ``ak @ s^{-1/2}`` regroup into ``B = [A_1 s^{-1/2}, ..., A_N s^{-1/2}]``
     and ``M = B B^*``.  ``s`` is given by its spectrum and eigenvectors.
+    ``M`` is Hermitian up to rounding and not symmetrized: ``eigh`` reads one
+    triangle.
     """
     k, _, r = ak.shape
     b = (ak.reshape(-1, r) @ (svecs * svals ** -0.5)).reshape(k, -1)
-    return _herm(b @ b.conj().T)
+    return b @ b.conj().T
 
 
 def _grad_gram(ak: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -309,10 +332,6 @@ def _grad_gram(ak: np.ndarray, v: np.ndarray) -> np.ndarray:
     k, _, r = ak.shape
     x = (v.conj().T @ ak.reshape(k, -1)).reshape(-1, r)
     return x.conj().T @ x
-
-
-def _eigvals(m: np.ndarray) -> np.ndarray:
-    return np.maximum(np.linalg.eigvalsh(m), 0.0)
 
 
 def _diagonal_coordinates(A: np.ndarray) -> bool:
@@ -346,11 +365,15 @@ _TRIALS = 40  # step halvings before a step search fails
 def _dual_point(ak: np.ndarray, h: np.ndarray, e: float, t: float):
     """The one-sided dual at ``rho = u^{1/t}``, ``u = exp(h) / tr exp(h)``.
 
-    Returns ``(rho, lower, svals, svecs, log_u, uvecs)``: ``lower =
-    |C(rho)|_beta^{1/2}`` less the rounding allowance (module docstring), the
-    spectrum and eigenvectors of the inner optimum ``s ~ C(rho)^{1/(a+1)}``
-    with ``tr(s^a) = 1`` (floored like every witness), and the log-spectrum
-    and eigenvectors of ``u``.
+    Returns ``(v, lower, svals, svecs, log_u, uvecs, tr_rho_m)``: the factor
+    ``v`` of ``rho = v v^*``, ``lower = |C(rho)|_beta^{1/2}`` less the
+    rounding allowance (module docstring), the spectrum and eigenvectors of
+    the inner optimum ``s ~ C(rho)^{1/(a+1)}`` with ``tr(s^a) = 1`` (floored
+    and normalized by the rule of ``_normalize``), the log-spectrum and
+    eigenvectors of ``u``, and ``tr(rho M(s)) = tr(s^{-1} C(rho)) = sum_i c_i
+    / s_i``, read off the two spectra since ``s`` shares the eigenvectors of
+    ``C(rho)``.  The work on the spectra, of length r, is done on Python
+    floats.
     """
     a = 0.5 * e
     k, n_coords, r = ak.shape
@@ -359,19 +382,26 @@ def _dual_point(ak: np.ndarray, h: np.ndarray, e: float, t: float):
     total = float(w.sum())
     u = w / total
     v = hq * np.sqrt(u if t == 1.0 else u ** (1.0 / t))
-    cv, cq = _spectral(_grad_gram(ak, v))
-    slack = ((n_coords + 1) * k + 4 * r + 4) * _EPS
-    # _tr_power_term at 2 beta, inlined: the lowered, clipped spectrum stays
-    # sorted, so its top is its last entry
-    low = np.maximum(cv - slack * float(cv.sum()), 0.0)
-    top = float(low[-1])
+    cv, cq = np.linalg.eigh(_grad_gram(ak, v))  # eigh reads one triangle
+    c = [x if x > 0.0 else 0.0 for x in cv.tolist()]
+    slack = ((n_coords + 1) * k + 4 * r + 4) * _EPS * sum(c)
+    # |.|_{2 beta} of the lowered, clipped spectrum, scaled by its top
+    top = c[-1] - slack
     lower = 0.0
     if top > 0.0:
-        two_beta = 2.0 * a / (a + 1.0)
-        lower = (math.sqrt(top)
-                 * float(((low / top) ** (two_beta / 2.0)).sum()) ** (1.0 / two_beta))
-    return (v @ v.conj().T, lower, _normalize(cv ** (1.0 / (a + 1.0)), e), cq,
-            hv - hv[-1] - math.log(total), hq)
+        beta = a / (a + 1.0)
+        lower = math.sqrt(top) * sum([((x - slack) / top) ** beta
+                                      for x in c if x > slack]) ** (0.5 / beta)
+    s = [x ** (1.0 / (a + 1.0)) for x in c]
+    if s[-1] > 0.0:
+        floor = _EIG_FLOOR * s[-1]
+        s = [x if x > floor else floor for x in s]
+    else:
+        s = [1.0] * r
+    norm = sum([x ** a for x in s]) ** (1.0 / a)
+    s = [x / norm for x in s]
+    return (v, lower, np.array(s), cq, hv - (hv[-1] + math.log(total)), hq,
+            sum([x / y for x, y in zip(c, s)]))
 
 
 def _pullback(m: np.ndarray, log_u: np.ndarray, uvecs: np.ndarray, t: float):
@@ -397,11 +427,15 @@ def _ascend(ak: np.ndarray, support_gram: np.ndarray, e: float, q: float,
     Each iteration steps ``h = log u`` along the centered gradient ``D =
     grad / tr(u grad) - I``, ``grad`` being ``M`` pulled back to ``u``
     (``M`` itself at ``t = 1``), plus the momentum ``theta (h - h_prev)``,
-    ``theta = (j - 1) / (j + 2)``, at ``eta = min(5 / spread, 1.03
-    eta_prev)``.  A trial that lowers the dual first drops the momentum
-    (restart to ``j = 1``), then halves ``eta``; at most ``_TRIALS`` trials
-    per iteration.  The upper value of ``s`` is ``_tr_power_term(eig M(s),
-    q)``, which is ``lmax(M(s))^{1/2}`` at ``q = inf``.
+    ``theta = (j - 1) / (j + 2)``, at ``eta = min(4 / top, 1.03 eta_prev)``
+    with ``top`` the top eigenvalue of ``D`` at ``t = 1`` (growth alone when
+    it is not positive), and ``eta = min(5 / spread, 1.03 eta_prev)`` with
+    the spread of ``D`` for ``t > 1``.  A trial that lowers the dual first
+    drops the momentum (restart to ``j = 1``), then halves ``eta``; at most
+    ``_TRIALS`` trials per iteration.  The upper value of ``s`` is
+    ``_tr_power_term(eig M(s), q)``, which is ``lmax(M(s))^{1/2}`` at ``q =
+    inf``.  ``tr(u grad) = tr(rho M) / t`` comes from ``_dual_point``, and
+    ``rho`` is formed from its factor only on return.
 
     Returns ``(svals, svecs, rho, iterations, converged)``: the best upper
     point seen, the last ``rho``, and whether the gap closed to ``tol``.
@@ -410,25 +444,25 @@ def _ascend(ak: np.ndarray, support_gram: np.ndarray, e: float, q: float,
     best = math.inf
     for cand in (np.eye(rb, dtype=np.complex128), support_gram):
         sv, sq = _project(cand, e)
-        val = _tr_power_term(_eigvals(_m_matrix(ak, sv, sq)), q)
+        val = _tr_power_term(np.linalg.eigvalsh(_m_matrix(ak, sv, sq)), q)
         if val < best:
             best, best_pair = val, (sv, sq)
     h = h_prev = np.zeros((k, k), dtype=np.complex128)
-    eye = np.eye(k)
-    rho, lower, sv, sq, log_u, uq = _dual_point(ak, h, e, t)
+    v, lower, sv, sq, log_u, uq, tr_rho_m = _dual_point(ak, h, e, t)
     eta = math.inf
     iters = 0
     j = 1  # momentum counter, reset to 1 by a restart
     one_sided = math.isinf(q)
     while True:
         m = _m_matrix(ak, sv, sq)
-        lam = _eigvals(m)
-        # lam is sorted and clipped: at q = inf the upper value is lmax^{1/2}
-        val = math.sqrt(lam[-1]) if one_sided else _tr_power_term(lam, q)
+        lam = np.linalg.eigvalsh(m)
+        # lam is sorted: at q = inf the upper value is lmax^{1/2}
+        val = (math.sqrt(max(float(lam[-1]), 0.0)) if one_sided
+               else _tr_power_term(lam, q))
         if val < best:
             best, best_pair = val, (sv, sq)
         if best <= (1.0 + tol) * lower:
-            return (*best_pair, rho, iters, True)
+            return (*best_pair, v @ v.conj().T, iters, True)
         if iters >= max_iters:
             break
         iters += 1
@@ -437,16 +471,25 @@ def _ascend(ak: np.ndarray, support_gram: np.ndarray, e: float, q: float,
             grad = _pullback(m, log_u, uq, t)
             spec = np.linalg.eigvalsh(grad)
         # x^{1/t} is homogeneous of degree 1/t: tr(u grad) = tr(rho M) / t
-        tr_u_grad = float(np.vdot(rho, m).real) / t
-        if not (tr_u_grad > 0.0 and spec[-1] > spec[0]):
+        tr_u_grad = tr_rho_m / t
+        lo, hi = float(spec[0]), float(spec[-1])
+        if not (tr_u_grad > 0.0 and hi > lo):
             break  # no ascent direction
-        spread = float(spec[-1] - spec[0]) / tr_u_grad
-        eta = min(5.0 / spread, 1.03 * eta)
-        d = grad / tr_u_grad - eye  # centered: tr(u d) = 0
+        # eta is capped by the top of D at t = 1 (module docstring), by its
+        # spread otherwise; growth alone sets it when the top is not positive
+        if t == 1.0:
+            reach, width = 4.0, hi / tr_u_grad - 1.0
+        else:
+            reach, width = 5.0, (hi - lo) / tr_u_grad
+        eta = min(reach / width, 1.03 * eta) if width > 0.0 else 1.03 * eta
+        if math.isinf(eta):
+            break  # D <= 0 at the full-rank start: no ascent direction
         if j > 1:
             momentum = (j - 1) / (j + 2) * (h - h_prev)
         for _ in range(_TRIALS):
-            h_t = h + eta * d
+            # h + eta D with D = grad / tr(u grad) - I, centered: tr(u D) = 0
+            h_t = h + (eta / tr_u_grad) * grad
+            h_t.flat[::k + 1] -= eta
             if j > 1:
                 h_t += momentum
             trial = _dual_point(ak, h_t, e, t)
@@ -460,8 +503,8 @@ def _ascend(ak: np.ndarray, support_gram: np.ndarray, e: float, q: float,
             break  # no step raises the dual
         h_prev, h = h, h_t
         j += 1
-        rho, lower, sv, sq, log_u, uq = trial
-    return (*best_pair, rho, iters, False)
+        v, lower, sv, sq, log_u, uq, tr_rho_m = trial
+    return (*best_pair, v @ v.conj().T, iters, False)
 
 
 def gram_density(A: np.ndarray, e: float) -> np.ndarray:

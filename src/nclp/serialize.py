@@ -71,9 +71,19 @@ def matrix_to_json(m) -> dict:
             "im": [float(v) for v in m.imag.ravel()]}
 
 
+def _size(obj, key: str) -> int:
+    """``obj[key]`` as an int; only an integral JSON number is a size."""
+    val = obj[key]
+    if isinstance(val, bool) or not isinstance(val, (int, float)):
+        raise InvalidInputError(f"size {key!r} must be a number, got {val!r}")
+    if isinstance(val, float) and not val.is_integer():
+        raise InvalidInputError(f"size {key!r} must be an integer, got {val!r}")
+    return int(val)
+
+
 def matrix_from_json(obj) -> np.ndarray:
     try:
-        rows, cols = int(obj["rows"]), int(obj["cols"])
+        rows, cols = _size(obj, "rows"), _size(obj, "cols")
         re, im = obj["re"], obj["im"]
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidInputError(f"malformed matrix payload: {exc}") from exc
@@ -96,7 +106,7 @@ def vecelem_to_json(y: VecElem) -> dict:
 
 def vecelem_from_json(obj) -> VecElem:
     try:
-        k, n = int(obj["k"]), int(obj["n"])
+        k, n = _size(obj, "k"), _size(obj, "n")
         coords = [matrix_from_json(c) for c in obj["coords"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidInputError(f"malformed element payload: {exc}") from exc
@@ -122,7 +132,7 @@ def yeadon_from_json(obj):
     """Returns ``(YeadonSpec, p)``."""
     try:
         spec = YeadonSpec(
-            n=int(obj["n"]),
+            n=_size(obj, "n"),
             rep_weights=tuple(float(w) for w in obj.get("rep_weights", [])),
             antirep_weights=tuple(float(w) for w in obj.get("antirep_weights", [])),
             w=matrix_from_json(obj["W"]) if obj.get("W") is not None else None)

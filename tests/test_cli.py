@@ -243,6 +243,16 @@ class TestNorm:
         bad.write_text(payload)
         assert run_cli("norm", "--in", str(bad), "--p", "3") == 2
 
+    @pytest.mark.parametrize("payload", [
+        '{"k": 1.9, "n": 1.2, "coords": [{"rows": 1, "cols": 1, "re": [1.0], "im": [0.0]}]}',
+        '{"k": true, "n": 0, "coords": []}',
+        '{"k": "3", "n": 0, "coords": []}',
+        '{"k": 1, "n": 1, "coords": [{"rows": 1.5, "cols": 1, "re": [1.0], "im": [0.0]}]}'])
+    def test_non_integral_size_is_invalid_input(self, tmp_path, payload):
+        bad = tmp_path / "bad.json"
+        bad.write_text(payload)
+        assert run_cli("norm", "--in", str(bad), "--p", "3") == 2
+
     def test_bad_exponent(self, elem_file):
         assert run_cli("norm", "--in", elem_file, "--p", "0.5") == 2
 
@@ -300,6 +310,14 @@ class TestYeadonCommand:
         assert doc["isometry_worst_error"] < 1e-10
         assert doc["rep_part_violations"] == []
         assert doc["rigid_bound_violations"] == []
+
+    @pytest.mark.parametrize("n", ["2.5", "true", '"2"'])
+    def test_non_integral_spec_size_is_invalid_input(self, tmp_path, capsys, n):
+        path = tmp_path / "spec.json"
+        path.write_text('{"n": %s, "rep_weights": [1.0], "antirep_weights": [], '
+                        '"p": 3.0, "W": null}' % n)
+        assert run_cli("yeadon", "--in", str(path), "--samples", "1") == 2
+        assert "Traceback" not in capsys.readouterr().err
 
 
 class TestSelftest:

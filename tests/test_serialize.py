@@ -60,6 +60,51 @@ class TestVecElemPayload:
             serialize.vecelem_from_json(doc)
 
 
+#: sizes that are not integral JSON numbers; ``int()`` truncated the first
+#: two and accepted the next two
+NON_INTEGRAL_SIZES = [1.9, 1.2, True, "3", None, [2], math.inf, math.nan]
+
+
+class TestSizes:
+    """``k``, ``n``, ``rows``, ``cols`` and the Yeadon ``n`` must be
+    integral JSON numbers."""
+
+    def test_fractional_element_sizes_rejected(self):
+        doc = {"k": 1.9, "n": 1.2,
+               "coords": [{"rows": 1, "cols": 1, "re": [1.0], "im": [0.0]}]}
+        with pytest.raises(InvalidInputError):
+            serialize.vecelem_from_json(doc)
+
+    @pytest.mark.parametrize("bad", NON_INTEGRAL_SIZES, ids=repr)
+    @pytest.mark.parametrize("key", ["k", "n"])
+    def test_element(self, rng, key, bad):
+        doc = serialize.vecelem_to_json(VecElem(random_complex(rng, 1, 1, 1)))
+        doc[key] = bad
+        with pytest.raises(InvalidInputError):
+            serialize.vecelem_from_json(doc)
+
+    @pytest.mark.parametrize("bad", NON_INTEGRAL_SIZES, ids=repr)
+    @pytest.mark.parametrize("key", ["rows", "cols"])
+    def test_matrix(self, key, bad):
+        doc = {"rows": 1, "cols": 1, "re": [1.0], "im": [0.0]}
+        doc[key] = bad
+        with pytest.raises(InvalidInputError):
+            serialize.matrix_from_json(doc)
+
+    @pytest.mark.parametrize("bad", NON_INTEGRAL_SIZES, ids=repr)
+    def test_yeadon(self, bad):
+        with pytest.raises(InvalidInputError):
+            serialize.yeadon_from_json({"n": bad, "rep_weights": [1.0], "p": 3.0})
+
+    def test_integral_float_is_a_size(self, rng):
+        y = VecElem(random_complex(rng, 2, 3, 3))
+        doc = serialize.vecelem_to_json(y)
+        doc["k"], doc["n"] = 3.0, 2.0
+        doc["coords"][0]["rows"] = 3.0
+        back = serialize.vecelem_from_json(doc)
+        assert np.array_equal(back.coords, y.coords)
+
+
 class TestYeadonPayload:
     def test_round_trip(self, rng):
         q, _ = np.linalg.qr(random_complex(rng, 4, 4))
