@@ -130,14 +130,16 @@ def lower_bound_formula(k: int, p: float) -> float:
     """Certified divergent lower bound on ||u (x) I|| in the p-sum norm.
 
     Equals ((2 k^{-1/(2p)} + 1 + k^{-1/p})^p + (k-1) k^{-1/2})^{1/p} / 8,
-    which is half the l^p norm of the diagonal coefficient vector.
+    which is half the l^p norm of the diagonal coefficient vector.  The
+    first term ``head^p`` is factored out: ``head >= 1``, so ``head^{-p}``
+    at most underflows, where ``head^p`` overflows at large p.
     """
     if k < 1:
         raise InvalidInputError("k must be >= 1")
     p = check_exponent(p)
     kf = float(k)
     head = 2.0 * kf ** (-1.0 / (2.0 * p)) + 1.0 + kf ** (-1.0 / p)
-    return 0.125 * (head ** p + (kf - 1.0) * kf ** -0.5) ** (1.0 / p)
+    return 0.125 * head * (1.0 + (kf - 1.0) * kf ** -0.5 * head ** -p) ** (1.0 / p)
 
 
 def threshold_k(p: float, bound: float) -> int:

@@ -180,7 +180,7 @@ def sampled_contraction_ratio(m: KrausMap, p: float, trials: int,
     ``trials`` may be 0 when ``probes`` is nonempty; with neither there is
     nothing to sample.
     """
-    check_exponent(p, allow_inf=True)
+    check_exponent(p)
     mats = [as_matrix(x) for x in probes]
     if trials < 0 or not (trials or mats):
         raise InvalidInputError("need trials >= 1, or trials == 0 with probes")

@@ -117,7 +117,7 @@ positive map), and ``x -> x^{1/t}`` is operator concave for ``t >= 1``
 f(u^{1/t})`` is concave on densities.  At ``rho = u^{1/t}`` the inner
 optimum is the one-sided one at ``e = 2``: ``s ~ C(rho)^{1/2}``, ``tr s =
 1``, with the lower value ``tr C(rho)^{1/2}`` and the upper value
-``|M(s)|_{q/2}^{1/2}`` (``_tr_power_term(eig M(s), q)``, which reads
+``|M(s)|_{q/2}^{1/2}`` (``lp_norm(eig M(s), q/2)^{1/2}``, which reads
 ``lmax^{1/2}`` at ``q = inf``).  The gradient in ``u`` is that in ``rho``,
 ``M(s)``, pulled back through the derivative of ``x^{1/t}`` (the
 Daleckii-Krein formula, ibid.): ``Q (L o Q^* M Q) Q^*`` with ``Q`` an
@@ -235,7 +235,7 @@ import numpy as np
 
 from .errors import InvalidInputError
 from .schatten import (DEFAULT_RANK_TOL, lp_norm, pow2_normalize, pow2_restore,
-                       psd_power)
+                       psd_power, psd_spectrum, spectral_power)
 # not called here since _residual_correction sums one stacked SVD, but the
 # tracer of perfbench/tracing.py patches this name on gaugeopt
 from .schatten import schatten_norm  # noqa: F401
@@ -277,7 +277,7 @@ def _normalize(vals: np.ndarray, e: float) -> np.ndarray:
     """
     vmax = vals[-1]
     vals = np.ones_like(vals) if vmax <= 0.0 else np.maximum(vals, _EIG_FLOOR * vmax)
-    return vals / float((vals ** (e / 2.0)).sum()) ** (2.0 / e)
+    return vals / lp_norm(vals, e / 2.0)
 
 
 def _project(s: np.ndarray, e: float):
@@ -346,19 +346,6 @@ def q_from_p(p: float) -> float:
     return math.inf if inv <= 1e-15 else 1.0 / inv
 
 
-def _tr_power_term(vals: np.ndarray, e: float) -> float:
-    """tr(s^{e/2})^{1/e} from the spectrum, scaled for large exponents."""
-    vals = np.maximum(vals, 0.0)
-    if vals.size == 0:
-        return 0.0
-    top = float(vals.max())
-    if top == 0.0:
-        return 0.0
-    if math.isinf(e):
-        return math.sqrt(top)
-    return math.sqrt(top) * float(((vals / top) ** (e / 2.0)).sum()) ** (1.0 / e)
-
-
 _TRIALS = 40  # step halvings before a step search fails
 
 
@@ -385,20 +372,15 @@ def _dual_point(ak: np.ndarray, h: np.ndarray, e: float, t: float):
     cv, cq = np.linalg.eigh(_grad_gram(ak, v))  # eigh reads one triangle
     c = [x if x > 0.0 else 0.0 for x in cv.tolist()]
     slack = ((n_coords + 1) * k + 4 * r + 4) * _EPS * sum(c)
-    # |.|_{2 beta} of the lowered, clipped spectrum, scaled by its top
-    top = c[-1] - slack
-    lower = 0.0
-    if top > 0.0:
-        beta = a / (a + 1.0)
-        lower = math.sqrt(top) * sum([((x - slack) / top) ** beta
-                                      for x in c if x > slack]) ** (0.5 / beta)
+    # |.|_beta of the lowered spectrum; lp_norm drops what falls below 0
+    lower = math.sqrt(lp_norm([x - slack for x in c], a / (a + 1.0)))
     s = [x ** (1.0 / (a + 1.0)) for x in c]
     if s[-1] > 0.0:
         floor = _EIG_FLOOR * s[-1]
         s = [x if x > floor else floor for x in s]
     else:
         s = [1.0] * r
-    norm = sum([x ** a for x in s]) ** (1.0 / a)
+    norm = lp_norm(s, a)
     s = [x / norm for x in s]
     return (v, lower, np.array(s), cq, hv - (hv[-1] + math.log(total)), hq,
             sum([x / y for x, y in zip(c, s)]))
@@ -433,7 +415,7 @@ def _ascend(ak: np.ndarray, support_gram: np.ndarray, e: float, q: float,
     the spread of ``D`` for ``t > 1``.  A trial that lowers the dual first
     drops the momentum (restart to ``j = 1``), then halves ``eta``; at most
     ``_TRIALS`` trials per iteration.  The upper value of ``s`` is
-    ``_tr_power_term(eig M(s), q)``, which is ``lmax(M(s))^{1/2}`` at ``q =
+    ``lp_norm(eig M(s), q/2)^{1/2}``, which is ``lmax(M(s))^{1/2}`` at ``q =
     inf``.  ``tr(u grad) = tr(rho M) / t`` comes from ``_dual_point``, and
     ``rho`` is formed from its factor only on return.
 
@@ -444,7 +426,7 @@ def _ascend(ak: np.ndarray, support_gram: np.ndarray, e: float, q: float,
     best = math.inf
     for cand in (np.eye(rb, dtype=np.complex128), support_gram):
         sv, sq = _project(cand, e)
-        val = _tr_power_term(np.linalg.eigvalsh(_m_matrix(ak, sv, sq)), q)
+        val = math.sqrt(lp_norm(np.linalg.eigvalsh(_m_matrix(ak, sv, sq)), 0.5 * q))
         if val < best:
             best, best_pair = val, (sv, sq)
     h = h_prev = np.zeros((k, k), dtype=np.complex128)
@@ -452,13 +434,10 @@ def _ascend(ak: np.ndarray, support_gram: np.ndarray, e: float, q: float,
     eta = math.inf
     iters = 0
     j = 1  # momentum counter, reset to 1 by a restart
-    one_sided = math.isinf(q)
     while True:
         m = _m_matrix(ak, sv, sq)
         lam = np.linalg.eigvalsh(m)
-        # lam is sorted: at q = inf the upper value is lmax^{1/2}
-        val = (math.sqrt(max(float(lam[-1]), 0.0)) if one_sided
-               else _tr_power_term(lam, q))
+        val = math.sqrt(lp_norm(lam, 0.5 * q))  # lmax^{1/2} at q = inf
         if val < best:
             best, best_pair = val, (sv, sq)
         if best <= (1.0 + tol) * lower:
@@ -570,27 +549,41 @@ def _residual_correction(resid_coords: np.ndarray, p: float) -> float:
     return total
 
 
-def _witness_terms(y: np.ndarray, s_full: np.ndarray, p: float,
-                   r_full: np.ndarray | None = None):
-    """What both certified evaluations share, at the witness ``s`` (and ``r``).
+def _roots(b: np.ndarray):
+    """``(b^{1/2}, b^{-1/2}, spectrum of b)`` from one eigendecomposition.
+
+    Both roots live on the support that ``psd_power`` keeps.
+    """
+    spec = psd_spectrum(b)
+    return spectral_power(*spec, 0.5), spectral_power(*spec, -0.5), spec[0]
+
+
+def _witness_value(y: np.ndarray, s_full: np.ndarray, e: float, p: float,
+                   r_full: np.ndarray | None = None) -> float:
+    """What both certified evaluations compute, at the witness ``s`` (and ``r``).
 
     Reconstructs ``z_n = r^{-1/2} y_n s^{-1/2}`` (no left factor when ``r``
-    is None) and returns ``(lmax(sum z_n z_n^*)^{1/2}, spectrum of s,
-    residual charge)``, the charge being the coordinate-wise p-norms of
-    ``r^{1/2} z_n s^{1/2} - y_n``, the part the witness does not reproduce.
+    is None) and returns ``lmax(sum z_n z_n^*)^{1/2} tr(s^{e/2})^{1/e}``,
+    times ``tr(r^{q/2})^{1/q}`` with ``r``, plus the residual charge: the
+    coordinate-wise p-norms of ``r^{1/2} z_n s^{1/2} - y_n``, the part the
+    witness does not reproduce.  Each factor is decomposed once (``_roots``).
     """
-    s_ih = psd_power(s_full, -0.5)
-    s_h = psd_power(s_full, 0.5)
+    y = np.asarray(y, dtype=np.complex128)
+    if not np.any(y):
+        return 0.0
+    s_h, s_ih, svals = _roots(s_full)
+    value = math.sqrt(lp_norm(svals, 0.5 * e))
     if r_full is None:
         z = y @ s_ih
         rebuilt = z @ s_h
     else:
-        z = psd_power(r_full, -0.5) @ y @ s_ih
-        rebuilt = psd_power(r_full, 0.5) @ z @ s_h
-    m = np.einsum("nij,nkj->ik", z, z.conj())
-    top = math.sqrt(max(float(np.linalg.eigvalsh(_herm(m))[-1]), 0.0))
-    return (top, np.linalg.eigvalsh(_herm(s_full)),
-            _residual_correction(rebuilt - y, p))
+        r_h, r_ih, rvals = _roots(r_full)
+        value *= math.sqrt(lp_norm(rvals, 0.5 * q_from_p(p)))
+        z = r_ih @ y @ s_ih
+        rebuilt = r_h @ z @ s_h
+    zk = _k_major(z).reshape(z.shape[1], -1)
+    top = math.sqrt(lp_norm(np.linalg.eigvalsh(zk @ zk.conj().T), math.inf))
+    return top * value + _residual_correction(rebuilt - y, p)
 
 
 def evaluate_one_sided(coords: np.ndarray, s_full: np.ndarray, p: float) -> float:
@@ -599,23 +592,13 @@ def evaluate_one_sided(coords: np.ndarray, s_full: np.ndarray, p: float) -> floa
     Always a valid upper bound: the part of the coordinates the witness does
     not reproduce is charged at its coordinate-wise p-norm.
     """
-    y = np.asarray(coords, dtype=np.complex128)
-    if not np.any(y):
-        return 0.0
-    top, svals, charge = _witness_terms(y, s_full, p)
-    return top * _tr_power_term(svals, p) + charge
+    return _witness_value(coords, s_full, p, p)
 
 
 def evaluate_two_sided(coords: np.ndarray, r_full: np.ndarray,
                        s_full: np.ndarray, p: float) -> float:
     """Certified value of the two-sided gauge at a witness pair (r, s)."""
-    y = np.asarray(coords, dtype=np.complex128)
-    if not np.any(y):
-        return 0.0
-    top, svals, charge = _witness_terms(y, s_full, p, r_full)
-    rvals = np.linalg.eigvalsh(_herm(r_full))
-    return (_tr_power_term(rvals, q_from_p(p)) * top * _tr_power_term(svals, 2.0)
-            + charge)
+    return _witness_value(coords, s_full, 2.0, p, r_full)
 
 
 def minimize_two_sided(coords: np.ndarray, p: float,
@@ -668,9 +651,9 @@ def minimize_two_sided(coords: np.ndarray, p: float,
                                                 DESCENT_GAP_TOL, max_iters)
     sv = sv + 1e-12 * float(np.sum(sv)) / rb  # regularized inversion margin
     s_full = scale * (ub @ ((sq * sv) @ sq.conj().T) @ ub.conj().T)
-    yk = _k_major(y)
-    b = (yk.reshape(-1, kr) @ psd_power(s_full, -1.0)).reshape(k, -1)
-    r_full = _herm(b @ yk.reshape(k, -1).conj().T)
+    # r = G(s) from the spectral form of s: every kept eigenvalue is floored
+    # far above the rank cut, so this is sum_n y_n s^+ y_n^*
+    r_full = _herm(_m_matrix(_k_major(y), scale * sv, ub @ sq))
     return GaugeResult(value=evaluate_two_sided(y, r_full, s_full, p), s=s_full,
                        iterations=iters, converged=converged, r=r_full, rho=rho)
 
@@ -719,10 +702,10 @@ def minimax_lower(coords: np.ndarray, rho: np.ndarray, p: float) -> float:
     m = (n_coords + 1) * k + 4
     delta = (m * _EPS / (1.0 - m * _EPS) * float(np.linalg.norm(envelope))
              + 4.0 * r * _EPS * float(np.linalg.norm(c)))
-    cv = np.clip(np.linalg.eigvalsh(c) - delta, 0.0, None)
 
-    num = _tr_power_term(cv, 2.0 * beta)
-    den = _tr_power_term(lam_rho + eps_rho + mu, 2.0 * t)
+    # lp_norm counts the eigenvalues that the lowering pushes below 0 as 0
+    num = lp_norm(np.linalg.eigvalsh(c) - delta, beta)
+    den = lp_norm(lam_rho + eps_rho + mu, t)
     if num == 0.0 or den == 0.0:
         return 0.0
-    return pow2_restore(num / den * (1.0 - (2 * k + 16) * _EPS), e)
+    return pow2_restore(math.sqrt(num / den) * (1.0 - (2 * k + 16) * _EPS), e)

@@ -33,21 +33,17 @@ def as_matrix(a) -> np.ndarray:
     return m
 
 
-def check_exponent(p: float, allow_inf: bool = False) -> float:
-    """Validate a norm exponent ``p > 1`` (``inf`` optional)."""
+def check_exponent(p: float) -> float:
+    """Validate a finite norm exponent ``p > 1``."""
     p = float(p)
-    if math.isinf(p):
-        if allow_inf:
-            return p
-        raise InvalidInputError("exponent p = inf not allowed here")
-    if math.isnan(p) or p <= 1.0:
-        raise InvalidInputError(f"exponent must satisfy p > 1, got {p}")
+    if not 1.0 < p < math.inf:  # also False for NaN
+        raise InvalidInputError(f"exponent must satisfy 1 < p < inf, got {p}")
     return p
 
 
 def conjugate(p: float) -> float:
     """Conjugate exponent p/(p-1); restricted to p in (1, inf)."""
-    p = check_exponent(p, allow_inf=False)
+    p = check_exponent(p)
     return p / (p - 1.0)
 
 
@@ -61,21 +57,29 @@ def schatten_norm(a, p: float) -> float:
     p = float(p)
     if math.isnan(p) or p < 1.0:
         raise InvalidInputError(f"schatten_norm needs p >= 1, got {p}")
-    sv = np.linalg.svd(m, compute_uv=False)
-    if math.isinf(p):
-        return float(sv[0]) if sv.size else 0.0
-    return lp_norm(sv, p)
+    return lp_norm(np.linalg.svd(m, compute_uv=False), p)
 
 
-def lp_norm(a: np.ndarray, p: float) -> float:
-    """l^p norm of a nonnegative array, ``top * (sum (a/top)^p)^{1/p}``.
+def lp_norm(values, p: float) -> float:
+    """``top * (sum (v / top)^p)^{1/p}`` over the positive entries ``v``.
 
-    Scaling out the largest entry ``top`` keeps the powers well conditioned.
+    The one place where powers of a spectrum are summed.  ``values`` is a
+    sequence or array of floats, ``top`` its largest entry; entries at or
+    below 0 count as 0, so the rounding noise of a PSD spectrum may be passed
+    unclipped.  Scaling out ``top`` keeps every power in [0, 1]: entries near
+    1e+-300 neither overflow nor lose the sum, and ``lp_norm((a, 0.0), p)``
+    is ``a`` exactly.  ``p = inf`` gives ``top``, an empty or zero input 0,
+    and any ``p > 0`` is allowed, ``p < 1`` giving the quasi-norm.  The sum
+    runs on Python floats: the inputs are short spectra.
     """
-    top = float(a.max()) if a.size else 0.0
-    if top == 0.0:
+    if isinstance(values, np.ndarray):
+        values = values.tolist()
+    top = max(values, default=0.0)
+    if top <= 0.0:
         return 0.0
-    return top * float(np.sum((a / top) ** p)) ** (1.0 / p)
+    if math.isinf(p):
+        return top
+    return top * sum([(v / top) ** p for v in values if v > 0.0]) ** (1.0 / p)
 
 
 #: largest binary exponent taken in one division; 2^±1000 and its
@@ -135,13 +139,12 @@ def trace_pairing(a, c) -> complex:
     return complex(np.einsum("ij,ji->", a, c))
 
 
-def psd_power(b, power: float) -> np.ndarray:
-    """Spectral power of a PSD matrix, restricted to its support.
+def psd_spectrum(b):
+    """``(vals, vecs, keep)``: the eigendecomposition of a PSD matrix and its support.
 
     Symmetrizes ``(b + b^*)/2`` first; asymmetry beyond ``HERMITIAN_ATOL``
-    relative to the matrix scale is an error.  Negative powers invert only
-    eigenvalues above the relative threshold, which makes
-    ``psd_power(b, -1.0)`` the pseudo-inverse.
+    relative to the matrix scale is an error.  ``keep`` marks the positive
+    eigenvalues at or above ``DEFAULT_RANK_TOL`` times the largest one.
     """
     b = as_matrix(b)
     if b.shape[0] != b.shape[1]:
@@ -152,12 +155,25 @@ def psd_power(b, power: float) -> np.ndarray:
         raise InvalidInputError(f"psd_power input is not Hermitian (asymmetry "
                                 f"{asym:.3e} of scale {scale:.3e})")
     vals, vecs = np.linalg.eigh(0.5 * (b + b.conj().T))
-    lam_max = float(vals[-1]) if vals.size else 0.0
+    cut = DEFAULT_RANK_TOL * float(vals[-1]) if vals.size else 0.0
+    return vals, vecs, (vals > 0.0) & (vals >= cut)
+
+
+def spectral_power(vals, vecs, keep, power: float) -> np.ndarray:
+    """``vecs diag(vals^power) vecs^*`` with the eigenvalues off ``keep`` set to 0."""
     out = np.zeros(vals.shape)
-    if lam_max > 0.0:
-        keep = vals >= DEFAULT_RANK_TOL * lam_max
-        out[keep] = np.clip(vals[keep], 0.0, None) ** power
+    out[keep] = vals[keep] ** power
     return (vecs * out) @ vecs.conj().T
+
+
+def psd_power(b, power: float) -> np.ndarray:
+    """Spectral power of a PSD matrix, restricted to its support.
+
+    The support and the Hermitian check are those of ``psd_spectrum``.
+    Negative powers invert only eigenvalues above the relative threshold,
+    which makes ``psd_power(b, -1.0)`` the pseudo-inverse.
+    """
+    return spectral_power(*psd_spectrum(b), power)
 
 
 def dual_witness(a, p: float) -> np.ndarray:

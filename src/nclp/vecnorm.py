@@ -277,22 +277,22 @@ def combine_witnesses(w1: FactorWitness, v1: float, w2: FactorWitness,
         return w1
     q = gaugeopt.q_from_p(p) if w1.branch == "two_sided" else None
 
-    def tr_term(mat, e):
-        vals = np.clip(np.linalg.eigvalsh(0.5 * (mat + mat.conj().T)), 0.0, None)
-        return gaugeopt._tr_power_term(vals, e)
+    def tr_term_sq(mat, e):
+        """tr(mat^{e/2})^{2/e}, the square of the factor's objective term."""
+        return lp_norm(np.linalg.eigvalsh(0.5 * (mat + mat.conj().T)), 0.5 * e)
 
     if w1.branch == "one_sided":
-        t1, t2 = tr_term(w1.s, p), tr_term(w2.s, p)
+        t1, t2 = tr_term_sq(w1.s, p), tr_term_sq(w2.s, p)
         if t1 <= 0.0 or t2 <= 0.0:
             return None
-        s = (v1 / t1 ** 2) * w1.s + (v2 / t2 ** 2) * w2.s
+        s = (v1 / t1) * w1.s + (v2 / t2) * w2.s
         return FactorWitness("one_sided", s=s, transposed=w1.transposed)
-    a1, a2 = tr_term(w1.r, q), tr_term(w2.r, q)
-    b1, b2 = tr_term(w1.s, 2.0), tr_term(w2.s, 2.0)
+    a1, a2 = tr_term_sq(w1.r, q), tr_term_sq(w2.r, q)
+    b1, b2 = tr_term_sq(w1.s, 2.0), tr_term_sq(w2.s, 2.0)
     if min(a1, a2, b1, b2) <= 0.0:
         return None
-    r = (v1 / a1 ** 2) * w1.r + (v2 / a2 ** 2) * w2.r
-    s = (v1 / b1 ** 2) * w1.s + (v2 / b2 ** 2) * w2.s
+    r = (v1 / a1) * w1.r + (v2 / a2) * w2.r
+    s = (v1 / b1) * w1.s + (v2 / b2) * w2.s
     return FactorWitness("two_sided", s=s, r=r, transposed=w1.transposed)
 
 
@@ -491,17 +491,8 @@ def _pairing_potential(cand: VecElem, cand_t: VecElem, num: float,
     """
     if gaugeopt._diagonal_coordinates(cand.coords):
         return math.inf
-    floor = _p_sum(_dual_floor(cand, p_dual), _dual_floor(cand_t, p_dual), p_dual)
+    floor = lp_norm((_dual_floor(cand, p_dual), _dual_floor(cand_t, p_dual)), p_dual)
     return num / floor if floor > 0.0 else math.inf
-
-
-def _p_sum(a: float, b: float, p: float) -> float:
-    if a == 0.0:
-        return b
-    if b == 0.0:
-        return a
-    top = max(a, b)
-    return top * ((a / top) ** p + (b / top) ** p) ** (1.0 / p)
 
 
 def beta_certify(y: VecElem, p: float,
@@ -531,13 +522,13 @@ def beta_certify(y: VecElem, p: float,
     iters = w_ell.iterations + w_col.iterations
     conv = w_ell.converged and w_col.converged
 
-    # scalar line split y0 = t y: at t = 1 and t = 0 ``_p_sum`` returns its
+    # scalar line split y0 = t y: at t = 1 and t = 0 ``lp_norm`` returns its
     # nonzero argument unchanged, so the endpoints are the trivial splits;
     # they come first, and argmin keeps the first of equal values
-    ts = np.linspace(0.0, 1.0, 33)[np.r_[32, 0, 1:32]]
-    vals = [_p_sum(t * u_ell, (1.0 - t) * u_col, p) for t in ts]
+    ts = np.linspace(0.0, 1.0, 33)[np.r_[32, 0, 1:32]].tolist()
+    vals = [lp_norm((t * u_ell, (1.0 - t) * u_col), p) for t in ts]
     best = int(np.argmin(vals))
-    t = float(ts[best])
+    t = ts[best]
     if t == 1.0:
         y0 = y.copy()
     elif t == 0.0:
@@ -579,7 +570,7 @@ def _pairing_lower(y: VecElem, p: float, w_ell: FactorWitness,
         cand, cand_t, num, potential = scored[idx]
         if potential < lower * (1.0 - _PRUNE_MARGIN):
             break
-        den = _p_sum(dual_upper(cand), dual_upper(cand_t), p_dual)
+        den = lp_norm((dual_upper(cand), dual_upper(cand_t)), p_dual)
         if den <= 0.0 or not math.isfinite(den):
             continue
         # the largest ratio; among equal ratios, the first in pool order

@@ -15,13 +15,14 @@ the factor-4 bound satisfied by any composition of adjoint isometry pairs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .cpmaps import KrausMap
 from .errors import InvalidInputError, InvalidSpecError
-from .schatten import as_matrix, check_exponent, conjugate
+from .schatten import as_matrix, check_exponent, conjugate, lp_norm
 from .vecnorm import (CertifyOptions, DEFAULT_OPTS, Side, VecElem,
                       alpha_certify, alpha_upper, beta_certify, random_element)
 
@@ -67,9 +68,11 @@ def validate_spec(spec: YeadonSpec, p: float) -> None:
     if spec.num_blocks == 0:
         raise InvalidSpecError("at least one block is required")
     ws = spec.weights()
-    if any(w <= 0.0 for w in ws):
-        raise InvalidSpecError("block weights must be strictly positive")
-    total = sum(w ** p for w in ws)
+    if not all(0.0 < w < math.inf for w in ws):  # also False for NaN
+        raise InvalidSpecError("block weights must be finite and strictly positive")
+    # sum w^p from the norm, which is finite where a power of a weight overflows
+    norm = lp_norm(ws, p)
+    total = math.inf if p * math.log(norm) > 700.0 else norm ** p
     if abs(total - 1.0) > WEIGHT_SUM_TOL:
         raise InvalidSpecError(
             f"weight normalization sum w^p = {total!r} differs from 1 "
@@ -90,8 +93,8 @@ def unit_weights(raw, p: float) -> np.ndarray:
     residual rounding so that validation at ``WEIGHT_SUM_TOL`` passes.
     """
     w = np.asarray(raw, dtype=float)
-    w = w / float(np.sum(w ** p)) ** (1.0 / p)
-    return w * float(np.sum(w ** p)) ** (-1.0 / p)
+    w = w / lp_norm(w, p)
+    return w / lp_norm(w, p)
 
 
 def random_valid_weights(n_rep: int, n_anti: int, p: float,

@@ -189,6 +189,12 @@ class TestCounterexample:
     def test_cap_is_invalid_input(self):
         assert run_cli("counterexample", "--k", "50", "--p", "3") == 2
 
+    @pytest.mark.parametrize("p", ["600", "5000"])
+    def test_large_exponent(self, tmp_path, p):
+        out = tmp_path / "r.json"
+        assert run_cli("counterexample", "--k", "2", "--p", p, "--out", str(out)) == 0
+        assert json.loads(out.read_text())["dominance_ok"] is True
+
 
 class TestPipelineExponent:
     """The pipeline needs p >= 2: below it the witness norm is not 1."""
@@ -310,6 +316,18 @@ class TestYeadonCommand:
         assert doc["isometry_worst_error"] < 1e-10
         assert doc["rep_part_violations"] == []
         assert doc["rigid_bound_violations"] == []
+
+    @pytest.mark.parametrize("weight, message", [
+        ("NaN", "block weights must be finite"),
+        ("1e200", "differs from 1"),
+    ])
+    def test_hostile_weight_is_invalid_input(self, tmp_path, capsys, weight, message):
+        path = tmp_path / "spec.json"
+        path.write_text('{"n": 2, "rep_weights": [%s], "antirep_weights": [], '
+                        '"p": 3.0, "W": null}' % weight)
+        assert run_cli("yeadon", "--in", str(path), "--samples", "1") == 2
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
 
     @pytest.mark.parametrize("n", ["2.5", "true", '"2"'])
     def test_non_integral_spec_size_is_invalid_input(self, tmp_path, capsys, n):

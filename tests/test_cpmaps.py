@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -292,4 +294,9 @@ class TestContractionRatio:
     def test_trials_validated(self):
         with pytest.raises(InvalidInputError):
             sampled_contraction_ratio(KrausMap.identity(2), 3.0, 0)
+
+    def test_rejects_p_inf(self):
+        with pytest.raises(InvalidInputError):
+            sampled_contraction_ratio(KrausMap.identity(2), math.inf, 1,
+                                      probes=[np.eye(2)])
 

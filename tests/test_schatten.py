@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from nclp.errors import InvalidInputError
-from nclp.schatten import (as_matrix, conjugate, dual_witness, pow2_normalize,
-                           pow2_restore, psd_power, schatten_norm, trace_pairing)
+from nclp.schatten import (as_matrix, check_exponent, conjugate, dual_witness,
+                           lp_norm, pow2_normalize, pow2_restore, psd_power,
+                           schatten_norm, trace_pairing)
 
 from conftest import random_complex
 
@@ -55,6 +56,60 @@ class TestSchattenNorm:
             lhs = schatten_norm(a, p_theta)
             rhs = schatten_norm(a, p0) ** (1 - theta) * schatten_norm(a, p1) ** theta
             assert lhs <= rhs * (1 + 1e-12)
+
+
+class TestLpNorm:
+    """The contract of the one helper that sums powers of a spectrum."""
+
+    @pytest.mark.parametrize("p", [0.5, 1.0, 1.5, 3.0, 40.0])
+    def test_against_direct_sum(self, rng, p):
+        v = rng.uniform(0.0, 3.0, size=7)
+        want = float(np.sum(v ** p)) ** (1.0 / p)
+        assert lp_norm(v, p) == pytest.approx(want, rel=1e-14)
+        assert lp_norm(tuple(v.tolist()), p) == lp_norm(v, p)
+
+    def test_inf_is_the_top(self):
+        assert lp_norm(np.array([0.5, 3.0, 2.0]), math.inf) == 3.0
+        assert lp_norm((2.0, 0.0), math.inf) == 2.0
+
+    @pytest.mark.parametrize("values", [(), np.zeros(0), (0.0, 0.0), np.zeros(4)])
+    @pytest.mark.parametrize("p", [0.5, 2.0, math.inf])
+    def test_empty_and_zero_give_zero(self, values, p):
+        assert lp_norm(values, p) == 0.0
+
+    def test_nonpositive_entries_count_as_zero(self):
+        assert lp_norm((-1e-17, 4.0, 0.0, -2.0), 2.0) == 4.0
+        assert lp_norm((-1e-17, -3.0), 2.0) == 0.0
+        assert lp_norm(np.array([-1e-17, 3.0, 4.0]), 2.0) == pytest.approx(5.0, rel=1e-15)
+
+    def test_quasi_norm_below_one(self):
+        # the beta quasi-sum of the dual: (sum v^beta)^{1/beta} at beta < 1
+        assert lp_norm((1.0, 1.0), 0.5) == pytest.approx(4.0, rel=1e-15)
+        assert lp_norm((9.0, 4.0, 1.0), 0.5) == pytest.approx(36.0, rel=1e-15)
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e300])
+    @pytest.mark.parametrize("p", [0.5, 2.0, 7.0])
+    def test_extreme_entries(self, scale, p):
+        got = lp_norm((scale, scale), p)
+        assert math.isfinite(got)
+        assert got == pytest.approx(scale * 2.0 ** (1.0 / p), rel=1e-13)
+
+    @pytest.mark.parametrize("a", [1.0, 0.3, 2.0 ** -900, 1.7e300])
+    @pytest.mark.parametrize("p", [1.2, 2.0, 3.0, 1000.0])
+    def test_one_nonzero_entry_comes_back_exactly(self, a, p):
+        assert lp_norm((a, 0.0), p) == a
+        assert lp_norm((0.0, a), p) == a
+
+
+class TestCheckExponent:
+    @pytest.mark.parametrize("p", [1.0, 0.5, -2.0, math.inf, -math.inf, math.nan])
+    def test_rejects(self, p):
+        with pytest.raises(InvalidInputError):
+            check_exponent(p)
+
+    @pytest.mark.parametrize("p", [1.0000001, 2, 3.5, 1e6])
+    def test_accepts_finite_above_one(self, p):
+        assert check_exponent(p) == float(p)
 
 
 class TestTracePairing:

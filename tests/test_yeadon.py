@@ -52,6 +52,21 @@ class TestSpecValidation:
         with pytest.raises(InvalidSpecError):
             validate_spec(spec, 3.0)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_nonfinite_weights_rejected(self, bad):
+        with pytest.raises(InvalidSpecError, match="finite"):
+            validate_spec(YeadonSpec(n=2, rep_weights=(bad,)), 3.0)
+        with pytest.raises(InvalidSpecError, match="finite"):
+            build_isometry(YeadonSpec(n=2, rep_weights=(0.5,),
+                                      antirep_weights=(bad,)), 3.0)
+
+    @pytest.mark.parametrize("p", [3.0, 2000.0])
+    def test_huge_weight_rejected_without_overflow(self, p):
+        with pytest.raises(InvalidSpecError, match="differs from 1"):
+            validate_spec(YeadonSpec(n=2, rep_weights=(1e200,)), p)
+        with pytest.raises(InvalidSpecError, match="differs from 1"):
+            validate_spec(YeadonSpec(n=2, rep_weights=(1.5,)), p)
+
     def test_near_miss_rejected(self):
         w = (1.0 - 1e-6) ** (1 / 3.0)
         with pytest.raises(InvalidSpecError):
