@@ -8,9 +8,11 @@ Subcommands:
   yeadon          isometry / split / contraction reports from a spec file
   selftest        run the acceptance checks
 
-Exit codes: 0 success, 1 verification failure, 2 invalid input.
-All randomness flows from --seed; outputs are byte-stable for a fixed
-configuration (reals are printed with 17 significant digits).
+Exit codes: 0 success, 1 verification failure, 2 invalid input (also a
+size whose arrays cannot be allocated).  Each subcommand takes only the
+flags it reads; --seed seeds the random draws of ``diag --random`` and
+``yeadon``, the only commands that make any.  Outputs are byte-stable for a
+fixed configuration (reals are printed with 17 significant digits).
 """
 
 from __future__ import annotations
@@ -58,10 +60,13 @@ def _emit(text: str, out_path: str | None) -> None:
         os.close(devnull)
 
 
-def _opts_from_args(args) -> CertifyOptions:
+def _check_seed(args) -> None:
     if args.seed < 0:
         raise InvalidInputError(f"--seed must be >= 0, got {args.seed}")
-    if getattr(args, "max_iters", None) is None:
+
+
+def _opts_from_args(args) -> CertifyOptions:
+    if args.max_iters is None:
         return CertifyOptions()
     if args.max_iters < 0:
         raise InvalidInputError(f"--max-iters must be >= 0, got {args.max_iters}")
@@ -79,7 +84,7 @@ def cmd_norm(args) -> int:
 
 
 def cmd_diag(args) -> int:
-    opts = _opts_from_args(args)
+    _check_seed(args)
     if args.k < 1:
         raise InvalidInputError(f"--k must be >= 1, got {args.k}")
     if args.random:
@@ -87,7 +92,8 @@ def cmd_diag(args) -> int:
         lams = rng.standard_normal(args.k) + 1j * rng.standard_normal(args.k)
     else:
         lams = np.ones(args.k)  # closed form k^{1/p}
-    cert = alpha_certify(VecElem.diagonal(lams), args.p, Side.ELL_ROW, opts)
+    # a diagonal element takes the closed form: no iteration budget applies
+    cert = alpha_certify(VecElem.diagonal(lams), args.p, Side.ELL_ROW)
     closed = diagonal_closed_form(lams, args.p)
     ok = (cert.upper <= closed * (1.0 + 1e-3) + 1e-12
           and abs(cert.lower - closed) <= 1e-9 * max(closed, 1.0))
@@ -102,8 +108,7 @@ def cmd_diag(args) -> int:
 
 
 def cmd_counterexample(args) -> int:
-    rep = cx.verify_pipeline(args.k, args.p, _opts_from_args(args),
-                             seed=args.seed)
+    rep = cx.verify_pipeline(args.k, args.p, _opts_from_args(args))
     _emit(serialize.dumps_canonical(serialize.report_to_json(rep)), args.out)
     if not rep.all_checks_ok:
         print("verification failure: " + "; ".join(rep.diagnostics),
@@ -128,8 +133,7 @@ def cmd_sweep(args) -> int:
     for k in range(args.kmin, args.kmax + 1):
         formula = cx.lower_bound_formula(k, args.p)
         if k <= args.numeric_cap:
-            rep = cx.verify_pipeline(k, args.p, opts, seed=args.seed,
-                                     k_cap=args.numeric_cap)
+            rep = cx.verify_pipeline(k, args.p, opts, k_cap=args.numeric_cap)
             numeric = _fmt(rep.numeric_lb)
             upper_w = _fmt(rep.upper_w)
             passed = str(rep.threshold_pass).lower()
@@ -155,6 +159,7 @@ def cmd_sweep(args) -> int:
 def cmd_yeadon(args) -> int:
     payload = serialize.load_json_file(args.infile)
     spec, p = serialize.yeadon_from_json(payload)
+    _check_seed(args)
     opts = _opts_from_args(args)
     if args.n < 1:
         raise InvalidInputError(f"--n must be >= 1, got {args.n}")
@@ -220,16 +225,21 @@ def build_parser() -> argparse.ArgumentParser:
                     "counterexample pipeline on matrix p-classes")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp):
-        sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--max-iters", dest="max_iters", type=int, default=None)
+    def flags(sp, *names):
+        """The flags shared by several subcommands, for those that read them."""
+        if "--seed" in names:
+            sp.add_argument("--seed", type=int, default=0,
+                            help="seed of the random draws (default 0)")
+        if "--max-iters" in names:
+            sp.add_argument("--max-iters", dest="max_iters", type=int,
+                            default=None, help="iteration budget of each gauge solve")
         sp.add_argument("--out", default=None, help="output file (default stdout)")
 
     sp = sub.add_parser("norm", help="certify an element file")
     sp.add_argument("--in", dest="infile", required=True)
     sp.add_argument("--p", type=float, required=True)
     sp.add_argument("--side", choices=("ell", "r"), default="ell")
-    common(sp)
+    flags(sp, "--max-iters")
     sp.set_defaults(func=cmd_norm)
 
     sp = sub.add_parser("diag", help="diagonal element vs closed form")
@@ -237,13 +247,13 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--p", type=float, required=True)
     sp.add_argument("--random", action="store_true",
                     help="seeded random coefficients instead of all ones")
-    common(sp)
+    flags(sp, "--seed")
     sp.set_defaults(func=cmd_diag)
 
     sp = sub.add_parser("counterexample", help="full pipeline at one (k, p)")
     sp.add_argument("--k", type=int, required=True)
     sp.add_argument("--p", type=float, required=True, help=PIPELINE_P_HELP)
-    common(sp)
+    flags(sp, "--max-iters")
     sp.set_defaults(func=cmd_counterexample)
 
     sp = sub.add_parser("sweep", help="CSV over a k-grid")
@@ -254,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
                     default=cx.NUMERIC_K_CAP,
                     help="largest k for which the optimizer columns run")
     sp.add_argument("--format", choices=("csv", "json"), default="csv")
-    common(sp)
+    flags(sp, "--max-iters")
     sp.set_defaults(func=cmd_sweep)
 
     sp = sub.add_parser("yeadon", help="isometry reports from a spec file")
@@ -262,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--samples", type=int, default=20)
     sp.add_argument("--n", type=int, default=3,
                     help="Hilbert dimension of the sampled elements")
-    common(sp)
+    flags(sp, "--seed", "--max-iters")
     sp.set_defaults(func=cmd_yeadon)
 
     sp = sub.add_parser("selftest", help="run the acceptance checks")
@@ -282,6 +292,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except InvalidInputError as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
+        return EXIT_INVALID
+    except MemoryError as exc:  # numpy refuses an array too large up front
+        print(f"invalid input: the sizes are too large: {exc}", file=sys.stderr)
         return EXIT_INVALID
 
 

@@ -62,14 +62,6 @@ class KrausMap:
                 raise InvalidInputError("all coefficients must be k x k")
         return cls(k=k, a=np.stack(mats_a), b=np.stack(mats_b))
 
-    @classmethod
-    def identity(cls, k: int) -> "KrausMap":
-        eye = np.eye(k, dtype=np.complex128)
-        return cls(k=k, a=eye[None, :, :], b=eye[None, :, :])
-
-    def terms(self):
-        return list(zip(self.a, self.b))
-
     def __len__(self) -> int:
         return self.a.shape[0]
 

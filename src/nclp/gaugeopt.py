@@ -270,20 +270,23 @@ def _spectral(s: np.ndarray):
     return np.maximum(vals, 0.0), vecs
 
 
-def _normalize(vals: np.ndarray, e: float) -> np.ndarray:
-    """Clip a spectrum to the relative floor and normalize sum(vals^{e/2}) = 1.
-
-    A zero spectrum becomes flat.
+def _normalize(vals: list, e: float) -> list:
+    """Clip an ascending spectrum to the relative floor and normalize
+    sum(vals^{e/2}) = 1, on Python floats.  A zero spectrum becomes flat.
     """
-    vmax = vals[-1]
-    vals = np.ones_like(vals) if vmax <= 0.0 else np.maximum(vals, _EIG_FLOOR * vmax)
-    return vals / lp_norm(vals, e / 2.0)
+    if vals[-1] > 0.0:
+        floor = _EIG_FLOOR * vals[-1]
+        vals = [x if x > floor else floor for x in vals]
+    else:
+        vals = [1.0] * len(vals)
+    norm = lp_norm(vals, 0.5 * e)
+    return [x / norm for x in vals]
 
 
 def _project(s: np.ndarray, e: float):
     """Clip to the PD cone (relative floor) and normalize tr(s^{e/2}) = 1."""
     vals, vecs = _spectral(s)
-    return _normalize(vals, e), vecs
+    return np.array(_normalize(vals.tolist(), e)), vecs
 
 
 def _k_major(A: np.ndarray) -> np.ndarray:
@@ -356,7 +359,7 @@ def _dual_point(ak: np.ndarray, h: np.ndarray, e: float, t: float):
     ``v`` of ``rho = v v^*``, ``lower = |C(rho)|_beta^{1/2}`` less the
     rounding allowance (module docstring), the spectrum and eigenvectors of
     the inner optimum ``s ~ C(rho)^{1/(a+1)}`` with ``tr(s^a) = 1`` (floored
-    and normalized by the rule of ``_normalize``), the log-spectrum and
+    and normalized by ``_normalize``), the log-spectrum and
     eigenvectors of ``u``, and ``tr(rho M(s)) = tr(s^{-1} C(rho)) = sum_i c_i
     / s_i``, read off the two spectra since ``s`` shares the eigenvectors of
     ``C(rho)``.  The work on the spectra, of length r, is done on Python
@@ -374,14 +377,7 @@ def _dual_point(ak: np.ndarray, h: np.ndarray, e: float, t: float):
     slack = ((n_coords + 1) * k + 4 * r + 4) * _EPS * sum(c)
     # |.|_beta of the lowered spectrum; lp_norm drops what falls below 0
     lower = math.sqrt(lp_norm([x - slack for x in c], a / (a + 1.0)))
-    s = [x ** (1.0 / (a + 1.0)) for x in c]
-    if s[-1] > 0.0:
-        floor = _EIG_FLOOR * s[-1]
-        s = [x if x > floor else floor for x in s]
-    else:
-        s = [1.0] * r
-    norm = lp_norm(s, a)
-    s = [x / norm for x in s]
+    s = _normalize([x ** (1.0 / (a + 1.0)) for x in c], e)
     return (v, lower, np.array(s), cq, hv - (hv[-1] + math.log(total)), hq,
             sum([x / y for x, y in zip(c, s)]))
 

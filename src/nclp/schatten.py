@@ -130,15 +130,6 @@ def pow2_restore(value: float, e: int) -> float:
     return out
 
 
-def trace_pairing(a, c) -> complex:
-    """Trace pairing tr(a c) for a (k x m) against c (m x k)."""
-    a = as_matrix(a)
-    c = as_matrix(c)
-    if a.shape[1] != c.shape[0] or a.shape[0] != c.shape[1]:
-        raise InvalidInputError(f"shape mismatch in pairing: {a.shape} vs {c.shape}")
-    return complex(np.einsum("ij,ji->", a, c))
-
-
 def psd_spectrum(b):
     """``(vals, vecs, keep)``: the eigendecomposition of a PSD matrix and its support.
 

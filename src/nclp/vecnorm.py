@@ -153,13 +153,6 @@ class VecElem:
         return f"VecElem(k={self.k}, n={self.n})"
 
 
-def min_tensor_row_norm(z: VecElem) -> float:
-    """Row norm of the Hilbert-valued middle factor: |sum z_n z_n^*|^{1/2}."""
-    m = np.einsum("nij,nkj->ik", z.coords, z.coords.conj())
-    lam = np.linalg.eigvalsh(0.5 * (m + m.conj().T))
-    return math.sqrt(max(float(lam[-1]), 0.0))
-
-
 def pairing(y: VecElem, y2: VecElem) -> complex:
     """Coordinatewise trace pairing sum_n tr(y_n y2_n)."""
     y._check_match(y2)

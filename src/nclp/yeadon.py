@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import cpmaps
 from .cpmaps import KrausMap
 from .errors import InvalidInputError, InvalidSpecError
 from .schatten import as_matrix, check_exponent, conjugate, lp_norm
@@ -149,41 +150,8 @@ class BlockIsometry:
             out = self._w @ out
         return out
 
-    def adjoint_apply(self, c) -> np.ndarray:
-        """T^*(c) under the trace pairing tr(T(a) c) = tr(a T^*(c))."""
-        c = as_matrix(c)
-        m = self.target_size
-        if c.shape != (m, m):
-            raise InvalidInputError(f"expected {m} x {m} argument, got {c.shape}")
-        n = self.spec.n
-        cw = c if self._w is None else c @ self._w
-        out = np.zeros((n, n), dtype=np.complex128)
-        for idx, (btype, weight) in enumerate(zip(self.spec.block_types(),
-                                                  self.spec.weights())):
-            if self.mask is not None and self.mask != btype:
-                continue
-            blk = cw[idx * n:(idx + 1) * n, idx * n:(idx + 1) * n]
-            out += weight * (blk if btype == "rep" else blk.T)
-        return out
-
     def amplify(self, y: VecElem) -> VecElem:
         return VecElem(np.stack([self(coord) for coord in y.coords]))
-
-    def weight_matrix(self) -> np.ndarray:
-        """B = blockdiag(w_b I_n): the positive part of T(a) = W B J(a)."""
-        n = self.spec.n
-        diag = np.concatenate([np.full(n, w) for w in self.spec.weights()])
-        return np.diag(diag.astype(np.complex128))
-
-    def jordan_apply(self, a) -> np.ndarray:
-        """J(a) = blockdiag(a, ..., a^T, ...), without weights or W."""
-        a = as_matrix(a)
-        n, m = self.spec.n, self.target_size
-        out = np.zeros((m, m), dtype=np.complex128)
-        for idx, btype in enumerate(self.spec.block_types()):
-            blk = a if btype == "rep" else a.T
-            out[idx * n:(idx + 1) * n, idx * n:(idx + 1) * n] = blk
-        return out
 
 
 def build_isometry(spec: YeadonSpec, p: float) -> BlockIsometry:
@@ -208,10 +176,10 @@ class ReportRow:
 
 
 @dataclass
-class ContractionReport:
-    which: str
+class BoundReport:
+    """Rows of ``lower(image) <= factor * upper(input, ELL_ROW) + 1e-9``."""
+
     p: float
-    n_hilbert: int
     rows: list
     violations: list
 
@@ -220,9 +188,23 @@ class ContractionReport:
         return not self.violations
 
 
+def _bound_report(elements, p: float, factor: float, image_lower,
+                  opts: CertifyOptions) -> BoundReport:
+    """One row per element ``y``: ``image_lower(y)`` against ``factor`` times
+    the certified row upper bound of ``y``; a negative slack is a violation."""
+    rows = []
+    for idx, y in enumerate(elements):
+        upper_in, _ = alpha_upper(y, p, Side.ELL_ROW, opts)
+        lower = image_lower(y)
+        slack = factor * upper_in + 1e-9 - lower
+        rows.append(ReportRow(idx, lower, upper_in, slack, slack >= 0.0))
+    return BoundReport(p=p, rows=rows,
+                       violations=[row.sample for row in rows if not row.ok])
+
+
 def tensor_contraction_report(t_part: BlockIsometry, which: str, p: float,
                               samples: int, seed: int = 0, n_hilbert: int = 3,
-                              opts: CertifyOptions = DEFAULT_OPTS) -> ContractionReport:
+                              opts: CertifyOptions = DEFAULT_OPTS) -> BoundReport:
     """Check image/input certificate ordering for one split part.
 
     The representation part is contractive from row-valued to row-valued
@@ -234,19 +216,12 @@ def tensor_contraction_report(t_part: BlockIsometry, which: str, p: float,
         raise InvalidInputError("which must be 'rep' or 'antirep'")
     image_side = Side.ELL_ROW if which == "rep" else Side.R_COL
     rng = np.random.default_rng(seed)
-    rows = []
-    violations = []
-    for idx in range(samples):
-        y = random_element(t_part.source_size, n_hilbert, rng)
-        upper_in, _ = alpha_upper(y, p, Side.ELL_ROW, opts)
-        cert_img = alpha_certify(t_part.amplify(y), p, image_side, opts)
-        slack = upper_in + 1e-9 - cert_img.lower
-        ok = slack >= 0.0
-        rows.append(ReportRow(idx, cert_img.lower, upper_in, slack, ok))
-        if not ok:
-            violations.append(idx)
-    return ContractionReport(which=which, p=p, n_hilbert=n_hilbert,
-                             rows=rows, violations=violations)
+    elements = [random_element(t_part.source_size, n_hilbert, rng)
+                for _ in range(samples)]
+    return _bound_report(
+        elements, p, 1.0,
+        lambda y: alpha_certify(t_part.amplify(y), p, image_side, opts).lower,
+        opts)
 
 
 def _superop_matrices(t_iso: BlockIsometry, s_iso: BlockIsometry):
@@ -314,21 +289,9 @@ def rigid_compose(t_spec: YeadonSpec, s_spec: YeadonSpec, p: float) -> KrausMap:
     return KrausMap.from_terms(terms)
 
 
-@dataclass
-class RigidBoundReport:
-    p: float
-    n_hilbert: int
-    rows: list
-    violations: list
-
-    @property
-    def passed(self) -> bool:
-        return not self.violations
-
-
 def rigid_bound_report(u: KrausMap, p: float, samples: int, seed: int = 0,
                        n_hilbert: int = 3, extra_elements=(),
-                       opts: CertifyOptions = DEFAULT_OPTS) -> RigidBoundReport:
+                       opts: CertifyOptions = DEFAULT_OPTS) -> BoundReport:
     """Necessary condition for a rigid factorization: the factor-4 bound.
 
     For each element (``extra_elements`` first, then ``samples`` random ones)
@@ -336,21 +299,11 @@ def rigid_bound_report(u: KrausMap, p: float, samples: int, seed: int = 0,
     times the certified row upper bound of y, plus 1e-9; a violation
     certifies that no rigid factorization of u exists.
     """
-    from .cpmaps import amplify_apply
-
     rng = np.random.default_rng(seed)
     elements = list(extra_elements)
     for _ in range(samples):
         elements.append(random_element(u.k, n_hilbert, rng))
-    rows = []
-    violations = []
-    for idx, y in enumerate(elements):
-        upper_in, _ = alpha_upper(y, p, Side.ELL_ROW, opts)
-        cert_img = beta_certify(amplify_apply(u, y), p, opts)
-        slack = 4.0 * upper_in + 1e-9 - cert_img.lower
-        ok = slack >= 0.0
-        rows.append(ReportRow(idx, cert_img.lower, upper_in, slack, ok))
-        if not ok:
-            violations.append(idx)
-    return RigidBoundReport(p=p, n_hilbert=n_hilbert,
-                            rows=rows, violations=violations)
+    # cpmaps.amplify_apply is looked up per call, where a tracer may wrap it
+    return _bound_report(
+        elements, p, 4.0,
+        lambda y: beta_certify(cpmaps.amplify_apply(u, y), p, opts).lower, opts)

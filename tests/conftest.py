@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from nclp.cpmaps import KrausMap
+
 
 @pytest.fixture
 def rng():
@@ -9,6 +11,11 @@ def rng():
 
 def random_complex(rng, *shape):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def identity_map(k):
+    """x -> x as a one-term KrausMap."""
+    return KrausMap.from_terms([(np.eye(k), np.eye(k))])
 
 
 def full_sandwich(m, x):

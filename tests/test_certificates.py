@@ -13,8 +13,8 @@ from nclp.selfcheck import brute_force_upper
 from nclp.vecnorm import (CertifyOptions, DEFAULT_OPTS, FAST_OPTS, FactorWitness,
                           Side, VecElem, alpha_certify, alpha_upper,
                           beta_certify, diagonal_closed_form,
-                          evaluate_upper_at, min_tensor_row_norm,
-                          opposite_transform, random_element)
+                          evaluate_upper_at, opposite_transform,
+                          random_element)
 
 from conftest import random_complex
 
@@ -68,7 +68,7 @@ class TestAlphaUpper:
         y = VecElem(z.coords @ d)
         wit = FactorWitness("one_sided", s=d.conj().T @ d)
         val = evaluate_upper_at(y, wit, p)
-        assert val <= min_tensor_row_norm(z) * schatten_norm(d, p) + 1e-9
+        assert val <= _row_norm(z) * schatten_norm(d, p) + 1e-9
 
     def test_merged_factor_bound(self, rng):
         # coordinates sum_j z_{nj} d_j stay below |(sum d^*d)^{1/2}|_p |zz*|^{1/2}
@@ -79,11 +79,16 @@ class TestAlphaUpper:
         y = VecElem(coords)
         gram = sum(d.conj().T @ d for d in ds)
         zrow = VecElem(zs.reshape(n * j_count, k, k))
-        bound = schatten_norm(_psd_sqrt(gram), p) * min_tensor_row_norm(zrow)
+        bound = schatten_norm(_psd_sqrt(gram), p) * _row_norm(zrow)
         wit = FactorWitness("one_sided", s=gram)
         assert evaluate_upper_at(y, wit, p) <= bound + 1e-9
         cert = alpha_certify(y, p, Side.ELL_ROW, FAST_OPTS)
         assert cert.lower <= bound + 1e-9
+
+
+def _row_norm(z):
+    """|sum z_n z_n^*|^{1/2}: the spectral norm of the row [z_1 ... z_N]."""
+    return np.linalg.norm(np.hstack(z.coords), 2)
 
 
 def _psd_sqrt(m):

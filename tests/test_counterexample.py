@@ -11,7 +11,7 @@ from nclp.errors import InvalidInputError
 from nclp.schatten import conjugate
 from nclp.vecnorm import FAST_OPTS, Side, alpha_certify, diagonal_closed_form
 
-from conftest import full_sandwich
+from conftest import full_sandwich, identity_map
 
 
 class TestWitness:
@@ -297,11 +297,11 @@ class TestContractionReport:
 
 class TestProbeOnlySampling:
     def test_zero_trials_with_probes(self):
-        m = KrausMap.identity(3)
+        m = identity_map(3)
         assert sampled_contraction_ratio(m, 3.0, 0, probes=[np.eye(3)]) == 1.0
 
     def test_nothing_to_sample_raises(self):
-        m = KrausMap.identity(3)
+        m = identity_map(3)
         with pytest.raises(InvalidInputError):
             sampled_contraction_ratio(m, 3.0, 0)
         with pytest.raises(InvalidInputError):

@@ -10,7 +10,7 @@ from nclp.cpmaps import (KrausMap, _sandwich, amplify_apply, apply,
 from nclp.errors import InvalidInputError
 from nclp.vecnorm import VecElem
 
-from conftest import full_sandwich, random_complex
+from conftest import full_sandwich, identity_map, random_complex
 
 
 def unit(k, i, j):
@@ -31,7 +31,7 @@ def transpose_map(k):
 class TestApply:
     def test_identity(self, rng):
         x = random_complex(rng, 3, 3)
-        assert np.allclose(apply(KrausMap.identity(3), x), x)
+        assert np.allclose(apply(identity_map(3), x), x)
 
     def test_corner_map_u4(self, rng):
         k, p = 4, 3.0
@@ -48,7 +48,7 @@ class TestApply:
 
     def test_shape_mismatch(self, rng):
         with pytest.raises(InvalidInputError):
-            apply(KrausMap.identity(3), random_complex(rng, 2, 2))
+            apply(identity_map(3), random_complex(rng, 2, 2))
 
     def test_linearity(self, rng):
         m = KrausMap.from_terms([(random_complex(rng, 3, 3),
@@ -70,7 +70,7 @@ def term_sum(m, x):
     """sum_t a_t^* x b_t entry by entry in plain Python, the kernel's reference."""
     k = m.k
     out = np.zeros((k, k), dtype=np.complex128)
-    for a, b in m.terms():
+    for a, b in zip(m.a, m.b):
         for i in range(k):
             for c in range(k):
                 out[i, c] += sum(a[j, i].conjugate() * x[j, l] * b[l, c]
@@ -90,7 +90,7 @@ class TestKernel:
         m = random_map(rng, terms, k)
         x = random_complex(rng, k, k)
         got, want = apply(m, x), term_sum(m, x)
-        scale = sum(np.abs(a).T @ np.abs(x) @ np.abs(b) for a, b in m.terms()).max()
+        scale = sum(np.abs(a).T @ np.abs(x) @ np.abs(b) for a, b in zip(m.a, m.b)).max()
         assert np.abs(got - want).max() <= 1e-13 * scale
 
     @pytest.mark.parametrize("terms", [1, 3, 7])
@@ -128,14 +128,14 @@ class TestKernel:
                 x[..., rng.random(k) < 0.5, :] = 0.0
                 got, want = _sandwich(m, x), full_sandwich(m, x)
                 scale = sum(np.abs(a).T @ np.abs(x) @ np.abs(b)
-                            for a, b in m.terms())
+                            for a, b in zip(m.a, m.b))
                 assert np.all(np.abs(got - want) <= 4 * k * eps * scale)
 
     @pytest.mark.parametrize("terms", [1, 3, 7])
     def test_choi_matches_outer_sum(self, rng, terms):
         k = 3
         m = random_map(rng, terms, k)
-        want = sum(np.outer(a.reshape(-1).conj(), b.reshape(-1)) for a, b in m.terms())
+        want = sum(np.outer(a.reshape(-1).conj(), b.reshape(-1)) for a, b in zip(m.a, m.b))
         assert np.abs(choi(m) - want).max() <= 1e-13 * np.abs(want).max()
 
     @pytest.mark.parametrize("p", [2.5, 3.0, 4.0])
@@ -158,11 +158,11 @@ class TestKernel:
 
 class TestChoi:
     def test_identity_is_psd_rank_one_gram(self):
-        c = choi(KrausMap.identity(3))
+        c = choi(identity_map(3))
         want = sum(np.kron(unit(3, i, j), unit(3, i, j))
                    for i in range(3) for j in range(3))
         assert np.allclose(c, want)
-        assert is_completely_positive(KrausMap.identity(3))
+        assert is_completely_positive(identity_map(3))
 
     def test_transpose_not_cp(self):
         t = transpose_map(3)
@@ -242,7 +242,7 @@ class TestSectionFiveMaps:
 class TestAmplify:
     def test_identity(self, rng):
         y = VecElem(random_complex(rng, 2, 3, 3))
-        assert np.allclose(amplify_apply(KrausMap.identity(3), y).coords,
+        assert np.allclose(amplify_apply(identity_map(3), y).coords,
                            y.coords)
 
     def test_diagonal_projection_image(self):
@@ -264,12 +264,12 @@ class TestAmplify:
 
     def test_size_mismatch(self, rng):
         with pytest.raises(InvalidInputError):
-            amplify_apply(KrausMap.identity(2), VecElem(random_complex(rng, 2, 3, 3)))
+            amplify_apply(identity_map(2), VecElem(random_complex(rng, 2, 3, 3)))
 
 
 class TestContractionRatio:
     def test_identity_is_one(self):
-        assert sampled_contraction_ratio(KrausMap.identity(3), 3.0, 50) == \
+        assert sampled_contraction_ratio(identity_map(3), 3.0, 50) == \
             pytest.approx(1.0, abs=1e-12)
 
     def test_homogeneity(self):
@@ -293,10 +293,10 @@ class TestContractionRatio:
 
     def test_trials_validated(self):
         with pytest.raises(InvalidInputError):
-            sampled_contraction_ratio(KrausMap.identity(2), 3.0, 0)
+            sampled_contraction_ratio(identity_map(2), 3.0, 0)
 
     def test_rejects_p_inf(self):
         with pytest.raises(InvalidInputError):
-            sampled_contraction_ratio(KrausMap.identity(2), math.inf, 1,
+            sampled_contraction_ratio(identity_map(2), math.inf, 1,
                                       probes=[np.eye(2)])
 

@@ -6,7 +6,7 @@ import pytest
 from nclp.errors import InvalidInputError
 from nclp.schatten import (as_matrix, check_exponent, conjugate, dual_witness,
                            lp_norm, pow2_normalize, pow2_restore, psd_power,
-                           schatten_norm, trace_pairing)
+                           schatten_norm)
 
 from conftest import random_complex
 
@@ -112,28 +112,12 @@ class TestCheckExponent:
         assert check_exponent(p) == float(p)
 
 
-class TestTracePairing:
-    def test_matrix_units(self):
-        assert trace_pairing(unit(2, 0, 1), unit(2, 1, 0)) == pytest.approx(1.0)
-
-    def test_identity(self):
-        assert trace_pairing(np.eye(5), np.eye(5)) == pytest.approx(5.0)
-
-    def test_entrywise_oracle(self, rng):
-        a = random_complex(rng, 3, 4)
-        c = random_complex(rng, 4, 3)
-        want = sum(a[i, j] * c[j, i] for i in range(3) for j in range(4))
-        assert trace_pairing(a, c) == pytest.approx(want, abs=1e-13)
-
-    def test_shape_mismatch(self, rng):
-        with pytest.raises(InvalidInputError):
-            trace_pairing(random_complex(rng, 2, 3), random_complex(rng, 2, 3))
-
+class TestHoelderDuality:
     def test_hoelder_bound(self, rng):
         for p in (1.5, 2.0, 3.0):
             q = conjugate(p)
             a, c = random_complex(rng, 4, 4), random_complex(rng, 4, 4)
-            assert abs(trace_pairing(a, c)) <= \
+            assert abs(np.trace(a @ c)) <= \
                 schatten_norm(a, p) * schatten_norm(c, q) + 1e-10
 
     def test_duality_attainment(self, rng):
@@ -141,7 +125,7 @@ class TestTracePairing:
             a = random_complex(rng, 4, 4)
             pd = math.inf if p == 1.0 else (1.0 if math.isinf(p) else conjugate(p))
             c = dual_witness(a, p)
-            ratio = abs(trace_pairing(a, c)) / schatten_norm(c, pd)
+            ratio = abs(np.trace(a @ c)) / schatten_norm(c, pd)
             assert ratio == pytest.approx(schatten_norm(a, p), rel=1e-10)
 
 
@@ -165,7 +149,7 @@ class TestDualWitness:
         c = dual_witness(a, p)
         assert c.shape == (cols, rows)
         pd = 1.0 if math.isinf(p) else conjugate(p)
-        pair = trace_pairing(a, c)
+        pair = np.trace(a @ c)
         assert abs(pair.imag) <= 1e-10 * abs(pair)
         assert pair.real / schatten_norm(c, pd) == pytest.approx(
             schatten_norm(a, p), rel=1e-10)

@@ -5,10 +5,9 @@ import pytest
 
 from nclp import vecnorm
 from nclp.errors import InvalidInputError
-from nclp.schatten import dual_witness, trace_pairing
-from nclp.vecnorm import (VecElem, diagonal_closed_form, min_tensor_row_norm,
-                          opposite_transform, pairing, project_diagonal,
-                          random_element)
+from nclp.schatten import dual_witness
+from nclp.vecnorm import (VecElem, diagonal_closed_form, opposite_transform,
+                          pairing, project_diagonal, random_element)
 
 from conftest import random_complex
 
@@ -44,21 +43,6 @@ class TestVecElem:
         assert np.allclose(a.scaled(2.5).coords, 2.5 * a.coords)
 
 
-class TestMinTensorNorms:
-    def test_single_unit(self):
-        assert min_tensor_row_norm(VecElem(unit(2, 0, 0)[None])) == pytest.approx(1.0)
-
-    def test_row_of_units(self):
-        for n in (2, 4):
-            z = VecElem(np.stack([unit(n, 0, m) for m in range(n)]))
-            assert min_tensor_row_norm(z) == pytest.approx(math.sqrt(n), abs=1e-12)
-
-    def test_column_of_units(self):
-        for k in (2, 4):
-            z = witness(k)
-            assert min_tensor_row_norm(z) == pytest.approx(1.0, abs=1e-12)
-
-
 class TestPairing:
     def test_witness_against_transposed_units(self):
         k = 4
@@ -72,7 +56,7 @@ class TestPairing:
     def test_coordinatewise_oracle(self, rng):
         y = VecElem(random_complex(rng, 3, 2, 2))
         y2 = VecElem(random_complex(rng, 3, 2, 2))
-        want = sum(trace_pairing(y.coords[n], y2.coords[n]) for n in range(3))
+        want = sum(np.trace(y.coords[n] @ y2.coords[n]) for n in range(3))
         assert pairing(y, y2) == pytest.approx(want, abs=1e-13)
 
     def test_shape_mismatch(self):

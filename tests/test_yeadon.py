@@ -3,7 +3,7 @@ import pytest
 
 from nclp.cpmaps import KrausMap, apply
 from nclp.errors import InvalidInputError, InvalidSpecError
-from nclp.schatten import schatten_norm, trace_pairing
+from nclp.schatten import schatten_norm
 from nclp.vecnorm import FAST_OPTS
 from nclp.yeadon import (YeadonSpec, build_isometry, jordan_split,
                          random_valid_weights, rigid_bound_report,
@@ -109,29 +109,21 @@ class TestIsometry:
         assert schatten_norm(iso_w(a), 3.0) == pytest.approx(
             schatten_norm(a, 3.0), rel=1e-10)
 
-    def test_weight_matrix_commutes_with_jordan(self, rng, mixed_spec):
+    def test_block_form(self, rng, mixed_spec):
+        # T(a) = B J(a) with B = blockdiag(w_b I_n), J(a) = blockdiag(a, a^T), W = I
         iso = build_isometry(mixed_spec, 3.0)
-        b = iso.weight_matrix()
         a = random_complex(rng, 2, 2)
-        j = iso.jordan_apply(a)
-        assert np.linalg.norm(b @ j - j @ b) < 1e-12
-        assert np.allclose(iso(a), b @ j)  # default W is the identity
+        w_rep, w_anti = mixed_spec.weights()
+        want = np.zeros((4, 4), dtype=np.complex128)
+        want[:2, :2], want[2:, 2:] = w_rep * a, w_anti * a.T
+        assert np.allclose(iso(a), want)
 
     def test_trace_compatibility(self, rng, mixed_spec):
-        p = 3.0
-        iso = build_isometry(mixed_spec, p)
-        b = iso.weight_matrix()
-        a = random_complex(rng, 2, 2)
-        lhs = np.trace(a)
-        rhs = np.trace(np.linalg.matrix_power(b, 3) @ iso.jordan_apply(a))
-        assert abs(lhs - rhs) < 1e-10
-
-    def test_adjoint_identity(self, rng, mixed_spec):
         iso = build_isometry(mixed_spec, 3.0)
         a = random_complex(rng, 2, 2)
-        c = random_complex(rng, 4, 4)
-        assert trace_pairing(iso(a), c) == pytest.approx(
-            trace_pairing(a, iso.adjoint_apply(c)), abs=1e-12)
+        b = np.diag(np.repeat(mixed_spec.weights(), 2))
+        # tr(B^{p-1} T(a)) = tr(B^p J(a)) = sum_b w_b^p tr(a) = tr(a) at p = 3
+        assert abs(np.trace(b @ b @ iso(a)) - np.trace(a)) < 1e-10
 
 
 class TestJordanSplit:
