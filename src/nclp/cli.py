@@ -27,18 +27,13 @@ from . import counterexample as cx
 from . import selfcheck, serialize
 from .errors import InvalidInputError
 from .schatten import check_exponent
-from .vecnorm import (CertifyOptions, Side, VecElem, alpha_certify,
-                      diagonal_closed_form)
+from .vecnorm import Side, VecElem, alpha_certify, diagonal_closed_form
 from .yeadon import (build_isometry, jordan_split, rigid_bound_report,
                      rigid_compose, tensor_contraction_report, unit_weights)
 
 EXIT_OK = 0
 EXIT_VERIFICATION = 1
 EXIT_INVALID = 2
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -65,19 +60,11 @@ def _check_seed(args) -> None:
         raise InvalidInputError(f"--seed must be >= 0, got {args.seed}")
 
 
-def _opts_from_args(args) -> CertifyOptions:
-    if args.max_iters is None:
-        return CertifyOptions()
-    if args.max_iters < 0:
-        raise InvalidInputError(f"--max-iters must be >= 0, got {args.max_iters}")
-    return CertifyOptions(max_iters=args.max_iters)
-
-
 def cmd_norm(args) -> int:
     payload = serialize.load_json_file(args.infile)
     y = serialize.vecelem_from_json(payload)
     side = Side.ELL_ROW if args.side == "ell" else Side.R_COL
-    cert = alpha_certify(y, args.p, side, _opts_from_args(args))
+    cert = alpha_certify(y, args.p, side)
     _emit(serialize.dumps_canonical(serialize.certificate_to_json(cert)),
           args.out)
     return EXIT_OK
@@ -92,7 +79,6 @@ def cmd_diag(args) -> int:
         lams = rng.standard_normal(args.k) + 1j * rng.standard_normal(args.k)
     else:
         lams = np.ones(args.k)  # closed form k^{1/p}
-    # a diagonal element takes the closed form: no iteration budget applies
     cert = alpha_certify(VecElem.diagonal(lams), args.p, Side.ELL_ROW)
     closed = diagonal_closed_form(lams, args.p)
     ok = (cert.upper <= closed * (1.0 + 1e-3) + 1e-12
@@ -108,7 +94,7 @@ def cmd_diag(args) -> int:
 
 
 def cmd_counterexample(args) -> int:
-    rep = cx.verify_pipeline(args.k, args.p, _opts_from_args(args))
+    rep = cx.verify_pipeline(args.k, args.p)
     _emit(serialize.dumps_canonical(serialize.report_to_json(rep)), args.out)
     if not rep.all_checks_ok:
         print("verification failure: " + "; ".join(rep.diagnostics),
@@ -128,21 +114,17 @@ def cmd_sweep(args) -> int:
     if args.kmin < 1 or args.kmax < args.kmin:
         raise InvalidInputError("need 1 <= kmin <= kmax")
     cx.check_pipeline_exponent(args.p)
-    opts = _opts_from_args(args)
     lines = [",".join(SWEEP_COLUMNS)]
     for k in range(args.kmin, args.kmax + 1):
         formula = cx.lower_bound_formula(k, args.p)
+        numeric = upper_w = None  # blank columns above the numeric cap
+        passed = formula > 4.0
         if k <= args.numeric_cap:
-            rep = cx.verify_pipeline(k, args.p, opts, k_cap=args.numeric_cap)
-            numeric = _fmt(rep.numeric_lb)
-            upper_w = _fmt(rep.upper_w)
-            passed = str(rep.threshold_pass).lower()
-        else:
-            numeric = ""
-            upper_w = ""
-            passed = str(formula > 4.0).lower()
-        lines.append(",".join([str(k), _fmt(args.p), _fmt(formula),
-                               numeric, upper_w, passed]))
+            rep = cx.verify_pipeline(k, args.p, k_cap=args.numeric_cap)
+            numeric, upper_w, passed = rep.numeric_lb, rep.upper_w, rep.threshold_pass
+        row = (k, args.p, formula, numeric, upper_w, bool(passed))
+        lines.append(",".join("" if v is None else serialize.dumps_canonical(v)
+                              for v in row))
     threshold = cx.threshold_k(args.p, 4.0)
     text = "\n".join(lines)
     if args.format == "json":
@@ -160,7 +142,6 @@ def cmd_yeadon(args) -> int:
     payload = serialize.load_json_file(args.infile)
     spec, p = serialize.yeadon_from_json(payload)
     _check_seed(args)
-    opts = _opts_from_args(args)
     if args.n < 1:
         raise InvalidInputError(f"--n must be >= 1, got {args.n}")
     if args.samples < 1:
@@ -175,11 +156,9 @@ def cmd_yeadon(args) -> int:
         worst = max(worst, abs(schatten_norm(iso(a), p) - schatten_norm(a, p)))
     t1, t2 = jordan_split(spec, p)
     rep1 = tensor_contraction_report(t1, "rep", p, samples=args.samples,
-                                     seed=args.seed, n_hilbert=args.n,
-                                     opts=opts)
+                                     seed=args.seed, n_hilbert=args.n)
     rep2 = tensor_contraction_report(t2, "antirep", p, samples=args.samples,
-                                     seed=args.seed, n_hilbert=args.n,
-                                     opts=opts)
+                                     seed=args.seed, n_hilbert=args.n)
     doc = {"n": spec.n, "p": float(p),
            "isometry_worst_error": worst,
            "rep_part_violations": rep1.violations,
@@ -196,7 +175,7 @@ def cmd_yeadon(args) -> int:
         doc["rigid_bound_violations"] = None
     if u is not None:
         rb = rigid_bound_report(u, p, samples=args.samples, seed=args.seed,
-                                n_hilbert=args.n, opts=opts)
+                                n_hilbert=args.n)
         doc["rigid_bound_violations"] = rb.violations
     _emit(serialize.dumps_canonical(doc), args.out)
     ok = (worst <= 1e-10 and rep1.passed and rep2.passed
@@ -225,21 +204,18 @@ def build_parser() -> argparse.ArgumentParser:
                     "counterexample pipeline on matrix p-classes")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def flags(sp, *names):
-        """The flags shared by several subcommands, for those that read them."""
-        if "--seed" in names:
+    def flags(sp, seed=False):
+        """``--out``, and ``--seed`` for the commands that draw at random."""
+        if seed:
             sp.add_argument("--seed", type=int, default=0,
                             help="seed of the random draws (default 0)")
-        if "--max-iters" in names:
-            sp.add_argument("--max-iters", dest="max_iters", type=int,
-                            default=None, help="iteration budget of each gauge solve")
         sp.add_argument("--out", default=None, help="output file (default stdout)")
 
     sp = sub.add_parser("norm", help="certify an element file")
     sp.add_argument("--in", dest="infile", required=True)
     sp.add_argument("--p", type=float, required=True)
     sp.add_argument("--side", choices=("ell", "r"), default="ell")
-    flags(sp, "--max-iters")
+    flags(sp)
     sp.set_defaults(func=cmd_norm)
 
     sp = sub.add_parser("diag", help="diagonal element vs closed form")
@@ -247,13 +223,13 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--p", type=float, required=True)
     sp.add_argument("--random", action="store_true",
                     help="seeded random coefficients instead of all ones")
-    flags(sp, "--seed")
+    flags(sp, seed=True)
     sp.set_defaults(func=cmd_diag)
 
     sp = sub.add_parser("counterexample", help="full pipeline at one (k, p)")
     sp.add_argument("--k", type=int, required=True)
     sp.add_argument("--p", type=float, required=True, help=PIPELINE_P_HELP)
-    flags(sp, "--max-iters")
+    flags(sp)
     sp.set_defaults(func=cmd_counterexample)
 
     sp = sub.add_parser("sweep", help="CSV over a k-grid")
@@ -264,7 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
                     default=cx.NUMERIC_K_CAP,
                     help="largest k for which the optimizer columns run")
     sp.add_argument("--format", choices=("csv", "json"), default="csv")
-    flags(sp, "--max-iters")
+    flags(sp)
     sp.set_defaults(func=cmd_sweep)
 
     sp = sub.add_parser("yeadon", help="isometry reports from a spec file")
@@ -272,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--samples", type=int, default=20)
     sp.add_argument("--n", type=int, default=3,
                     help="Hilbert dimension of the sampled elements")
-    flags(sp, "--seed", "--max-iters")
+    flags(sp, seed=True)
     sp.set_defaults(func=cmd_yeadon)
 
     sp = sub.add_parser("selftest", help="run the acceptance checks")

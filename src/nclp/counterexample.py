@@ -31,8 +31,7 @@ from .cpmaps import (amplify_apply, build_counterexample_maps,
                      sampled_contraction_ratio)
 from .errors import InvalidInputError
 from .schatten import check_exponent
-from .vecnorm import (CertifyOptions, DEFAULT_OPTS, Side, VecElem,
-                      alpha_certify, beta_certify)
+from .vecnorm import Side, VecElem, alpha_certify, beta_certify
 
 #: largest k for which the optimizer-backed checks run by default
 NUMERIC_K_CAP = 32
@@ -202,8 +201,7 @@ class CounterexampleReport:
                 and self.dominance_ok and self.cp_ok and self.contraction_ok)
 
 
-def verify_pipeline(k: int, p: float, opts: CertifyOptions = DEFAULT_OPTS,
-                    contraction_trials: int = 0, seed: int = 0,
+def verify_pipeline(k: int, p: float, contraction_trials: int = 0, seed: int = 0,
                     k_cap: int = NUMERIC_K_CAP) -> CounterexampleReport:
     """Run every numeric check of the counterexample chain at one (k, p).
 
@@ -219,6 +217,10 @@ def verify_pipeline(k: int, p: float, opts: CertifyOptions = DEFAULT_OPTS,
     default, and none from the CLI); it is a lower bound that reports how
     tight the certified bound is, and can only catch a wrong bound, never
     prove one.  ``p < 2`` is invalid input (``check_pipeline_exponent``).
+    Both certificates run at the default iteration budget, and no budget
+    binds: the witness has a right support of rank one, where the ascent
+    closes its gap at its start point, and the image's coordinates are
+    diagonal matrices, which take the closed form.
     """
     p = check_pipeline_exponent(p)
     if k < 1:
@@ -248,7 +250,7 @@ def verify_pipeline(k: int, p: float, opts: CertifyOptions = DEFAULT_OPTS,
         diagnostics.append(f"average image differs from closed forms: {err:.3e}")
 
     # (ii) witness norm certificate
-    cert_w = alpha_certify(w, p, Side.ELL_ROW, opts)
+    cert_w = alpha_certify(w, p, Side.ELL_ROW)
     witness_ok = (abs(cert_w.upper - 1.0) <= 1e-9
                   and abs(cert_w.lower - 1.0) <= 1e-9)
     if not witness_ok:
@@ -256,7 +258,7 @@ def verify_pipeline(k: int, p: float, opts: CertifyOptions = DEFAULT_OPTS,
             f"witness certificate [{cert_w.lower!r}, {cert_w.upper!r}] is off 1")
 
     # (iii) certified numeric lower bound vs the closed formula
-    cert_beta = beta_certify(image, p, opts)
+    cert_beta = beta_certify(image, p)
     formula = lower_bound_formula(k, p)
     numeric_lb = cert_beta.lower
     dominance_ok = numeric_lb >= formula - 1e-12

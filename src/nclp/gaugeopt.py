@@ -247,6 +247,8 @@ GAP_TOL = 1e-8
 #: enough to raise the p = 1.5 uppers of ``test_golden_brackets`` by 6e-9,
 #: past the 1e-9 that test allows
 DESCENT_GAP_TOL = 1e-10
+#: default iteration budget of each ascent
+MAX_ITERS = 5000
 _EPS = float(np.finfo(np.float64).eps)
 
 
@@ -500,7 +502,7 @@ def gram_density(A: np.ndarray, e: float) -> np.ndarray:
     return rho / float(np.trace(rho).real)
 
 
-def minimize_gauge(A: np.ndarray, e: float, max_iters: int = 5000) -> GaugeResult:
+def minimize_gauge(A: np.ndarray, e: float, max_iters: int = MAX_ITERS) -> GaugeResult:
     """Solve the one-sided gauge (``e >= 2``) in the coordinates of A.
 
     ``A`` has shape (N, k, r).  The returned witness ``s`` lives on the
@@ -598,7 +600,7 @@ def evaluate_two_sided(coords: np.ndarray, r_full: np.ndarray,
 
 
 def minimize_two_sided(coords: np.ndarray, p: float,
-                       max_iters: int = 5000) -> GaugeResult:
+                       max_iters: int = MAX_ITERS) -> GaugeResult:
     """Minimize the two-sided gauge (p <= 2) after eliminating the left factor.
 
     For fixed ``s`` the optimal left factor has the closed form

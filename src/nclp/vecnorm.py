@@ -18,14 +18,17 @@ value of an explicit feasible factorization found by the gauge solver
 gauge problem at the solver's own dual density ``rho``: one ascent serves
 both gauges (p >= 2 and p < 2) and stops once the two bounds meet.
 ``beta_certify`` treats the p-sum of the two norms (infimum over splittings
-``y = y0 + y1``).  Its upper bound searches the scalar line ``y0 = t y``
-only: with ``alpha_upper``'s two values ``u_ell`` and ``u_col``, homogeneity
-gives the split's value ``|(t u_ell, (1 - t) u_col)|_p`` at every t with no
-further solve.  The endpoints t = 1 and t = 0 are the two trivial splits, and
-on a diagonal element (both norms equal there) t = 1/2 attains the p-sum
-exactly.  Its lower bound is by pairing: ``|<y, c>| / U(c)`` for a pool of
-dual candidates ``c``, where ``U(c)`` is the p'-sum of the certified upper
-bounds on the two dual norms of ``c``, each a solve.
+``y = y0 + y1``).  Its upper bound is the best split on the scalar line
+``y0 = t y``: with ``alpha_upper``'s two values ``a = u_ell`` and ``b =
+u_col``, homogeneity gives the split's value ``|(t a, (1 - t) b)|_p`` at
+every t with no further solve.  Its derivative vanishes at the minimiser
+``t* = b^{p'} / (a^{p'} + b^{p'})`` (``p' = p / (p - 1)``), where the value
+is ``(a^{-p'} + b^{-p'})^{-1/p'}``.  The endpoints t = 1 and t = 0 are the
+two trivial splits, and on a diagonal element (both norms equal there)
+``t* = 1/2`` attains the p-sum exactly.  Its lower bound is by pairing:
+``|<y, c>| / U(c)`` for a pool of dual candidates ``c``, where ``U(c)`` is
+the p'-sum of the certified upper bounds on the two dual norms of ``c``,
+each a solve.
 
 Pruning.  Each candidate also gets a floor ``L(c)``, the p'-sum of the
 minimax lower bounds of its two dual norms at a density in closed form
@@ -111,9 +114,6 @@ class VecElem:
             coords[i, i, i] = lam
         return cls(coords)
 
-    def copy(self) -> "VecElem":
-        return VecElem(self.coords.copy())
-
     def scaled(self, t) -> "VecElem":
         return VecElem(self.coords * t)
 
@@ -190,11 +190,10 @@ def diagonal_closed_form(lams, p: float) -> float:
 class CertifyOptions:
     """The iteration budget of each gauge solve (all routines deterministic).
 
-    It is the only knob: ``beta_certify`` has one upper route, the scalar
-    line split, which costs its two ``alpha_upper`` solves and no more.
+    The command line runs every solve at the default, ``gaugeopt.MAX_ITERS``.
     """
 
-    max_iters: int = 5000
+    max_iters: int = gaugeopt.MAX_ITERS
 
 
 DEFAULT_OPTS = CertifyOptions()
@@ -492,11 +491,12 @@ def beta_certify(y: VecElem, p: float,
                  opts: CertifyOptions = DEFAULT_OPTS) -> NormCertificate:
     """Certificate for the p-sum norm inf over y = y0 + y1 of the pair.
 
-    Upper bound: the best split on the scalar line y0 = t y, t in
-    ``linspace(0, 1, 33)``, whose values follow from the two ``alpha_upper``
-    solves by homogeneity (module docstring); ``iterations`` counts those
+    Upper bound: the best split on the scalar line y0 = t y, at the exact
+    minimiser ``t*`` of its value (module docstring), which follows from the
+    two ``alpha_upper`` solves by homogeneity; ``iterations`` counts those
     two solves.  The endpoints t = 1 and t = 0 are the trivial splits and
-    win ties; on a diagonal element t = 1/2 is exact.
+    win ties, so rounding at ``t*`` cannot lose to them; on a diagonal
+    element ``t* = 1/2`` is exact.
     Lower bound: pairing ratios with the p'-sum of the two dual norm bounds
     in the denominator, over the pool of ``_auto_dual_pool``.
     Candidates are solved by decreasing certified potential, and only while
@@ -517,17 +517,15 @@ def beta_certify(y: VecElem, p: float,
 
     # scalar line split y0 = t y: at t = 1 and t = 0 ``lp_norm`` returns its
     # nonzero argument unchanged, so the endpoints are the trivial splits;
-    # they come first, and argmin keeps the first of equal values
-    ts = np.linspace(0.0, 1.0, 33)[np.r_[32, 0, 1:32]].tolist()
+    # they come first, and argmin keeps the first of equal values.  t* is
+    # formed from (min / max)^{p'} <= 1, which cannot overflow near p = 1
+    r = (min(u_ell, u_col) / max(u_ell, u_col)) ** conjugate(p)
+    ts = (1.0, 0.0, r / (1.0 + r) if u_ell >= u_col else 1.0 / (1.0 + r))
     vals = [lp_norm((t * u_ell, (1.0 - t) * u_col), p) for t in ts]
     best = int(np.argmin(vals))
     t = ts[best]
-    if t == 1.0:
-        y0 = y.copy()
-    elif t == 0.0:
-        y0 = VecElem.zeros(y.k, y.n)  # y.scaled(0.0) would write -0.0
-    else:
-        y0 = y.scaled(t)
+    # y.scaled(0.0) would write -0.0
+    y0 = VecElem.zeros(y.k, y.n) if t == 0.0 else y.scaled(t)
     upper, beta_wit = vals[best], BetaWitness(y0, t * u_ell, (1.0 - t) * u_col)
 
     lower, dual_wit, dual_den = _pairing_lower(y, p, w_ell, opts)

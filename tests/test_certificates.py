@@ -8,7 +8,7 @@ from nclp import gaugeopt, serialize, vecnorm
 from nclp.counterexample import witness_w
 from nclp.cpmaps import amplify_apply, build_counterexample_maps
 from nclp.errors import InvalidInputError
-from nclp.schatten import conjugate, schatten_norm
+from nclp.schatten import conjugate, lp_norm, schatten_norm
 from nclp.selfcheck import brute_force_upper
 from nclp.vecnorm import (CertifyOptions, DEFAULT_OPTS, FAST_OPTS, FactorWitness,
                           Side, VecElem, alpha_certify, alpha_upper,
@@ -233,6 +233,52 @@ class TestBetaCertify:
         want = 2.0 ** (1.0 / p - 1.0) * diagonal_closed_form(lams, p)
         assert cert.upper == pytest.approx(want, rel=1e-11, abs=0.0)
         assert cert.lower == pytest.approx(want, rel=1e-11, abs=0.0)
+
+
+class TestLineSplit:
+    """The upper bound of ``beta_certify`` at the exact minimiser of the
+    scalar line split ``y0 = t y``."""
+
+    @pytest.mark.parametrize("k, n", [(2, 2), (3, 3), (2, 3)])
+    @pytest.mark.parametrize("p", [1.3, 1.6, 2.0, 2.5, 3.0, 4.0])
+    def test_at_most_the_grid_and_both_endpoints(self, rng, k, n, p):
+        # the 33-point grid that the minimiser replaced, endpoints included
+        for degenerate in (False, True):
+            y = random_element(k, n, rng, degenerate=degenerate)
+            u_ell, _ = alpha_upper(y, p, Side.ELL_ROW)
+            u_col, _ = alpha_upper(y, p, Side.R_COL)
+            grid = [lp_norm((t * u_ell, (1.0 - t) * u_col), p)
+                    for t in np.linspace(0.0, 1.0, 33).tolist()]
+            cert = beta_certify(y, p)
+            assert cert.upper <= min(grid)
+            assert cert.upper <= min(u_ell, u_col)
+            wit = cert.factor_witness
+            assert cert.upper == lp_norm((wit.ell_value, wit.col_value), p)
+            # the minimum in closed form, (a^{-p'} + b^{-p'})^{-1/p'}
+            pd = conjugate(p)
+            exact = (u_ell ** -pd + u_col ** -pd) ** (-1.0 / pd)
+            assert cert.upper == pytest.approx(exact, rel=1e-14)
+
+    @pytest.mark.parametrize("p", [1.3, 2.0, 3.0, 4.0])
+    def test_half_is_exact_on_diagonal_elements(self, rng, p):
+        y = VecElem.diagonal(random_complex(rng, 4))
+        cert = beta_certify(y, p)
+        wit = cert.factor_witness
+        assert wit.ell_value == wit.col_value
+        assert np.array_equal(wit.y0.coords, y.scaled(0.5).coords)
+
+    def test_no_negative_zero_near_p_one(self):
+        # at p = 1.0001, (min / max)^{p'} underflows and the split lands on an
+        # endpoint; at t = 0, y.scaled(0.0) would write -0.0 over the -1 entries
+        coords = np.zeros((3, 3, 3), dtype=np.complex128)
+        for n in range(3):
+            coords[n, n, 0] = -1.0
+            coords[n, 0, n] = -0.5
+        for y in (VecElem(coords), opposite_transform(VecElem(coords))):
+            wit = beta_certify(y, 1.0001).factor_witness
+            assert 0.0 in (wit.ell_value, wit.col_value)
+            for part in (wit.y0.coords.real, wit.y0.coords.imag):
+                assert not np.any(np.signbit(part) & (part == 0.0))
 
 
 def pow2_scaled(y, shift):

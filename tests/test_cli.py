@@ -13,7 +13,7 @@ from nclp import cli, selfcheck, serialize
 from nclp.cli import main
 from nclp.errors import InvalidInputError
 from nclp.vecnorm import VecElem, random_element
-from nclp.yeadon import YeadonSpec, random_valid_weights
+from nclp.yeadon import BoundReport, YeadonSpec, random_valid_weights
 
 
 def run_cli(*argv):
@@ -56,8 +56,7 @@ class TestSweep:
     def test_numeric_cap_above_default(self, tmp_path):
         out = tmp_path / "sweep.csv"
         assert run_cli("sweep", "--p", "3", "--kmin", "33", "--kmax", "33",
-                       "--numeric-cap", "33", "--max-iters", "200",
-                       "--out", str(out)) == 0
+                       "--numeric-cap", "33", "--out", str(out)) == 0
         (row,) = out.read_text().strip().splitlines()[1:]
         numeric = row.split(",")[3]
         assert numeric != ""
@@ -93,19 +92,6 @@ class TestDiag:
 
 
 class TestOptimizerFlags:
-    @pytest.mark.parametrize("flag, value", [("--max-iters", "-5")])
-    def test_invalid_value_is_invalid_input(self, capsys, elem_file, flag, value):
-        assert run_cli("norm", "--in", elem_file, "--p", "3", flag, value) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("invalid input: " + flag)
-        assert "Traceback" not in err
-
-    @pytest.mark.parametrize("flag, value", [("--max-iters", "0")])
-    def test_valid_value_runs(self, capsys, elem_file, flag, value):
-        assert run_cli("norm", "--in", elem_file, "--p", "3", flag, value) == 0
-        doc = json.loads(capsys.readouterr().out)
-        assert doc["lower"] <= doc["upper"] * (1 + 1e-9)
-
     def test_tol_is_rejected(self, capsys, elem_file):
         """Both solvers stop on their certified gap: there is no --tol."""
         with pytest.raises(SystemExit) as exc:
@@ -118,12 +104,11 @@ class TestRemovedFlags:
     """Flags that changed no output are gone: passing one is a usage error."""
 
     @pytest.mark.parametrize("command, flags", [
-        ("norm", {"--in", "--p", "--side", "--max-iters", "--out"}),
+        ("norm", {"--in", "--p", "--side", "--out"}),
         ("diag", {"--k", "--p", "--random", "--seed", "--out"}),
-        ("counterexample", {"--k", "--p", "--max-iters", "--out"}),
-        ("sweep", {"--p", "--kmin", "--kmax", "--numeric-cap", "--format",
-                   "--max-iters", "--out"}),
-        ("yeadon", {"--in", "--samples", "--n", "--seed", "--max-iters", "--out"}),
+        ("counterexample", {"--k", "--p", "--out"}),
+        ("sweep", {"--p", "--kmin", "--kmax", "--numeric-cap", "--format", "--out"}),
+        ("yeadon", {"--in", "--samples", "--n", "--seed", "--out"}),
         ("selftest", {"--only"}),
     ])
     def test_declared_flags(self, command, flags):
@@ -138,9 +123,14 @@ class TestRemovedFlags:
         (("counterexample", "--k", "2", "--p", "3"), "--seed"),
         (("sweep", "--p", "3", "--kmin", "2", "--kmax", "3"), "--seed"),
         (("diag", "--k", "2", "--p", "3"), "--max-iters"),
+        # every solve runs at the default budget, which bound no output
+        (("norm", "--p", "3"), "--max-iters"),
+        (("counterexample", "--k", "2", "--p", "3"), "--max-iters"),
+        (("sweep", "--p", "3", "--kmin", "2", "--kmax", "3"), "--max-iters"),
+        (("yeadon",), "--max-iters"),
     ])
     def test_usage_error(self, capsys, elem_file, argv, flag):
-        if argv[0] == "norm":
+        if argv[0] in ("norm", "yeadon"):
             argv += ("--in", elem_file)
         with pytest.raises(SystemExit) as exc:
             run_cli(*argv, flag, "0")
@@ -345,12 +335,28 @@ class TestYeadonCommand:
         path = tmp_path / "spec.json"
         serialize.write_text(str(path), serialize.dumps_canonical(
             serialize.yeadon_to_json(spec, 3.0)))
-        assert run_cli("yeadon", "--in", str(path), "--samples", "3",
-                       "--max-iters", "150") == 0
+        assert run_cli("yeadon", "--in", str(path), "--samples", "3") == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["isometry_worst_error"] < 1e-10
         assert doc["rep_part_violations"] == []
         assert doc["rigid_bound_violations"] == []
+
+    def test_mixed_blocks_leave_the_rigid_bound_unchecked(self, tmp_path, rng, capsys):
+        # W swaps the rep and antirep blocks, so every diagonal block of W is
+        # zero and the composite with the partner (W = identity) has no
+        # term: rigid_compose rejects it and the rigid bound reads null
+        rw, aw = random_valid_weights(1, 1, 3.0, rng)
+        swap = np.zeros((4, 4), dtype=np.complex128)
+        swap[:2, 2:] = swap[2:, :2] = np.eye(2)
+        spec = YeadonSpec(n=2, rep_weights=rw, antirep_weights=aw, w=swap)
+        path = tmp_path / "spec.json"
+        serialize.write_text(str(path), serialize.dumps_canonical(
+            serialize.yeadon_to_json(spec, 3.0)))
+        assert run_cli("yeadon", "--in", str(path), "--samples", "2") == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["isometry_worst_error"] < 1e-10
+        assert doc["rep_part_violations"] == doc["antirep_part_violations"] == []
+        assert doc["rigid_bound_violations"] is None
 
     @pytest.mark.parametrize("weight, message", [
         ("NaN", "block weights must be finite"),
@@ -385,6 +391,53 @@ class TestSelftest:
     def test_unknown_criterion_is_invalid_input(self):
         with pytest.raises(InvalidInputError):
             selfcheck.run_checks(names=["bogus"], printer=None)
+
+
+class TestVerificationFailure:
+    """A failed verification prints its report and exits 1 with one line on
+    stderr."""
+
+    @staticmethod
+    def _failed_run(capsys, argv, line):
+        assert run_cli(*argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(line)
+        assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+        return captured.out
+
+    def test_diag(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "diagonal_closed_form", lambda lams, p: 2.0)
+        out = self._failed_run(capsys, ("diag", "--k", "4", "--p", "3"),
+                               "verification failure: certificate misses the "
+                               "closed form")
+        doc = json.loads(out)
+        assert doc["closed_form"] == 2.0 and doc["match"] is False
+
+    def test_counterexample(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli.cx, "contraction_upper_bound", lambda k, p: 0.5)
+        out = self._failed_run(capsys, ("counterexample", "--k", "2", "--p", "3"),
+                               "verification failure: sampled contraction ratio")
+        doc = json.loads(out)
+        assert doc["contraction_ok"] is False and doc["diagnostics"]
+
+    def test_yeadon(self, monkeypatch, capsys, tmp_path, rng):
+        rw, aw = random_valid_weights(1, 1, 3.0, rng)
+        path = tmp_path / "spec.json"
+        serialize.write_text(str(path), serialize.dumps_canonical(
+            serialize.yeadon_to_json(YeadonSpec(n=2, rep_weights=rw,
+                                                antirep_weights=aw), 3.0)))
+        monkeypatch.setattr(cli, "rigid_bound_report", lambda u, p, **kw:
+                            BoundReport(p=p, rows=[], violations=[0]))
+        out = self._failed_run(capsys, ("yeadon", "--in", str(path), "--samples", "1"),
+                               "verification failure in isometry reports")
+        assert json.loads(out)["rigid_bound_violations"] == [0]
+
+    def test_selftest(self, monkeypatch, capsys):
+        monkeypatch.setattr(selfcheck, "CRITERIA",
+                            (("threshold", lambda: (False, "forced failure")),))
+        out = self._failed_run(capsys, ("selftest",),
+                               "verification failure in: threshold")
+        assert out.startswith("[FAIL] threshold (") and "forced failure" in out
 
 
 class TestErrorExitCodes:

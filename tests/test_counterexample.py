@@ -9,7 +9,7 @@ from nclp.cpmaps import (KrausMap, amplify_apply, build_counterexample_maps,
                          choi, sampled_contraction_ratio)
 from nclp.errors import InvalidInputError
 from nclp.schatten import conjugate
-from nclp.vecnorm import FAST_OPTS, Side, alpha_certify, diagonal_closed_form
+from nclp.vecnorm import Side, VecElem, alpha_certify, diagonal_closed_form
 
 from conftest import full_sandwich, identity_map
 
@@ -119,7 +119,7 @@ class TestThreshold:
 
 class TestVerifyPipeline:
     def test_small_case(self):
-        rep = verify_pipeline(2, 3.0, FAST_OPTS)
+        rep = verify_pipeline(2, 3.0)
         assert rep.closed_form_match
         assert rep.witness_norm_ok
         assert rep.dominance_ok
@@ -129,20 +129,20 @@ class TestVerifyPipeline:
 
     def test_scalar_case(self):
         p = 3.0
-        rep = verify_pipeline(1, p, FAST_OPTS)
+        rep = verify_pipeline(1, p)
         assert rep.formula_lb == pytest.approx(0.5)
         want = 2.0 ** (-1.0 / conjugate(p))
         assert rep.numeric_lb == pytest.approx(want, rel=1e-9)
         assert rep.all_checks_ok
 
     def test_k44(self):
-        rep = verify_pipeline(4, 4.0, FAST_OPTS)
+        rep = verify_pipeline(4, 4.0)
         assert rep.all_checks_ok
 
     def test_numeric_cap(self):
         with pytest.raises(InvalidInputError):
             verify_pipeline(33, 3.0)
-        rep = verify_pipeline(33, 3.0, FAST_OPTS, k_cap=33)
+        rep = verify_pipeline(33, 3.0, k_cap=33)
         assert rep.closed_form_match
 
     def test_k48_passes_every_check(self):
@@ -230,7 +230,7 @@ class TestContractionUpperBound:
 class TestContractionReport:
     @pytest.mark.parametrize("p", [2.0, 2.5, 3.0, 4.0])
     def test_k1_passes_every_check(self, p):
-        rep = verify_pipeline(1, p, FAST_OPTS)
+        rep = verify_pipeline(1, p)
         assert rep.all_checks_ok and not rep.diagnostics
         assert rep.contraction_ratio == pytest.approx(1.0, abs=1e-15)
         assert 1.0 <= rep.contraction_upper <= 1.0 + 1e-9
@@ -256,19 +256,19 @@ class TestContractionReport:
         assert ratio.hex() == self.RATIOS_WITH_TRIALS[(k, p)]
         assert ratio <= contraction_upper_bound(k, p)
         if p >= 2.0:  # the pipeline reports that ratio (it rejects p < 2)
-            rep = verify_pipeline(k, p, FAST_OPTS, k_cap=k)
+            rep = verify_pipeline(k, p, k_cap=k)
             assert rep.contraction_ratio == ratio
             assert rep.contraction_ok
 
     @pytest.mark.parametrize("k", [1, 2, 18])
     def test_rejects_p_below_two(self, k):
         with pytest.raises(InvalidInputError, match="p >= 2"):
-            verify_pipeline(k, 1.5, FAST_OPTS, k_cap=k)
+            verify_pipeline(k, 1.5, k_cap=k)
 
     def test_bound_below_sample_fails(self, monkeypatch):
         monkeypatch.setattr(counterexample, "contraction_upper_bound",
                             lambda k, p: 0.5)
-        rep = verify_pipeline(2, 3.0, FAST_OPTS)
+        rep = verify_pipeline(2, 3.0)
         assert not rep.contraction_ok and not rep.all_checks_ok
         assert rep.contraction_upper == 0.5
         assert any("exceeds the certified bound" in d for d in rep.diagnostics)
@@ -276,23 +276,69 @@ class TestContractionReport:
     def test_bound_above_one_fails(self, monkeypatch):
         monkeypatch.setattr(counterexample, "contraction_upper_bound",
                             lambda k, p: 1.0 + 1e-6)
-        rep = verify_pipeline(2, 3.0, FAST_OPTS)
+        rep = verify_pipeline(2, 3.0)
         assert not rep.contraction_ok
         assert any("certified contraction bound" in d for d in rep.diagnostics)
 
     def test_random_trials_still_run(self):
-        base = verify_pipeline(3, 3.0, FAST_OPTS)
-        rep = verify_pipeline(3, 3.0, FAST_OPTS, contraction_trials=50, seed=3)
+        base = verify_pipeline(3, 3.0)
+        rep = verify_pipeline(3, 3.0, contraction_trials=50, seed=3)
         assert base.contraction_ratio <= rep.contraction_ratio
         assert rep.contraction_ratio <= rep.contraction_upper
         assert rep.contraction_upper == base.contraction_upper
         assert rep.all_checks_ok
 
     def test_report_json_brackets_the_norm(self):
-        doc = serialize.report_to_json(verify_pipeline(2, 3.0, FAST_OPTS))
+        doc = serialize.report_to_json(verify_pipeline(2, 3.0))
         keys = list(doc)
         assert keys[keys.index("contraction_ratio") + 1] == "contraction_upper"
         assert doc["contraction_ratio"] <= doc["contraction_upper"] <= 1.0
+
+
+class TestPipelineDiagnostics:
+    """Each failed check of ``verify_pipeline`` clears its flag and says why."""
+
+    @staticmethod
+    def _assert_failed(rep, flag, message):
+        assert not getattr(rep, flag) and not rep.all_checks_ok
+        assert any(message in d for d in rep.diagnostics)
+
+    def test_closed_form_mismatch(self, monkeypatch):
+        exact = counterexample.closed_form_images
+
+        def shifted(k, p):
+            im1, *rest = exact(k, p)
+            return (VecElem(im1.coords + 1e-9), *rest)
+
+        monkeypatch.setattr(counterexample, "closed_form_images", shifted)
+        rep = verify_pipeline(2, 3.0)
+        self._assert_failed(rep, "closed_form_match", "closed form mismatch for u1")
+        assert any("average image differs" in d for d in rep.diagnostics)
+        assert rep.witness_norm_ok and rep.dominance_ok and rep.cp_ok
+
+    def test_witness_off_one(self, monkeypatch):
+        certify = counterexample.alpha_certify
+
+        def loose(y, p, side):
+            cert = certify(y, p, side)
+            cert.upper *= 1.0 + 1e-6
+            return cert
+
+        monkeypatch.setattr(counterexample, "alpha_certify", loose)
+        rep = verify_pipeline(2, 3.0)
+        self._assert_failed(rep, "witness_norm_ok", "witness certificate [")
+        assert rep.upper_w > 1.0 + 1e-9
+
+    def test_numeric_bound_below_formula(self, monkeypatch):
+        monkeypatch.setattr(counterexample, "lower_bound_formula", lambda k, p: 10.0)
+        rep = verify_pipeline(2, 3.0)
+        self._assert_failed(rep, "dominance_ok", "fell below formula 10.0")
+
+    def test_not_completely_positive(self, monkeypatch):
+        monkeypatch.setattr(counterexample, "is_completely_positive", lambda m: False)
+        rep = verify_pipeline(2, 3.0)
+        self._assert_failed(rep, "cp_ok", "Choi matrix has eigenvalue")
+        assert rep.contraction_ok
 
 
 class TestProbeOnlySampling:
