@@ -170,16 +170,22 @@ def cmd_yeadon(args) -> int:
                          antirep_weights=tuple(ws[n_rep:]))
     try:
         u = rigid_compose(spec, partner, p)
-    except InvalidInputError:
-        u = None
+    except InvalidInputError as exc:
+        rejected = str(exc)
         doc["rigid_bound_violations"] = None
-    if u is not None:
+    else:
+        rejected = None
         rb = rigid_bound_report(u, p, samples=args.samples, seed=args.seed,
                                 n_hilbert=args.n)
         doc["rigid_bound_violations"] = rb.violations
     _emit(serialize.dumps_canonical(doc), args.out)
+    if rejected is not None:
+        print("verification failure: the factor-4 rigid bound check did not "
+              f"run (rigid_compose rejects the adjoint partner: {rejected})",
+              file=sys.stderr)
+        return EXIT_VERIFICATION
     ok = (worst <= 1e-10 and rep1.passed and rep2.passed
-          and not doc.get("rigid_bound_violations"))
+          and not doc["rigid_bound_violations"])
     if not ok:
         print("verification failure in isometry reports", file=sys.stderr)
         return EXIT_VERIFICATION

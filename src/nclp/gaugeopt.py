@@ -21,7 +21,8 @@ one-sided core exactly.
 Both solves first restrict to the right support of the coordinates
 (``_restrict``) and end by building the witness from the best point found,
 ``s`` or the pair ``(r, s)``, and returning it with its certified value
-(``evaluate_one_sided``, ``evaluate_two_sided``).
+(``evaluate_one_sided``, ``evaluate_two_sided``).  Diagonal coordinates skip
+all of this: their value and witness are closed forms (below).
 
 The one-sided solve (``minimize_gauge``) is a primal-dual ascent on the dual
 density ``rho`` (the lower bounds below).  Write ``a = e/2``, ``beta =
@@ -137,32 +138,74 @@ above from 8,989 to 9,649 (constant 4) and 10,400 (constant 5).  More of
 these trials fail: an iteration makes 1.38 of them on ``random_element(k,
 k)`` at p in {1.2, 1.5, 1.8}.
 
-Closed forms (``iterations = 0``; the support restriction, the
-regularization margin and the final evaluation are the same as after a
-solve).  Diagonal coordinates, for both solvers (the commutative case, which covers
-the amplified images that ``verify_pipeline`` certifies): write ``c_i =
-sum_n |(A_n)_ii|^2``.  A diagonal unitary D commutes with every A_n, so
-``M(D s D^*) = D M(s) D^*`` and both objectives are invariant under ``s -> D
-s D^*``.  Both reduce to a convex function of ``s`` (``lmax(M(s))``, and
-``tr(G(s)^{q/2})^{2/q}`` for the two-sided form) on the convex set
-``tr(s^{e/2}) <= 1`` (``e = 2`` for the two-sided form), so the torus average
-of ``D s D^*``, which is ``diag(s)``, is no worse; it stays in the set
-because ``tr(diag(s)^{e/2}) <= tr(s^{e/2})`` for ``e/2 >= 1`` (the diagonal
-is majorized by the spectrum, Schur-Horn).  Among diagonal ``s = diag(t)``
-the one-sided objective is ``max_i c_i / t_i`` on ``sum_i t_i^{e/2} = 1``,
-minimized by ``t ~ c``, where every eigenvalue of M(s) is equal: the value
-is ``|c^{1/2}|_e``.  The reduced two-sided objective is ``|(c_i /
-t_i)_i|_{q/2}`` on ``sum_i t_i = 1``, minimized by ``t ~ c^{p/2}``; then ``r
-= G(s) = diag(c^{1 - p/2})`` and the value is ``|c^{1/2}|_p`` (Hoelder's
-equality case).  One coordinate ``A`` is the diagonal case after the
-unitaries of its singular value decomposition (``A -> U A V^*``, ``s -> V^*
-s V``), with ``c`` the eigenvalues of ``A^* A``: the value is ``|A|_e``
-(``s = A^* A``), or ``|A|_p`` at ``s = (A^* A)^{p/2}`` for the two-sided
-form.  A right support of rank one leaves nothing to descend.
-In both one-sided cases the density ``rho ~ (sum_n A_n A_n^*)^a``
-(``gram_density``) attains the bound: it gives ``C(rho) ~ diag(c^{a+1})``,
-or ``(A^* A)^{a+1}``, and ``g = |c^{1/2}|_e^2``, or ``|A|_e^2``, since
-``(a+1) beta = a``.
+Closed forms (``iterations = 0``).  Diagonal coordinates, for both solvers
+(the commutative case, which covers every element that ``verify_pipeline``
+certifies after its witness): write ``c_i = sum_n |(A_n)_ii|^2``.  A diagonal
+unitary D commutes with every A_n, so ``M(D s D^*) = D M(s) D^*`` and both
+objectives are invariant under ``s -> D s D^*``.  Both reduce to a convex
+function of ``s`` (``lmax(M(s))``, and ``tr(G(s)^{q/2})^{2/q}`` for the
+two-sided form) on the convex set ``tr(s^{e/2}) <= 1`` (``e = 2`` for the
+two-sided form), so the torus average of ``D s D^*``, which is ``diag(s)``,
+is no worse; it stays in the set because ``tr(diag(s)^{e/2}) <=
+tr(s^{e/2})`` for ``e/2 >= 1`` (the diagonal is majorized by the spectrum,
+Schur-Horn).  Among diagonal ``s = diag(t)`` the one-sided objective is
+``max_i c_i / t_i`` on ``sum_i t_i^{e/2} = 1``, minimized by ``t ~ c``,
+where every eigenvalue of M(s) is equal: the value is ``|c^{1/2}|_e``.  The
+reduced two-sided objective is ``|(c_i / t_i)_i|_{q/2}`` on ``sum_i t_i =
+1``, minimized by ``t ~ c^{p/2}``; then ``r = G(s) = diag(c^{1 - p/2})`` (up
+to scale) and the value is ``|c^{1/2}|_p`` (Hoelder's equality case).  So
+the norm of diagonal coordinates is exactly ``|c^{1/2}|_p`` (``p = e`` for
+the one-sided form), and ``_diagonal_solve`` returns that number rounded up
+by the allowance below, with no eigensolve, no SVD and no evaluation of the
+witness.  The witness is built from ``c`` as a solve would leave it: the
+support cut at ``DEFAULT_RANK_TOL`` of the largest ``c_i``, the floor
+``_EIG_FLOOR`` and the regularization margin, ``s ~ diag(c)`` with
+``tr(s^{e/2}) = 1``, or ``s ~ diag(c)^{p/2}`` scaled to the Frobenius norm
+of the kept coordinates with ``r = G(s) = diag(c / s)``.  Its own value
+exceeds the closed form by that regularization, about 1e-12 relative, plus
+the p-norm of the coordinates the cut drops.  The density is ``rho ~
+diag(c)^{e/2}``, which gives ``C(rho) ~ diag(c^{a+1})`` and ``g =
+|c^{1/2}|_e^2`` since ``(a+1) beta = a``; for the two-sided form ``rho ~
+G(s)^{q/2 - 1}``, which attains ``|G(s)|_{q/2}`` (Hoelder).  Either is a
+matrix like any other to ``minimax_lower``, which checks the closed form by
+an independent route.
+
+Rounding allowance of the diagonal value.  Write ``u = eps / 2``.  The
+diagonals are first divided by a power of two (``pow2_normalize``, exact) to
+a largest modulus in [1/2, 1), so ``c_max >= 1/4`` and no square overflows.
+``c_i`` is summed from the ``2N`` squares of the real and imaginary parts,
+all nonnegative: its relative error is at most ``(N + 1) u`` (to first
+order, here and below).  Squares that underflow belong to terms with ``c_i <
+2^-990 c_max`` (or change others by less than ``2N 2^-1075``, below ``2N
+2^-85`` of any ``c_i >= 2^-990``), whose share of ``sum_i c_i^{p/2}`` is
+below ``2^-490`` for every p > 1: far below ``u``.  ``sqrt`` halves the
+relative error of ``c_i`` and adds ``u``.  ``lp_norm`` then forms ``x_i /
+x_max`` (``u``), its p-th power (``pow``, at most one ulp, ``2u``), their
+sum (``(k - 1) u``: nonnegative terms, and at least 1, so powers that
+underflow lose less than ``k 2^-1074`` of it), the power ``1/p`` of that
+sum (``2u``, and ``u ln(k) / p`` for the rounding of ``1/p``) and the
+product with ``x_max`` (``u``).  The relative errors of the terms, which
+the p-th power multiplies by ``p``, are divided by ``p`` again by the power
+``1/p``: each term's ``(1 + u)^p (1 + 2u)`` becomes ``(1 + u) (1 +
+2u)^{1/p}``, at every p (CI runs p = 600), since nothing there overflows.
+So the computed value is within ``((N + 1) / 2 + 5) u + (k + 1 + ln k) u /
+p <= (N / 2 + 2k + 6) u`` of ``|c^{1/2}|_p`` (``p > 1``, ``ln k <= k -
+1``).  ``vecnorm.alpha_upper``, which divides ``y`` by ``max |y|`` before
+the solve and multiplies the value back, adds ``2u``.  The value is
+multiplied by ``1 + (ceil(N/2) + k + 8) eps``, which is ``1 + (2 ceil(N/2) +
+2k + 16) u`` exactly (a whole number of ``eps``) and leaves at least
+``(N + 2k + 15) u`` after its own rounding: more than those ``(N/2 + 2k +
+8) u`` with room for the second-order terms.  Rounding outward matters at
+k = 1, where the lower bound is exact up to rounding too: without it
+``beta_certify`` returned ``lower > upper`` on most k = n = 1 elements.
+One coordinate is the diagonal case after the unitaries of its singular
+value decomposition (``A -> U A V^*``, ``s -> V^* s V``), with ``c`` the
+eigenvalues of ``A^* A``: the value is ``|A|_e`` (``s = A^* A``), or
+``|A|_p`` at ``s = (A^* A)^{p/2}`` for the two-sided form.  A right support
+of rank one leaves nothing to descend.  These two closed forms still run
+the support restriction and the final evaluation of a solve; for one
+coordinate the density ``rho ~ (A A^*)^a`` (``gram_density``) attains the
+one-sided bound, since ``C(rho) ~ (A^* A)^{a+1}``.
 
 ``evaluate_one_sided`` / ``evaluate_two_sided`` score an arbitrary witness:
 they reconstruct the coordinates from it and add the p-norm of the residual
@@ -345,6 +388,70 @@ def _diagonal_coordinates(A: np.ndarray) -> bool:
     return k == r and not np.any(A[:, ~np.eye(k, dtype=bool)])
 
 
+def _diagonal_weights(A: np.ndarray):
+    """``(c, e)``: ``c_i = sum_n |(A_n)_ii|^2`` for the coordinates ``A / 2^e``.
+
+    The diagonals are scaled by an exact power of two to a largest modulus
+    in [1/2, 1) (``pow2_normalize``), so no square overflows.
+    """
+    d, e = pow2_normalize(np.diagonal(A, axis1=1, axis2=2))
+    return np.sum(d.real ** 2 + d.imag ** 2, axis=0), e
+
+
+def _diagonal_value(c: np.ndarray, e: int, n_coords: int, p: float) -> float:
+    """``|c^{1/2}|_p 2^e`` rounded up by the allowance of the module docstring."""
+    slack = ((n_coords + 1) // 2 + c.size + 8) * _EPS
+    return pow2_restore(lp_norm(np.sqrt(c), p) * (1.0 + slack), e)
+
+
+def diagonal_upper(A: np.ndarray, p: float) -> float:
+    """Certified upper bound on the gauge of diagonal (N, k, k) coordinates.
+
+    Their norm at exponent p is exactly ``|c^{1/2}|_p`` with ``c_i = sum_n
+    |(A_n)_ii|^2``, on either branch (module docstring); this is that value
+    rounded up, with no LAPACK call.
+    """
+    c, e = _diagonal_weights(A)
+    return _diagonal_value(c, e, A.shape[0], p)
+
+
+def _diagonal_density(x: np.ndarray, power: float) -> np.ndarray:
+    """The density ``diag(x)^power / tr`` of a nonnegative vector ``x``."""
+    w = (x / float(x.max())) ** power
+    return np.diag(w / float(np.sum(w))).astype(np.complex128)
+
+
+def _diagonal_solve(A: np.ndarray, p: float, two_sided: bool) -> GaugeResult:
+    """The closed form of both solvers for diagonal coordinates, at ``e = p``.
+
+    Returns the exact value rounded up (``_diagonal_value``) and the witness
+    and density of the module docstring, built from ``c`` with the support
+    cut, floor and margin of a solve: one-sided ``s ~ diag(c)``, two-sided
+    ``s ~ diag(c)^{p/2}`` times the Frobenius norm of the kept coordinates
+    and ``r = G(s) = diag(c / s)``.  No LAPACK call; the witness is not
+    evaluated.
+    """
+    c, e = _diagonal_weights(A)
+    top = float(c.max())
+    keep = c >= DEFAULT_RANK_TOL * top
+    ratio = c[keep] / top
+    sv = np.maximum(ratio ** (0.5 * p) if two_sided else ratio, _EIG_FLOOR)
+    sv /= lp_norm(sv, 1.0 if two_sided else 0.5 * p)
+    sv += 1e-12 * float(np.sum(sv)) / sv.size  # regularized inversion margin
+    value = _diagonal_value(c, e, A.shape[0], p)
+    s = np.zeros(c.size)
+    if not two_sided:
+        s[keep] = sv
+        return GaugeResult(value, np.diag(s).astype(np.complex128), 0, True,
+                           rho=_diagonal_density(c, 0.5 * p))
+    s[keep] = sv * math.sqrt(float(np.sum(c[keep])))
+    g = np.zeros(c.size)
+    g[keep] = c[keep] / s[keep]  # G(s) at the scale of A / 2^e
+    return GaugeResult(value, np.diag(np.ldexp(s, e)).astype(np.complex128), 0, True,
+                       r=np.diag(np.ldexp(g, e)).astype(np.complex128),
+                       rho=_diagonal_density(g, 0.5 * q_from_p(p) - 1.0))
+
+
 def q_from_p(p: float) -> float:
     """Outer left exponent of the two-sided form: 1/q = 1/p - 1/2."""
     inv = 1.0 / p - 0.5
@@ -361,11 +468,11 @@ def _dual_point(ak: np.ndarray, h: np.ndarray, e: float, t: float):
     ``v`` of ``rho = v v^*``, ``lower = |C(rho)|_beta^{1/2}`` less the
     rounding allowance (module docstring), the spectrum and eigenvectors of
     the inner optimum ``s ~ C(rho)^{1/(a+1)}`` with ``tr(s^a) = 1`` (floored
-    and normalized by ``_normalize``), the log-spectrum and
-    eigenvectors of ``u``, and ``tr(rho M(s)) = tr(s^{-1} C(rho)) = sum_i c_i
-    / s_i``, read off the two spectra since ``s`` shares the eigenvectors of
-    ``C(rho)``.  The work on the spectra, of length r, is done on Python
-    floats.
+    and normalized by ``_normalize``), the log-spectrum of ``u`` (None at
+    ``t = 1``, where ``_pullback`` does not run) and its eigenvectors, and
+    ``tr(rho M(s)) = tr(s^{-1} C(rho)) = sum_i c_i / s_i``, read off the two
+    spectra since ``s`` shares the eigenvectors of ``C(rho)``.  The work on
+    the spectra, of length r, is done on Python floats.
     """
     a = 0.5 * e
     k, n_coords, r = ak.shape
@@ -380,8 +487,8 @@ def _dual_point(ak: np.ndarray, h: np.ndarray, e: float, t: float):
     # |.|_beta of the lowered spectrum; lp_norm drops what falls below 0
     lower = math.sqrt(lp_norm([x - slack for x in c], a / (a + 1.0)))
     s = _normalize([x ** (1.0 / (a + 1.0)) for x in c], e)
-    return (v, lower, np.array(s), cq, hv - (hv[-1] + math.log(total)), hq,
-            sum([x / y for x, y in zip(c, s)]))
+    log_u = None if t == 1.0 else hv - (hv[-1] + math.log(total))
+    return v, lower, np.array(s), cq, log_u, hq, sum([x / y for x, y in zip(c, s)])
 
 
 def _pullback(m: np.ndarray, log_u: np.ndarray, uvecs: np.ndarray, t: float):
@@ -487,14 +594,9 @@ def _ascend(ak: np.ndarray, support_gram: np.ndarray, e: float, q: float,
 def gram_density(A: np.ndarray, e: float) -> np.ndarray:
     """The density ``(sum_n A_n A_n^*)^{e/2} / tr`` on the k-space of A.
 
-    It attains the one-sided dual for one coordinate and for diagonal ones
-    (module docstring), and is a cheap density for any other.  Diagonal
-    coordinates take it from ``c`` directly.
+    It attains the one-sided dual for one coordinate (module docstring), and
+    is a cheap density for any other.
     """
-    if _diagonal_coordinates(A):
-        c = np.sum(np.abs(np.diagonal(A, axis1=1, axis2=2)) ** 2, axis=0)
-        w = (c / float(c.max())) ** (0.5 * e)
-        return np.diag(w / float(np.sum(w))).astype(np.complex128)
     gram = np.einsum("nij,nkj->ik", A, A.conj())
     rho = psd_power(gram / float(np.trace(gram).real), 0.5 * e)
     if not np.any(rho):  # every power underflowed: large e, flat spectrum
@@ -512,6 +614,8 @@ def minimize_gauge(A: np.ndarray, e: float, max_iters: int = MAX_ITERS) -> Gauge
     that ``minimax_lower`` turns into the matching lower bound.  For one
     coordinate and for diagonal ones both take a closed form and
     ``iterations`` is 0 (module docstring); otherwise the ascent runs.
+    Diagonal coordinates return their exact value rounded up
+    (``_diagonal_solve``) instead of the value of the witness.
     ``converged`` is False only when the budget or a failed step search
     ended the ascent before its gap closed to ``GAP_TOL``.
     """
@@ -521,8 +625,10 @@ def minimize_gauge(A: np.ndarray, e: float, max_iters: int = MAX_ITERS) -> Gauge
     n_coords, k, r = A.shape
     if r == 0 or n_coords == 0 or not np.any(A):
         return GaugeResult(0.0, np.eye(max(r, 1), dtype=np.complex128), 0, True)
+    if _diagonal_coordinates(A):
+        return _diagonal_solve(A, e, two_sided=False)
     ub, ak, _, support_gram, _ = _restrict(A)
-    if n_coords == 1 or _diagonal_coordinates(A):
+    if n_coords == 1:
         sv, sq = _project(support_gram, e)
         rho, iters, converged = gram_density(A, e), 0, True
     else:
@@ -617,10 +723,11 @@ def minimize_two_sided(coords: np.ndarray, p: float,
     One coordinate, diagonal ones and a support of rank one take the closed
     form ``s = diag(c)^{p/2}`` and ``iterations`` is 0 (module docstring),
     with ``rho ~ G(s)^{q/2 - 1}``.  ``value`` is the certified value of the
-    witness (``evaluate_two_sided``) and ``rho`` the density behind the lower
-    bound (``minimax_lower``).  ``converged`` is False only when the budget
-    or a failed step search ended the ascent before its gap closed to
-    ``DESCENT_GAP_TOL``.  At p = 2 the problem is the one-sided gauge at ``e
+    witness (``evaluate_two_sided``), or for diagonal coordinates their
+    exact value rounded up (``_diagonal_solve``), and ``rho`` the density
+    behind the lower bound (``minimax_lower``).  ``converged`` is False only
+    when the budget or a failed step search ended the ascent before its gap
+    closed to ``DESCENT_GAP_TOL``.  At p = 2 the problem is the one-sided gauge at ``e
     = 2`` (``minimize_gauge``), with ``r`` the identity.
     """
     y = np.asarray(coords, dtype=np.complex128)
@@ -635,10 +742,12 @@ def minimize_two_sided(coords: np.ndarray, p: float,
         res.r = ident_r
         return res
 
+    if _diagonal_coordinates(y):
+        return _diagonal_solve(y, p, two_sided=True)
     _, t = _dual_exponents(p)
     ub, ak, scale, support_gram, kept = _restrict(y)
     rb = ub.shape[1]
-    if rb == 1 or n_coords == 1 or _diagonal_coordinates(y):
+    if rb == 1 or n_coords == 1:
         # in its own eigenbasis the Gram is diag(kept) on the support
         sv, sq = _project(np.diag(kept ** (0.5 * p)).astype(np.complex128), 2.0)
         lam, u = _spectral(_m_matrix(ak, sv, sq))

@@ -28,7 +28,21 @@ two trivial splits, and on a diagonal element (both norms equal there)
 ``t* = 1/2`` attains the p-sum exactly.  Its lower bound is by pairing:
 ``|<y, c>| / U(c)`` for a pool of dual candidates ``c``, where ``U(c)`` is
 the p'-sum of the certified upper bounds on the two dual norms of ``c``,
-each a solve.
+each a solve, or the closed form when ``c`` has diagonal coordinates
+(``certified_dual_upper``).
+
+Rounding.  The split's value at ``t*`` is rounded up by ``_SPLIT_SLACK``:
+``t* a`` and ``(1 - t*) b`` carry ``2u`` (``u = eps / 2``), and ``lp_norm``
+of two terms at most ``4u + (3 + ln 2) u / p`` by the count of
+``gaugeopt``'s module docstring, below the ``11u`` that ``1 + 6 eps`` leaves
+after its own rounding; the endpoints are the certified values themselves.
+The winning quotient ``|<y, c>| / U(c)`` is rounded down by
+``_QUOTIENT_SLACK`` = 4 eps, which covers the modulus (one ulp), the
+division and the product (``u`` each) and, at k = n = 1, where the pairing
+is one complex product, its rounding (``sqrt(5) u``).  The rounding of a
+longer pairing sum is not charged.  Both bounds of a k = n = 1 element are
+exact up to rounding, and without these allowances most such brackets came
+out inverted by an ulp or two.
 
 Pruning.  Each candidate also gets a floor ``L(c)``, the p'-sum of the
 minimax lower bounds of its two dual norms at a density in closed form
@@ -42,7 +56,8 @@ had been solved, so the lower bound, the dual witness and its bound are the
 same bits.  A floor that came out too high could only drop a candidate that
 would have won, giving a lower (still sound) bound; it can never make a
 bracket unsound.  Candidates with diagonal coordinates are always solved:
-their dual bounds take a closed form, cheaper than the floor.
+their dual bounds take a closed form (``gaugeopt.diagonal_upper``), cheaper
+than the floor.
 
 Scale.  The certificates divide the element by an exact power of two near
 its largest entry first (``schatten.pow2_normalize``) and scale back at the
@@ -134,15 +149,6 @@ class VecElem:
     def is_zero(self) -> bool:
         return not np.any(self.coords)
 
-    def is_diagonal(self) -> bool:
-        """Structurally diagonal: coordinate i carries only entry (i, i)."""
-        if self.k != self.n:
-            return False
-        mask = np.zeros_like(self.coords, dtype=bool)
-        idx = np.arange(self.k)
-        mask[idx, idx, idx] = True
-        return not np.any(self.coords[~mask])
-
     def diagonal_coefficients(self) -> np.ndarray:
         if self.k != self.n:
             raise InvalidInputError("diagonal coefficients need k == N")
@@ -175,8 +181,9 @@ def diagonal_closed_form(lams, p: float) -> float:
     """Exact norm of the diagonal element: the l^p norm of its coefficients.
 
     This value is attained on both sides by the explicit factorization
-    z_i = phase(lam_i) E_ii, d = diag(|lam|), so it doubles as a certified
-    upper bound for diagonal dual witnesses.
+    z_i = phase(lam_i) E_ii, d = diag(|lam|).  Certificates use
+    ``gaugeopt.diagonal_upper``, the same value for any diagonal coordinates,
+    rounded up.
     """
     check_exponent(p)
     return lp_norm(np.abs(np.asarray(lams, dtype=np.complex128).ravel()), p)
@@ -292,8 +299,13 @@ def alpha_upper(y: VecElem, p: float, side: Side = Side.ELL_ROW,
                 opts: CertifyOptions = DEFAULT_OPTS):
     """Certified upper bound on the factorization norm.
 
-    Returns ``(value, FactorWitness)``.  The value is always realized by the
-    returned witness; non-convergence only means the bound may be loose.
+    Returns ``(value, FactorWitness)``.  The value is the certified value of
+    the returned witness (``evaluate_upper_at``), except for diagonal
+    coordinates: there it is the exact norm rounded up
+    (``gaugeopt.diagonal_upper``), which the witness attains up to its
+    regularization, about 1e-12 relative, and the p-norm of the coordinates
+    below its support cut.  Non-convergence only means the bound may be
+    loose.
     ``R_COL`` is solved as ``ELL_ROW`` of the coordinatewise transpose, which
     is taken once here; the witness records it in ``transposed``.
     """
@@ -321,14 +333,15 @@ def certified_dual_upper(yp: VecElem, p_dual: float,
                          opts: CertifyOptions) -> float:
     """Upper bound on the norm of a dual witness at the conjugate exponent.
 
-    Structurally diagonal witnesses use the exact closed form (it is the
-    value of an explicit factorization); everything else runs the optimizer.
-    The ELL_ROW frame is assumed; callers transpose beforehand.
+    A witness with diagonal coordinates takes the closed form of its norm,
+    rounded up (``gaugeopt.diagonal_upper``), with no solve; everything else
+    runs the optimizer.  The ELL_ROW frame is assumed; callers transpose
+    beforehand.
     """
     if yp.is_zero():
         return 0.0
-    if yp.is_diagonal():
-        return diagonal_closed_form(yp.diagonal_coefficients(), p_dual)
+    if gaugeopt._diagonal_coordinates(yp.coords):
+        return gaugeopt.diagonal_upper(yp.coords, p_dual)
     return alpha_upper(yp, p_dual, Side.ELL_ROW, opts)[0]
 
 
@@ -456,6 +469,10 @@ class BetaWitness:
 #: relative slack on the pruning test of ``beta_certify``, above the rounding
 #: of a floor, a dual upper bound and their p'-sums
 _PRUNE_MARGIN = 1e-9
+#: relative rounding allowances of the line split's value (up) and of the
+#: pairing quotient (down), from the module docstring
+_SPLIT_SLACK = 6 * gaugeopt._EPS
+_QUOTIENT_SLACK = 4 * gaugeopt._EPS
 
 
 def _dual_floor(cand: VecElem, p_dual: float) -> float:
@@ -496,9 +513,10 @@ def beta_certify(y: VecElem, p: float,
     two ``alpha_upper`` solves by homogeneity; ``iterations`` counts those
     two solves.  The endpoints t = 1 and t = 0 are the trivial splits and
     win ties, so rounding at ``t*`` cannot lose to them; on a diagonal
-    element ``t* = 1/2`` is exact.
+    element ``t* = 1/2`` is exact.  The value at ``t*`` is rounded up.
     Lower bound: pairing ratios with the p'-sum of the two dual norm bounds
-    in the denominator, over the pool of ``_auto_dual_pool``.
+    in the denominator, over the pool of ``_auto_dual_pool``; the best ratio
+    is rounded down.
     Candidates are solved by decreasing certified potential, and only while
     the potential can still beat the best ratio (module docstring): a
     skipped candidate's ratio is below the best, so the winner (the largest
@@ -522,6 +540,7 @@ def beta_certify(y: VecElem, p: float,
     r = (min(u_ell, u_col) / max(u_ell, u_col)) ** conjugate(p)
     ts = (1.0, 0.0, r / (1.0 + r) if u_ell >= u_col else 1.0 / (1.0 + r))
     vals = [lp_norm((t * u_ell, (1.0 - t) * u_col), p) for t in ts]
+    vals[2] *= 1.0 + _SPLIT_SLACK  # rounded up; the endpoints are exact
     best = int(np.argmin(vals))
     t = ts[best]
     # y.scaled(0.0) would write -0.0
@@ -542,8 +561,9 @@ def _pairing_lower(y: VecElem, p: float, w_ell: FactorWitness,
     Returns ``(lower, dual_witness or None, dual_norm_bound)``.  Candidates
     are solved by decreasing potential while one can still win (module
     docstring).  The winner has the largest ratio and, among equal ratios,
-    comes first in pool order, as if every candidate had been solved.  Each
-    candidate is transposed once, for its floor and its dual solve.
+    comes first in pool order, as if every candidate had been solved; its
+    ratio is rounded down once chosen.  Each candidate is transposed once,
+    for its floor and its dual solve.
     """
     p_dual = conjugate(p)
     coords, e = pow2_normalize(y.coords)  # pair at unit scale: no under/overflow
@@ -567,7 +587,7 @@ def _pairing_lower(y: VecElem, p: float, w_ell: FactorWitness,
         # the largest ratio; among equal ratios, the first in pool order
         if (num / den, -idx) > (lower, -win):
             lower, dual_wit, dual_den, win = num / den, cand, den, idx
-    return pow2_restore(lower, e), dual_wit, dual_den
+    return pow2_restore(lower * (1.0 - _QUOTIENT_SLACK), e), dual_wit, dual_den
 
 
 def random_element(k: int, n: int, rng: np.random.Generator,

@@ -344,7 +344,8 @@ class TestYeadonCommand:
     def test_mixed_blocks_leave_the_rigid_bound_unchecked(self, tmp_path, rng, capsys):
         # W swaps the rep and antirep blocks, so every diagonal block of W is
         # zero and the composite with the partner (W = identity) has no
-        # term: rigid_compose rejects it and the rigid bound reads null
+        # term: rigid_compose rejects it, the rigid bound reads null, and the
+        # unchecked bound is a verification failure with one line on stderr
         rw, aw = random_valid_weights(1, 1, 3.0, rng)
         swap = np.zeros((4, 4), dtype=np.complex128)
         swap[:2, 2:] = swap[2:, :2] = np.eye(2)
@@ -352,8 +353,12 @@ class TestYeadonCommand:
         path = tmp_path / "spec.json"
         serialize.write_text(str(path), serialize.dumps_canonical(
             serialize.yeadon_to_json(spec, 3.0)))
-        assert run_cli("yeadon", "--in", str(path), "--samples", "2") == 0
-        doc = json.loads(capsys.readouterr().out)
+        assert run_cli("yeadon", "--in", str(path), "--samples", "2") == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("verification failure: the factor-4 "
+                                       "rigid bound check did not run")
+        assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+        doc = json.loads(captured.out)
         assert doc["isometry_worst_error"] < 1e-10
         assert doc["rep_part_violations"] == doc["antirep_part_violations"] == []
         assert doc["rigid_bound_violations"] is None

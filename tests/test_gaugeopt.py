@@ -1,7 +1,10 @@
 import hashlib
+import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import nclp.vecnorm as vn
 from nclp import gaugeopt
@@ -10,7 +13,7 @@ from nclp.cpmaps import amplify_apply, build_counterexample_maps
 from nclp.schatten import psd_power, schatten_norm
 from nclp.vecnorm import (DEFAULT_OPTS, FAST_OPTS, CertifyOptions, Side, VecElem,
                           alpha_certify, alpha_upper, beta_certify,
-                          certified_dual_upper, random_element)
+                          certified_dual_upper, evaluate_upper_at, random_element)
 
 from conftest import random_complex
 
@@ -354,12 +357,11 @@ class TestWitnessEvaluation:
         gaugeopt.evaluate_two_sided(y, two.r, two.s, 1.5)
         assert calls == ["eigh", "eigh", "eigvalsh", "svd"]
 
-    @pytest.mark.parametrize("y, closed", [
-        (random_element(3, 3, np.random.default_rng(0)).coords, False),
-        (random_element(4, 4, np.random.default_rng(1), degenerate=True).coords, False),
-        (VecElem.diagonal([1.0, -0.5, 0.25j]).coords, True),
-    ], ids=["ascent", "ascent-deg", "closed-form"])
-    def test_two_sided_solve_takes_no_eigensolve_after_it(self, monkeypatch, y, closed):
+    @pytest.mark.parametrize("y", [
+        random_element(3, 3, np.random.default_rng(0)).coords,
+        random_element(4, 4, np.random.default_rng(1), degenerate=True).coords,
+    ], ids=["ascent", "ascent-deg"])
+    def test_two_sided_solve_takes_no_eigensolve_after_it(self, monkeypatch, y):
         calls = count_lapack(monkeypatch)
         ascend, evaluate = gaugeopt._ascend, gaugeopt.evaluate_two_sided
 
@@ -377,10 +379,7 @@ class TestWitnessEvaluation:
         res = gaugeopt.minimize_two_sided(y, 1.5, max_iters=240)
         end = calls.index("evaluate")
         assert calls[end:] == ["evaluate", "eigh", "eigh", "eigvalsh", "svd"]
-        if closed:  # the support, the projection and the closed-form density
-            assert calls[:end] == ["eigh"] * 3
-        else:
-            assert calls[end - 1] == "ascent done"
+        assert calls[end - 1] == "ascent done"
         # r is G(s) = sum_n y_n s^+ y_n^*
         s_pinv = psd_power(res.s, -1.0)
         want = sum(yn @ s_pinv @ yn.conj().T for yn in y)
@@ -438,6 +437,19 @@ class TestDiagonalCoordinates:
         _, wit = alpha_upper(y, p, Side.ELL_ROW, DEFAULT_OPTS)
         assert wit.iterations > 0
 
+    @pytest.mark.parametrize("name", sorted(DIAGONAL_ELEMS))
+    def test_solves_make_no_lapack_call(self, monkeypatch, name):
+        y = DIAGONAL_ELEMS[name].coords
+        calls = count_lapack(monkeypatch)
+        one = gaugeopt.minimize_gauge(y, 3.0)
+        two = gaugeopt.minimize_two_sided(y, 1.5)
+        assert calls == []
+        assert one.iterations == two.iterations == 0
+        # r is G(s) = sum_n y_n s^+ y_n^*
+        s_pinv = psd_power(two.s, -1.0)
+        want = sum(yn @ s_pinv @ yn.conj().T for yn in y)
+        assert rel_err(two.r, want) <= 1e-13
+
     def test_detection(self):
         y = DIAGONAL_ELEMS["n5-k3"].coords
         assert gaugeopt._diagonal_coordinates(y)
@@ -449,6 +461,72 @@ class TestDiagonalCoordinates:
         rep = verify_pipeline(18, p, k_cap=18)
         assert rep.all_checks_ok, rep.diagnostics
         assert rep.numeric_lb == pytest.approx(PIPELINE_NUMERIC_LB[p], rel=1e-10)
+
+
+@st.composite
+def diagonal_coordinate_elements(draw):
+    """Diagonal coordinates, k, N <= 4: each entry zero or of modulus in
+    [1/8, 1] with a random phase, the whole scaled by 2^-400, 1 or 2^400.
+    Nonzero entries stay far above the support cut, so the witness leaves
+    nothing out."""
+    k, n = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    entry = st.one_of(st.just(0.0), st.tuples(st.floats(0.125, 1.0),
+                                              st.floats(-math.pi, math.pi)))
+    diag = [draw(entry) for _ in range(n * k)]
+    shift = draw(st.sampled_from((-400, 0, 400)))
+    coords = np.zeros((n, k, k), dtype=np.complex128)
+    for idx, z in enumerate(diag):
+        if z != 0.0:
+            mod, phase = z
+            coords[idx // k, idx % k, idx % k] = complex(
+                math.ldexp(mod * math.cos(phase), shift),
+                math.ldexp(mod * math.sin(phase), shift))
+    return VecElem(coords)
+
+
+def mp_closed_form(y, p):
+    """|c^{1/2}|_p at 50 digits from the stored floats."""
+    with mpmath.workdps(50):
+        d = np.diagonal(y.coords, axis1=1, axis2=2)
+        c = [mpmath.fsum(mpmath.mpf(z.real) ** 2 + mpmath.mpf(z.imag) ** 2
+                         for z in d[:, i]) for i in range(y.k)]
+        mp_p = mpmath.mpf(p)
+        return mpmath.fsum(x ** (mp_p / 2) for x in c) ** (1 / mp_p)
+
+
+class TestDiagonalClosedForm:
+    """The closed form of diagonal coordinates: exact, rounded up, and
+    attained by the witness up to its regularization."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(y=diagonal_coordinate_elements(),
+           p=st.sampled_from((1.1, 1.5, 2.0, 3.0, 7.0)),
+           side=st.sampled_from(list(Side)))
+    def test_bracket_and_witness(self, y, p, side):
+        cert = alpha_certify(y, p, side)
+        upper, wit = alpha_upper(y, p, side)
+        assert upper == cert.upper
+        assert wit.iterations == 0
+        if y.is_zero():
+            assert cert.upper == cert.lower == 0.0
+            return
+        exact = mp_closed_form(y, p)
+        with mpmath.workdps(50):
+            assert mpmath.mpf(cert.lower) <= exact <= mpmath.mpf(upper)
+            assert (mpmath.mpf(upper) - exact) / exact <= mpmath.mpf("1e-13")
+        assert evaluate_upper_at(y, wit, p) == pytest.approx(upper, rel=1e-9)
+
+    @pytest.mark.parametrize("p", [1.5, 3.0, 600.0])
+    def test_dual_upper_takes_the_closed_form(self, monkeypatch, p):
+        # any candidate with diagonal coordinates, not only e_i (x) e_i (x) e_i
+        y = DIAGONAL_ELEMS["n5-k3"]
+        monkeypatch.setattr(vn, "alpha_upper", None)  # no solve may run
+        got = certified_dual_upper(y, p, FAST_OPTS)
+        assert got == gaugeopt.diagonal_upper(y.coords, p)
+        exact = mp_closed_form(y, p)
+        with mpmath.workdps(50):
+            assert exact <= mpmath.mpf(got)
+            assert (mpmath.mpf(got) - exact) / exact <= mpmath.mpf("1e-13")
 
 
 #: coordinates diag(1, 0) and diag(0, 2e-5) turned by a Hadamard rotation on
@@ -695,13 +773,18 @@ class TestAscent:
         v, lower, sv, _, log_u, _, _ = gaugeopt._dual_point(ak, h, e, t)
         rho = v @ v.conj().T
         assert float(np.sum(np.linalg.eigvalsh(rho) ** t)) == pytest.approx(1.0, rel=1e-12)
+        # only the pullback at t > 1 reads the log-spectrum
+        assert (log_u is None) == (t == 1.0)
         for c in (-240.0, -1.0, 1e-3, 3.0, 240.0):
             v_c, lower_c, sv_c, _, log_u_c, _, _ = gaugeopt._dual_point(
                 ak, h + c * np.eye(4), e, t)
             assert rel_err(v_c @ v_c.conj().T, rho) <= 1e-12
             assert lower_c == pytest.approx(lower, rel=1e-12)
             assert np.allclose(sv_c, sv, rtol=1e-10, atol=0)
-            assert np.allclose(log_u_c, log_u, rtol=0, atol=1e-11)
+            if t > 1.0:
+                assert np.allclose(log_u_c, log_u, rtol=0, atol=1e-11)
+            else:
+                assert log_u_c is None
 
     def test_momentum_cuts_iterations(self):
         """The iterations of the ascent without momentum or centering were
@@ -765,7 +848,7 @@ class TestAscent:
 #: one and with two BLAS threads alike.
 DESCENT_PINS = {
     ("two", 1, 0, False, 1.5, 240): (
-        0.12895693738881814, 0, True,
+        0.12895693738881842, 0, True,
         "d3afcb2d6e97bf4727f55801b6acc10d1f088d3a505d3c3da04a3eddf1186376",
         "3239b05c38b825ebb79f103172438292a22a0951351a6b81be1df5d44776cc65"),
     ("two", 2, 0, False, 1.5, 5000): (
@@ -793,7 +876,7 @@ DESCENT_PINS = {
         "e50d072192d2cebe3e68a221101f0a28e32a6447f9f6027fba855761b4d3da68",
         "d67f1b83fe8ab824f48993dceb3278f391b189452b1509c0c5c4d3eab184ea3d"),
     ("gauge", 1, 0, False, 3.0, 240): (
-        0.1289569373888181, 0, True,
+        0.12895693738881842, 0, True,
         "c8db0ed7d3a4479694d1b8b750622cfb910763aee594a9e9fce2513dfb358e89",
         "3239b05c38b825ebb79f103172438292a22a0951351a6b81be1df5d44776cc65"),
     ("gauge", 2, 0, False, 3.0, 240): (
