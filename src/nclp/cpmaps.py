@@ -111,7 +111,7 @@ def is_completely_positive(m: KrausMap) -> bool:
     lam = np.linalg.eigvalsh(0.5 * (c + c.conj().T))
     scale = float(np.abs(lam).max()) if lam.size else 0.0
     tol = 1e-10 * max(scale, 1.0)
-    if float(np.linalg.norm(c - c.conj().T)) > tol * max(scale, 1.0):
+    if float(np.linalg.norm(c - c.conj().T)) > tol:
         return False  # not even *-preserving
     return bool(lam[0] >= -tol)
 

@@ -389,18 +389,25 @@ def _diagonal_coordinates(A: np.ndarray) -> bool:
 
 
 def _diagonal_weights(A: np.ndarray):
-    """``(c, e)``: ``c_i = sum_n |(A_n)_ii|^2`` for the coordinates ``A / 2^e``.
+    """``(c, e, d)``: ``c_i = sum_n |(A_n)_ii|^2`` for the coordinates ``A /
+    2^e``, whose diagonals are the rows of ``d``.
 
     The diagonals are scaled by an exact power of two to a largest modulus
     in [1/2, 1) (``pow2_normalize``), so no square overflows.
     """
     d, e = pow2_normalize(np.diagonal(A, axis1=1, axis2=2))
-    return np.sum(d.real ** 2 + d.imag ** 2, axis=0), e
+    return np.sum(d.real ** 2 + d.imag ** 2, axis=0), e, d
+
+
+def _diagonal_slack(n_coords: int, k: int) -> float:
+    """The relative rounding allowance of ``lp_norm(sqrt(c), p)`` for ``N =
+    n_coords`` coordinates of size k (module docstring)."""
+    return ((n_coords + 1) // 2 + k + 8) * _EPS
 
 
 def _diagonal_value(c: np.ndarray, e: int, n_coords: int, p: float) -> float:
     """``|c^{1/2}|_p 2^e`` rounded up by the allowance of the module docstring."""
-    slack = ((n_coords + 1) // 2 + c.size + 8) * _EPS
+    slack = _diagonal_slack(n_coords, c.size)
     return pow2_restore(lp_norm(np.sqrt(c), p) * (1.0 + slack), e)
 
 
@@ -411,7 +418,7 @@ def diagonal_upper(A: np.ndarray, p: float) -> float:
     |(A_n)_ii|^2``, on either branch (module docstring); this is that value
     rounded up, with no LAPACK call.
     """
-    c, e = _diagonal_weights(A)
+    c, e, _ = _diagonal_weights(A)
     return _diagonal_value(c, e, A.shape[0], p)
 
 
@@ -431,7 +438,7 @@ def _diagonal_solve(A: np.ndarray, p: float, two_sided: bool) -> GaugeResult:
     and ``r = G(s) = diag(c / s)``.  No LAPACK call; the witness is not
     evaluated.
     """
-    c, e = _diagonal_weights(A)
+    c, e, _ = _diagonal_weights(A)
     top = float(c.max())
     keep = c >= DEFAULT_RANK_TOL * top
     ratio = c[keep] / top

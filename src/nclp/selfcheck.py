@@ -63,11 +63,13 @@ def criterion_schatten_exactness(seed: int = 0):
 
 
 def criterion_diagonal_closed_form(seed: int = 1):
+    """The alpha certificate against ``diagonal_closed_form``, and the p-sum
+    certificate against ``2^{1/p - 1}`` times it."""
     msgs = []
     rng = np.random.default_rng(seed)
-    worst_u = worst_l = 0.0
+    worst_u = worst_l = worst_b = 0.0
     for k in range(2, 7):
-        for p in (2.5, 3.0, 4.0):
+        for p in (1.5, 2.5, 3.0, 4.0):
             for _ in range(10):
                 lams = rng.standard_normal(k) + 1j * rng.standard_normal(k)
                 y = VecElem.diagonal(lams)
@@ -83,7 +85,16 @@ def criterion_diagonal_closed_form(seed: int = 1):
                 if err_l > 1e-9:
                     msgs.append(f"lower off closed form by {err_l:.2e} "
                                 f"(k={k}, p={p})")
-    detail = f"worst upper excess {worst_u:.2e}, worst lower error {worst_l:.2e}"
+                beta = beta_certify(y, p)
+                exact = 2.0 ** (1.0 / p - 1.0) * cf
+                width = (beta.upper - beta.lower) / exact
+                worst_b = max(worst_b, width)
+                if not (beta.lower <= exact <= beta.upper and width <= 1e-12):
+                    msgs.append(f"beta bracket [{beta.lower!r}, {beta.upper!r}] "
+                                f"misses {exact!r} or is wider than 1e-12 "
+                                f"(k={k}, p={p})")
+    detail = (f"worst upper excess {worst_u:.2e}, worst lower error {worst_l:.2e}, "
+              f"worst beta width {worst_b:.2e}")
     return not msgs, detail if not msgs else "; ".join(msgs)
 
 

@@ -24,12 +24,12 @@ u_col``, homogeneity gives the split's value ``|(t a, (1 - t) b)|_p`` at
 every t with no further solve.  Its derivative vanishes at the minimiser
 ``t* = b^{p'} / (a^{p'} + b^{p'})`` (``p' = p / (p - 1)``), where the value
 is ``(a^{-p'} + b^{-p'})^{-1/p'}``.  The endpoints t = 1 and t = 0 are the
-two trivial splits, and on a diagonal element (both norms equal there)
-``t* = 1/2`` attains the p-sum exactly.  Its lower bound is by pairing:
+two trivial splits.  Its lower bound is by pairing:
 ``|<y, c>| / U(c)`` for a pool of dual candidates ``c``, where ``U(c)`` is
 the p'-sum of the certified upper bounds on the two dual norms of ``c``,
 each a solve, or the closed form when ``c`` has diagonal coordinates
-(``certified_dual_upper``).
+(``certified_dual_upper``).  An element whose coordinates are all diagonal
+takes neither route: its p-sum has a closed form (below).
 
 Rounding.  The split's value at ``t*`` is rounded up by ``_SPLIT_SLACK``:
 ``t* a`` and ``(1 - t*) b`` carry ``2u`` (``u = eps / 2``), and ``lp_norm``
@@ -38,11 +38,47 @@ of two terms at most ``4u + (3 + ln 2) u / p`` by the count of
 after its own rounding; the endpoints are the certified values themselves.
 The winning quotient ``|<y, c>| / U(c)`` is rounded down by
 ``_QUOTIENT_SLACK`` = 4 eps, which covers the modulus (one ulp), the
-division and the product (``u`` each) and, at k = n = 1, where the pairing
-is one complex product, its rounding (``sqrt(5) u``).  The rounding of a
-longer pairing sum is not charged.  Both bounds of a k = n = 1 element are
-exact up to rounding, and without these allowances most such brackets came
-out inverted by an ulp or two.
+division and the product (``u`` each) and the rounding of a pairing that is
+one complex product (``sqrt(5) u``).  The rounding of a longer pairing sum
+is not charged.
+
+Diagonal coordinates (k = 1 included).  Write ``d_n`` for the diagonal of
+``y_n`` and ``c_i = sum_n |(d_n)_i|^2``.  The p-sum is exactly ``2^{1/p -
+1} |c^{1/2}|_p``, and ``beta_certify`` returns it with no eigensolve, SVD,
+gauge solve or ``certified_dual_upper`` call (``_diagonal_beta``).
+Above: both norms of ``y`` are ``|c^{1/2}|_p`` (the closed form of
+``gaugeopt``; the transpose of diagonal coordinates is themselves), so the
+split ``y0 = y / 2``, the line split at ``t* = 1/2``, has the value
+``|(1/2, 1/2)|_p |c^{1/2}|_p = 2^{1/p - 1} |c^{1/2}|_p``.  Below: for any
+split ``y = y0 + y1`` and any ``c'``, Hoelder on each side and then on the
+pair of sides gives ``|<y, c'>| <= |(|y0|_R, |y1|_C)|_p |(D_R(c'),
+D_C(c'))|_{p'}`` with the two dual norms ``D`` of ``c'``, which is the
+argument behind every pairing ratio here.  Take the matched ``c'_n =
+diag(conj(d_n) c^{p/2 - 1})``, zero where ``c_i = 0``.  Then ``<y, c'> =
+sum_i c_i c_i^{p/2 - 1} = sum_i c_i^{p/2}``.  ``c'`` has diagonal
+coordinates with weights ``c_i^{p - 1}``, so both its dual norms are
+``(sum_i c_i^{(p - 1) p' / 2})^{1/p'} = (sum_i c_i^{p/2})^{1/p'}``, and the
+ratio is ``2^{-1/p'} (sum_i c_i^{p/2})^{1/p} = 2^{1/p - 1} |c^{1/2}|_p``:
+the two bounds meet.  Both are computed from one ``x = lp_norm(sqrt(c),
+p)``, within ``(N/2 + 2k + 6) u`` of ``|c^{1/2}|_p`` (the count of
+``gaugeopt``'s module docstring), which ``S = gaugeopt._diagonal_slack`` =
+``(ceil(N/2) + k + 8) eps`` covers.  The upper bound is the line split's
+value ``lp_norm((h, h), p)`` at each side's ``h = x (1 + S) / 2`` (a half
+of ``gaugeopt._diagonal_value``), rounded up by ``_SPLIT_SLACK`` as above.
+The lower bound is ``x (2^{1/p} / 2) (1 - S - _HALF_POWER_SLACK)``:
+``2^{1/p}`` is within ``(2 + ln 2) u`` (the rounding of ``1/p`` moves it by
+``u ln(2) / p``, the power by one ulp), halving is exact and the product
+adds ``u``, so the value before the last product is within ``(N/2 + 2k +
+10) u`` of ``2^{1/p - 1} |c^{1/2}|_p``; ``1 - S - 2 eps`` is exact and takes
+off ``(2 ceil(N/2) + 2k + 20) u``, which leaves ``(N + 2k + 19) u`` after
+the rounding of that product.  The witnesses are ``y0 = y / 2``, both sides
+valued ``h``, and ``c'`` times ``c_max^{1 - p/2}`` (so that no power
+overflows: every entry is at most ``c_max^{1/2}``), whose
+``dual_norm_bound`` is the p'-sum of its two ``gaugeopt.diagonal_upper``
+values.  Scaling back by ``2^e`` is exact unless a bound is subnormal;
+there ``_restore_outward`` moves it one ulp outward, past the half ulp of
+rounding.  Both bounds are exact up to rounding, and without the outward
+rounding most k = n = 1 brackets came out inverted by an ulp or two.
 
 Pruning.  Each candidate also gets a floor ``L(c)``, the p'-sum of the
 minimax lower bounds of its two dual norms at a density in closed form
@@ -469,10 +505,12 @@ class BetaWitness:
 #: relative slack on the pruning test of ``beta_certify``, above the rounding
 #: of a floor, a dual upper bound and their p'-sums
 _PRUNE_MARGIN = 1e-9
-#: relative rounding allowances of the line split's value (up) and of the
-#: pairing quotient (down), from the module docstring
+#: relative rounding allowances of the line split's value (up), of the
+#: pairing quotient (down) and of ``2^{1/p} / 2`` with its product (down, the
+#: diagonal lower bound), from the module docstring
 _SPLIT_SLACK = 6 * gaugeopt._EPS
 _QUOTIENT_SLACK = 4 * gaugeopt._EPS
+_HALF_POWER_SLACK = 2 * gaugeopt._EPS
 
 
 def _dual_floor(cand: VecElem, p_dual: float) -> float:
@@ -508,12 +546,16 @@ def beta_certify(y: VecElem, p: float,
                  opts: CertifyOptions = DEFAULT_OPTS) -> NormCertificate:
     """Certificate for the p-sum norm inf over y = y0 + y1 of the pair.
 
+    Diagonal coordinates (k = 1 included) take the closed form of the
+    module docstring: ``2^{1/p - 1} |c^{1/2}|_p`` rounded outward, the split
+    ``y0 = y / 2`` and the matched dual witness, with no solve and
+    ``iterations = 0``.  Otherwise:
     Upper bound: the best split on the scalar line y0 = t y, at the exact
     minimiser ``t*`` of its value (module docstring), which follows from the
     two ``alpha_upper`` solves by homogeneity; ``iterations`` counts those
     two solves.  The endpoints t = 1 and t = 0 are the trivial splits and
-    win ties, so rounding at ``t*`` cannot lose to them; on a diagonal
-    element ``t* = 1/2`` is exact.  The value at ``t*`` is rounded up.
+    win ties, so rounding at ``t*`` cannot lose to them.  The value at
+    ``t*`` is rounded up.
     Lower bound: pairing ratios with the p'-sum of the two dual norm bounds
     in the denominator, over the pool of ``_auto_dual_pool``; the best ratio
     is rounded down.
@@ -528,6 +570,8 @@ def beta_certify(y: VecElem, p: float,
     p = check_exponent(p)
     if y.is_zero():
         return NormCertificate(0.0, 0.0, None, None, 0, True)
+    if gaugeopt._diagonal_coordinates(y.coords):
+        return _diagonal_beta(y, p)
     u_ell, w_ell = alpha_upper(y, p, Side.ELL_ROW, opts)
     u_col, w_col = alpha_upper(y, p, Side.R_COL, opts)
     iters = w_ell.iterations + w_col.iterations
@@ -551,6 +595,44 @@ def beta_certify(y: VecElem, p: float,
     return NormCertificate(upper=upper, lower=lower, factor_witness=beta_wit,
                            dual_witness=dual_wit, iterations=iters,
                            converged=conv, dual_norm_bound=dual_den)
+
+
+def _restore_outward(value: float, e: int, toward: float) -> float:
+    """``pow2_restore(value, e)``, moved one ulp toward ``toward`` when the
+    scaling rounded (a subnormal result), so that a bound stays outward."""
+    out = pow2_restore(value, e)
+    return out if math.ldexp(out, -e) == value else math.nextafter(out, toward)
+
+
+def _diagonal_beta(y: VecElem, p: float) -> NormCertificate:
+    """``beta_certify`` of nonzero diagonal coordinates: both bounds from one
+    ``|c^{1/2}|_p``, the exact p-sum ``2^{1/p - 1} |c^{1/2}|_p`` rounded
+    outward (module docstring).  No eigensolve, SVD, gauge solve or dual
+    solve runs.
+    """
+    c, e, d = gaugeopt._diagonal_weights(y.coords)
+    norm = lp_norm(np.sqrt(c), p)  # at the scale 2^-e, as everything below
+    slack = gaugeopt._diagonal_slack(y.n, y.k)
+    # the line split at t* = 1/2: each side's norm is ``_diagonal_value``
+    half = 0.5 * (norm * (1.0 + slack))
+    upper = lp_norm((half, half), p) * (1.0 + _SPLIT_SLACK)
+    lower = norm * (0.5 * 2.0 ** (1.0 / p)) * (1.0 - slack - _HALF_POWER_SLACK)
+    # the matched dual witness diag(conj(d_n) c^{p/2 - 1}) times
+    # c_max^{1 - p/2}, only where the power is finite
+    ratio = c / float(c.max())
+    pos = ratio > 0.0
+    w = np.zeros(c.size)
+    w[pos] = ratio[pos] ** (0.5 * p - 1.0)
+    dual = (d.conj() * w)[:, :, None] * np.eye(y.k)
+    p_dual = conjugate(p)
+    # the transpose of diagonal coordinates is themselves: both dual norms agree
+    dual_norm = gaugeopt.diagonal_upper(dual, p_dual)
+    half = pow2_restore(half, e)
+    return NormCertificate(upper=_restore_outward(upper, e, math.inf),
+                           lower=_restore_outward(lower, e, 0.0),
+                           factor_witness=BetaWitness(y.scaled(0.5), half, half),
+                           dual_witness=VecElem(dual), iterations=0, converged=True,
+                           dual_norm_bound=lp_norm((dual_norm, dual_norm), p_dual))
 
 
 def _pairing_lower(y: VecElem, p: float, w_ell: FactorWitness,

@@ -506,9 +506,8 @@ class TestBetaPruning:
 
 
 class TestNoInvertedBracket:
-    """Both bounds of a k = n = 1 element are exact up to rounding, so each
-    is rounded outward: the closed forms up, the line split's value up and
-    the pairing quotient down."""
+    """Both bounds of a k = n = 1 element, and the p-sum of any diagonal
+    coordinates, are exact up to rounding, so each is rounded outward."""
 
     def test_k1_beta_brackets(self):
         # 704 of these 1,000 came out with lower > upper, by up to 8.9e-16
@@ -519,6 +518,22 @@ class TestNoInvertedBracket:
         for i in range(1000):
             p = ps[i % len(ps)]
             cert = beta_certify(random_element(1, 1, rng), p, FAST_OPTS)
+            if cert.lower > cert.upper:
+                inverted.append((i, p, cert.lower, cert.upper))
+        assert inverted == []
+
+    def test_diagonal_coordinate_beta_brackets(self):
+        # the closed form of the p-sum at k, N <= 4, a third of the entries 0
+        ps = (1.1, 1.3, 1.6, 2.0, 2.5, 3.0, 4.0, 7.0)
+        rng = np.random.default_rng(124)
+        inverted = []
+        for i in range(1000):
+            p = ps[i % len(ps)]
+            k, n = (int(v) for v in rng.integers(1, 5, size=2))
+            diag = random_complex(rng, n, k) * (rng.random((n, k)) > 1 / 3)
+            coords = np.zeros((n, k, k), dtype=np.complex128)
+            coords[:, np.arange(k), np.arange(k)] = diag
+            cert = beta_certify(VecElem(coords), p, FAST_OPTS)
             if cert.lower > cert.upper:
                 inverted.append((i, p, cert.lower, cert.upper))
         assert inverted == []

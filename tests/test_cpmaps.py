@@ -169,6 +169,17 @@ class TestChoi:
         assert choi_min_eigenvalue(t) == pytest.approx(-1.0, abs=1e-12)
         assert not is_completely_positive(t)
 
+    @pytest.mark.parametrize("scale", [1.0, 1e3, 1e6])
+    def test_non_hermitian_choi_at_any_scale(self, scale):
+        # x -> (1 + 1e-3 i) scale^2 x sends E11 to a non-Hermitian matrix:
+        # its Choi matrix is 2e-3 away from Hermitian, relative to its norm
+        eye = np.eye(2, dtype=np.complex128)
+        m = KrausMap.from_terms([(scale * eye, scale * (1.0 + 1e-3j) * eye)])
+        c = choi(m)
+        rel = np.linalg.norm(c - c.conj().T) / np.linalg.norm(c)
+        assert rel == pytest.approx(2e-3 / abs(1.0 + 1e-3j), rel=1e-9)
+        assert not is_completely_positive(m)
+
     @pytest.mark.parametrize("p", [2.5, 3.0, 4.0])
     def test_average_map_is_cp(self, p):
         *_, u = build_counterexample_maps(4, p)

@@ -10,7 +10,7 @@ import nclp.vecnorm as vn
 from nclp import gaugeopt
 from nclp.counterexample import verify_pipeline, witness_w
 from nclp.cpmaps import amplify_apply, build_counterexample_maps
-from nclp.schatten import psd_power, schatten_norm
+from nclp.schatten import conjugate, lp_norm, psd_power, schatten_norm
 from nclp.vecnorm import (DEFAULT_OPTS, FAST_OPTS, CertifyOptions, Side, VecElem,
                           alpha_certify, alpha_upper, beta_certify,
                           certified_dual_upper, evaluate_upper_at, random_element)
@@ -171,15 +171,28 @@ class TestDualMemo:
         monkeypatch.setattr(vn, "certified_dual_upper", counting)
         return seen
 
-    @pytest.mark.parametrize("y, p", [
-        (random_element(5, 5, np.random.default_rng(3)), 3.0),
-        (pipeline_image(18, 3.0), 3.0),
-    ], ids=["k5", "pipeline-k18"])
-    def test_beta_solves_each_witness_once(self, dual_inputs, y, p):
-        cert = beta_certify(y, p, DEFAULT_OPTS)
+    def test_beta_solves_each_witness_once(self, dual_inputs):
+        y = random_element(5, 5, np.random.default_rng(3))
+        cert = beta_certify(y, 3.0, DEFAULT_OPTS)
         assert cert.lower <= cert.upper * (1 + 1e-9)
         assert dual_inputs
         assert len(dual_inputs) == len(set(dual_inputs))
+
+    @pytest.mark.parametrize("y, p", [
+        (pipeline_image(18, 3.0), 3.0),
+        (random_element(1, 3, np.random.default_rng(3)), 1.5),
+    ], ids=["pipeline-k18", "k1-n3"])
+    def test_diagonal_beta_runs_no_solve(self, monkeypatch, dual_inputs, y, p):
+        # diagonal coordinates take the closed form of the p-sum
+        upper_calls = []
+        upper = vn.alpha_upper
+        monkeypatch.setattr(vn, "alpha_upper",
+                            lambda *args: upper_calls.append(1) or upper(*args))
+        lapack = count_lapack(monkeypatch)
+        cert = beta_certify(y, p, DEFAULT_OPTS)
+        assert lapack == [] and upper_calls == [] and dual_inputs == []
+        assert cert.iterations == 0 and cert.converged
+        assert cert.lower <= cert.upper <= cert.lower * (1 + 1e-13)
 
 def transposed_strides(coords):
     """The same values as ``coords`` held with each coordinate's strides swapped."""
@@ -515,6 +528,44 @@ class TestDiagonalClosedForm:
             assert mpmath.mpf(cert.lower) <= exact <= mpmath.mpf(upper)
             assert (mpmath.mpf(upper) - exact) / exact <= mpmath.mpf("1e-13")
         assert evaluate_upper_at(y, wit, p) == pytest.approx(upper, rel=1e-9)
+
+    @settings(max_examples=120, deadline=None)
+    @given(y=diagonal_coordinate_elements(),
+           p=st.sampled_from((1.1, 1.5, 2.0, 3.0, 7.0, 600.0)))
+    def test_beta_bracket(self, y, p):
+        # the p-sum 2^{1/p - 1} |c^{1/2}|_p, both bounds rounded outward
+        cert = beta_certify(y, p)
+        if y.is_zero():
+            assert cert.upper == cert.lower == 0.0
+            return
+        with mpmath.workdps(50):
+            exact = mpmath.mpf(2) ** (1 / mpmath.mpf(p) - 1) * mp_closed_form(y, p)
+            assert mpmath.mpf(cert.lower) <= exact <= mpmath.mpf(cert.upper)
+            assert (mpmath.mpf(cert.upper) - cert.lower) / exact <= mpmath.mpf("1e-13")
+
+    @pytest.mark.parametrize("p", [1.5, 3.0, 7.0])
+    def test_beta_bracket_at_subnormal_scale(self, p):
+        # scaling back to m 2^-1074 rounds: both bounds step outward
+        for m in range(1, 200):
+            v = math.ldexp(m, -1074)
+            cert = beta_certify(VecElem(np.full((1, 1, 1), v, dtype=complex)), p)
+            with mpmath.workdps(50):
+                exact = mpmath.mpf(2) ** (1 / mpmath.mpf(p) - 1) * mpmath.mpf(v)
+                assert mpmath.mpf(cert.lower) <= exact <= mpmath.mpf(cert.upper)
+
+    @pytest.mark.parametrize("p", [1.1, 1.5, 2.0, 3.0, 7.0, 600.0])
+    def test_beta_dual_witness_attains_the_lower_bound(self, p):
+        rng = np.random.default_rng(int(10 * p))
+        for y in list(DIAGONAL_ELEMS.values()) + [
+                VecElem(random_complex(rng, n, k, k) * np.eye(k))
+                for k, n in ((1, 1), (1, 3), (3, 2), (4, 4))]:
+            cert = beta_certify(y, p)
+            wit = cert.dual_witness
+            assert gaugeopt._diagonal_coordinates(wit.coords)
+            du = gaugeopt.diagonal_upper(wit.coords, conjugate(p))
+            assert cert.dual_norm_bound == lp_norm((du, du), conjugate(p))
+            ratio = abs(vn.pairing(y, wit)) / cert.dual_norm_bound
+            assert ratio == pytest.approx(cert.lower, rel=1e-13)
 
     @pytest.mark.parametrize("p", [1.5, 3.0, 600.0])
     def test_dual_upper_takes_the_closed_form(self, monkeypatch, p):
