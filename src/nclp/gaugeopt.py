@@ -277,8 +277,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError
-from .schatten import (DEFAULT_RANK_TOL, lp_norm, pow2_normalize, pow2_restore,
-                       psd_power, psd_spectrum, spectral_power)
+from .schatten import (DEFAULT_RANK_TOL, lp_norm, pow2_normalize,
+                       pow2_restore_outward, psd_power, psd_spectrum,
+                       spectral_power)
 # not called here since _residual_correction sums one stacked SVD, but the
 # tracer of perfbench/tracing.py patches this name on gaugeopt
 from .schatten import schatten_norm  # noqa: F401
@@ -408,7 +409,8 @@ def _diagonal_slack(n_coords: int, k: int) -> float:
 def _diagonal_value(c: np.ndarray, e: int, n_coords: int, p: float) -> float:
     """``|c^{1/2}|_p 2^e`` rounded up by the allowance of the module docstring."""
     slack = _diagonal_slack(n_coords, c.size)
-    return pow2_restore(lp_norm(np.sqrt(c), p) * (1.0 + slack), e)
+    return pow2_restore_outward(lp_norm(np.sqrt(c), p) * (1.0 + slack), e,
+                                math.inf)
 
 
 def diagonal_upper(A: np.ndarray, p: float) -> float:
@@ -822,4 +824,5 @@ def minimax_lower(coords: np.ndarray, rho: np.ndarray, p: float) -> float:
     den = lp_norm(lam_rho + eps_rho + mu, t)
     if num == 0.0 or den == 0.0:
         return 0.0
-    return pow2_restore(math.sqrt(num / den) * (1.0 - (2 * k + 16) * _EPS), e)
+    return pow2_restore_outward(math.sqrt(num / den) * (1.0 - (2 * k + 16) * _EPS),
+                                e, 0.0)

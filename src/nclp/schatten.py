@@ -130,6 +130,16 @@ def pow2_restore(value: float, e: int) -> float:
     return out
 
 
+def pow2_restore_outward(value: float, e: int, toward: float) -> float:
+    """``pow2_restore(value, e)`` for a bound: moved one ulp toward ``toward``
+    (``math.inf`` for an upper bound, ``0.0`` for a lower one) when the
+    scaling rounded.  It rounds only where the result is subnormal, so a
+    bound in the normal range comes back unchanged.
+    """
+    out = pow2_restore(value, e)
+    return out if math.ldexp(out, -e) == value else math.nextafter(out, toward)
+
+
 def psd_spectrum(b):
     """``(vals, vecs, keep)``: the eigendecomposition of a PSD matrix and its support.
 

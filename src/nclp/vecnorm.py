@@ -76,9 +76,9 @@ valued ``h``, and ``c'`` times ``c_max^{1 - p/2}`` (so that no power
 overflows: every entry is at most ``c_max^{1/2}``), whose
 ``dual_norm_bound`` is the p'-sum of its two ``gaugeopt.diagonal_upper``
 values.  Scaling back by ``2^e`` is exact unless a bound is subnormal;
-there ``_restore_outward`` moves it one ulp outward, past the half ulp of
-rounding.  Both bounds are exact up to rounding, and without the outward
-rounding most k = n = 1 brackets came out inverted by an ulp or two.
+there ``schatten.pow2_restore_outward`` moves it one ulp outward, past the
+half ulp of rounding.  Both bounds are exact up to rounding, and without the
+outward rounding most k = n = 1 brackets came out inverted by an ulp or two.
 
 Pruning.  Each candidate also gets a floor ``L(c)``, the p'-sum of the
 minimax lower bounds of its two dual norms at a density in closed form
@@ -97,8 +97,10 @@ than the floor.
 
 Scale.  The certificates divide the element by an exact power of two near
 its largest entry first (``schatten.pow2_normalize``) and scale back at the
-end, so entries anywhere in the float64 range work, subnormal ones
-included; a bound whose value exceeds that range raises
+end, one ulp outward where that step rounds, which it does only for a
+subnormal bound (``schatten.pow2_restore_outward``).  The line split is
+valued at unit scale too.  So entries anywhere in the float64 range work,
+subnormal ones included; a bound whose value exceeds that range raises
 ``InvalidInputError`` instead of coming back as ``inf``.
 """
 
@@ -113,7 +115,7 @@ import numpy as np
 from . import gaugeopt
 from .errors import InvalidInputError
 from .schatten import (check_exponent, conjugate, dual_witness, lp_norm,
-                       pow2_normalize, pow2_restore, psd_power)
+                       pow2_normalize, pow2_restore_outward, psd_power)
 
 
 class Side(enum.Enum):
@@ -362,7 +364,7 @@ def alpha_upper(y: VecElem, p: float, side: Side = Side.ELL_ROW,
     wit = FactorWitness("one_sided" if p >= 2.0 else "two_sided", s=res.s,
                         r=res.r, transposed=transposed, iterations=res.iterations,
                         converged=res.converged, rho=res.rho)
-    return pow2_restore(res.value * scale, e), wit
+    return pow2_restore_outward(res.value * scale, e, math.inf), wit
 
 
 def certified_dual_upper(yp: VecElem, p_dual: float,
@@ -580,28 +582,27 @@ def beta_certify(y: VecElem, p: float,
     # scalar line split y0 = t y: at t = 1 and t = 0 ``lp_norm`` returns its
     # nonzero argument unchanged, so the endpoints are the trivial splits;
     # they come first, and argmin keeps the first of equal values.  t* is
-    # formed from (min / max)^{p'} <= 1, which cannot overflow near p = 1
-    r = (min(u_ell, u_col) / max(u_ell, u_col)) ** conjugate(p)
-    ts = (1.0, 0.0, r / (1.0 + r) if u_ell >= u_col else 1.0 / (1.0 + r))
-    vals = [lp_norm((t * u_ell, (1.0 - t) * u_col), p) for t in ts]
+    # formed from (min / max)^{p'} <= 1, which cannot overflow near p = 1.
+    # Norms below 1/2 are moved up to [1/2, 1) by the exact 2^-e first, so
+    # that no product rounds at subnormal granularity
+    e = min(0, math.frexp(max(u_ell, u_col))[1])
+    a, b = math.ldexp(u_ell, -e), math.ldexp(u_col, -e)
+    r = (min(a, b) / max(a, b)) ** conjugate(p)
+    ts = (1.0, 0.0, r / (1.0 + r) if a >= b else 1.0 / (1.0 + r))
+    vals = [lp_norm((t * a, (1.0 - t) * b), p) for t in ts]
     vals[2] *= 1.0 + _SPLIT_SLACK  # rounded up; the endpoints are exact
     best = int(np.argmin(vals))
     t = ts[best]
     # y.scaled(0.0) would write -0.0
     y0 = VecElem.zeros(y.k, y.n) if t == 0.0 else y.scaled(t)
-    upper, beta_wit = vals[best], BetaWitness(y0, t * u_ell, (1.0 - t) * u_col)
+    upper = pow2_restore_outward(vals[best], e, math.inf)
+    beta_wit = BetaWitness(y0, pow2_restore_outward(t * a, e, math.inf),
+                           pow2_restore_outward((1.0 - t) * b, e, math.inf))
 
     lower, dual_wit, dual_den = _pairing_lower(y, p, w_ell, opts)
     return NormCertificate(upper=upper, lower=lower, factor_witness=beta_wit,
                            dual_witness=dual_wit, iterations=iters,
                            converged=conv, dual_norm_bound=dual_den)
-
-
-def _restore_outward(value: float, e: int, toward: float) -> float:
-    """``pow2_restore(value, e)``, moved one ulp toward ``toward`` when the
-    scaling rounded (a subnormal result), so that a bound stays outward."""
-    out = pow2_restore(value, e)
-    return out if math.ldexp(out, -e) == value else math.nextafter(out, toward)
 
 
 def _diagonal_beta(y: VecElem, p: float) -> NormCertificate:
@@ -627,9 +628,9 @@ def _diagonal_beta(y: VecElem, p: float) -> NormCertificate:
     p_dual = conjugate(p)
     # the transpose of diagonal coordinates is themselves: both dual norms agree
     dual_norm = gaugeopt.diagonal_upper(dual, p_dual)
-    half = pow2_restore(half, e)
-    return NormCertificate(upper=_restore_outward(upper, e, math.inf),
-                           lower=_restore_outward(lower, e, 0.0),
+    half = pow2_restore_outward(half, e, math.inf)
+    return NormCertificate(upper=pow2_restore_outward(upper, e, math.inf),
+                           lower=pow2_restore_outward(lower, e, 0.0),
                            factor_witness=BetaWitness(y.scaled(0.5), half, half),
                            dual_witness=VecElem(dual), iterations=0, converged=True,
                            dual_norm_bound=lp_norm((dual_norm, dual_norm), p_dual))
@@ -669,7 +670,8 @@ def _pairing_lower(y: VecElem, p: float, w_ell: FactorWitness,
         # the largest ratio; among equal ratios, the first in pool order
         if (num / den, -idx) > (lower, -win):
             lower, dual_wit, dual_den, win = num / den, cand, den, idx
-    return pow2_restore(lower * (1.0 - _QUOTIENT_SLACK), e), dual_wit, dual_den
+    return (pow2_restore_outward(lower * (1.0 - _QUOTIENT_SLACK), e, 0.0),
+            dual_wit, dual_den)
 
 
 def random_element(k: int, n: int, rng: np.random.Generator,

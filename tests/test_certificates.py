@@ -539,6 +539,52 @@ class TestNoInvertedBracket:
         assert inverted == []
 
 
+class TestSubnormalBrackets:
+    """Brackets whose value is subnormal contain the exact norm: the scaling
+    back by ``2^e`` rounds there, and every bound steps one ulp outward."""
+
+    TINY = 2.0 ** -1074
+
+    @staticmethod
+    def _contains(cert, exact):
+        return mpmath.mpf(cert.lower) <= exact <= mpmath.mpf(cert.upper)
+
+    @pytest.mark.parametrize("p", [1.5, 3.0, 7.0])
+    def test_k1_alpha_grid(self, p):
+        # at the parent 2,598 of these 2,784 brackets (all three p) missed
+        missed = []
+        for m1 in range(1, 200, 7):
+            for m2 in range(0, 200, 13):
+                y = VecElem(np.array([m1, m2], dtype=np.complex128).reshape(2, 1, 1)
+                            * self.TINY)
+                with mpmath.workdps(50):
+                    # k = 1: both sides are the Euclidean norm of the pair
+                    exact = mpmath.sqrt(m1 ** 2 + m2 ** 2) * mpmath.mpf(2) ** -1074
+                    for side in (Side.ELL_ROW, Side.R_COL):
+                        if not self._contains(alpha_certify(y, p, side), exact):
+                            missed.append((m1, m2, side))
+        assert missed == []
+
+    @pytest.mark.parametrize("p", [1.5, 3.0, 7.0])
+    def test_k2_non_diagonal_element(self, p):
+        """``y_n = diag(d_n) P`` with the swap P: not diagonal, so both
+        certificates take the generic route, and its norms are those of the
+        diagonal ``diag(d_n)`` (the unitary P leaves them unchanged)."""
+        d = np.array([[62, 9], [15, 4]])
+        swap = np.array([[0, 1], [1, 0]])
+        y = VecElem(np.stack([np.diag(dn) @ swap for dn in d]).astype(np.complex128)
+                    * self.TINY)
+        with mpmath.workdps(50):
+            c = [mpmath.mpf(int(v)) * mpmath.mpf(2) ** -2148
+                 for v in (d ** 2).sum(axis=0)]
+            q = mpmath.mpf(p)
+            alpha = mpmath.fsum(ci ** (q / 2) for ci in c) ** (1 / q)
+            beta = alpha * mpmath.mpf(2) ** (1 / q - 1)
+            for side in (Side.ELL_ROW, Side.R_COL):
+                assert self._contains(alpha_certify(y, p, side), alpha), side
+            assert self._contains(beta_certify(y, p), beta)
+
+
 def mp_minimax_value(coords, rho, p):
     """(|c|_beta / |rho|_t)^{1/2} at 50 digits from the stored floats."""
     beta, t = gaugeopt._dual_exponents(p)

@@ -93,9 +93,12 @@ class TestKernel:
         scale = sum(np.abs(a).T @ np.abs(x) @ np.abs(b) for a, b in zip(m.a, m.b)).max()
         assert np.abs(got - want).max() <= 1e-13 * scale
 
-    @pytest.mark.parametrize("terms", [1, 3, 7])
-    def test_amplify_is_coordinatewise_apply(self, rng, terms):
-        k, n = 3, 5
+    @pytest.mark.parametrize("terms", [1, 3, 7, 18])
+    @pytest.mark.parametrize("k", [1, 3, 18])
+    def test_amplify_is_coordinatewise_apply(self, rng, terms, k):
+        """Every coordinate goes through the same two matrix products for any
+        number of coordinates, so the amplified map agrees bit for bit."""
+        n = 5
         m = random_map(rng, terms, k)
         y = VecElem(random_complex(rng, n, k, k))
         img = amplify_apply(m, y)
@@ -105,21 +108,43 @@ class TestKernel:
 
     @pytest.mark.parametrize("k", [1, 2, 5, 18])
     def test_column_support_exact_cases(self, rng, k):
+        """Exact products give the same bits in any summation order: the zero
+        argument, and the witness under every counterexample map."""
         m = random_map(rng, 3, k)
-        for x in (np.zeros((4, k, k), dtype=np.complex128),
-                  random_complex(rng, 4, k, k), random_complex(rng, k, k)):
-            assert np.array_equal(_sandwich(m, x), full_sandwich(m, x))
+        x = np.zeros((4, k, k), dtype=np.complex128)
+        assert np.array_equal(_sandwich(m, x), full_sandwich(m, x))
         w = witness_w(k).coords
         for p in (2.5, 3.0, 4.0):
             for umap in build_counterexample_maps(k, p):
                 assert np.array_equal(_sandwich(umap, w), full_sandwich(umap, w))
 
+    @pytest.mark.parametrize("terms", [1, 3, 7, 18])
+    @pytest.mark.parametrize("k", [1, 2, 5, 18])
+    def test_accuracy_against_extended_precision(self, rng, terms, k):
+        """Dense and masked arguments against the sum in extended precision:
+        every entry is within the rounding bound of the cpmaps docstring,
+        ``(k + terms |J| + 2) eps`` times ``sum_t |a_t|^T |x| |b_t|``."""
+        eps = np.finfo(float).eps
+        for trial in range(6):
+            m = random_map(rng, terms, k)
+            x = random_complex(rng, 4, k, k) if trial % 2 else random_complex(rng, k, k)
+            if trial >= 2:
+                x[..., rng.random(k) < 0.5] = 0.0
+                x[..., rng.random(k) < 0.5, :] = 0.0
+            width = np.count_nonzero(np.any(x, axis=tuple(range(x.ndim - 1))))
+            a, b = m.a.astype(np.clongdouble), m.b.astype(np.clongdouble)
+            exact = sum(a_t.conj().T @ x.astype(np.clongdouble) @ b_t
+                        for a_t, b_t in zip(a, b))
+            scale = sum(np.abs(a_t).T @ np.abs(x) @ np.abs(b_t)
+                        for a_t, b_t in zip(m.a, m.b))
+            err = np.abs(_sandwich(m, x) - exact).astype(float)
+            assert np.all(err <= (k + terms * width + 2) * eps * scale)
+
     @pytest.mark.parametrize("k", [1, 2, 5, 18])
     def test_column_support_masks(self, rng, k):
-        """Complex arguments with zero rows and columns: dropping the zero
-        columns changes only how the BLAS kernel rounds the products
-        (observed up to 1.5 eps of the entrywise scale); both results sit
-        within about k eps of the exact sums."""
+        """Complex arguments with zero rows and columns: the kernel and the
+        full per-term reference round and sum in different orders; both
+        results sit within about k eps of the exact sums."""
         eps = np.finfo(float).eps
         for _ in range(20):
             m = random_map(rng, 3, k)
