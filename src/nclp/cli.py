@@ -114,23 +114,24 @@ def cmd_sweep(args) -> int:
     if args.kmin < 1 or args.kmax < args.kmin:
         raise InvalidInputError("need 1 <= kmin <= kmax")
     cx.check_pipeline_exponent(args.p)
-    lines = [",".join(SWEEP_COLUMNS)]
+    rows = []
     for k in range(args.kmin, args.kmax + 1):
         formula = cx.lower_bound_formula(k, args.p)
-        numeric = upper_w = None  # blank columns above the numeric cap
+        numeric = upper_w = None  # above the numeric cap: null, or a blank cell
         passed = formula > 4.0
         if k <= args.numeric_cap:
             rep = cx.verify_pipeline(k, args.p, k_cap=args.numeric_cap)
             numeric, upper_w, passed = rep.numeric_lb, rep.upper_w, rep.threshold_pass
-        row = (k, args.p, formula, numeric, upper_w, bool(passed))
-        lines.append(",".join("" if v is None else serialize.dumps_canonical(v)
-                              for v in row))
+        rows.append((k, args.p, formula, numeric, upper_w, bool(passed)))
     threshold = cx.threshold_k(args.p, 4.0)
-    text = "\n".join(lines)
     if args.format == "json":
-        rows = [dict(zip(SWEEP_COLUMNS, ln.split(","))) for ln in lines[1:]]
-        text = serialize.dumps_canonical({"rows": rows,
-                                          "formula_threshold_k": threshold})
+        text = serialize.dumps_canonical({
+            "rows": [dict(zip(SWEEP_COLUMNS, row)) for row in rows],
+            "formula_threshold_k": threshold})
+    else:
+        text = "\n".join([",".join(SWEEP_COLUMNS)] + [
+            ",".join("" if v is None else serialize.dumps_canonical(v) for v in row)
+            for row in rows])
     _emit(text, args.out)
     if not args.out or args.format == "csv":
         print(f"# formula threshold k for bound 4: {threshold}",

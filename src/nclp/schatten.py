@@ -180,15 +180,14 @@ def psd_power(b, power: float) -> np.ndarray:
 def dual_witness(a, p: float) -> np.ndarray:
     """Norm-attaining dual element: tr(a c) / ||c||_{p'} == ||a||_p.
 
-    Built from the SVD ``a = U S V^*`` as ``c = V S^{p-1} U^*`` (top singular
-    pair only when ``p = inf``).
+    Built from the SVD ``a = U S V^*`` as ``c = V S^{p-1} U^*``, with ``S``
+    scaled to top entry 1: at ``p = inf`` the power keeps only the top
+    singular pairs.
     """
     m = as_matrix(a)
     p = float(p)
     u, sv, vh = np.linalg.svd(m, full_matrices=False)
     if sv.size == 0 or sv[0] == 0.0:
         return np.zeros((m.shape[1], m.shape[0]), dtype=np.complex128)
-    if math.isinf(p):
-        return np.outer(vh[0].conj(), u[:, 0].conj())
     scaled = np.where(sv >= DEFAULT_RANK_TOL * sv[0], (sv / sv[0]) ** (p - 1.0), 0.0)
     return (vh.conj().T * scaled) @ u.conj().T

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+from dataclasses import asdict
 
 import numpy as np
 
@@ -168,20 +169,7 @@ def certificate_to_json(cert: NormCertificate) -> dict:
 
 
 def report_to_json(rep: CounterexampleReport) -> dict:
-    return {"k": rep.k, "p": float(rep.p),
-            "upper_w": float(rep.upper_w), "lower_w": float(rep.lower_w),
-            "formula_lb": float(rep.formula_lb),
-            "numeric_lb": float(rep.numeric_lb),
-            "closed_form_match": bool(rep.closed_form_match),
-            "witness_norm_ok": bool(rep.witness_norm_ok),
-            "dominance_ok": bool(rep.dominance_ok),
-            "cp_ok": bool(rep.cp_ok),
-            "choi_min_eig": float(rep.choi_min_eig),
-            "contraction_ratio": float(rep.contraction_ratio),
-            "contraction_upper": float(rep.contraction_upper),
-            "contraction_ok": bool(rep.contraction_ok),
-            "threshold_pass": bool(rep.threshold_pass),
-            "diagnostics": list(rep.diagnostics)}
+    return asdict(rep)
 
 
 def load_json_file(path: str):

@@ -9,8 +9,8 @@ two factorization norms, selected by :class:`Side`:
 * ``R_COL``: the mirrored variant with the column norm on the middle factor;
   computed here as ``ELL_ROW`` of the coordinatewise transpose, which is an
   exact identity for these norms.  The transpose is taken once per
-  certificate (and once per dual candidate of ``beta_certify``), and the
-  witness records it in ``transposed``.
+  certificate (and once per dual candidate of ``beta_certify`` without
+  diagonal coordinates), and the witness records it in ``transposed``.
 
 ``alpha_certify`` returns rigorous two-sided bounds: the upper bound is the
 value of an explicit feasible factorization found by the gauge solver
@@ -91,9 +91,11 @@ and among equal ratios the candidate first in pool order, exactly as if all
 had been solved, so the lower bound, the dual witness and its bound are the
 same bits.  A floor that came out too high could only drop a candidate that
 would have won, giving a lower (still sound) bound; it can never make a
-bracket unsound.  Candidates with diagonal coordinates are always solved:
-their dual bounds take a closed form (``gaugeopt.diagonal_upper``), cheaper
-than the floor.
+bracket unsound.  A candidate with diagonal coordinates is its own
+transpose and is always valued: its potential is ``inf``, and its one dual
+bound, a closed form (``gaugeopt.diagonal_upper``) cheaper than a floor,
+serves both sides.  Every other candidate and its transpose are valued once
+each.
 
 Scale.  The certificates divide the element by an exact power of two near
 its largest entry first (``schatten.pow2_normalize``) and scale back at the
@@ -298,41 +300,6 @@ def evaluate_upper_at(y: VecElem, witness: FactorWitness, p: float) -> float:
     return gaugeopt.evaluate_two_sided(coords, witness.r, witness.s, p)
 
 
-def combine_witnesses(w1: FactorWitness, v1: float, w2: FactorWitness,
-                      v2: float, p: float) -> FactorWitness | None:
-    """Witness for a sum of elements built from witnesses of the summands.
-
-    Rescales each witness so its two (or three) objective factors balance at
-    ``sqrt(value)`` and adds them; the triangle-inequality argument makes the
-    result feasible for ``y1 + y2`` with value at most ``v1 + v2``.
-    """
-    if w1.branch != w2.branch or w1.transposed != w2.transposed:
-        return None
-    if v1 <= 0.0:
-        return w2
-    if v2 <= 0.0:
-        return w1
-    q = gaugeopt.q_from_p(p) if w1.branch == "two_sided" else None
-
-    def tr_term_sq(mat, e):
-        """tr(mat^{e/2})^{2/e}, the square of the factor's objective term."""
-        return lp_norm(np.linalg.eigvalsh(0.5 * (mat + mat.conj().T)), 0.5 * e)
-
-    if w1.branch == "one_sided":
-        t1, t2 = tr_term_sq(w1.s, p), tr_term_sq(w2.s, p)
-        if t1 <= 0.0 or t2 <= 0.0:
-            return None
-        s = (v1 / t1) * w1.s + (v2 / t2) * w2.s
-        return FactorWitness("one_sided", s=s, transposed=w1.transposed)
-    a1, a2 = tr_term_sq(w1.r, q), tr_term_sq(w2.r, q)
-    b1, b2 = tr_term_sq(w1.s, 2.0), tr_term_sq(w2.s, 2.0)
-    if min(a1, a2, b1, b2) <= 0.0:
-        return None
-    r = (v1 / a1) * w1.r + (v2 / a2) * w2.r
-    s = (v1 / b1) * w1.s + (v2 / b2) * w2.s
-    return FactorWitness("two_sided", s=s, r=r, transposed=w1.transposed)
-
-
 def alpha_upper(y: VecElem, p: float, side: Side = Side.ELL_ROW,
                 opts: CertifyOptions = DEFAULT_OPTS):
     """Certified upper bound on the factorization norm.
@@ -381,24 +348,6 @@ def certified_dual_upper(yp: VecElem, p_dual: float,
     if gaugeopt._diagonal_coordinates(yp.coords):
         return gaugeopt.diagonal_upper(yp.coords, p_dual)
     return alpha_upper(yp, p_dual, Side.ELL_ROW, opts)[0]
-
-
-def _dual_upper_once(p_dual: float, opts: CertifyOptions):
-    """``certified_dual_upper`` for one certificate call, one solve per witness.
-
-    The returned function remembers its results by coordinate bytes, so a
-    candidate that recurs in the pool (or as the transpose of another) is
-    solved once; the memory lives only as long as the caller keeps it.
-    """
-    memo: dict = {}
-
-    def dual_upper(cand: VecElem) -> float:
-        key = (cand.coords.shape, cand.coords.tobytes())
-        if key not in memo:
-            memo[key] = certified_dual_upper(cand, p_dual, opts)
-        return memo[key]
-
-    return dual_upper
 
 
 def _auto_dual_pool(y: VecElem, p: float,
@@ -534,12 +483,8 @@ def _pairing_potential(cand: VecElem, cand_t: VecElem, num: float,
 
     ``den`` is the p'-sum of the two certified dual upper bounds, of the
     candidate and of its transpose ``cand_t``, which are at least the two
-    floors (``_dual_floor``).  Candidates with diagonal coordinates have
-    closed-form dual bounds and get ``inf``: they are always solved, since a
-    floor would cost more than the solve.
+    floors (``_dual_floor``).
     """
-    if gaugeopt._diagonal_coordinates(cand.coords):
-        return math.inf
     floor = lp_norm((_dual_floor(cand, p_dual), _dual_floor(cand_t, p_dual)), p_dual)
     return num / floor if floor > 0.0 else math.inf
 
@@ -566,8 +511,9 @@ def beta_certify(y: VecElem, p: float,
     skipped candidate's ratio is below the best, so the winner (the largest
     ratio, the first in pool order among equal ones) is the one an unpruned
     pass would pick.
-    Each distinct dual witness (by coordinate bytes, in the ELL_ROW frame) is
-    solved once per call.
+    A candidate with diagonal coordinates is its own transpose, and its one
+    closed-form dual bound serves both sides; every other candidate and its
+    transpose are valued once each.
     """
     p = check_exponent(p)
     if y.is_zero():
@@ -645,8 +591,11 @@ def _pairing_lower(y: VecElem, p: float, w_ell: FactorWitness,
     are solved by decreasing potential while one can still win (module
     docstring).  The winner has the largest ratio and, among equal ratios,
     comes first in pool order, as if every candidate had been solved; its
-    ratio is rounded down once chosen.  Each candidate is transposed once,
-    for its floor and its dual solve.
+    ratio is rounded down once chosen.  A candidate with diagonal
+    coordinates is its own transpose: it gets potential ``inf`` and one
+    closed-form ``certified_dual_upper`` value, which serves both sides.
+    Every other candidate is transposed once, and it and its transpose are
+    valued once each, for the floor and for the dual bound.
     """
     p_dual = conjugate(p)
     coords, e = pow2_normalize(y.coords)  # pair at unit scale: no under/overflow
@@ -654,19 +603,22 @@ def _pairing_lower(y: VecElem, p: float, w_ell: FactorWitness,
     scored = []
     for cand in _auto_dual_pool(y, p, w_ell):
         num = abs(pairing(y_unit, cand))
-        if num > 0.0:
+        if num == 0.0:
+            continue
+        if gaugeopt._diagonal_coordinates(cand.coords):
+            scored.append((cand, None, num, math.inf))
+        else:
             cand_t = opposite_transform(cand)
             scored.append((cand, cand_t, num,
                            _pairing_potential(cand, cand_t, num, p_dual)))
-    dual_upper = _dual_upper_once(p_dual, opts)
     lower, dual_wit, dual_den, win = 0.0, None, 0.0, 0
     for idx in sorted(range(len(scored)), key=lambda i: -scored[i][3]):
         cand, cand_t, num, potential = scored[idx]
         if potential < lower * (1.0 - _PRUNE_MARGIN):
             break
-        den = lp_norm((dual_upper(cand), dual_upper(cand_t)), p_dual)
-        if den <= 0.0 or not math.isfinite(den):
-            continue
+        up = certified_dual_upper(cand, p_dual, opts)
+        up_t = up if cand_t is None else certified_dual_upper(cand_t, p_dual, opts)
+        den = lp_norm((up, up_t), p_dual)
         # the largest ratio; among equal ratios, the first in pool order
         if (num / den, -idx) > (lower, -win):
             lower, dual_wit, dual_den, win = num / den, cand, den, idx

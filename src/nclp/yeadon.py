@@ -290,19 +290,17 @@ def rigid_compose(t_spec: YeadonSpec, s_spec: YeadonSpec, p: float) -> KrausMap:
 
 
 def rigid_bound_report(u: KrausMap, p: float, samples: int, seed: int = 0,
-                       n_hilbert: int = 3, extra_elements=(),
+                       n_hilbert: int = 3,
                        opts: CertifyOptions = DEFAULT_OPTS) -> BoundReport:
     """Necessary condition for a rigid factorization: the factor-4 bound.
 
-    For each element (``extra_elements`` first, then ``samples`` random ones)
-    the certified p-sum lower bound of ``(u (x) I) y`` must stay below 4
-    times the certified row upper bound of y, plus 1e-9; a violation
-    certifies that no rigid factorization of u exists.
+    For each of ``samples`` random elements y, the certified p-sum lower
+    bound of ``(u (x) I) y`` must stay below 4 times the certified row upper
+    bound of y, plus 1e-9; a violation certifies that no rigid factorization
+    of u exists.
     """
     rng = np.random.default_rng(seed)
-    elements = list(extra_elements)
-    for _ in range(samples):
-        elements.append(random_element(u.k, n_hilbert, rng))
+    elements = [random_element(u.k, n_hilbert, rng) for _ in range(samples)]
     # cpmaps.amplify_apply is looked up per call, where a tracer may wrap it
     return _bound_report(
         elements, p, 4.0,

@@ -395,6 +395,17 @@ class TestProperties:
                                 r=np.eye(3, dtype=np.complex128))
             assert evaluate_upper_at(y, two, 2.0) == pytest.approx(v1, rel=1e-12)
 
+    @pytest.mark.parametrize("side", [Side.ELL_ROW, Side.R_COL])
+    @pytest.mark.parametrize("p", [1.5, 3.0])
+    def test_subadditivity(self, rng, side, p):
+        # the solved upper bounds alone, with no witness built for the sum
+        for k, n in ((1, 2), (2, 3), (3, 2)):
+            y1, y2 = random_element(k, n, rng), random_element(k, n, rng)
+            v1, _ = alpha_upper(y1, p, side, FAST_OPTS)
+            v2, _ = alpha_upper(y2, p, side, FAST_OPTS)
+            v12, _ = alpha_upper(y1 + y2, p, side, FAST_OPTS)
+            assert v12 <= v1 + v2 + 1e-9
+
 
 def _pools(y, p):
     """The dual pool of ``beta_certify`` and the transposed pool it dropped."""
@@ -503,6 +514,36 @@ class TestBetaPruning:
                     dist = min(float(np.max(np.abs(cand.coords - c.coords)))
                                for c in first)
                     assert dist <= 1e-12
+
+
+class TestSelfTransposedCandidate:
+    """On a near-diagonal element the pool's matched diagonal candidate wins
+    the dual route.  It is its own transpose, so its one closed-form dual
+    bound serves both sides."""
+
+    @pytest.mark.parametrize("k", [2, 3])
+    @pytest.mark.parametrize("p", [1.5, 3.0])
+    def test_one_dual_bound_for_both_sides(self, monkeypatch, k, p):
+        rng = np.random.default_rng(10 * k + int(p))
+        y = VecElem.diagonal(rng.uniform(0.5, 2.0, k)) \
+            + random_element(k, k, rng).scaled(1e-2)
+        valued = []
+        solve = vecnorm.certified_dual_upper
+
+        def counted(yp, p_dual, opts):
+            valued.append(yp.coords.tobytes())
+            return solve(yp, p_dual, opts)
+
+        monkeypatch.setattr(vecnorm, "certified_dual_upper", counted)
+        cert = beta_certify(y, p, FAST_OPTS)
+        wit = cert.dual_witness
+        assert gaugeopt._diagonal_coordinates(wit.coords)
+        assert valued.count(wit.coords.tobytes()) == 1
+        p_dual = conjugate(p)
+        d = solve(wit, p_dual, FAST_OPTS)
+        assert d == gaugeopt.diagonal_upper(wit.coords, p_dual)
+        assert cert.dual_norm_bound == lp_norm((d, d), p_dual)
+        assert cert.lower <= cert.upper
 
 
 class TestNoInvertedBracket:

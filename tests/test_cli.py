@@ -63,12 +63,29 @@ class TestSweep:
         assert float(numeric) >= float(row.split(",")[2]) - 1e-12
 
     def test_json_format(self, tmp_path):
+        # typed values; k = 33 is above the default numeric cap of 32
         out = tmp_path / "sweep.json"
-        assert run_cli("sweep", "--p", "3", "--kmin", "2", "--kmax", "3",
+        assert run_cli("sweep", "--p", "3", "--kmin", "31", "--kmax", "33",
                        "--format", "json", "--out", str(out)) == 0
         doc = json.loads(out.read_text())
-        assert len(doc["rows"]) == 2
+        assert [row["k"] for row in doc["rows"]] == [31, 32, 33]
         assert doc["formula_threshold_k"] > 10 ** 8
+        for row in doc["rows"]:
+            assert type(row["k"]) is int and row["p"] == 3
+            assert type(row["formula_lb"]) is float
+            assert type(row["threshold_pass"]) is bool
+            # upper_w is 1 exactly, which the canonical format writes as 1
+            capped = row["k"] > 32
+            for key in ("numeric_lb", "upper_w"):
+                assert (row[key] is None) == capped
+                assert capped or type(row[key]) in (int, float)
+        # the same values as the CSV cells
+        csv = tmp_path / "sweep.csv"
+        assert run_cli("sweep", "--p", "3", "--kmin", "31", "--kmax", "33",
+                       "--out", str(csv)) == 0
+        cells = [ln.split(",") for ln in csv.read_text().splitlines()[1:]]
+        assert [[("" if v is None else serialize.dumps_canonical(v))
+                 for v in row.values()] for row in doc["rows"]] == cells
 
     def test_bad_range(self):
         assert run_cli("sweep", "--p", "3", "--kmin", "4", "--kmax", "2") == 2

@@ -267,15 +267,16 @@ class TestRigidBoundReport:
         assert rep.passed
 
     def test_violation_is_reported(self):
-        # a map far from contractive must trip the factor-4 check on the
-        # witness element (the true threshold scale is out of numeric reach,
-        # so the reporting path is exercised with an inflated map instead)
-        from nclp.counterexample import witness_w
-
+        # a map far from contractive must trip the factor-4 check on every
+        # sample (the true threshold scale is out of numeric reach, so the
+        # reporting path is exercised with an inflated map instead); the
+        # certified p-sum lower bound of a random element is above a quarter
+        # of its row upper bound, so x -> 16 x breaks the bound about twice
         k, p = 3, 3.0
-        s = np.sqrt(8.0) * np.eye(k)
-        u = KrausMap.from_terms([(s, s)])  # x -> 8 x
-        rep = rigid_bound_report(u, p, samples=0, seed=0,
-                                 extra_elements=[witness_w(k)], opts=FAST_OPTS)
+        s = 4.0 * np.eye(k)
+        u = KrausMap.from_terms([(s, s)])  # x -> 16 x
+        rep = rigid_bound_report(u, p, samples=2, seed=0, opts=FAST_OPTS)
         assert not rep.passed
-        assert rep.violations == [0]
+        assert rep.violations == [0, 1]
+        assert all(row.image_lower > 1.5 * 4.0 * row.input_upper
+                   for row in rep.rows)
