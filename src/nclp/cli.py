@@ -8,11 +8,12 @@ Subcommands:
   yeadon          isometry / split / contraction reports from a spec file
   selftest        run the acceptance checks
 
-Exit codes: 0 success, 1 verification failure, 2 invalid input (also a
-size whose arrays cannot be allocated).  Each subcommand takes only the
-flags it reads; --seed seeds the random draws of ``diag --random`` and
-``yeadon``, the only commands that make any.  Outputs are byte-stable for a
-fixed configuration (reals are printed with 17 significant digits).
+Exit codes: 0 success, 1 verification failure (also an eigensolve that
+LAPACK fails to converge), 2 invalid input (also a size whose arrays cannot
+be allocated).  Each subcommand takes only the flags it reads; --seed
+seeds the random draws of ``diag --random`` and ``yeadon``, the only
+commands that make any.  Outputs are byte-stable for a fixed configuration
+(reals are printed with 17 significant digits).
 """
 
 from __future__ import annotations
@@ -279,6 +280,9 @@ def main(argv=None) -> int:
     except MemoryError as exc:  # numpy refuses an array too large up front
         print(f"invalid input: the sizes are too large: {exc}", file=sys.stderr)
         return EXIT_INVALID
+    except np.linalg.LinAlgError as exc:  # no bracket can be certified
+        print(f"verification failure: an eigensolve failed: {exc}", file=sys.stderr)
+        return EXIT_VERIFICATION
 
 
 if __name__ == "__main__":

@@ -50,7 +50,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError
-from .schatten import as_matrix, check_exponent, schatten_norm
+from .schatten import as_matrix, check_exponent, eigvalsh, schatten_norm
 from .vecnorm import VecElem
 
 
@@ -133,7 +133,7 @@ def is_completely_positive(m: KrausMap) -> bool:
     if np.array_equal(m.a, m.b):
         return True
     c = choi(m)
-    lam = np.linalg.eigvalsh(0.5 * (c + c.conj().T))
+    lam = eigvalsh(0.5 * (c + c.conj().T))
     scale = float(np.abs(lam).max()) if lam.size else 0.0
     tol = 1e-10 * max(scale, 1.0)
     if float(np.linalg.norm(c - c.conj().T)) > tol:
@@ -150,7 +150,7 @@ def choi_min_eigenvalue(m: KrausMap) -> float:
     if np.array_equal(m.a, m.b) and len(m) < m.k * m.k:
         return 0.0
     c = choi(m)
-    return float(np.linalg.eigvalsh(0.5 * (c + c.conj().T))[0])
+    return float(eigvalsh(0.5 * (c + c.conj().T))[0])
 
 
 def build_counterexample_maps(k: int, p: float):

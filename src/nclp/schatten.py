@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from numpy.linalg import LinAlgError, _umath_linalg
 
 from .errors import InvalidInputError
 
@@ -140,6 +141,35 @@ def pow2_restore_outward(value: float, e: int, toward: float) -> float:
     return out if math.ldexp(out, -e) == value else math.nextafter(out, toward)
 
 
+def eigh(h: np.ndarray):
+    """``(w, v)``: ascending eigenvalues and eigenvectors of a Hermitian matrix.
+
+    The one route of every Hermitian eigensolve in the package.  ``h`` is a
+    complex128 array (float64 takes LAPACK's real loop, as in numpy) of which
+    only the lower triangle is read, as by ``np.linalg.eigh`` at its default
+    ``UPLO='L'``.  One call to the LAPACK gufunc that ``np.linalg.eigh``
+    calls, so the bits are the same, without the wrapper's type and
+    ``errstate`` set-up (timed in the ``gaugeopt`` module docstring).  The
+    gufunc is looked up at each call, so tests can count its calls.  A 0 x 0
+    matrix passes.  NaN eigenvalues raise ``LinAlgError``: a failed solve
+    leaves them (numpy's default error state warns of it first), and so
+    does a matrix with an infinite entry, on which ``np.linalg.eigh``
+    returns them without an error.
+    """
+    w, v = _umath_linalg.eigh_lo(h)
+    if w.size and w[0] != w[0]:  # NaN; np.isnan(w).any() costs 10 times more
+        raise LinAlgError("Eigenvalues did not converge")
+    return w, v
+
+
+def eigvalsh(h: np.ndarray) -> np.ndarray:
+    """The ascending eigenvalues of a Hermitian matrix, as ``eigh`` gives them."""
+    w = _umath_linalg.eigvalsh_lo(h)
+    if w.size and w[0] != w[0]:
+        raise LinAlgError("Eigenvalues did not converge")
+    return w
+
+
 def psd_spectrum(b):
     """``(vals, vecs, keep)``: the eigendecomposition of a PSD matrix and its support.
 
@@ -155,7 +185,7 @@ def psd_spectrum(b):
     if asym > HERMITIAN_ATOL * scale:
         raise InvalidInputError(f"psd_power input is not Hermitian (asymmetry "
                                 f"{asym:.3e} of scale {scale:.3e})")
-    vals, vecs = np.linalg.eigh(0.5 * (b + b.conj().T))
+    vals, vecs = eigh(0.5 * (b + b.conj().T))
     cut = DEFAULT_RANK_TOL * float(vals[-1]) if vals.size else 0.0
     return vals, vecs, (vals > 0.0) & (vals >= cut)
 

@@ -116,7 +116,7 @@ import numpy as np
 
 from . import gaugeopt
 from .errors import InvalidInputError
-from .schatten import (check_exponent, conjugate, dual_witness, lp_norm,
+from .schatten import (check_exponent, conjugate, dual_witness, eigh, lp_norm,
                        pow2_normalize, pow2_restore_outward, psd_power)
 
 
@@ -396,7 +396,7 @@ def _auto_dual_pool(y: VecElem, p: float,
         s = upper_witness.s
         z = coords @ psd_power(s, -0.5)
         m = np.einsum("nij,nkj->ik", z, z.conj())
-        lam, u = np.linalg.eigh(0.5 * (m + m.conj().T))
+        lam, u = eigh(0.5 * (m + m.conj().T))
         top = float(lam[-1])
         if top > 0.0:
             sel = lam >= (1.0 - 1e-6) * top

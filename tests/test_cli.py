@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from numpy.linalg import _umath_linalg
 
 import nclp
 from nclp import cli, selfcheck, serialize
@@ -473,6 +474,19 @@ class TestErrorExitCodes:
         assert run_cli("diag", "--k", "2", "--p", "3") == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and str(exc) in err
+        assert "Traceback" not in err
+
+    def test_failed_eigensolve_is_verification_failure(self, tmp_path, monkeypatch,
+                                                       capsys):
+        # a LAPACK solve that fails leaves NaN in the gufunc's outputs
+        path = tmp_path / "elem.json"
+        serialize.write_text(str(path), serialize.dumps_canonical(
+            serialize.vecelem_to_json(random_element(3, 2, np.random.default_rng(0)))))
+        monkeypatch.setattr(_umath_linalg, "eigh_lo", lambda h: (
+            np.full(h.shape[-1], np.nan), np.full(h.shape, np.nan)))
+        assert run_cli("norm", "--in", str(path), "--p", "3") == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "eigensolve failed" in err
         assert "Traceback" not in err
 
     def test_key_error_is_not_swallowed(self, monkeypatch):

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from numpy.linalg import _umath_linalg
 
 from nclp.counterexample import closed_form_images, witness_w
 from nclp.cpmaps import (KrausMap, _sandwich, amplify_apply, apply,
@@ -224,9 +225,11 @@ class TestChoi:
         m = KrausMap(k=k, a=a, b=a.copy())
 
         def no_eigensolve(*args, **kwargs):
-            raise AssertionError("eigvalsh called")
+            raise AssertionError("eigensolve called")
 
-        monkeypatch.setattr(np.linalg, "eigvalsh", no_eigensolve)
+        # numpy's LAPACK gufuncs, which every Hermitian eigensolve reaches
+        for gufunc in ("eigh_lo", "eigvalsh_lo"):
+            monkeypatch.setattr(_umath_linalg, gufunc, no_eigensolve)
         assert is_completely_positive(m)
         assert choi_min_eigenvalue(m) == 0.0
         *_, u = build_counterexample_maps(k, 3.0)

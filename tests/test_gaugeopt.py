@@ -5,6 +5,7 @@ import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from numpy.linalg import _umath_linalg
 
 import nclp.vecnorm as vn
 from nclp import gaugeopt
@@ -278,13 +279,20 @@ def random_unitary(rng, k):
 
 
 def count_lapack(monkeypatch):
-    """The names of the eigensolves and SVDs numpy makes from now on, in order."""
+    """The names of the eigensolves and SVDs made from now on, in order.
+
+    Counted at numpy's LAPACK gufuncs, which both ``np.linalg`` and the
+    ``schatten.eigh`` / ``eigvalsh`` kernel call; ``svd_s`` / ``svd_f`` are
+    the SVDs with singular vectors.
+    """
     calls = []
-    for name in ("eigh", "eigvalsh", "svd"):
-        def counting(*args, _solve=getattr(np.linalg, name), _name=name, **kwargs):
+    for gufunc, name in (("eigh_lo", "eigh"), ("eigvalsh_lo", "eigvalsh"),
+                         ("svd", "svd"), ("svd_s", "svd"), ("svd_f", "svd")):
+        def counting(*args, _solve=getattr(_umath_linalg, gufunc), _name=name,
+                     **kwargs):
             calls.append(_name)
             return _solve(*args, **kwargs)
-        monkeypatch.setattr(np.linalg, name, counting)
+        monkeypatch.setattr(_umath_linalg, gufunc, counting)
     return calls
 
 
@@ -393,6 +401,7 @@ class TestWitnessEvaluation:
         end = calls.index("evaluate")
         assert calls[end:] == ["evaluate", "eigh", "eigh", "eigvalsh", "svd"]
         assert calls[end - 1] == "ascent done"
+        assert "eigh" in calls[:end - 1]  # the ascent's solves are counted too
         # r is G(s) = sum_n y_n s^+ y_n^*
         s_pinv = psd_power(res.s, -1.0)
         want = sum(yn @ s_pinv @ yn.conj().T for yn in y)

@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from numpy.linalg import _umath_linalg
 
+from nclp import schatten
 from nclp.errors import InvalidInputError
 from nclp.schatten import (as_matrix, check_exponent, conjugate, dual_witness,
                            lp_norm, pow2_normalize, pow2_restore, psd_power,
@@ -15,6 +17,45 @@ def unit(k, i, j):
     m = np.zeros((k, k), dtype=np.complex128)
     m[i, j] = 1.0
     return m
+
+
+def assert_same_solve(h):
+    w, v = schatten.eigh(h)
+    want_w, want_v = np.linalg.eigh(h)
+    assert np.array_equal(w, want_w) and np.array_equal(v, want_v)
+    assert np.array_equal(schatten.eigvalsh(h), np.linalg.eigvalsh(h))
+
+
+class TestHermitianKernel:
+    """``schatten.eigh`` / ``eigvalsh`` give numpy's bits, from the lower
+    triangle, and numpy's ``LinAlgError`` when a solve fails."""
+
+    @pytest.mark.parametrize("k", range(9))  # k = 0 passes through
+    def test_matches_numpy(self, rng, k):
+        x = random_complex(rng, k, k)
+        assert_same_solve(x + x.conj().T)
+        b = random_complex(rng, k, 2 * k + 1)
+        assert_same_solve(b @ b.conj().T)  # not symmetrized
+
+    @pytest.mark.parametrize("k", range(2, 9))
+    def test_reads_only_the_lower_triangle(self, rng, k):
+        x = random_complex(rng, k, k)
+        h = x + x.conj().T
+        garbled = h + np.triu(random_complex(rng, k, k), 1)
+        (w, v), (want_w, want_v) = schatten.eigh(garbled), schatten.eigh(h)
+        assert np.array_equal(w, want_w) and np.array_equal(v, want_v)
+        assert np.array_equal(schatten.eigvalsh(garbled), schatten.eigvalsh(h))
+
+    def test_failed_solve_raises(self, monkeypatch):
+        # a LAPACK solve that fails leaves NaN in the gufunc's outputs
+        h = np.eye(3, dtype=np.complex128)
+        monkeypatch.setattr(_umath_linalg, "eigh_lo",
+                            lambda a: (np.full(3, np.nan), np.full((3, 3), np.nan)))
+        monkeypatch.setattr(_umath_linalg, "eigvalsh_lo", lambda a: np.full(3, np.nan))
+        with pytest.raises(np.linalg.LinAlgError):
+            schatten.eigh(h)
+        with pytest.raises(np.linalg.LinAlgError):
+            schatten.eigvalsh(h)
 
 
 class TestSchattenNorm:
