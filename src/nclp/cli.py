@@ -29,8 +29,9 @@ from . import selfcheck, serialize
 from .errors import InvalidInputError
 from .schatten import check_exponent
 from .vecnorm import Side, VecElem, alpha_certify, diagonal_closed_form
-from .yeadon import (build_isometry, jordan_split, rigid_bound_report,
-                     rigid_compose, tensor_contraction_report, unit_weights)
+from .yeadon import (RIGID_FACTOR, build_isometry, jordan_split,
+                     rigid_bound_report, rigid_compose, tensor_contraction_report,
+                     unit_weights)
 
 EXIT_OK = 0
 EXIT_VERIFICATION = 1
@@ -82,8 +83,7 @@ def cmd_diag(args) -> int:
         lams = np.ones(args.k)  # closed form k^{1/p}
     cert = alpha_certify(VecElem.diagonal(lams), args.p, Side.ELL_ROW)
     closed = diagonal_closed_form(lams, args.p)
-    ok = (cert.upper <= closed * (1.0 + 1e-3) + 1e-12
-          and abs(cert.lower - closed) <= 1e-9 * max(closed, 1.0))
+    ok = not selfcheck.diagonal_bracket(cert.upper, cert.lower, closed)[2]
     doc = {"k": args.k, "p": float(args.p), "closed_form": closed,
            "upper": cert.upper, "lower": cert.lower, "match": bool(ok)}
     _emit(serialize.dumps_canonical(doc), args.out)
@@ -119,12 +119,12 @@ def cmd_sweep(args) -> int:
     for k in range(args.kmin, args.kmax + 1):
         formula = cx.lower_bound_formula(k, args.p)
         numeric = upper_w = None  # above the numeric cap: null, or a blank cell
-        passed = formula > 4.0
+        passed = formula > RIGID_FACTOR
         if k <= args.numeric_cap:
             rep = cx.verify_pipeline(k, args.p, k_cap=args.numeric_cap)
             numeric, upper_w, passed = rep.numeric_lb, rep.upper_w, rep.threshold_pass
         rows.append((k, args.p, formula, numeric, upper_w, bool(passed)))
-    threshold = cx.threshold_k(args.p, 4.0)
+    threshold = cx.threshold_k(args.p, RIGID_FACTOR)
     if args.format == "json":
         text = serialize.dumps_canonical({
             "rows": [dict(zip(SWEEP_COLUMNS, row)) for row in rows],
@@ -135,7 +135,7 @@ def cmd_sweep(args) -> int:
             for row in rows])
     _emit(text, args.out)
     if not args.out or args.format == "csv":
-        print(f"# formula threshold k for bound 4: {threshold}",
+        print(f"# formula threshold k for bound {RIGID_FACTOR:g}: {threshold}",
               file=sys.stderr)
     return EXIT_OK
 
@@ -273,7 +273,10 @@ def main(argv=None) -> int:
         p = getattr(args, "p", None)
         if p is not None:
             check_exponent(p)
-        return args.func(args)
+        # a failed LAPACK solve sets the invalid flag; schatten.eigh turns its
+        # NaN into LinAlgError, reported below, so numpy's warning is dropped
+        with np.errstate(invalid="ignore"):
+            return args.func(args)
     except InvalidInputError as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return EXIT_INVALID

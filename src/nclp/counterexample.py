@@ -32,6 +32,7 @@ from .cpmaps import (amplify_apply, build_counterexample_maps,
 from .errors import InvalidInputError
 from .schatten import check_exponent
 from .vecnorm import Side, VecElem, alpha_certify, beta_certify
+from .yeadon import RIGID_FACTOR
 
 #: largest k for which the optimizer-backed checks run by default
 NUMERIC_K_CAP = 32
@@ -291,5 +292,5 @@ def verify_pipeline(k: int, p: float, contraction_trials: int = 0, seed: int = 0
         dominance_ok=dominance_ok, cp_ok=cp_ok, choi_min_eig=choi_min,
         contraction_ratio=ratio, contraction_upper=upper,
         contraction_ok=contraction_ok,
-        threshold_pass=(numeric_lb > 4.0 or formula > 4.0),
+        threshold_pass=(numeric_lb > RIGID_FACTOR or formula > RIGID_FACTOR),
         diagnostics=diagnostics)

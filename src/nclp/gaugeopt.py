@@ -637,7 +637,7 @@ def minimize_gauge(A: np.ndarray, e: float, max_iters: int = MAX_ITERS) -> Gauge
         raise ValueError(f"the one-sided gauge needs e >= 2, got {e}")
     A = np.asarray(A, dtype=np.complex128)
     n_coords, k, r = A.shape
-    if r == 0 or n_coords == 0 or not np.any(A):
+    if not np.any(A):
         return GaugeResult(0.0, np.eye(max(r, 1), dtype=np.complex128), 0, True)
     if _diagonal_coordinates(A):
         return _diagonal_solve(A, e, two_sided=False)
@@ -741,23 +741,21 @@ def minimize_two_sided(coords: np.ndarray, p: float,
     exact value rounded up (``_diagonal_solve``), and ``rho`` the density
     behind the lower bound (``minimax_lower``).  ``converged`` is False only
     when the budget or a failed step search ended the ascent before its gap
-    closed to ``DESCENT_GAP_TOL``.  At p = 2 the problem is the one-sided gauge at ``e
-    = 2`` (``minimize_gauge``), with ``r`` the identity.
+    closed to ``DESCENT_GAP_TOL``.  At p = 2, and just below it, where
+    ``q_from_p`` reads ``q = inf``, the ascent takes the upper value
+    ``lmax(M(s))^{1/2}``, and at p = 2 itself ``t = 1``: it is the one-sided
+    ascent at ``e = 2`` (``minimize_gauge``), run to ``DESCENT_GAP_TOL``,
+    with ``r = G(s)``.  ``vecnorm.alpha_upper`` sends every p >= 2 to
+    ``minimize_gauge`` instead.
     """
     y = np.asarray(coords, dtype=np.complex128)
     n_coords, k, kr = y.shape
-    ident_r = np.eye(k, dtype=np.complex128)
     if not np.any(y):
-        return GaugeResult(0.0, np.eye(kr, dtype=np.complex128), 0, True, r=ident_r)
-    q = q_from_p(p)
-    if math.isinf(q):
-        # p = 2: the left factor is absorbed, identical to the one-sided core
-        res = minimize_gauge(y, 2.0, max_iters=max_iters)
-        res.r = ident_r
-        return res
-
+        return GaugeResult(0.0, np.eye(kr, dtype=np.complex128), 0, True,
+                           r=np.eye(k, dtype=np.complex128))
     if _diagonal_coordinates(y):
         return _diagonal_solve(y, p, two_sided=True)
+    q = q_from_p(p)
     _, t = _dual_exponents(p)
     ub, ak, scale, support_gram, kept = _restrict(y)
     rb = ub.shape[1]

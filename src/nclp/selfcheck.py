@@ -23,7 +23,7 @@ from .vecnorm import (FAST_OPTS, FactorWitness, Side, VecElem, alpha_certify,
                       alpha_upper, beta_certify, diagonal_closed_form,
                       evaluate_upper_at, opposite_transform, pairing,
                       project_diagonal, random_element)
-from .yeadon import (YeadonSpec, build_isometry, jordan_split,
+from .yeadon import (RIGID_FACTOR, YeadonSpec, build_isometry, jordan_split,
                      random_valid_weights, rigid_bound_report, rigid_compose,
                      tensor_contraction_report)
 
@@ -61,6 +61,24 @@ def criterion_schatten_exactness(seed: int = 0):
     return not msgs, detail if not msgs else "; ".join(msgs)
 
 
+def diagonal_bracket(upper: float, lower: float, closed: float):
+    """An alpha bracket of a diagonal element against its closed form.
+
+    Returns ``(rel_u, err_l, problems)``: the relative excess of ``upper``
+    over ``closed``, the distance of ``lower`` from it, and one message for
+    each bound out of range.  ``upper`` may sit at most 1e-9 below ``closed``
+    (rounding) and 1e-3 above it, relatively; ``lower`` at most 1e-9 from it.
+    """
+    rel_u = (upper - closed) / closed
+    err_l = abs(lower - closed)
+    problems = []
+    if not -1e-9 <= rel_u <= 1e-3:
+        problems.append(f"upper off closed form by {rel_u:.2e}")
+    if err_l > 1e-9:
+        problems.append(f"lower off closed form by {err_l:.2e}")
+    return rel_u, err_l, problems
+
+
 def criterion_diagonal_closed_form(seed: int = 1):
     """The alpha certificate against ``diagonal_closed_form``, and the p-sum
     certificate against ``2^{1/p - 1}`` times it."""
@@ -74,16 +92,10 @@ def criterion_diagonal_closed_form(seed: int = 1):
                 y = VecElem.diagonal(lams)
                 cert = alpha_certify(y, p, Side.ELL_ROW)
                 cf = diagonal_closed_form(lams, p)
-                rel_u = (cert.upper - cf) / cf
-                err_l = abs(cert.lower - cf)
+                rel_u, err_l, problems = diagonal_bracket(cert.upper, cert.lower, cf)
                 worst_u = max(worst_u, rel_u)
                 worst_l = max(worst_l, err_l)
-                if not (-1e-9 <= rel_u <= 1e-3):
-                    msgs.append(f"upper off closed form by {rel_u:.2e} "
-                                f"(k={k}, p={p})")
-                if err_l > 1e-9:
-                    msgs.append(f"lower off closed form by {err_l:.2e} "
-                                f"(k={k}, p={p})")
+                msgs += [f"{m} (k={k}, p={p})" for m in problems]
                 beta = beta_certify(y, p)
                 exact = 2.0 ** (1.0 / p - 1.0) * cf
                 width = (beta.upper - beta.lower) / exact
@@ -157,14 +169,14 @@ def criterion_threshold():
     msgs = []
     found = []
     for p in (3.0, 4.0):
-        kk = cx.threshold_k(p, 4.0)
+        kk = cx.threshold_k(p, RIGID_FACTOR)
         found.append(f"p={p}: K={kk}")
-        if not (cx.lower_bound_formula(kk, p) > 4.0
+        if not (cx.lower_bound_formula(kk, p) > RIGID_FACTOR
                 >= cx.lower_bound_formula(kk - 1, p)):
             msgs.append(f"crossing property fails at K={kk}, p={p}")
         for j in range(max(kk - 5, 1), kk + 5):
             val = cx.lower_bound_formula(j, p)
-            if (j < kk) != (val <= 4.0):
+            if (j < kk) != (val <= RIGID_FACTOR):
                 msgs.append(f"10-point cross-check fails at k={j}, p={p}")
     return not msgs, ("; ".join(found) if not msgs else "; ".join(msgs))
 

@@ -26,18 +26,6 @@ def _fmt_float(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _fmt_floats(values) -> str | None:
-    """The items of a list of Python floats, formatted and joined in one pass.
-
-    Gives the text ``_fmt_float`` gives item by item ("%.17g" and
-    ``format(x, ".17g")`` are the same conversion), or None when the list
-    holds anything else or a non-finite value, which the item path handles.
-    """
-    if set(map(type, values)) != {float} or not all(map(math.isfinite, values)):
-        return None
-    return (",".join(["%.17g"] * len(values))) % tuple(values)
-
-
 def dumps_canonical(obj) -> str:
     """JSON text with fixed float formatting and stable key order."""
     if obj is None or isinstance(obj, bool):
@@ -49,10 +37,7 @@ def dumps_canonical(obj) -> str:
     if isinstance(obj, str):
         return json.dumps(obj)
     if isinstance(obj, (list, tuple)):
-        flat = _fmt_floats(obj)
-        if flat is None:
-            flat = ",".join(dumps_canonical(v) for v in obj)
-        return "[" + flat + "]"
+        return "[" + ",".join(dumps_canonical(v) for v in obj) + "]"
     if isinstance(obj, dict):
         parts = []
         for key, val in obj.items():

@@ -31,6 +31,17 @@ each a solve, or the closed form when ``c`` has diagonal coordinates
 (``certified_dual_upper``).  An element whose coordinates are all diagonal
 takes neither route: its p-sum has a closed form (below).
 
+Pool (``_auto_dual_pool``).  Up to four unit directions, in this order: the
+coordinatewise Schatten-duality pattern ``V S^{p-1} U^*`` of ``y_n = U S
+V^*``, the coordinatewise adjoint ``y_n^*``, the matched diagonal witness of
+the closed form below, built on the diagonals ``d_n`` of every coordinate
+(``_matched_diagonal_dual``, for any N; it pairs only with the diagonal
+part of ``y``, which it matches exactly), and at p >= 2 the subgradient
+``s^{(p-2)/2} y_n^* V`` of the one-sided factor ``s`` of the ELL_ROW solve,
+``V`` averaging the top eigenspace of ``M(s)``.  A pattern that vanishes
+(no diagonal, say) is left out.  On near-diagonal elements the diagonal
+witness usually wins.
+
 Rounding.  The split's value at ``t*`` is rounded up by ``_SPLIT_SLACK``:
 ``t* a`` and ``(1 - t*) b`` carry ``2u`` (``u = eps / 2``), and ``lp_norm``
 of two terms at most ``4u + (3 + ln 2) u / p`` by the count of
@@ -59,12 +70,17 @@ sum_i c_i c_i^{p/2 - 1} = sum_i c_i^{p/2}``.  ``c'`` has diagonal
 coordinates with weights ``c_i^{p - 1}``, so both its dual norms are
 ``(sum_i c_i^{(p - 1) p' / 2})^{1/p'} = (sum_i c_i^{p/2})^{1/p'}``, and the
 ratio is ``2^{-1/p'} (sum_i c_i^{p/2})^{1/p} = 2^{1/p - 1} |c^{1/2}|_p``:
-the two bounds meet.  Both are computed from one ``x = lp_norm(sqrt(c),
-p)``, within ``(N/2 + 2k + 6) u`` of ``|c^{1/2}|_p`` (the count of
-``gaugeopt``'s module docstring), which ``S = gaugeopt._diagonal_slack`` =
-``(ceil(N/2) + k + 8) eps`` covers.  The upper bound is the line split's
-value ``lp_norm((h, h), p)`` at each side's ``h = x (1 + S) / 2`` (a half
-of ``gaugeopt._diagonal_value``), rounded up by ``_SPLIT_SLACK`` as above.
+the two bounds meet.  The same ``c'``, formed from the diagonals of any
+element, is the pool's diagonal candidate: it pairs only with the diagonal
+part, so its ratio is, up to rounding, ``2^{1/p - 1} |c^{1/2}|_p``, the
+p-sum of that part, which by the Hoelder argument above bounds the p-sum of
+the whole element from below.  Both bounds are computed from one ``x =
+lp_norm(sqrt(c), p)``, within ``(N/2 + 2k + 6) u`` of ``|c^{1/2}|_p`` (the
+count of ``gaugeopt``'s module docstring), which ``S =
+gaugeopt._diagonal_slack`` = ``(ceil(N/2) + k + 8) eps`` covers.  The upper
+bound is the line split's value ``lp_norm((h, h), p)`` at each side's ``h =
+x (1 + S) / 2`` (a half of ``gaugeopt._diagonal_value``), rounded up by
+``_SPLIT_SLACK`` as above.
 The lower bound is ``x (2^{1/p} / 2) (1 - S - _HALF_POWER_SLACK)``:
 ``2^{1/p}`` is within ``(2 + ln 2) u`` (the rounding of ``1/p`` moves it by
 ``u ln(2) / p``, the power by one ulp), halving is exact and the product
@@ -101,9 +117,10 @@ Scale.  The certificates divide the element by an exact power of two near
 its largest entry first (``schatten.pow2_normalize``) and scale back at the
 end, one ulp outward where that step rounds, which it does only for a
 subnormal bound (``schatten.pow2_restore_outward``).  The line split is
-valued at unit scale too.  So entries anywhere in the float64 range work,
-subnormal ones included; a bound whose value exceeds that range raises
-``InvalidInputError`` instead of coming back as ``inf``.
+valued at unit scale too, and the dual route divides once, for its pool
+and every pairing (``_pairing_lower``).  So entries anywhere in the float64
+range work, subnormal ones included; a bound whose value exceeds that range
+raises ``InvalidInputError`` instead of coming back as ``inf``.
 """
 
 from __future__ import annotations
@@ -323,10 +340,9 @@ def alpha_upper(y: VecElem, p: float, side: Side = Side.ELL_ROW,
     # y / max|y| in two exact-then-one-rounded steps, which cannot overflow
     yn, e = pow2_normalize(y.coords)
     scale = float(np.max(np.abs(yn)))
-    ys = VecElem(yn / scale)
 
     solve = gaugeopt.minimize_gauge if p >= 2.0 else gaugeopt.minimize_two_sided
-    res = solve(ys.coords, p, max_iters=opts.max_iters)
+    res = solve(yn / scale, p, max_iters=opts.max_iters)
     # both solvers return the certified value of their witness and its density
     wit = FactorWitness("one_sided" if p >= 2.0 else "two_sided", s=res.s,
                         r=res.r, transposed=transposed, iterations=res.iterations,
@@ -343,15 +359,26 @@ def certified_dual_upper(yp: VecElem, p_dual: float,
     runs the optimizer.  The ELL_ROW frame is assumed; callers transpose
     beforehand.
     """
-    if yp.is_zero():
-        return 0.0
     if gaugeopt._diagonal_coordinates(yp.coords):
         return gaugeopt.diagonal_upper(yp.coords, p_dual)
     return alpha_upper(yp, p_dual, Side.ELL_ROW, opts)[0]
 
 
-def _auto_dual_pool(y: VecElem, p: float,
-                    upper_witness: FactorWitness | None) -> list:
+def _matched_diagonal_dual(c: np.ndarray, d: np.ndarray, p: float) -> np.ndarray:
+    """The matched dual ``diag(conj(d_n) c^{p/2 - 1})`` of diagonals ``d``
+    with ``c_i = sum_n |(d_n)_i|^2`` (``gaugeopt._diagonal_weights``), times
+    ``c_max^{1 - p/2}`` and zero where ``c_i = 0``, so that no power
+    overflows (module docstring).  It pairs with any element of diagonals
+    ``d`` to ``c_max^{1 - p/2} sum_i c_i^{p/2}``.
+    """
+    ratio = c / float(c.max())
+    pos = ratio > 0.0
+    w = np.zeros(c.size)
+    w[pos] = ratio[pos] ** (0.5 * p - 1.0)
+    return (d.conj() * w)[:, :, None] * np.eye(c.size)
+
+
+def _auto_dual_pool(y: VecElem, p: float, s: np.ndarray | None) -> list:
     """Dual witness candidates in the ELL_ROW frame, for ``beta_certify``.
 
     One frame serves both sides: ``beta_certify`` scores each candidate
@@ -362,38 +389,33 @@ def _auto_dual_pool(y: VecElem, p: float,
     pattern has the same entries, and the diagonal pattern is the same), and
     re-solving the rounding-level copies only repeated descents.
 
-    Every candidate is a unit direction, so the patterns are built from ``y``
-    divided by a power of two (exactly) near its largest entry, and each
-    power is taken of magnitudes scaled to at most 1: no norm below
-    overflows or underflows, whatever the scale of ``y``.
+    ``y`` comes at unit scale: ``_pairing_lower`` divides it by a power of
+    two (exactly) near its largest entry.  Every candidate is a unit
+    direction, and each power is taken of magnitudes scaled to at most 1, so
+    no norm below overflows or underflows.  ``s`` is the factor of the
+    one-sided ELL_ROW solve of ``y`` (p >= 2), from which the subgradient
+    candidate is built; None below p = 2, where there is none.
     """
     pool: list[VecElem] = []
-    coords, _ = pow2_normalize(y.coords)
-    y = VecElem(coords)
 
+    def add(cand: np.ndarray) -> None:
+        if np.any(cand):
+            pool.append(VecElem(cand / np.linalg.norm(cand)))
+
+    coords = y.coords
     # coordinatewise Schatten-duality pattern: y_n = U S V^* -> V S^{p-1} U^*
-    power = np.stack([dual_witness(c, p) for c in coords])
-    if np.any(power):
-        pool.append(VecElem(power / np.linalg.norm(power)))
-
+    add(np.stack([dual_witness(c, p) for c in coords]))
     # coordinatewise adjoint pattern (pairs to |y|_F^2 > 0)
     adj = np.transpose(coords, (0, 2, 1)).conj()
-    if np.any(adj):
-        pool.append(VecElem(adj / np.linalg.norm(adj)))
-
-    if y.k == y.n:
-        lams = y.diagonal_coefficients()
-        mags = np.abs(lams)
-        if np.any(mags > 0):
-            phases = np.where(mags > 0, np.conj(lams) / np.where(mags > 0, mags, 1.0), 0.0)
-            matched = phases * (mags / float(mags.max())) ** (p - 1.0)
-            pool.append(VecElem.diagonal(matched / np.linalg.norm(matched)))
-
+    add(adj)
+    # the matched diagonal pattern of ``_diagonal_beta`` on the diagonals of
+    # every coordinate (pairs to a positive multiple of sum_i c_i^{p/2})
+    c, _, d = gaugeopt._diagonal_weights(coords)
+    if np.any(c):
+        add(_matched_diagonal_dual(c, d, p))
     # subgradient pattern from the solved one-sided witness:
     # y'_n = s^{(p-2)/2} y_n^* V with V averaging the top eigenspace of M(s)
-    if upper_witness is not None and upper_witness.branch == "one_sided" \
-            and not upper_witness.transposed and p >= 2.0:
-        s = upper_witness.s
+    if s is not None:
         z = coords @ psd_power(s, -0.5)
         m = np.einsum("nij,nkj->ik", z, z.conj())
         lam, u = eigh(0.5 * (m + m.conj().T))
@@ -401,10 +423,7 @@ def _auto_dual_pool(y: VecElem, p: float,
         if top > 0.0:
             sel = lam >= (1.0 - 1e-6) * top
             v = u[:, sel] @ u[:, sel].conj().T / int(np.sum(sel))
-            sub = psd_power(s, 0.5 * (p - 2.0)) @ \
-                np.transpose(coords, (0, 2, 1)).conj() @ v
-            if np.any(sub):
-                pool.append(VecElem(sub / np.linalg.norm(sub)))
+            add(psd_power(s, 0.5 * (p - 2.0)) @ adj @ v)
     return pool
 
 
@@ -427,8 +446,6 @@ def alpha_certify(y: VecElem, p: float, side: Side = Side.ELL_ROW,
     y = opposite_transform(y) if side == Side.R_COL else y
     upper, wit = alpha_upper(y, p, Side.ELL_ROW, opts)
     wit.transposed = side == Side.R_COL
-    if y.is_zero():
-        return NormCertificate(0.0, 0.0, wit, None, 0, True)
     lower = gaugeopt.minimax_lower(y.coords, wit.rho, p)
     tol = gaugeopt.GAP_TOL if p >= 2.0 else gaugeopt.DESCENT_GAP_TOL
     return NormCertificate(upper=upper, lower=lower, factor_witness=wit,
@@ -564,13 +581,7 @@ def _diagonal_beta(y: VecElem, p: float) -> NormCertificate:
     half = 0.5 * (norm * (1.0 + slack))
     upper = lp_norm((half, half), p) * (1.0 + _SPLIT_SLACK)
     lower = norm * (0.5 * 2.0 ** (1.0 / p)) * (1.0 - slack - _HALF_POWER_SLACK)
-    # the matched dual witness diag(conj(d_n) c^{p/2 - 1}) times
-    # c_max^{1 - p/2}, only where the power is finite
-    ratio = c / float(c.max())
-    pos = ratio > 0.0
-    w = np.zeros(c.size)
-    w[pos] = ratio[pos] ** (0.5 * p - 1.0)
-    dual = (d.conj() * w)[:, :, None] * np.eye(y.k)
+    dual = _matched_diagonal_dual(c, d, p)
     p_dual = conjugate(p)
     # the transpose of diagonal coordinates is themselves: both dual norms agree
     dual_norm = gaugeopt.diagonal_upper(dual, p_dual)
@@ -587,6 +598,11 @@ def _pairing_lower(y: VecElem, p: float, w_ell: FactorWitness,
     """The dual route of ``beta_certify``: split the pairing across the two
     sides and apply Hoelder, over the pool of ``_auto_dual_pool``.
 
+    ``y`` is divided by a power of two near its largest entry, exactly,
+    once: the pool is built and every pairing taken at that unit scale, so
+    nothing under- or overflows, and the lower bound is scaled back at the
+    end.  ``w_ell`` is ``y``'s ELL_ROW witness from ``alpha_upper``; its
+    factor ``s`` seeds the pool's subgradient candidate at p >= 2.
     Returns ``(lower, dual_witness or None, dual_norm_bound)``.  Candidates
     are solved by decreasing potential while one can still win (module
     docstring).  The winner has the largest ratio and, among equal ratios,
@@ -598,10 +614,10 @@ def _pairing_lower(y: VecElem, p: float, w_ell: FactorWitness,
     valued once each, for the floor and for the dual bound.
     """
     p_dual = conjugate(p)
-    coords, e = pow2_normalize(y.coords)  # pair at unit scale: no under/overflow
+    coords, e = pow2_normalize(y.coords)
     y_unit = VecElem(coords)
     scored = []
-    for cand in _auto_dual_pool(y, p, w_ell):
+    for cand in _auto_dual_pool(y_unit, p, w_ell.s if p >= 2.0 else None):
         num = abs(pairing(y_unit, cand))
         if num == 0.0:
             continue

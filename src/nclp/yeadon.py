@@ -28,6 +28,9 @@ from .vecnorm import (CertifyOptions, DEFAULT_OPTS, Side, VecElem,
                       alpha_certify, alpha_upper, beta_certify, random_element)
 
 WEIGHT_SUM_TOL = 1e-12
+#: the bound on ``|u (x) I|`` from the row norm into the p-sum norm that a
+#: rigid factorization of a contraction ``u`` would give
+RIGID_FACTOR = 4.0
 
 
 @dataclass
@@ -295,13 +298,13 @@ def rigid_bound_report(u: KrausMap, p: float, samples: int, seed: int = 0,
     """Necessary condition for a rigid factorization: the factor-4 bound.
 
     For each of ``samples`` random elements y, the certified p-sum lower
-    bound of ``(u (x) I) y`` must stay below 4 times the certified row upper
-    bound of y, plus 1e-9; a violation certifies that no rigid factorization
-    of u exists.
+    bound of ``(u (x) I) y`` must stay below ``RIGID_FACTOR`` = 4 times the
+    certified row upper bound of y, plus 1e-9; a violation certifies that no
+    rigid factorization of u exists.
     """
     rng = np.random.default_rng(seed)
     elements = [random_element(u.k, n_hilbert, rng) for _ in range(samples)]
     # cpmaps.amplify_apply is looked up per call, where a tracer may wrap it
     return _bound_report(
-        elements, p, 4.0,
+        elements, p, RIGID_FACTOR,
         lambda y: beta_certify(cpmaps.amplify_apply(u, y), p, opts).lower, opts)

@@ -8,7 +8,7 @@ from nclp import gaugeopt, serialize, vecnorm
 from nclp.counterexample import witness_w
 from nclp.cpmaps import amplify_apply, build_counterexample_maps
 from nclp.errors import InvalidInputError
-from nclp.schatten import conjugate, lp_norm, schatten_norm
+from nclp.schatten import conjugate, lp_norm, pow2_normalize, schatten_norm
 from nclp.selfcheck import brute_force_upper
 from nclp.vecnorm import (CertifyOptions, DEFAULT_OPTS, FAST_OPTS, FactorWitness,
                           Side, VecElem, alpha_certify, alpha_upper,
@@ -27,6 +27,13 @@ def unit(k, i, j):
 
 def witness(k):
     return VecElem(np.stack([unit(k, n, 0) for n in range(k)]))
+
+
+def dual_pool(y, p, w_ell=None):
+    """``_auto_dual_pool`` as ``_pairing_lower`` calls it: on ``y`` at unit
+    scale, with the ELL_ROW factor at p >= 2."""
+    s = w_ell.s if w_ell is not None and p >= 2.0 else None
+    return vecnorm._auto_dual_pool(VecElem(pow2_normalize(y.coords)[0]), p, s)
 
 
 class TestAlphaUpper:
@@ -187,13 +194,27 @@ class TestColumnFrame:
     def test_one_transpose_per_dual_candidate(self, monkeypatch, p):
         y = random_element(3, 3, np.random.default_rng(23))
         _, w_ell = alpha_upper(y, p, Side.ELL_ROW, FAST_OPTS)
-        pool = vecnorm._auto_dual_pool(y, p, w_ell)
+        pool = dual_pool(y, p, w_ell)
         calls = self._count_transposes(monkeypatch)
         vecnorm._pairing_lower(y, p, w_ell, FAST_OPTS)
         assert 0 < len(calls) <= len(pool)
 
 
 class TestBetaCertify:
+    @pytest.mark.parametrize("p", [1.3, 2.0, 3.0])
+    def test_dyadic_scale_leaves_the_dual_route_unchanged(self, p):
+        # the pool and every pairing are formed at unit scale, once
+        rng = np.random.default_rng(int(10 * p))
+        y = random_element(3, 3, rng)
+        y.coords[0] = np.outer(random_complex(rng, 3), random_complex(rng, 3))
+        cert = beta_certify(y, p, FAST_OPTS)
+        for e in (-600, 600):
+            scaled = beta_certify(y.scaled(2.0 ** e), p, FAST_OPTS)
+            assert scaled.lower == math.ldexp(cert.lower, e)
+            assert scaled.dual_norm_bound == cert.dual_norm_bound
+            assert scaled.dual_witness.coords.tobytes() == \
+                cert.dual_witness.coords.tobytes()
+
     def test_upper_below_trivial_splits(self, rng):
         for _ in range(5):
             y = random_element(3, 3, rng)
@@ -410,9 +431,8 @@ class TestProperties:
 def _pools(y, p):
     """The dual pool of ``beta_certify`` and the transposed pool it dropped."""
     _, w_ell = alpha_upper(y, p, Side.ELL_ROW, FAST_OPTS)
-    first = vecnorm._auto_dual_pool(y, p, w_ell)
-    dropped = [opposite_transform(c) for c in
-               vecnorm._auto_dual_pool(opposite_transform(y), p, None)]
+    first = dual_pool(y, p, w_ell)
+    dropped = [opposite_transform(c) for c in dual_pool(opposite_transform(y), p)]
     return first, dropped
 
 
@@ -544,6 +564,21 @@ class TestSelfTransposedCandidate:
         assert d == gaugeopt.diagonal_upper(wit.coords, p_dual)
         assert cert.dual_norm_bound == lp_norm((d, d), p_dual)
         assert cert.lower <= cert.upper
+
+
+def test_matched_diagonal_witness_wins_off_square():
+    """A near-diagonal element with N != k: the pool's diagonal candidate,
+    ``_diagonal_beta``'s matched witness on every coordinate's diagonal,
+    wins the dual route, well above the 4.0622 that the other candidates
+    reach."""
+    k, n, p = 3, 5, 1.5
+    rng = np.random.default_rng(0)
+    d = rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k))
+    y = VecElem(d[:, :, None] * np.eye(k)) + random_element(k, n, rng).scaled(1e-2)
+    cert = beta_certify(y, p, FAST_OPTS)
+    assert gaugeopt._diagonal_coordinates(cert.dual_witness.coords)
+    assert cert.lower == pytest.approx(4.158342551867478, rel=1e-12)
+    assert cert.lower <= cert.upper
 
 
 class TestNoInvertedBracket:

@@ -436,6 +436,23 @@ class TestVerificationFailure:
         doc = json.loads(out)
         assert doc["closed_form"] == 2.0 and doc["match"] is False
 
+    def test_diag_upper_below_closed_form(self, monkeypatch, capsys):
+        # an inverted bracket, lower ~ closed form > upper, is no match
+        certify = cli.alpha_certify
+
+        def low_upper(y, p, side):
+            cert = certify(y, p, side)
+            cert.upper = cli.diagonal_closed_form(y.diagonal_coefficients(), p) - 1e-6
+            return cert
+
+        monkeypatch.setattr(cli, "alpha_certify", low_upper)
+        out = self._failed_run(capsys, ("diag", "--k", "4", "--p", "3"),
+                               "verification failure: certificate misses the "
+                               "closed form")
+        doc = json.loads(out)
+        assert doc["match"] is False
+        assert doc["upper"] < doc["closed_form"] == pytest.approx(doc["lower"], abs=1e-9)
+
     def test_counterexample(self, monkeypatch, capsys):
         monkeypatch.setattr(cli.cx, "contraction_upper_bound", lambda k, p: 0.5)
         out = self._failed_run(capsys, ("counterexample", "--k", "2", "--p", "3"),
@@ -488,6 +505,25 @@ class TestErrorExitCodes:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "eigensolve failed" in err
         assert "Traceback" not in err
+
+    def test_failed_lapack_solve_gives_one_line(self, tmp_path):
+        # the real gufunc on an all-NaN matrix: LAPACK fails and sets the
+        # invalid flag, and numpy's RuntimeWarning must not join the message
+        path = tmp_path / "elem.json"
+        serialize.write_text(str(path), serialize.dumps_canonical(
+            serialize.vecelem_to_json(random_element(3, 2, np.random.default_rng(0)))))
+        code = ("import sys, numpy as np; from numpy.linalg import _umath_linalg; "
+                "from nclp import cli; solve = _umath_linalg.eigh_lo; "
+                "_umath_linalg.eigh_lo = lambda h: solve(np.full_like(h, np.nan)); "
+                "sys.exit(cli.main(sys.argv[1:]))")
+        src = str(Path(nclp.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", code, "norm", "--in", str(path),
+                               "--p", "3"], capture_output=True, text=True, env=env,
+                              timeout=300)
+        assert proc.returncode == 1
+        assert proc.stderr.count("\n") == 1 and "eigensolve failed" in proc.stderr
 
     def test_key_error_is_not_swallowed(self, monkeypatch):
         def failing(args):

@@ -714,6 +714,20 @@ class TestAscent:
             lower = gaugeopt.minimax_lower(a, res.rho, p)
             assert want * (1 - 1e-10) <= lower <= res.value
 
+    @pytest.mark.parametrize("p", [2.0, math.nextafter(2.0, 0.0)])
+    @pytest.mark.parametrize("k, n, seed, degenerate",
+                             [(3, 3, 0, False), (4, 2, 1, False), (2, 5, 2, False),
+                              (3, 3, 3, True)])
+    def test_two_sided_ascent_at_q_inf(self, p, k, n, seed, degenerate):
+        """At p = 2, and just below, where ``q_from_p`` reads ``q = inf``, the
+        two-sided solve runs its own ascent and meets the one-sided gauge."""
+        y = random_element(k, n, np.random.default_rng(seed), degenerate=degenerate).coords
+        two = gaugeopt.minimize_two_sided(y, p)
+        assert two.converged and two.iterations > 0
+        assert gaugeopt.minimax_lower(y, two.rho, p) <= two.value
+        assert two.value == pytest.approx(gaugeopt.minimize_gauge(y, 2.0).value,
+                                          rel=1e-8)
+
     @pytest.mark.parametrize("k", [2, 3, 5])
     @pytest.mark.parametrize("e", [2.0, 3.0, 4.0])
     def test_gradient_is_m_at_the_inner_optimum(self, rng, k, e):

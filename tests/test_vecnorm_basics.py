@@ -5,7 +5,7 @@ import pytest
 
 from nclp import gaugeopt, vecnorm
 from nclp.errors import InvalidInputError
-from nclp.schatten import dual_witness
+from nclp.schatten import dual_witness, pow2_normalize
 from nclp.vecnorm import (VecElem, diagonal_closed_form, opposite_transform,
                           pairing, project_diagonal, random_element)
 
@@ -128,14 +128,18 @@ class TestOppositeTransform:
 
 
 class TestAutoDualPool:
-    """The dual candidates of ``beta_certify`` before any witness is solved:
-    the Schatten-duality and adjoint patterns, then the matched diagonal one."""
+    """The dual candidates of ``beta_certify`` for an element at unit scale
+    (``_pairing_lower`` divides it by a power of two once): the
+    Schatten-duality and adjoint patterns, the direction of
+    ``_diagonal_beta``'s matched dual witness on the diagonals of every
+    coordinate, for any N, and the subgradient pattern when the one-sided
+    factor ``s`` is given."""
 
     @staticmethod
-    def element(rng):
-        y = random_element(3, 3, rng)
-        y.coords[0] = np.outer(random_complex(rng, 3), random_complex(rng, 3))
-        return y
+    def element(rng, k=3, n=3):
+        y = random_element(k, n, rng)
+        y.coords[0] = np.outer(random_complex(rng, k), random_complex(rng, k))
+        return VecElem(pow2_normalize(y.coords)[0])
 
     @pytest.mark.parametrize("p", [1.3, 2.0, 3.0])
     def test_unit_candidates_led_by_the_schatten_pattern(self, rng, p):
@@ -150,17 +154,34 @@ class TestAutoDualPool:
         adj = np.transpose(y.coords, (0, 2, 1)).conj()
         assert np.allclose(pool[1].coords, adj / np.linalg.norm(adj),
                            rtol=0.0, atol=1e-14)
-        for cand in pool[:2]:
+        for cand in pool:
             z = pairing(y, cand)
             assert z.real > 0.0 and abs(z.imag) <= 1e-12 * z.real
         assert gaugeopt._diagonal_coordinates(pool[2].coords)
-        assert np.array_equal(project_diagonal(pool[2]).coords, pool[2].coords)
 
     @pytest.mark.parametrize("p", [1.3, 2.0, 3.0])
-    def test_dyadic_scale_leaves_the_pool_unchanged(self, rng, p):
+    @pytest.mark.parametrize("k, n", [(3, 3), (2, 5), (4, 1)])
+    def test_diagonal_candidate_is_the_matched_witness(self, rng, p, k, n):
+        y = self.element(rng, k, n)
+        diagonal_part = VecElem(y.coords * np.eye(k))
+        want = vecnorm._diagonal_beta(diagonal_part, p).dual_witness.coords
+        got = vecnorm._auto_dual_pool(y, p, None)[2].coords
+        assert np.array_equal(got, want / np.linalg.norm(want))
+        # the diagonal pairing sees only the diagonal part of y
+        assert pairing(y, VecElem(got)) == pytest.approx(
+            pairing(diagonal_part, VecElem(got)), rel=1e-13)
+
+    def test_no_diagonal_candidate_without_diagonals(self):
+        y = witness(3)
+        y.coords[:, 0, 0] = 0.0  # e_i (x) e_i (x) e_1 off the diagonals
+        assert len(vecnorm._auto_dual_pool(y, 3.0, None)) == 2
+
+    def test_subgradient_candidate_from_the_factor(self, rng):
         y = self.element(rng)
-        pool = vecnorm._auto_dual_pool(y, p, None)
-        for t in (2.0 ** -600, 2.0 ** 600):
-            scaled = vecnorm._auto_dual_pool(y.scaled(t), p, None)
-            assert [c.coords.tobytes() for c in scaled] == \
-                [c.coords.tobytes() for c in pool]
+        s = vecnorm.alpha_upper(y, 3.0)[1].s
+        pool = vecnorm._auto_dual_pool(y, 3.0, None)
+        with_s = vecnorm._auto_dual_pool(y, 3.0, s)
+        assert len(with_s) == 4
+        assert [c.coords.tobytes() for c in with_s[:3]] == \
+            [c.coords.tobytes() for c in pool]
+        assert np.linalg.norm(with_s[3].coords) == pytest.approx(1.0, abs=1e-14)
