@@ -3,10 +3,9 @@ dilation counterexample pipeline on finite-dimensional Schatten classes."""
 
 from .errors import InvalidInputError, InvalidSpecError
 from .schatten import conjugate, schatten_norm
-from .vecnorm import (CertifyOptions, NormCertificate, Side, VecElem,
-                      alpha_certify, alpha_upper, beta_certify,
-                      diagonal_closed_form, opposite_transform, pairing,
-                      project_diagonal)
+from .vecnorm import (NormCertificate, Side, VecElem, alpha_certify,
+                      alpha_upper, beta_certify, diagonal_closed_form,
+                      opposite_transform, pairing, project_diagonal)
 from .cpmaps import (KrausMap, amplify_apply, apply,
                      build_counterexample_maps, choi, is_completely_positive,
                      sampled_contraction_ratio)

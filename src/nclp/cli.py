@@ -280,12 +280,16 @@ def main(argv=None) -> int:
     except InvalidInputError as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    except MemoryError as exc:  # numpy refuses an array too large up front
-        print(f"invalid input: the sizes are too large: {exc}", file=sys.stderr)
-        return EXIT_INVALID
     except np.linalg.LinAlgError as exc:  # no bracket can be certified
         print(f"verification failure: an eigensolve failed: {exc}", file=sys.stderr)
         return EXIT_VERIFICATION
+    except (MemoryError, ValueError) as exc:
+        # numpy refuses an array too large up front: MemoryError, or past the
+        # largest index ValueError("array is too big; ..."); no other ValueError
+        if isinstance(exc, ValueError) and not str(exc).startswith("array is too big"):
+            raise
+        print(f"invalid input: the sizes are too large: {exc}", file=sys.stderr)
+        return EXIT_INVALID
 
 
 if __name__ == "__main__":

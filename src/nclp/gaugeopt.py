@@ -36,11 +36,11 @@ s^{-1}`` gives ``dT = beta tr(C^{beta-1} dC) = beta tr(drho M(s))``, and
 M(s))``; normalizing ``s`` to ``tr(s^a) = 1`` multiplies ``M(s)`` by exactly
 ``g^{1-beta}``, so ``grad g = M(s)`` there, and ``tr(rho M(s)) = g``.  Each
 iterate thus gives both bounds: ``lmax(M(s))^{1/2}`` above and ``g^{1/2}``
-below.  Start from ``rho = I/k``; the upper point is the best of the
-identity, the support Gram and every iterate's ``s``.  Stop with ``converged
-= True`` as soon as the best upper value is within ``1 + GAP_TOL`` of the
-lower one, and with ``converged = False`` at ``max_iters`` or when a step
-search fails.  Otherwise take an entropic mirror step (Beck and Teboulle,
+below.  Start from ``rho = I/k``; the upper point is the best of every
+iterate's ``s``, the first one's included.  Stop with ``converged = True``
+as soon as the best upper value is within ``1 + GAP_TOL`` of the lower one,
+and with ``converged = False`` at ``max_iters`` or when a step search
+fails.  Otherwise take an entropic mirror step (Beck and Teboulle,
 2003) on ``h = log rho`` (``rho = exp(h) / tr exp(h)``) with Nesterov
 momentum and adaptive restart (Beck and Teboulle, FISTA, 2009; O'Donoghue
 and Candes, 2015):
@@ -133,9 +133,9 @@ eigenvalues coincide (``_pullback``, which forms them from the
 log-spectrum that ``h`` gives).  ``x^{1/t}`` is homogeneous of degree
 ``1/t``, so ``tr(u grad) = tr(rho M) / t``, and the centered step divides
 by that.  At ``t = 1`` ``L`` is all ones and the step is the one-sided one,
-so one driver, ``_ascend(ak, support_gram, e, q, t, tol, max_iters)``,
-serves both: ``minimize_gauge`` at ``(e, inf, 1, GAP_TOL)`` and
-``minimize_two_sided`` at ``(2, q, t, DESCENT_GAP_TOL)``.  For ``t > 1`` an
+so one driver, ``_ascend(ak, e, q, t, tol, max_iters)``, serves both:
+``minimize_gauge`` at ``(e, inf, 1, GAP_TOL)`` and ``minimize_two_sided``
+at ``(2, q, t, DESCENT_GAP_TOL)``.  For ``t > 1`` an
 iteration also forms the pulled-back gradient and takes its ``eigvalsh``,
 whose spread caps ``eta`` as ``min(5 / spread, 1.03 eta_prev)``: capping
 by its top instead raised the two-sided iterations on the tuning seeds
@@ -208,7 +208,10 @@ value decomposition (``A -> U A V^*``, ``s -> V^* s V``), with ``c`` the
 eigenvalues of ``A^* A``: the value is ``|A|_e`` (``s = A^* A``), or
 ``|A|_p`` at ``s = (A^* A)^{p/2}`` for the two-sided form.  A right support
 of rank one leaves nothing to descend.  These two closed forms still run
-the support restriction and the final evaluation of a solve; for one
+the support restriction and the final evaluation of a solve; the two-sided
+form takes ``s ~ diag(kept)^{p/2}`` in the Gram eigenbasis that the
+restriction already holds (``kept`` its eigenvalues on the support), so no
+diagonal matrix is decomposed again; for one
 coordinate the density ``rho ~ (A A^*)^a`` (``gram_density``) attains the
 one-sided bound, since ``C(rho) ~ (A^* A)^{a+1}``.
 
@@ -244,7 +247,8 @@ that the best ``rho`` closes the gap.
 
 Hence the norm is at least ``(|c|_beta / |rho|_t)^{1/2}`` for every PSD
 ``rho``, with ``(beta, t) = (p/(p+2), 1)`` for p >= 2 and ``(1/2, (q/2)')``
-for p < 2; both read ``tr C(rho)^{1/2} / (tr rho)^{1/2}`` at p = 2.  Both
+for p < 2 (``t = 1`` where ``q_from_p`` reads ``q = inf``, just below 2);
+both read ``tr C(rho)^{1/2} / (tr rho)^{1/2}`` at p = 2.  Both
 objectives are convex in ``s`` and linear in ``rho`` over a compact convex
 set, so by Sion's theorem the best ``rho`` attains the norm; the inner
 minimum is attained at ``s ~ C(rho)^{1/(a+1)}``, which commutes with
@@ -348,11 +352,10 @@ def _k_major(A: np.ndarray) -> np.ndarray:
 def _restrict(A: np.ndarray):
     """The right support of (N, k, r) coordinates, shared by every solve.
 
-    Returns ``(ub, ak, scale, support_gram, kept)``: ``ub`` holds the
-    eigenvectors of the Gram ``sum_n A_n^* A_n`` above the rank cut, ``ak``
-    the k-major copy (``_k_major``) of ``A @ ub`` divided by its Frobenius
-    norm ``scale``, ``support_gram`` the Gram on the support divided by its
-    top eigenvalue, and ``kept`` the Gram eigenvalues on the support.
+    Returns ``(ub, ak, scale, gram, kept)``: ``ub`` holds the eigenvectors
+    of the Gram ``gram = sum_n A_n^* A_n`` above the rank cut, ``ak`` the
+    k-major copy (``_k_major``) of ``A @ ub`` divided by its Frobenius norm
+    ``scale``, and ``kept`` the Gram eigenvalues on the support, ascending.
     """
     r = A.shape[2]
     a2 = A.reshape(-1, r)
@@ -363,8 +366,7 @@ def _restrict(A: np.ndarray):
     ub = gvecs[:, keep]
     ab = A @ ub
     scale = math.sqrt(float(np.einsum("nij,nij->", ab, ab.conj()).real))
-    support_gram = ub.conj().T @ gram @ ub / gmax
-    return ub, _k_major(ab / scale), scale, support_gram, gvals[keep]
+    return ub, _k_major(ab / scale), scale, gram, gvals[keep]
 
 
 def _m_matrix(ak: np.ndarray, svals: np.ndarray, svecs: np.ndarray) -> np.ndarray:
@@ -521,8 +523,8 @@ def _pullback(m: np.ndarray, log_u: np.ndarray, uvecs: np.ndarray, t: float):
     return uvecs @ (div * (uvecs_h @ m @ uvecs)) @ uvecs_h
 
 
-def _ascend(ak: np.ndarray, support_gram: np.ndarray, e: float, q: float,
-            t: float, tol: float, max_iters: int):
+def _ascend(ak: np.ndarray, e: float, q: float, t: float, tol: float,
+            max_iters: int):
     """Entropic mirror ascent of the dual at ``rho = u^{1/t}`` (module docstring).
 
     Each iteration steps ``h = log u`` along the centered gradient ``D =
@@ -539,15 +541,11 @@ def _ascend(ak: np.ndarray, support_gram: np.ndarray, e: float, q: float,
     ``rho`` is formed from its factor only on return.
 
     Returns ``(svals, svecs, rho, iterations, converged)``: the best upper
-    point seen, the last ``rho``, and whether the gap closed to ``tol``.
+    point of the iterates, the first dual point's ``s`` included, the last
+    ``rho``, and whether the gap closed to ``tol``.
     """
-    k, _, rb = ak.shape
+    k = ak.shape[0]
     best = math.inf
-    for cand in (np.eye(rb, dtype=np.complex128), support_gram):
-        sv, sq = _project(cand, e)
-        val = math.sqrt(lp_norm(eigvalsh(_m_matrix(ak, sv, sq)), 0.5 * q))
-        if val < best:
-            best, best_pair = val, (sv, sq)
     h = h_prev = np.zeros((k, k), dtype=np.complex128)
     v, lower, sv, sq, log_u, uq, tr_rho_m = _dual_point(ak, h, e, t)
     eta = math.inf
@@ -641,13 +639,14 @@ def minimize_gauge(A: np.ndarray, e: float, max_iters: int = MAX_ITERS) -> Gauge
         return GaugeResult(0.0, np.eye(max(r, 1), dtype=np.complex128), 0, True)
     if _diagonal_coordinates(A):
         return _diagonal_solve(A, e, two_sided=False)
-    ub, ak, _, support_gram, _ = _restrict(A)
+    ub, ak, _, gram, kept = _restrict(A)
     if n_coords == 1:
-        sv, sq = _project(support_gram, e)
+        # s = A^* A on the support, in the scale of its top eigenvalue
+        sv, sq = _project(ub.conj().T @ gram @ ub / float(kept[-1]), e)
         rho, iters, converged = gram_density(A, e), 0, True
     else:
-        sv, sq, rho, iters, converged = _ascend(ak, support_gram, e, math.inf, 1.0,
-                                                GAP_TOL, max_iters)
+        sv, sq, rho, iters, converged = _ascend(ak, e, math.inf, 1.0, GAP_TOL,
+                                                max_iters)
     sv = sv + 1e-12 * float(np.sum(sv)) / ub.shape[1]  # regularized inversion margin
     s_out = ub @ ((sq * sv) @ sq.conj().T) @ ub.conj().T
     return GaugeResult(value=evaluate_one_sided(A, s_out, e), s=s_out,
@@ -743,9 +742,9 @@ def minimize_two_sided(coords: np.ndarray, p: float,
     when the budget or a failed step search ended the ascent before its gap
     closed to ``DESCENT_GAP_TOL``.  At p = 2, and just below it, where
     ``q_from_p`` reads ``q = inf``, the ascent takes the upper value
-    ``lmax(M(s))^{1/2}``, and at p = 2 itself ``t = 1``: it is the one-sided
-    ascent at ``e = 2`` (``minimize_gauge``), run to ``DESCENT_GAP_TOL``,
-    with ``r = G(s)``.  ``vecnorm.alpha_upper`` sends every p >= 2 to
+    ``lmax(M(s))^{1/2}`` and ``t = 1`` (``_dual_exponents``): it is the
+    one-sided ascent at ``e = 2`` (``minimize_gauge``), run to
+    ``DESCENT_GAP_TOL``, with ``r = G(s)``.  ``vecnorm.alpha_upper`` sends every p >= 2 to
     ``minimize_gauge`` instead.
     """
     y = np.asarray(coords, dtype=np.complex128)
@@ -757,17 +756,18 @@ def minimize_two_sided(coords: np.ndarray, p: float,
         return _diagonal_solve(y, p, two_sided=True)
     q = q_from_p(p)
     _, t = _dual_exponents(p)
-    ub, ak, scale, support_gram, kept = _restrict(y)
+    ub, ak, scale, _, kept = _restrict(y)
     rb = ub.shape[1]
     if rb == 1 or n_coords == 1:
         # in its own eigenbasis the Gram is diag(kept) on the support
-        sv, sq = _project(np.diag(kept ** (0.5 * p)).astype(np.complex128), 2.0)
+        sv = np.array(_normalize((kept ** (0.5 * p)).tolist(), 2.0))
+        sq = np.eye(rb, dtype=np.complex128)
         lam, u = _spectral(_m_matrix(ak, sv, sq))
         w = (lam / max(float(lam[-1]), 1e-300)) ** (0.5 * q - 1.0)
         rho, iters, converged = (u * w) @ u.conj().T, 0, True
     else:
-        sv, sq, rho, iters, converged = _ascend(ak, support_gram, 2.0, q, t,
-                                                DESCENT_GAP_TOL, max_iters)
+        sv, sq, rho, iters, converged = _ascend(ak, 2.0, q, t, DESCENT_GAP_TOL,
+                                                max_iters)
     sv = sv + 1e-12 * float(np.sum(sv)) / rb  # regularized inversion margin
     s_full = scale * (ub @ ((sq * sv) @ sq.conj().T) @ ub.conj().T)
     # r = G(s) from the spectral form of s: every kept eigenvalue is floored
@@ -787,11 +787,13 @@ def _dual_exponents(p: float):
 
     ``beta = a/(a+1)`` with ``a = p/2`` and ``t = 1`` (density matrices) for
     p >= 2; ``beta = 1/2`` and ``t = (q/2)' = p/(2p - 2)`` for p < 2.  Both
-    meet at p = 2.
+    meet at p = 2.  ``t = 1`` wherever ``q_from_p`` reads ``q = inf``, also
+    just below p = 2: ``|rho|_1 >= |rho|_t`` for ``t >= 1``, so the bound
+    stays sound, and the two-sided ascent there is the one-sided one.
     """
     if p >= 2.0:
         return p / (p + 2.0), 1.0
-    return 0.5, p / (2.0 * p - 2.0)
+    return 0.5, 1.0 if math.isinf(q_from_p(p)) else p / (2.0 * p - 2.0)
 
 
 def minimax_lower(coords: np.ndarray, rho: np.ndarray, p: float) -> float:

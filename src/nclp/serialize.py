@@ -70,16 +70,17 @@ def _size(obj, key: str) -> int:
 def matrix_from_json(obj) -> np.ndarray:
     try:
         rows, cols = _size(obj, "rows"), _size(obj, "cols")
-        re, im = obj["re"], obj["im"]
-    except (KeyError, TypeError, ValueError) as exc:
+        # an integer entry beyond the float range raises OverflowError
+        re, im = (np.asarray(obj[key], dtype=float) for key in ("re", "im"))
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InvalidInputError(f"malformed matrix payload: {exc}") from exc
     if rows < 0 or cols < 0:
         raise InvalidInputError("matrix dimensions must be nonnegative")
-    if len(re) != rows * cols or len(im) != rows * cols:
+    if re.shape != (rows * cols,) or im.shape != (rows * cols,):
         raise InvalidInputError(
             f"matrix payload length mismatch: {rows}x{cols} needs "
-            f"{rows * cols} entries, got re={len(re)} im={len(im)}")
-    m = (np.asarray(re, dtype=float) + 1j * np.asarray(im, dtype=float)).reshape(rows, cols)
+            f"{rows * cols} entries, got re={re.size} im={im.size}")
+    m = (re + 1j * im).reshape(rows, cols)
     if not np.all(np.isfinite(re)) or not np.all(np.isfinite(im)):
         raise InvalidInputError("matrix entries must be finite")
     return m
@@ -123,7 +124,7 @@ def yeadon_from_json(obj):
             antirep_weights=tuple(float(w) for w in obj.get("antirep_weights", [])),
             w=matrix_from_json(obj["W"]) if obj.get("W") is not None else None)
         p = float(obj["p"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InvalidInputError(f"malformed isometry spec payload: {exc}") from exc
     return spec, p
 

@@ -250,20 +250,12 @@ def diagonal_closed_form(lams, p: float) -> float:
 # certified bounds
 # ---------------------------------------------------------------------------
 
-@dataclass
-class CertifyOptions:
-    """The iteration budget of each gauge solve (all routines deterministic).
+#: the iteration budget of each gauge solve, which every ``opts`` parameter
+#: takes; the command line runs every solve at this default
+DEFAULT_OPTS = gaugeopt.MAX_ITERS
 
-    The command line runs every solve at the default, ``gaugeopt.MAX_ITERS``.
-    """
-
-    max_iters: int = gaugeopt.MAX_ITERS
-
-
-DEFAULT_OPTS = CertifyOptions()
-
-#: cheap settings for fuzz suites; bounds stay valid, just less tight
-FAST_OPTS = CertifyOptions(max_iters=240)
+#: a cheap budget for fuzz suites; bounds stay valid, just less tight
+FAST_OPTS = 240
 
 
 @dataclass
@@ -318,7 +310,7 @@ def evaluate_upper_at(y: VecElem, witness: FactorWitness, p: float) -> float:
 
 
 def alpha_upper(y: VecElem, p: float, side: Side = Side.ELL_ROW,
-                opts: CertifyOptions = DEFAULT_OPTS):
+                opts: int = DEFAULT_OPTS):
     """Certified upper bound on the factorization norm.
 
     Returns ``(value, FactorWitness)``.  The value is the certified value of
@@ -342,7 +334,7 @@ def alpha_upper(y: VecElem, p: float, side: Side = Side.ELL_ROW,
     scale = float(np.max(np.abs(yn)))
 
     solve = gaugeopt.minimize_gauge if p >= 2.0 else gaugeopt.minimize_two_sided
-    res = solve(yn / scale, p, max_iters=opts.max_iters)
+    res = solve(yn / scale, p, max_iters=opts)
     # both solvers return the certified value of their witness and its density
     wit = FactorWitness("one_sided" if p >= 2.0 else "two_sided", s=res.s,
                         r=res.r, transposed=transposed, iterations=res.iterations,
@@ -351,7 +343,7 @@ def alpha_upper(y: VecElem, p: float, side: Side = Side.ELL_ROW,
 
 
 def certified_dual_upper(yp: VecElem, p_dual: float,
-                         opts: CertifyOptions) -> float:
+                         opts: int) -> float:
     """Upper bound on the norm of a dual witness at the conjugate exponent.
 
     A witness with diagonal coordinates takes the closed form of its norm,
@@ -428,7 +420,7 @@ def _auto_dual_pool(y: VecElem, p: float, s: np.ndarray | None) -> list:
 
 
 def alpha_certify(y: VecElem, p: float, side: Side = Side.ELL_ROW,
-                  opts: CertifyOptions = DEFAULT_OPTS) -> NormCertificate:
+                  opts: int = DEFAULT_OPTS) -> NormCertificate:
     """Two-sided certificate for the factorization norm on the chosen side.
 
     The upper bound is ``alpha_upper``'s; the lower bound is the minimax dual
@@ -507,7 +499,7 @@ def _pairing_potential(cand: VecElem, cand_t: VecElem, num: float,
 
 
 def beta_certify(y: VecElem, p: float,
-                 opts: CertifyOptions = DEFAULT_OPTS) -> NormCertificate:
+                 opts: int = DEFAULT_OPTS) -> NormCertificate:
     """Certificate for the p-sum norm inf over y = y0 + y1 of the pair.
 
     Diagonal coordinates (k = 1 included) take the closed form of the
@@ -594,7 +586,7 @@ def _diagonal_beta(y: VecElem, p: float) -> NormCertificate:
 
 
 def _pairing_lower(y: VecElem, p: float, w_ell: FactorWitness,
-                   opts: CertifyOptions):
+                   opts: int):
     """The dual route of ``beta_certify``: split the pairing across the two
     sides and apply Hoelder, over the pool of ``_auto_dual_pool``.
 

@@ -24,8 +24,8 @@ from . import cpmaps
 from .cpmaps import KrausMap
 from .errors import InvalidInputError, InvalidSpecError
 from .schatten import as_matrix, check_exponent, conjugate, lp_norm
-from .vecnorm import (CertifyOptions, DEFAULT_OPTS, Side, VecElem,
-                      alpha_certify, alpha_upper, beta_certify, random_element)
+from .vecnorm import (DEFAULT_OPTS, Side, VecElem, alpha_certify, alpha_upper,
+                      beta_certify, random_element)
 
 WEIGHT_SUM_TOL = 1e-12
 #: the bound on ``|u (x) I|`` from the row norm into the p-sum norm that a
@@ -192,7 +192,7 @@ class BoundReport:
 
 
 def _bound_report(elements, p: float, factor: float, image_lower,
-                  opts: CertifyOptions) -> BoundReport:
+                  opts: int) -> BoundReport:
     """One row per element ``y``: ``image_lower(y)`` against ``factor`` times
     the certified row upper bound of ``y``; a negative slack is a violation."""
     rows = []
@@ -207,7 +207,7 @@ def _bound_report(elements, p: float, factor: float, image_lower,
 
 def tensor_contraction_report(t_part: BlockIsometry, which: str, p: float,
                               samples: int, seed: int = 0, n_hilbert: int = 3,
-                              opts: CertifyOptions = DEFAULT_OPTS) -> BoundReport:
+                              opts: int = DEFAULT_OPTS) -> BoundReport:
     """Check image/input certificate ordering for one split part.
 
     The representation part is contractive from row-valued to row-valued
@@ -294,7 +294,7 @@ def rigid_compose(t_spec: YeadonSpec, s_spec: YeadonSpec, p: float) -> KrausMap:
 
 def rigid_bound_report(u: KrausMap, p: float, samples: int, seed: int = 0,
                        n_hilbert: int = 3,
-                       opts: CertifyOptions = DEFAULT_OPTS) -> BoundReport:
+                       opts: int = DEFAULT_OPTS) -> BoundReport:
     """Necessary condition for a rigid factorization: the factor-4 bound.
 
     For each of ``samples`` random elements y, the certified p-sum lower

@@ -10,7 +10,7 @@ from nclp.cpmaps import amplify_apply, build_counterexample_maps
 from nclp.errors import InvalidInputError
 from nclp.schatten import conjugate, lp_norm, pow2_normalize, schatten_norm
 from nclp.selfcheck import brute_force_upper
-from nclp.vecnorm import (CertifyOptions, DEFAULT_OPTS, FAST_OPTS, FactorWitness,
+from nclp.vecnorm import (DEFAULT_OPTS, FAST_OPTS, FactorWitness,
                           Side, VecElem, alpha_certify, alpha_upper,
                           beta_certify, diagonal_closed_form,
                           evaluate_upper_at, opposite_transform,
@@ -60,7 +60,7 @@ class TestAlphaUpper:
 
     def test_budget_exhaustion_still_valid(self, rng):
         y = VecElem(random_complex(rng, 3, 3, 3))
-        starved = CertifyOptions(max_iters=3)
+        starved = 3
         for p in (3.0, 1.5):  # the one-sided and the two-sided gauge
             v_low, wit = alpha_upper(y, p, Side.ELL_ROW, starved)
             v_ref, _ = alpha_upper(y, p, Side.ELL_ROW)

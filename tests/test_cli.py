@@ -402,6 +402,41 @@ class TestYeadonCommand:
         assert "Traceback" not in capsys.readouterr().err
 
 
+#: an integer JSON entry beyond the float range
+BIG_INT = "1" + "0" * 400
+
+
+class TestHostileInput:
+    """An entry beyond the float range, and sizes past the largest array
+    numpy can index, are invalid input: exit 2 with one line on stderr."""
+
+    @staticmethod
+    def _assert_invalid(capsys, argv):
+        assert run_cli(*argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("invalid input: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+    @pytest.mark.parametrize("command, payload", [
+        ("norm", '{"k": 1, "n": 1, "coords": [{"rows": 1, "cols": 1, '
+                 '"re": [%s], "im": [0]}]}' % BIG_INT),
+        ("yeadon", '{"n": 2, "rep_weights": [%s], "antirep_weights": [], '
+                   '"p": 3.0, "W": null}' % BIG_INT),
+        ("norm", '{"k": 1000000000000, "n": 0, "coords": []}'),
+        ("yeadon", '{"n": 100000000000, "rep_weights": [1.0], '
+                   '"antirep_weights": [], "p": 3.0, "W": null}'),
+    ], ids=["norm-entry", "yeadon-weight", "norm-size", "yeadon-size"])
+    def test_input_file(self, tmp_path, capsys, command, payload):
+        path = tmp_path / "input.json"
+        path.write_text(payload)
+        flags = ("--p", "3") if command == "norm" else ("--samples", "1")
+        self._assert_invalid(capsys, (command, "--in", str(path)) + flags)
+
+    def test_diag_size(self, capsys):
+        # k^3 = 1e21 complex coordinates: numpy refuses the shape itself
+        self._assert_invalid(capsys, ("diag", "--k", "10000000", "--p", "3"))
+
+
 class TestSelftest:
     def test_single_criterion(self, capsys):
         assert run_cli("selftest", "--only", "schatten-exactness") == 0
@@ -531,4 +566,13 @@ class TestErrorExitCodes:
 
         monkeypatch.setattr(cli, "cmd_diag", failing)
         with pytest.raises(KeyError):
+            run_cli("diag", "--k", "2", "--p", "3")
+
+    def test_other_value_error_is_not_swallowed(self, monkeypatch):
+        # only numpy's refusal of a too large array is mapped to exit 2
+        def failing(args):
+            raise ValueError("a programming error")
+
+        monkeypatch.setattr(cli, "cmd_diag", failing)
+        with pytest.raises(ValueError, match="a programming error"):
             run_cli("diag", "--k", "2", "--p", "3")

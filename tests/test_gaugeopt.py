@@ -11,8 +11,8 @@ import nclp.vecnorm as vn
 from nclp import gaugeopt
 from nclp.counterexample import verify_pipeline, witness_w
 from nclp.cpmaps import amplify_apply, build_counterexample_maps
-from nclp.schatten import conjugate, lp_norm, psd_power, schatten_norm
-from nclp.vecnorm import (DEFAULT_OPTS, FAST_OPTS, CertifyOptions, Side, VecElem,
+from nclp.schatten import conjugate, eigh, lp_norm, psd_power, schatten_norm
+from nclp.vecnorm import (DEFAULT_OPTS, FAST_OPTS, Side, VecElem,
                           alpha_certify, alpha_upper, beta_certify,
                           certified_dual_upper, evaluate_upper_at, random_element)
 
@@ -408,6 +408,51 @@ class TestWitnessEvaluation:
         assert rel_err(res.r, want) <= 1e-13
 
 
+def rank_one_support(rng, n, k):
+    """n coordinates ``u_n w^*`` that share one right vector ``w``."""
+    w = random_complex(rng, k, 1)
+    return np.stack([random_complex(rng, k, 1) @ w.conj().T for _ in range(n)])
+
+
+class TestSolveCalls:
+    """The LAPACK calls a solve makes before its first iterate, and those of
+    the two-sided closed forms."""
+
+    @pytest.mark.parametrize("solve, p", [(gaugeopt.minimize_gauge, 3.0),
+                                          (gaugeopt.minimize_two_sided, 1.5)],
+                             ids=["one-sided", "two-sided"])
+    def test_ascent_starts_at_its_first_dual_point(self, monkeypatch, solve, p):
+        # the Gram's eigh in _restrict, then the dual start's eigh of h and of
+        # C(rho), and only then the first eigvalsh of M(s): no other start
+        # point is scored
+        y = random_element(3, 3, np.random.default_rng(0)).coords
+        calls = count_lapack(monkeypatch)
+        assert solve(y, p, max_iters=240).iterations > 0
+        assert calls[:4] == ["eigh", "eigh", "eigh", "eigvalsh"]
+
+    @pytest.mark.parametrize("y", [
+        random_complex(np.random.default_rng(3), 1, 3, 3),
+        rank_one_support(np.random.default_rng(4), 3, 3),
+    ], ids=["one-coordinate", "rank-one-support"])
+    def test_two_sided_closed_forms(self, monkeypatch, y):
+        # the restriction's eigh, the eigh of M(s) behind rho, and the three
+        # eigensolves and the SVD of the evaluation (test_lapack_calls): s is
+        # diagonal in the Gram eigenbasis, so it takes no eigh of its own
+        calls = count_lapack(monkeypatch)
+        res = gaugeopt.minimize_two_sided(y, 1.5)
+        assert res.iterations == 0 and res.converged
+        assert calls == ["eigh", "eigh", "eigh", "eigh", "eigvalsh", "svd"]
+
+    def test_ascending_diagonal_decomposes_exactly(self, rng):
+        # why the closed form may skip that eigh: on an ascending diagonal,
+        # ties included, LAPACK returns its entries and the identity
+        for r in range(1, 7):
+            x = np.sort(rng.random(r) ** 3)
+            for vals in (x, np.concatenate([x[:1], x[:-1]])):
+                w, q = eigh(np.diag(vals).astype(np.complex128))
+                assert np.array_equal(w, vals) and np.array_equal(q, np.eye(r))
+
+
 DIAGONAL_ELEMS = {
     "n5-k3": diagonal_coordinates_elem(1, 5, 3),
     "n2-k4-zero-column": diagonal_coordinates_elem(2, 2, 4, zero_column=1),
@@ -618,7 +663,7 @@ class TestConvergedFlag:
 
     def test_zero_budget_without_descent(self):
         y = random_element(1, 3, np.random.default_rng(0))
-        cert = alpha_certify(y, 3.0, Side.ELL_ROW, CertifyOptions(max_iters=0))
+        cert = alpha_certify(y, 3.0, Side.ELL_ROW, 0)
         # the rounding allowance keeps the lower bound strictly below
         assert cert.lower <= cert.upper <= cert.lower * (1 + 1e-12)
         assert cert.iterations == 0
@@ -627,7 +672,7 @@ class TestConvergedFlag:
     @pytest.mark.parametrize("p", [1.5, 3.0])
     def test_zero_budget_with_descent(self, p):
         y = random_element(3, 3, np.random.default_rng(0))
-        cert = alpha_certify(y, p, Side.ELL_ROW, CertifyOptions(max_iters=0))
+        cert = alpha_certify(y, p, Side.ELL_ROW, 0)
         assert cert.iterations == 0
         assert not cert.converged
 
@@ -714,13 +759,17 @@ class TestAscent:
             lower = gaugeopt.minimax_lower(a, res.rho, p)
             assert want * (1 - 1e-10) <= lower <= res.value
 
-    @pytest.mark.parametrize("p", [2.0, math.nextafter(2.0, 0.0)])
+    @pytest.mark.parametrize("p", [2.0, math.nextafter(2.0, 0.0), 2.0 - 3e-15])
     @pytest.mark.parametrize("k, n, seed, degenerate",
                              [(3, 3, 0, False), (4, 2, 1, False), (2, 5, 2, False),
-                              (3, 3, 3, True)])
+                              (3, 3, 3, True), (5, 5, 0, False), (5, 5, 1, False),
+                              (5, 5, 2, False), (5, 5, 4, False)])
     def test_two_sided_ascent_at_q_inf(self, p, k, n, seed, degenerate):
         """At p = 2, and just below, where ``q_from_p`` reads ``q = inf``, the
-        two-sided solve runs its own ascent and meets the one-sided gauge."""
+        two-sided solve runs its own ascent and meets the one-sided gauge.
+
+        Just below 2 the dual exponent is ``t = 1`` too: with the ``t > 1``
+        step seven of the eight (5, 5) solves there ended unconverged."""
         y = random_element(k, n, np.random.default_rng(seed), degenerate=degenerate).coords
         two = gaugeopt.minimize_two_sided(y, p)
         assert two.converged and two.iterations > 0
@@ -867,7 +916,7 @@ class TestAscent:
         for k in (5, 6, 7, 8):
             y = random_element(k, k, np.random.default_rng(k)).coords
             for p in (3.0, 4.0):
-                res = gaugeopt.minimize_gauge(y, p, DEFAULT_OPTS.max_iters)
+                res = gaugeopt.minimize_gauge(y, p, DEFAULT_OPTS)
                 assert res.converged, (k, p)
                 total += res.iterations
         assert total <= 0.4 * 7911
