@@ -27,7 +27,7 @@ import numpy as np
 from . import counterexample as cx
 from . import selfcheck, serialize
 from .errors import InvalidInputError
-from .schatten import check_exponent
+from .schatten import check_exponent, check_size
 from .vecnorm import Side, VecElem, alpha_certify, diagonal_closed_form
 from .yeadon import (RIGID_FACTOR, build_isometry, jordan_split,
                      rigid_bound_report, rigid_compose, tensor_contraction_report,
@@ -76,6 +76,7 @@ def cmd_diag(args) -> int:
     _check_seed(args)
     if args.k < 1:
         raise InvalidInputError(f"--k must be >= 1, got {args.k}")
+    check_size(args.k, args.k, args.k)  # before the k coefficients are drawn
     if args.random:
         rng = np.random.default_rng(args.seed)
         lams = rng.standard_normal(args.k) + 1j * rng.standard_normal(args.k)

@@ -30,7 +30,7 @@ from .cpmaps import (amplify_apply, build_counterexample_maps,
                      choi_min_eigenvalue, is_completely_positive,
                      sampled_contraction_ratio)
 from .errors import InvalidInputError
-from .schatten import check_exponent
+from .schatten import check_exponent, check_size
 from .vecnorm import Side, VecElem, alpha_certify, beta_certify
 from .yeadon import RIGID_FACTOR
 
@@ -57,8 +57,7 @@ def witness_w(k: int) -> VecElem:
     if k < 1:
         raise InvalidInputError("k must be >= 1")
     coords = np.zeros((k, k, k), dtype=np.complex128)
-    for i in range(k):
-        coords[i, i, 0] = 1.0
+    coords[np.arange(k), np.arange(k), 0] = 1.0
     return VecElem(coords)
 
 
@@ -76,17 +75,12 @@ def closed_form_images(k: int, p: float):
     check_exponent(p)
     half = float(k) ** (-1.0 / (2.0 * p))
     full = float(k) ** (-1.0 / p)
-    im1 = VecElem.diagonal([half] * k)
-    c2 = np.zeros((k, k, k), dtype=np.complex128)
-    c2[0, 0, 0] = half
-    im2 = VecElem(c2)
-    c3 = np.zeros((k, k, k), dtype=np.complex128)
-    c3[0, 0, 0] = 1.0
-    im3 = VecElem(c3)
+    e1 = np.zeros(k)
+    e1[0] = 1.0
     c4 = np.zeros((k, k, k), dtype=np.complex128)
     c4[0] = full * np.eye(k)
-    im4 = VecElem(c4)
-    return im1, im2, im3, im4
+    return (VecElem.diagonal([half] * k), VecElem.diagonal(half * e1),
+            VecElem.diagonal(e1), VecElem(c4))
 
 
 def contraction_upper_bound(k: int, p: float) -> float:
@@ -230,6 +224,7 @@ def verify_pipeline(k: int, p: float, contraction_trials: int = 0, seed: int = 0
         raise InvalidInputError(
             f"numeric verification is capped at k <= {k_cap} (formula "
             f"evaluation has no cap; raise k_cap explicitly to override)")
+    check_size(k, k, k)
     diagnostics = []
     u1, u2, u3, u4, u = build_counterexample_maps(k, p)
     w = witness_w(k)

@@ -169,11 +169,11 @@ def build_counterexample_maps(k: int, p: float):
         raise InvalidInputError("k must be at least 1")
     check_exponent(p)
     coef = float(k) ** (-1.0 / (2.0 * p))
+    idx = np.arange(k)
     a = np.zeros((k, k, k), dtype=np.complex128)
     b = np.zeros((k, k, k), dtype=np.complex128)
-    for i in range(k):
-        a[i, i, i] = 1.0
-        b[i, 0, i] = coef
+    a[idx, idx, idx] = 1.0
+    b[idx, 0, idx] = coef
     u1 = KrausMap(k=k, a=a, b=b)
     u2 = KrausMap(k=k, a=b, b=a)
     u3 = KrausMap(k=k, a=a, b=a)

@@ -20,9 +20,12 @@ one-sided core exactly.
 
 Both solves first restrict to the right support of the coordinates
 (``_restrict``) and end by building the witness from the best point found,
-``s`` or the pair ``(r, s)``, and returning it with its certified value
-(``evaluate_one_sided``, ``evaluate_two_sided``).  Diagonal coordinates skip
-all of this: their value and witness are closed forms (below).
+``s`` or the pair ``(r, s)``, and returning it as the ``FactorWitness`` that
+certificates carry: its branch, its certified value (``evaluate_one_sided``,
+``evaluate_two_sided``), the dual density ``rho``, the iterations and
+whether the gap closed.  ``vecnorm.alpha_upper`` only marks the frame and
+scales the value back.  Diagonal coordinates skip all of this: their value
+and witness are closed forms (below).
 
 The one-sided solve (``minimize_gauge``) is a primal-dual ascent on the dual
 density ``rho`` (the lower bounds below).  Write ``a = e/2``, ``beta =
@@ -306,13 +309,28 @@ _EPS = float(np.finfo(np.float64).eps)
 
 
 @dataclass
-class GaugeResult:
-    value: float
+class FactorWitness:
+    """Feasible factorization datum behind an upper bound, as a solve returns it.
+
+    For the one-sided branch (p >= 2) ``s`` is the factor: the factorization
+    is ``y_n = (y_n s^{-1/2}) s^{1/2}``.  The two-sided branch carries the
+    pair ``(r, s)``.  ``transposed`` records that the witness lives in the
+    transposed frame (R_COL input, set by ``vecnorm.alpha_upper``).  ``rho``
+    is the dual density behind the lower bound, in the same frame
+    (``minimax_lower``): both solvers return it with ``s``; it is None
+    elsewhere.  ``value`` is the certified value of the witness (or the
+    closed form of diagonal coordinates, rounded up) at the scale of the
+    coordinates it was solved for; None for a witness built by hand.
+    """
+
+    branch: str
     s: np.ndarray
-    iterations: int
-    converged: bool
-    r: np.ndarray | None = None  # the left factor, two-sided gauge only
-    rho: np.ndarray | None = None  # the dual density behind the lower bound
+    r: np.ndarray | None = None
+    transposed: bool = False
+    iterations: int = 0
+    converged: bool = True
+    rho: np.ndarray | None = None
+    value: float | None = None
 
 
 def _herm(x: np.ndarray) -> np.ndarray:
@@ -437,7 +455,7 @@ def _diagonal_density(x: np.ndarray, power: float) -> np.ndarray:
     return np.diag(w / float(np.sum(w))).astype(np.complex128)
 
 
-def _diagonal_solve(A: np.ndarray, p: float, two_sided: bool) -> GaugeResult:
+def _diagonal_solve(A: np.ndarray, p: float, two_sided: bool) -> FactorWitness:
     """The closed form of both solvers for diagonal coordinates, at ``e = p``.
 
     Returns the exact value rounded up (``_diagonal_value``) and the witness
@@ -458,14 +476,14 @@ def _diagonal_solve(A: np.ndarray, p: float, two_sided: bool) -> GaugeResult:
     s = np.zeros(c.size)
     if not two_sided:
         s[keep] = sv
-        return GaugeResult(value, np.diag(s).astype(np.complex128), 0, True,
-                           rho=_diagonal_density(c, 0.5 * p))
+        return FactorWitness("one_sided", np.diag(s).astype(np.complex128),
+                             rho=_diagonal_density(c, 0.5 * p), value=value)
     s[keep] = sv * math.sqrt(float(np.sum(c[keep])))
     g = np.zeros(c.size)
     g[keep] = c[keep] / s[keep]  # G(s) at the scale of A / 2^e
-    return GaugeResult(value, np.diag(np.ldexp(s, e)).astype(np.complex128), 0, True,
-                       r=np.diag(np.ldexp(g, e)).astype(np.complex128),
-                       rho=_diagonal_density(g, 0.5 * q_from_p(p) - 1.0))
+    return FactorWitness("two_sided", np.diag(np.ldexp(s, e)).astype(np.complex128),
+                         r=np.diag(np.ldexp(g, e)).astype(np.complex128),
+                         rho=_diagonal_density(g, 0.5 * q_from_p(p) - 1.0), value=value)
 
 
 def q_from_p(p: float) -> float:
@@ -616,14 +634,15 @@ def gram_density(A: np.ndarray, e: float) -> np.ndarray:
     return rho / float(np.trace(rho).real)
 
 
-def minimize_gauge(A: np.ndarray, e: float, max_iters: int = MAX_ITERS) -> GaugeResult:
+def minimize_gauge(A: np.ndarray, e: float, max_iters: int = MAX_ITERS) -> FactorWitness:
     """Solve the one-sided gauge (``e >= 2``) in the coordinates of A.
 
-    ``A`` has shape (N, k, r).  The returned witness ``s`` lives on the
-    r-space, is zero off the right support of the coordinates and full-rank
-    (regularized) on it, and ``value`` is its certified value
-    (``evaluate_one_sided``).  ``rho`` is the dual density on the k-space
-    that ``minimax_lower`` turns into the matching lower bound.  For one
+    ``A`` has shape (N, k, r).  Returns a one-sided ``FactorWitness``: its
+    ``s`` lives on the r-space, is zero off the right support of the
+    coordinates and full-rank (regularized) on it, and ``value`` is its
+    certified value (``evaluate_one_sided``).  ``rho`` is the dual density
+    on the k-space that ``minimax_lower`` turns into the matching lower
+    bound.  For one
     coordinate and for diagonal ones both take a closed form and
     ``iterations`` is 0 (module docstring); otherwise the ascent runs.
     Diagonal coordinates return their exact value rounded up
@@ -636,7 +655,8 @@ def minimize_gauge(A: np.ndarray, e: float, max_iters: int = MAX_ITERS) -> Gauge
     A = np.asarray(A, dtype=np.complex128)
     n_coords, k, r = A.shape
     if not np.any(A):
-        return GaugeResult(0.0, np.eye(max(r, 1), dtype=np.complex128), 0, True)
+        return FactorWitness("one_sided", np.eye(max(r, 1), dtype=np.complex128),
+                             value=0.0)
     if _diagonal_coordinates(A):
         return _diagonal_solve(A, e, two_sided=False)
     ub, ak, _, gram, kept = _restrict(A)
@@ -649,8 +669,8 @@ def minimize_gauge(A: np.ndarray, e: float, max_iters: int = MAX_ITERS) -> Gauge
                                                 max_iters)
     sv = sv + 1e-12 * float(np.sum(sv)) / ub.shape[1]  # regularized inversion margin
     s_out = ub @ ((sq * sv) @ sq.conj().T) @ ub.conj().T
-    return GaugeResult(value=evaluate_one_sided(A, s_out, e), s=s_out,
-                       iterations=iters, converged=converged, rho=rho)
+    return FactorWitness("one_sided", s_out, iterations=iters, converged=converged,
+                         rho=rho, value=evaluate_one_sided(A, s_out, e))
 
 
 def _residual_correction(resid_coords: np.ndarray, p: float) -> float:
@@ -719,7 +739,7 @@ def evaluate_two_sided(coords: np.ndarray, r_full: np.ndarray,
 
 
 def minimize_two_sided(coords: np.ndarray, p: float,
-                       max_iters: int = MAX_ITERS) -> GaugeResult:
+                       max_iters: int = MAX_ITERS) -> FactorWitness:
     """Minimize the two-sided gauge (p <= 2) after eliminating the left factor.
 
     For fixed ``s`` the optimal left factor has the closed form
@@ -733,7 +753,8 @@ def minimize_two_sided(coords: np.ndarray, p: float,
     fixed point, so the reduced form is both faster and correct.  The ascent
     (module docstring) solves it through its dual at ``rho = u^{1/t}``.
 
-    One coordinate, diagonal ones and a support of rank one take the closed
+    Returns a two-sided ``FactorWitness`` with the pair ``(r, s)``.  One
+    coordinate, diagonal ones and a support of rank one take the closed
     form ``s = diag(c)^{p/2}`` and ``iterations`` is 0 (module docstring),
     with ``rho ~ G(s)^{q/2 - 1}``.  ``value`` is the certified value of the
     witness (``evaluate_two_sided``), or for diagonal coordinates their
@@ -750,8 +771,8 @@ def minimize_two_sided(coords: np.ndarray, p: float,
     y = np.asarray(coords, dtype=np.complex128)
     n_coords, k, kr = y.shape
     if not np.any(y):
-        return GaugeResult(0.0, np.eye(kr, dtype=np.complex128), 0, True,
-                           r=np.eye(k, dtype=np.complex128))
+        return FactorWitness("two_sided", np.eye(kr, dtype=np.complex128),
+                             r=np.eye(k, dtype=np.complex128), value=0.0)
     if _diagonal_coordinates(y):
         return _diagonal_solve(y, p, two_sided=True)
     q = q_from_p(p)
@@ -773,8 +794,9 @@ def minimize_two_sided(coords: np.ndarray, p: float,
     # r = G(s) from the spectral form of s: every kept eigenvalue is floored
     # far above the rank cut, so this is sum_n y_n s^+ y_n^*
     r_full = _herm(_m_matrix(_k_major(y), scale * sv, ub @ sq))
-    return GaugeResult(value=evaluate_two_sided(y, r_full, s_full, p), s=s_full,
-                       iterations=iters, converged=converged, r=r_full, rho=rho)
+    return FactorWitness("two_sided", s_full, r=r_full, iterations=iters,
+                         converged=converged, rho=rho,
+                         value=evaluate_two_sided(y, r_full, s_full, p))
 
 
 # ---------------------------------------------------------------------------

@@ -42,6 +42,17 @@ def check_exponent(p: float) -> float:
     return p
 
 
+def check_size(*shape: int) -> None:
+    """Refuse a complex array of ``shape`` that numpy could not index.
+
+    numpy's own test ("array is too big", with zero dimensions skipped), on
+    Python integers and before anything is allocated: an outside size past
+    the index range, 2^63 and above included, is invalid input.
+    """
+    if math.prod(max(d, 1) for d in shape) * 16 > np.iinfo(np.intp).max:
+        raise InvalidInputError(f"the sizes are too large: an array of shape {shape}")
+
+
 def conjugate(p: float) -> float:
     """Conjugate exponent p/(p-1); restricted to p in (1, inf)."""
     p = check_exponent(p)

@@ -16,14 +16,17 @@ two factorization norms, selected by :class:`Side`:
 value of an explicit feasible factorization found by the gauge solver
 (:mod:`nclp.gaugeopt`), the lower bound is the minimax dual of that same
 gauge problem at the solver's own dual density ``rho``: one ascent serves
-both gauges (p >= 2 and p < 2) and stops once the two bounds meet.
+both gauges (p >= 2 and p < 2) and stops once the two bounds meet.  The
+witness is the solve's own ``gaugeopt.FactorWitness`` (re-exported here),
+which ``alpha_upper`` marks with the frame and scales back.
 ``beta_certify`` treats the p-sum of the two norms (infimum over splittings
 ``y = y0 + y1``).  Its upper bound is the best split on the scalar line
-``y0 = t y``: with ``alpha_upper``'s two values ``a = u_ell`` and ``b =
-u_col``, homogeneity gives the split's value ``|(t a, (1 - t) b)|_p`` at
-every t with no further solve.  Its derivative vanishes at the minimiser
-``t* = b^{p'} / (a^{p'} + b^{p'})`` (``p' = p / (p - 1)``), where the value
-is ``(a^{-p'} + b^{-p'})^{-1/p'}``.  The endpoints t = 1 and t = 0 are the
+``y0 = t y`` (``_line_split``, shared with the diagonal closed form below):
+with ``alpha_upper``'s two values ``a = u_ell`` and ``b = u_col``,
+homogeneity gives the split's value ``|(t a, (1 - t) b)|_p`` at every t
+with no further solve.  Its derivative vanishes at the minimiser ``t* =
+b^{p'} / (a^{p'} + b^{p'})`` (``p' = p / (p - 1)``), where the value is
+``(a^{-p'} + b^{-p'})^{-1/p'}``.  The endpoints t = 1 and t = 0 are the
 two trivial splits.  Its lower bound is by pairing:
 ``|<y, c>| / U(c)`` for a pool of dual candidates ``c``, where ``U(c)`` is
 the p'-sum of the certified upper bounds on the two dual norms of ``c``,
@@ -78,18 +81,21 @@ the whole element from below.  Both bounds are computed from one ``x =
 lp_norm(sqrt(c), p)``, within ``(N/2 + 2k + 6) u`` of ``|c^{1/2}|_p`` (the
 count of ``gaugeopt``'s module docstring), which ``S =
 gaugeopt._diagonal_slack`` = ``(ceil(N/2) + k + 8) eps`` covers.  The upper
-bound is the line split's value ``lp_norm((h, h), p)`` at each side's ``h =
-x (1 + S) / 2`` (a half of ``gaugeopt._diagonal_value``), rounded up by
-``_SPLIT_SLACK`` as above.
+bound is the line split (``_line_split``) at ``a = b = x (1 + S)``, each
+side's ``gaugeopt._diagonal_value``: ``t* = 1/2`` and the value
+``lp_norm((h, h), p)`` at ``h = x (1 + S) / 2``, rounded up by
+``_SPLIT_SLACK`` as above.  Within about 2e-15 of p = 1, where ``2^{1/p -
+1}`` is within that rounding of 1, the exact endpoint t = 1 is the smaller
+sound value and wins instead.
 The lower bound is ``x (2^{1/p} / 2) (1 - S - _HALF_POWER_SLACK)``:
 ``2^{1/p}`` is within ``(2 + ln 2) u`` (the rounding of ``1/p`` moves it by
 ``u ln(2) / p``, the power by one ulp), halving is exact and the product
 adds ``u``, so the value before the last product is within ``(N/2 + 2k +
 10) u`` of ``2^{1/p - 1} |c^{1/2}|_p``; ``1 - S - 2 eps`` is exact and takes
 off ``(2 ceil(N/2) + 2k + 20) u``, which leaves ``(N + 2k + 19) u`` after
-the rounding of that product.  The witnesses are ``y0 = y / 2``, both sides
-valued ``h``, and ``c'`` times ``c_max^{1 - p/2}`` (so that no power
-overflows: every entry is at most ``c_max^{1/2}``), whose
+the rounding of that product.  The witnesses are the split, ``y0 = y /
+2`` with both sides valued ``h``, and ``c'`` times ``c_max^{1 - p/2}`` (so
+that no power overflows: every entry is at most ``c_max^{1/2}``), whose
 ``dual_norm_bound`` is the p'-sum of its two ``gaugeopt.diagonal_upper``
 values.  Scaling back by ``2^e`` is exact unless a bound is subnormal;
 there ``schatten.pow2_restore_outward`` moves it one ulp outward, past the
@@ -133,8 +139,11 @@ import numpy as np
 
 from . import gaugeopt
 from .errors import InvalidInputError
-from .schatten import (check_exponent, conjugate, dual_witness, eigh, lp_norm,
-                       pow2_normalize, pow2_restore_outward, psd_power)
+# the witness type of the gauge solves, which the certificates carry as is
+from .gaugeopt import FactorWitness
+from .schatten import (check_exponent, check_size, conjugate, dual_witness,
+                       eigh, lp_norm, pow2_normalize, pow2_restore_outward,
+                       psd_power)
 
 
 class Side(enum.Enum):
@@ -174,16 +183,16 @@ class VecElem:
 
     @classmethod
     def zeros(cls, k: int, n: int) -> "VecElem":
+        check_size(n, k, k)
         return cls(np.zeros((n, k, k), dtype=np.complex128))
 
     @classmethod
     def diagonal(cls, lams) -> "VecElem":
         """The element sum_i lam_i e_i (x) e_i (x) e_i (coordinate i = lam_i E_ii)."""
         lams = np.asarray(lams, dtype=np.complex128).ravel()
-        k = lams.size
-        coords = np.zeros((k, k, k), dtype=np.complex128)
-        for i, lam in enumerate(lams):
-            coords[i, i, i] = lam
+        idx = np.arange(lams.size)
+        coords = np.zeros((lams.size,) * 3, dtype=np.complex128)
+        coords[idx, idx, idx] = lams
         return cls(coords)
 
     def scaled(self, t) -> "VecElem":
@@ -259,28 +268,6 @@ FAST_OPTS = 240
 
 
 @dataclass
-class FactorWitness:
-    """Feasible factorization datum behind an upper bound.
-
-    For the one-sided branch (p >= 2) ``s`` is the factor: the factorization
-    is ``y_n = (y_n s^{-1/2}) s^{1/2}``.  The two-sided branch carries the
-    pair ``(r, s)``.  ``transposed`` records that the witness lives in the
-    transposed frame (R_COL input).  ``rho`` is the dual density behind the
-    lower bound of ``alpha_certify``, in the same frame
-    (``gaugeopt.minimax_lower``): both solvers return it with ``s``; it is
-    None elsewhere.
-    """
-
-    branch: str
-    s: np.ndarray
-    r: np.ndarray | None = None
-    transposed: bool = False
-    iterations: int = 0
-    converged: bool = True
-    rho: np.ndarray | None = None
-
-
-@dataclass
 class NormCertificate:
     """Certified bracket [lower, upper] with the witnesses that produced it.
 
@@ -313,7 +300,8 @@ def alpha_upper(y: VecElem, p: float, side: Side = Side.ELL_ROW,
                 opts: int = DEFAULT_OPTS):
     """Certified upper bound on the factorization norm.
 
-    Returns ``(value, FactorWitness)``.  The value is the certified value of
+    Returns ``(value, FactorWitness)``, the witness being the solve's own
+    with ``value`` scaled back to ``y``.  The value is the certified value of
     the returned witness (``evaluate_upper_at``), except for diagonal
     coordinates: there it is the exact norm rounded up
     (``gaugeopt.diagonal_upper``), which the witness attains up to its
@@ -328,18 +316,17 @@ def alpha_upper(y: VecElem, p: float, side: Side = Side.ELL_ROW,
     y = opposite_transform(y) if transposed else y
     if y.is_zero():
         return 0.0, FactorWitness("one_sided", s=np.eye(y.k, dtype=np.complex128),
-                                  transposed=transposed)
+                                  transposed=transposed, value=0.0)
     # y / max|y| in two exact-then-one-rounded steps, which cannot overflow
     yn, e = pow2_normalize(y.coords)
     scale = float(np.max(np.abs(yn)))
 
     solve = gaugeopt.minimize_gauge if p >= 2.0 else gaugeopt.minimize_two_sided
-    res = solve(yn / scale, p, max_iters=opts)
-    # both solvers return the certified value of their witness and its density
-    wit = FactorWitness("one_sided" if p >= 2.0 else "two_sided", s=res.s,
-                        r=res.r, transposed=transposed, iterations=res.iterations,
-                        converged=res.converged, rho=res.rho)
-    return pow2_restore_outward(res.value * scale, e, math.inf), wit
+    # both solvers return their witness with its certified value and density
+    wit = solve(yn / scale, p, max_iters=opts)
+    wit.transposed = transposed
+    wit.value = pow2_restore_outward(wit.value * scale, e, math.inf)
+    return wit.value, wit
 
 
 def certified_dual_upper(yp: VecElem, p_dual: float,
@@ -486,18 +473,6 @@ def _dual_floor(cand: VecElem, p_dual: float) -> float:
                                   p_dual)
 
 
-def _pairing_potential(cand: VecElem, cand_t: VecElem, num: float,
-                       p_dual: float) -> float:
-    """Upper bound on the ratio ``num / den`` that ``beta_certify`` can get.
-
-    ``den`` is the p'-sum of the two certified dual upper bounds, of the
-    candidate and of its transpose ``cand_t``, which are at least the two
-    floors (``_dual_floor``).
-    """
-    floor = lp_norm((_dual_floor(cand, p_dual), _dual_floor(cand_t, p_dual)), p_dual)
-    return num / floor if floor > 0.0 else math.inf
-
-
 def beta_certify(y: VecElem, p: float,
                  opts: int = DEFAULT_OPTS) -> NormCertificate:
     """Certificate for the p-sum norm inf over y = y0 + y1 of the pair.
@@ -531,33 +506,40 @@ def beta_certify(y: VecElem, p: float,
         return _diagonal_beta(y, p)
     u_ell, w_ell = alpha_upper(y, p, Side.ELL_ROW, opts)
     u_col, w_col = alpha_upper(y, p, Side.R_COL, opts)
-    iters = w_ell.iterations + w_col.iterations
-    conv = w_ell.converged and w_col.converged
+    upper, beta_wit = _line_split(y, u_ell, u_col, 0, p)
+    lower, dual_wit, dual_den = _pairing_lower(y, p, w_ell, opts)
+    return NormCertificate(upper=upper, lower=lower, factor_witness=beta_wit,
+                           dual_witness=dual_wit,
+                           iterations=w_ell.iterations + w_col.iterations,
+                           converged=w_ell.converged and w_col.converged,
+                           dual_norm_bound=dual_den)
 
-    # scalar line split y0 = t y: at t = 1 and t = 0 ``lp_norm`` returns its
-    # nonzero argument unchanged, so the endpoints are the trivial splits;
-    # they come first, and argmin keeps the first of equal values.  t* is
-    # formed from (min / max)^{p'} <= 1, which cannot overflow near p = 1.
-    # Norms below 1/2 are moved up to [1/2, 1) by the exact 2^-e first, so
-    # that no product rounds at subnormal granularity
-    e = min(0, math.frexp(max(u_ell, u_col))[1])
-    a, b = math.ldexp(u_ell, -e), math.ldexp(u_col, -e)
+
+def _line_split(y: VecElem, a: float, b: float, e: int, p: float):
+    """The best split on the scalar line ``y0 = t y`` (module docstring), for
+    certified bounds ``a 2^e`` and ``b 2^e`` on the ELL_ROW and R_COL norms
+    of ``y``: ``(upper, BetaWitness)``, rounded outward at the scale of ``y``.
+
+    The endpoints t = 1 and t = 0 are the trivial splits, valued ``a`` and
+    ``b`` exactly (what ``lp_norm`` returns there); they come first, and
+    ``min`` keeps the first of equal values.  ``t*`` is formed from ``(min /
+    max)^{p'} <= 1``, which cannot overflow near p = 1.  Bounds below 1/2
+    are moved up to [1/2, 1) by an exact power of two first, so that no
+    product rounds at subnormal granularity.
+    """
+    shift = min(0, math.frexp(max(a, b))[1])
+    a, b, e = math.ldexp(a, -shift), math.ldexp(b, -shift), e + shift
     r = (min(a, b) / max(a, b)) ** conjugate(p)
     ts = (1.0, 0.0, r / (1.0 + r) if a >= b else 1.0 / (1.0 + r))
-    vals = [lp_norm((t * a, (1.0 - t) * b), p) for t in ts]
-    vals[2] *= 1.0 + _SPLIT_SLACK  # rounded up; the endpoints are exact
-    best = int(np.argmin(vals))
+    # the value at t* rounded up; the endpoints are exact
+    vals = (a, b, lp_norm((ts[2] * a, (1.0 - ts[2]) * b), p) * (1.0 + _SPLIT_SLACK))
+    best = min(range(3), key=vals.__getitem__)
     t = ts[best]
     # y.scaled(0.0) would write -0.0
     y0 = VecElem.zeros(y.k, y.n) if t == 0.0 else y.scaled(t)
-    upper = pow2_restore_outward(vals[best], e, math.inf)
-    beta_wit = BetaWitness(y0, pow2_restore_outward(t * a, e, math.inf),
-                           pow2_restore_outward((1.0 - t) * b, e, math.inf))
-
-    lower, dual_wit, dual_den = _pairing_lower(y, p, w_ell, opts)
-    return NormCertificate(upper=upper, lower=lower, factor_witness=beta_wit,
-                           dual_witness=dual_wit, iterations=iters,
-                           converged=conv, dual_norm_bound=dual_den)
+    return (pow2_restore_outward(vals[best], e, math.inf),
+            BetaWitness(y0, pow2_restore_outward(t * a, e, math.inf),
+                        pow2_restore_outward((1.0 - t) * b, e, math.inf)))
 
 
 def _diagonal_beta(y: VecElem, p: float) -> NormCertificate:
@@ -569,19 +551,16 @@ def _diagonal_beta(y: VecElem, p: float) -> NormCertificate:
     c, e, d = gaugeopt._diagonal_weights(y.coords)
     norm = lp_norm(np.sqrt(c), p)  # at the scale 2^-e, as everything below
     slack = gaugeopt._diagonal_slack(y.n, y.k)
-    # the line split at t* = 1/2: each side's norm is ``_diagonal_value``
-    half = 0.5 * (norm * (1.0 + slack))
-    upper = lp_norm((half, half), p) * (1.0 + _SPLIT_SLACK)
+    # both sides' norms are ``_diagonal_value``: the split is at t* = 1/2
+    upper, split = _line_split(y, norm * (1.0 + slack), norm * (1.0 + slack), e, p)
     lower = norm * (0.5 * 2.0 ** (1.0 / p)) * (1.0 - slack - _HALF_POWER_SLACK)
     dual = _matched_diagonal_dual(c, d, p)
     p_dual = conjugate(p)
     # the transpose of diagonal coordinates is themselves: both dual norms agree
     dual_norm = gaugeopt.diagonal_upper(dual, p_dual)
-    half = pow2_restore_outward(half, e, math.inf)
-    return NormCertificate(upper=pow2_restore_outward(upper, e, math.inf),
-                           lower=pow2_restore_outward(lower, e, 0.0),
-                           factor_witness=BetaWitness(y.scaled(0.5), half, half),
-                           dual_witness=VecElem(dual), iterations=0, converged=True,
+    return NormCertificate(upper=upper, lower=pow2_restore_outward(lower, e, 0.0),
+                           factor_witness=split, dual_witness=VecElem(dual),
+                           iterations=0, converged=True,
                            dual_norm_bound=lp_norm((dual_norm, dual_norm), p_dual))
 
 
@@ -616,9 +595,12 @@ def _pairing_lower(y: VecElem, p: float, w_ell: FactorWitness,
         if gaugeopt._diagonal_coordinates(cand.coords):
             scored.append((cand, None, num, math.inf))
         else:
+            # the potential: the two dual upper bounds of ``den`` below are
+            # at least the floors of the candidate and of its transpose
             cand_t = opposite_transform(cand)
-            scored.append((cand, cand_t, num,
-                           _pairing_potential(cand, cand_t, num, p_dual)))
+            floor = lp_norm((_dual_floor(cand, p_dual), _dual_floor(cand_t, p_dual)),
+                            p_dual)
+            scored.append((cand, cand_t, num, num / floor if floor > 0.0 else math.inf))
     lower, dual_wit, dual_den, win = 0.0, None, 0.0, 0
     for idx in sorted(range(len(scored)), key=lambda i: -scored[i][3]):
         cand, cand_t, num, potential = scored[idx]
@@ -637,6 +619,7 @@ def _pairing_lower(y: VecElem, p: float, w_ell: FactorWitness,
 def random_element(k: int, n: int, rng: np.random.Generator,
                    degenerate: bool = False) -> VecElem:
     """Seeded random element; optionally with a shared one-sided kernel."""
+    check_size(n, k, k)
     coords = (rng.standard_normal((n, k, k))
               + 1j * rng.standard_normal((n, k, k))) * (1.0 / math.sqrt(2.0))
     if degenerate and k > 1:

@@ -23,7 +23,7 @@ import numpy as np
 from . import cpmaps
 from .cpmaps import KrausMap
 from .errors import InvalidInputError, InvalidSpecError
-from .schatten import as_matrix, check_exponent, conjugate, lp_norm
+from .schatten import as_matrix, check_exponent, check_size, conjugate, lp_norm
 from .vecnorm import (DEFAULT_OPTS, Side, VecElem, alpha_certify, alpha_upper,
                       beta_certify, random_element)
 
@@ -71,6 +71,7 @@ def validate_spec(spec: YeadonSpec, p: float) -> None:
         raise InvalidSpecError("source size must be >= 1")
     if spec.num_blocks == 0:
         raise InvalidSpecError("at least one block is required")
+    check_size(spec.target_size, spec.target_size)
     ws = spec.weights()
     if not all(0.0 < w < math.inf for w in ws):  # also False for NaN
         raise InvalidSpecError("block weights must be finite and strictly positive")
@@ -122,39 +123,26 @@ class BlockIsometry:
         if self.spec.w is not None:
             self._w = as_matrix(self.spec.w)
 
-    @property
-    def source_size(self) -> int:
-        return self.spec.n
-
-    @property
-    def target_size(self) -> int:
-        return self.spec.target_size
-
-    def _blocks(self, a: np.ndarray):
-        for btype, weight in zip(self.spec.block_types(), self.spec.weights()):
-            live = self.mask is None or self.mask == btype
-            if not live:
-                yield np.zeros_like(a)
-            elif btype == "rep":
-                yield weight * a
-            else:
-                yield weight * a.T
+    def _apply(self, a: np.ndarray) -> np.ndarray:
+        """T on each matrix of an (N, n, n) stack, in one pass over the blocks;
+        a masked-out block stays zero."""
+        n = self.spec.n
+        if a.shape[1:] != (n, n):
+            raise InvalidInputError(f"expected {n} x {n} argument, got {a.shape[1:]}")
+        m = self.spec.target_size
+        out = np.zeros((a.shape[0], m, m), dtype=np.complex128)
+        for idx, (btype, weight) in enumerate(zip(self.spec.block_types(),
+                                                  self.spec.weights())):
+            if self.mask in (None, btype):
+                blk = a if btype == "rep" else np.transpose(a, (0, 2, 1))
+                out[:, idx * n:(idx + 1) * n, idx * n:(idx + 1) * n] = weight * blk
+        return out if self._w is None else self._w @ out
 
     def __call__(self, a) -> np.ndarray:
-        a = as_matrix(a)
-        n = self.spec.n
-        if a.shape != (n, n):
-            raise InvalidInputError(f"expected {n} x {n} argument, got {a.shape}")
-        m = self.target_size
-        out = np.zeros((m, m), dtype=np.complex128)
-        for idx, blk in enumerate(self._blocks(a)):
-            out[idx * n:(idx + 1) * n, idx * n:(idx + 1) * n] = blk
-        if self._w is not None:
-            out = self._w @ out
-        return out
+        return self._apply(as_matrix(a)[None])[0]
 
     def amplify(self, y: VecElem) -> VecElem:
-        return VecElem(np.stack([self(coord) for coord in y.coords]))
+        return VecElem(self._apply(y.coords))
 
 
 def build_isometry(spec: YeadonSpec, p: float) -> BlockIsometry:
@@ -219,7 +207,7 @@ def tensor_contraction_report(t_part: BlockIsometry, which: str, p: float,
         raise InvalidInputError("which must be 'rep' or 'antirep'")
     image_side = Side.ELL_ROW if which == "rep" else Side.R_COL
     rng = np.random.default_rng(seed)
-    elements = [random_element(t_part.source_size, n_hilbert, rng)
+    elements = [random_element(t_part.spec.n, n_hilbert, rng)
                 for _ in range(samples)]
     return _bound_report(
         elements, p, 1.0,
@@ -235,12 +223,12 @@ def _superop_matrices(t_iso: BlockIsometry, s_iso: BlockIsometry):
     tr(u(x) c) = tr(T(x) S(c)) expands over block pairs (i, j) into
     H x G / H x^T G style terms with G = V_i^* W_S V_j and H = V_j^* W_T V_i.
     """
-    n = t_iso.source_size
+    n = t_iso.spec.n
     types_t = t_iso.spec.block_types()
     types_s = s_iso.spec.block_types()
     weights_t = t_iso.spec.weights()
     weights_s = s_iso.spec.weights()
-    m = t_iso.target_size
+    m = t_iso.spec.target_size
     wt = t_iso._w if t_iso._w is not None else np.eye(m, dtype=np.complex128)
     ws = s_iso._w if s_iso._w is not None else np.eye(m, dtype=np.complex128)
 
@@ -278,9 +266,9 @@ def rigid_compose(t_spec: YeadonSpec, s_spec: YeadonSpec, p: float) -> KrausMap:
     p = check_exponent(p)
     t_iso = build_isometry(t_spec, p)
     s_iso = build_isometry(s_spec, conjugate(p))
-    if t_iso.source_size != s_iso.source_size:
+    if t_spec.n != s_spec.n:
         raise InvalidInputError("source sizes differ")
-    if t_iso.target_size != s_iso.target_size:
+    if t_spec.target_size != s_spec.target_size:
         raise InvalidInputError("target sizes differ")
     terms, tnorm = _superop_matrices(t_iso, s_iso)
     if tnorm > 1e-12:

@@ -292,6 +292,20 @@ class TestLineSplit:
         assert wit.ell_value == wit.col_value
         assert np.array_equal(wit.y0.coords, y.scaled(0.5).coords)
 
+    @pytest.mark.parametrize("p", [math.nextafter(1.0, 2.0), 1.0 + 1e-15])
+    def test_diagonal_endpoint_near_p_one(self, rng, p):
+        # within about 2e-15 of p = 1, 2^{1/p - 1} is within the rounding
+        # allowance of 1, so the value at t* = 1/2 rounded up lies above the
+        # exact endpoint t = 1, which the shared line split takes instead
+        y = VecElem.diagonal(random_complex(rng, 4))
+        cert = beta_certify(y, p)
+        c, e, _ = gaugeopt._diagonal_weights(y.coords)
+        side = lp_norm(np.sqrt(c), p) * (1.0 + gaugeopt._diagonal_slack(y.n, y.k))
+        at_half = lp_norm((0.5 * side, 0.5 * side), p) * (1.0 + vecnorm._SPLIT_SLACK)
+        assert cert.lower <= cert.upper <= math.ldexp(at_half, e)
+        wit = cert.factor_witness
+        assert cert.upper == lp_norm((wit.ell_value, wit.col_value), p)
+
     def test_no_negative_zero_near_p_one(self):
         # at p = 1.0001, (min / max)^{p'} underflows and the split lands on an
         # endpoint; at t = 0, y.scaled(0.0) would write -0.0 over the -1 entries

@@ -1,12 +1,16 @@
 import argparse
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from numpy.linalg import _umath_linalg
 
 import nclp
@@ -19,6 +23,10 @@ from nclp.yeadon import BoundReport, YeadonSpec, random_valid_weights
 
 def run_cli(*argv):
     return main(list(argv))
+
+
+#: a size past the largest index numpy takes
+HUGE = str(10 ** 20)
 
 
 @pytest.fixture
@@ -203,13 +211,20 @@ class TestSeedAndSizeChecks:
         ("diag", "--k", "100000", "--p", "3"),
         ("sweep", "--p", "3", "--kmin", "100000", "--kmax", "100000",
          "--numeric-cap", "100000"),
+        ("diag", "--k", HUGE, "--p", "3"),
+        ("sweep", "--p", "3", "--kmin", HUGE, "--kmax", HUGE, "--numeric-cap", HUGE),
     ])
     def test_unallocatable_size(self, capsys, argv):
-        # k^3 complex coordinates, 14 PiB: numpy refuses them before allocating
+        # k^3 complex coordinates, 14 PiB: numpy refuses them before
+        # allocating; at 10^20 the size itself is past numpy's index range
         assert run_cli(*argv) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith("invalid input: ")
         assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+
+    def test_hilbert_size_past_the_index_range(self, capsys, spec_file):
+        self._assert_invalid(capsys, ("yeadon", "--in", spec_file, "--n", HUGE,
+                                      "--samples", "1"), "the sizes are too large")
 
 
 class TestCounterexample:
@@ -425,7 +440,11 @@ class TestHostileInput:
         ("norm", '{"k": 1000000000000, "n": 0, "coords": []}'),
         ("yeadon", '{"n": 100000000000, "rep_weights": [1.0], '
                    '"antirep_weights": [], "p": 3.0, "W": null}'),
-    ], ids=["norm-entry", "yeadon-weight", "norm-size", "yeadon-size"])
+        ("norm", '{"k": %d, "n": 0, "coords": []}' % 2 ** 63),
+        ("yeadon", '{"n": %d, "rep_weights": [1.0], '
+                   '"antirep_weights": [], "p": 3.0, "W": null}' % 2 ** 63),
+    ], ids=["norm-entry", "yeadon-weight", "norm-size", "yeadon-size",
+            "norm-size-2^63", "yeadon-size-2^63"])
     def test_input_file(self, tmp_path, capsys, command, payload):
         path = tmp_path / "input.json"
         path.write_text(payload)
@@ -433,8 +452,107 @@ class TestHostileInput:
         self._assert_invalid(capsys, (command, "--in", str(path)) + flags)
 
     def test_diag_size(self, capsys):
-        # k^3 = 1e21 complex coordinates: numpy refuses the shape itself
+        # k^3 = 1e21 complex coordinates: refused before anything is allocated
         self._assert_invalid(capsys, ("diag", "--k", "10000000", "--p", "3"))
+
+    def test_diag_size_allocates_nothing(self, capsys):
+        # not even the k coefficients (80 MB at k = 1e7) are drawn
+        tracemalloc.start()
+        try:
+            self._assert_invalid(capsys, ("diag", "--k", "10000000", "--p", "3"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
+
+
+
+#: what no field of a payload accepts as it is: the wrong type, NaN, an
+#: infinity, an integer beyond the float range, a size past the index range
+JUNK = st.one_of(
+    st.none(), st.booleans(), st.text(max_size=3),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.integers(-10 ** 400, 10 ** 400),
+    st.sampled_from([-1, 0, 2 ** 63 - 1, 2 ** 63, 10 ** 20, 10 ** 400, 2.5]),
+    st.lists(st.floats(-2.0, 2.0), max_size=5),
+    st.dictionaries(st.sampled_from(["k", "n", "rows", "re", "p"]),
+                    st.integers(-2, 4), max_size=2))
+
+
+def matrix_payload(rows, cols, entries):
+    return {"rows": rows, "cols": cols, "re": entries[:rows * cols],
+            "im": entries[rows * cols:]}
+
+
+@st.composite
+def element_payloads(draw):
+    k, n = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    entries = st.lists(st.floats(-2.0, 2.0), min_size=2 * k * k, max_size=2 * k * k)
+    return {"k": k, "n": n,
+            "coords": [matrix_payload(k, k, draw(entries)) for _ in range(n)]}
+
+
+@st.composite
+def spec_payloads(draw):
+    n = draw(st.integers(1, 2))
+    rep, anti = draw(st.sampled_from([([1.0], []), ([], [1.0]),
+                                      ([2 ** (-1 / 3)], [2 ** (-1 / 3)])]))
+    blocks = len(rep) + len(anti)
+    eye = np.eye(n * blocks).ravel().tolist()
+    w = draw(st.sampled_from([None, matrix_payload(n * blocks, n * blocks,
+                                                   eye + [0.0] * len(eye))]))
+    return {"n": n, "rep_weights": rep, "antirep_weights": anti, "p": 3.0, "W": w}
+
+
+@st.composite
+def hostile(draw, payloads):
+    """A valid payload with up to three of its values, at any depth, and
+    perhaps the whole of it, replaced by junk."""
+    payload = draw(payloads)
+    slots = []
+
+    def walk(node):
+        for key in (range(len(node)) if isinstance(node, list) else list(node)):
+            slots.append((node, key))
+            if isinstance(node[key], (list, dict)):
+                walk(node[key])
+
+    walk(payload)
+    for _ in range(draw(st.integers(0 if slots else 1, 3))):
+        if not slots or draw(st.integers(0, 9)) == 0:
+            return draw(JUNK)
+        node, key = slots[draw(st.integers(0, len(slots) - 1))]
+        node[key] = draw(JUNK)
+    return payload
+
+
+def run_quietly(argv) -> int:
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        return run_cli(*argv)
+
+
+class TestHostileJson:
+    """Hostile element and isometry-spec files: exit 0, 1 or 2, and nothing
+    else escapes ``cli.main``."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(payload=hostile(element_payloads()), p=st.sampled_from(["1.5", "3"]))
+    @example(payload={"k": 2 ** 63, "n": 0, "coords": []}, p="3")
+    def test_element(self, tmp_path_factory, payload, p):
+        path = tmp_path_factory.getbasetemp() / "hostile-element.json"
+        path.write_text(json.dumps(payload))
+        assert run_quietly(["norm", "--in", str(path), "--p", p]) in (0, 1, 2)
+
+    @settings(max_examples=60, deadline=None)
+    @given(payload=hostile(spec_payloads()))
+    @example(payload={"n": 2 ** 63, "rep_weights": [1.0], "antirep_weights": [],
+                      "p": 3.0, "W": None})
+    def test_yeadon_spec(self, tmp_path_factory, payload):
+        path = tmp_path_factory.getbasetemp() / "hostile-spec.json"
+        path.write_text(json.dumps(payload))
+        argv = ["yeadon", "--in", str(path), "--samples", "1", "--n", "1"]
+        assert run_quietly(argv) in (0, 1, 2)
 
 
 class TestSelftest:

@@ -157,8 +157,9 @@ def pipeline_image(k, p):
     return amplify_apply(build_counterexample_maps(k, p)[-1], witness_w(k))
 
 
-class TestDualMemo:
-    """One descent per distinct dual witness within one certificate call."""
+class TestDualSolves:
+    """One descent per distinct dual witness within one certificate call,
+    and none for diagonal coordinates."""
 
     @pytest.fixture
     def dual_inputs(self, monkeypatch):
@@ -451,6 +452,47 @@ class TestSolveCalls:
             for vals in (x, np.concatenate([x[:1], x[:-1]])):
                 w, q = eigh(np.diag(vals).astype(np.complex128))
                 assert np.array_equal(w, vals) and np.array_equal(q, np.eye(r))
+
+
+class TestSolveReturnsWitness:
+    """Both solves return the ``FactorWitness`` that certificates carry, with
+    its branch, on the ascent, on the closed forms and on diagonal
+    coordinates; ``alpha_upper`` hands it on with the frame and the value
+    scaled back."""
+
+    @pytest.mark.parametrize("coords", [
+        random_element(3, 3, np.random.default_rng(0)).coords,
+        random_complex(np.random.default_rng(3), 1, 3, 3),
+        rank_one_support(np.random.default_rng(4), 3, 3),
+        diagonal_coordinates_elem(1, 5, 3).coords,
+        np.zeros((2, 3, 3), dtype=np.complex128),
+    ], ids=["ascent", "one-coordinate", "rank-one-support", "diagonal", "zero"])
+    @pytest.mark.parametrize("solve, p, branch", [
+        (gaugeopt.minimize_gauge, 3.0, "one_sided"),
+        (gaugeopt.minimize_two_sided, 1.5, "two_sided"),
+    ], ids=["one-sided", "two-sided"])
+    def test_branch(self, coords, solve, p, branch):
+        wit = solve(coords, p, max_iters=240)
+        assert type(wit) is vn.FactorWitness is gaugeopt.FactorWitness
+        assert wit.branch == branch and not wit.transposed
+        assert (wit.r is None) == (branch == "one_sided")
+        assert wit.value >= 0.0 and wit.s.shape == (3, 3)
+
+    @pytest.mark.parametrize("y", [
+        random_element(3, 2, np.random.default_rng(1)),
+        VecElem.diagonal([1.0, -2.0j, 0.5]),
+        VecElem.zeros(3, 2),
+    ], ids=["ascent", "diagonal", "zero"])
+    @pytest.mark.parametrize("p", [1.5, 3.0])
+    @pytest.mark.parametrize("side", list(Side), ids=lambda s: s.value)
+    def test_alpha_upper_returns_the_witness_value(self, y, p, side):
+        value, wit = alpha_upper(y, p, side, FAST_OPTS)
+        assert value == wit.value
+        assert wit.transposed == (side == Side.R_COL)
+        zero = y.is_zero()
+        assert wit.branch == ("one_sided" if p >= 2.0 or zero else "two_sided")
+        if not zero:
+            assert value == pytest.approx(evaluate_upper_at(y, wit, p), rel=1e-9)
 
 
 DIAGONAL_ELEMS = {

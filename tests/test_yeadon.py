@@ -4,8 +4,8 @@ import pytest
 from nclp.cpmaps import KrausMap, apply
 from nclp.errors import InvalidInputError, InvalidSpecError
 from nclp.schatten import schatten_norm
-from nclp.vecnorm import FAST_OPTS
-from nclp.yeadon import (YeadonSpec, build_isometry, jordan_split,
+from nclp.vecnorm import FAST_OPTS, random_element
+from nclp.yeadon import (BlockIsometry, YeadonSpec, build_isometry, jordan_split,
                          random_valid_weights, rigid_bound_report,
                          rigid_compose, tensor_contraction_report,
                          unit_weights, validate_spec)
@@ -124,6 +124,21 @@ class TestIsometry:
         b = np.diag(np.repeat(mixed_spec.weights(), 2))
         # tr(B^{p-1} T(a)) = tr(B^p J(a)) = sum_b w_b^p tr(a) = tr(a) at p = 3
         assert abs(np.trace(b @ b @ iso(a)) - np.trace(a)) < 1e-10
+
+
+    @pytest.mark.parametrize("mask", [None, "rep", "antirep"])
+    @pytest.mark.parametrize("unitary", [False, True], ids=["no-W", "W"])
+    def test_amplify_is_the_stack_of_calls(self, rng, mask, unitary):
+        # one pass over the whole stack, bit for bit the per-coordinate map
+        rw, aw = random_valid_weights(2, 1, 3.0, rng)
+        w = np.linalg.qr(random_complex(rng, 9, 9))[0] if unitary else None
+        iso = BlockIsometry(YeadonSpec(n=3, rep_weights=rw, antirep_weights=aw,
+                                       w=w), 3.0, mask=mask)
+        y = random_element(3, 4, rng)
+        want = np.stack([iso(coord) for coord in y.coords])
+        assert np.array_equal(iso.amplify(y).coords, want)
+        with pytest.raises(InvalidInputError):
+            iso.amplify(random_element(2, 4, rng))
 
 
 class TestJordanSplit:
